@@ -11,16 +11,11 @@ from .identities import (
     IDENTITY_IDS,
     GridBounds,
     IdentityReport,
-    check_corollary1,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_pascal,
-    check_theorem2,
+    check,
     run_grid,
 )
 from .intmatrix import IntMatrix
-from .laurent import ONE, Q, ZERO, LaurentPoly
+from .laurent import ONE, Q, ZERO, InvariantError, LaurentPoly
 from .oracle import (
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
@@ -54,6 +49,7 @@ __all__ = [
     "IDENTITY_IDS",
     "IdentityReport",
     "IntMatrix",
+    "InvariantError",
     "LaurentPoly",
     "ONE",
     "Q",
@@ -63,12 +59,7 @@ __all__ = [
     "ZERO",
     "build_adjacency",
     "certify_spectrum",
-    "check_corollary1",
-    "check_lemma1",
-    "check_lemma2",
-    "check_lemma3",
-    "check_pascal",
-    "check_theorem2",
+    "check",
     "delsarte_eigenvalue",
     "enumerate_subspaces",
     "factor_prime_power",

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .gf import factor_prime_power, field_of_order
 from .identities import IDENTITY_IDS, GridBounds, run_grid
+from .laurent import InvariantError
 from .oracle import (
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
@@ -126,9 +127,7 @@ def _spectrum_cells(v: int, k: int, q0: int | None, form: str):
         if form in ("delsarte", "both"):
             dels = delsarte_eigenvalue(v, k, entry.j)
             if q0 is not None:
-                value = dels.evaluate(q0)
-                assert value.denominator == 1
-                dels = int(value)
+                dels = dels.evaluate_int(q0)
             key = "eigenvalue_delsarte" if form == "both" else "eigenvalue"
             cell[key] = _render(dels)
         rows.append(cell)
@@ -244,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ tables; contexts are immutable and all arithmetic is pure.
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator
 
 MAX_EXTENSION_DEGREE = 4
 _TABLE_LIMIT = 256  # build full op tables when q <= this
@@ -92,67 +93,14 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_ext_gcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    # Returns (g, x, y) with x*a + y*b = g over GF(p).
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    x0, x1 = [1], []
-    y0, y1 = [], [1]
-    while r1:
-        # quotient of r0 by r1
-        quot: list[int] = []
-        rem = list(r0)
-        d1 = len(r1) - 1
-        lead_inv = pow(r1[-1], -1, p)
-        while rem and len(rem) - 1 >= d1:
-            shift = len(rem) - 1 - d1
-            factor = (rem[-1] * lead_inv) % p
-            while len(quot) < shift + 1:
-                quot.append(0)
-            quot[shift] = factor
-            for i, ci in enumerate(r1):
-                rem[i + shift] = (rem[i + shift] - factor * ci) % p
-            _trim(rem)
-        qx = _poly_mul(quot, x1, p)
-        qy = _poly_mul(quot, y1, p)
-        x2 = _poly_sub(x0, qx, p)
-        y2 = _poly_sub(y0, qy, p)
-        r0, r1 = r1, rem
-        x0, x1 = x1, x2
-        y0, y1 = y1, y2
-    return r0, x0, y0
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _trim(out)
-
-
-def _monic_irreducibles(p: int, degree: int) -> list[list[int]]:
-    if degree == 1:
-        return [[a, 1] for a in range(p)]
-    lower: list[list[int]] = []
-    for d in range(1, degree // 2 + 1):
-        lower.extend(_monic_irreducibles(p, d))
-    found = []
+def _monic_irreducibles(p: int, degree: int) -> Iterator[list[int]]:
+    # Candidates in lexicographic order of their coefficient tuples, constant
+    # term first; the lower-degree irreducibles are enumerated once.
+    lower = [irr for d in range(1, degree // 2 + 1) for irr in _monic_irreducibles(p, d)]
     for coeffs in product(range(p), repeat=degree):
         cand = list(coeffs) + [1]
         if all(_poly_mod(cand, irr, p) for irr in lower):
-            found.append(cand)
-    return found
-
-
-def _is_irreducible(cand: list[int], p: int) -> bool:
-    degree = len(cand) - 1
-    for d in range(1, degree // 2 + 1):
-        for irr in _monic_irreducibles(p, d):
-            if not _poly_mod(cand, irr, p):
-                return False
-    return True
+            yield cand
 
 
 # ----------------------------------------------------------------------
@@ -222,14 +170,7 @@ class FieldCtx:
     def _inv_raw(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        g, x, _ = _poly_ext_gcd(_trim(list(self.decode(a))), list(self.modulus), self.p)
-        # g is a nonzero constant since the modulus is irreducible
-        scale = pow(g[0], -1, self.p)
-        inv = [(c * scale) % self.p for c in x]
-        inv = _poly_mod(inv, list(self.modulus), self.p)
-        return self.encode(inv + [0] * (self.e - len(inv)))
+        return self.pow(a, self.q - 2)  # the multiplicative group has order q - 1
 
     # -- public operations
 
@@ -310,13 +251,7 @@ def make_field(p: int, e: int, *, max_degree: int = MAX_EXTENSION_DEGREE) -> Fie
         raise ValueError(f"field characteristic must be prime, got {p!r}")
     if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= max_degree:
         raise ValueError(f"extension degree must be in [1, {max_degree}], got {e!r}")
-    if e == 1:
-        return FieldCtx(p, 1, (0, 1))
-    for coeffs in product(range(p), repeat=e):
-        cand = list(coeffs) + [1]
-        if _is_irreducible(cand, p):
-            return FieldCtx(p, e, tuple(cand))
-    raise RuntimeError(f"no irreducible polynomial of degree {e} over GF({p})")  # unreachable
+    return FieldCtx(p, e, tuple(next(_monic_irreducibles(p, e))))
 
 
 def field_of_order(q: int, *, max_degree: int = MAX_EXTENSION_DEGREE) -> FieldCtx:

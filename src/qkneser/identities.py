@@ -14,29 +14,33 @@ with C(s,2) = s(s-1)/2:
   corollary1  theorem2 at t = a-m:
               sum_{s=0}^{m} (-1)^s q^C(s,2) [m s][a-s a-m] = q^(m^2) [a-m m]
 
-lemma1 is also the computation path gauss takes for n < 0, so its check
-additionally routes both sides through the product-formula oracle at
-q0 in {2, 3, 5}; the symbolic comparison alone would be circular there.
-Likewise corollary1 is re-derived through the theorem2 sides at t = a-m
-and the two routes must agree term for term.
+The IDENTITIES table holds one Identity record per identity: its sides,
+its parameter box in GridBounds, its precondition and an optional
+independent cross-check.  check() and run_grid() are generic over that
+record; run_grid sweeps every admissible tuple of a box and reports
+failures as data (parameter tuple plus both renderings), not as
+exceptions.
 
-run_grid sweeps an identity over every admissible tuple in a bounds box
-and reports failures as data (parameter tuple plus both renderings), not
-as exceptions.
+lemma1 is also the computation path gauss takes for n < 0, so its
+cross-check routes both sides through the product-formula oracle at
+q0 in {2, 3, 5}; the symbolic comparison alone would be circular there.
+corollary1 is cross-checked side by side against theorem2 at t = a-m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from itertools import product
+from typing import Callable, Iterator, Optional
 
 from .laurent import ZERO, LaurentPoly
 from .qbinom import gauss, gauss_eval_product
 
-IDENTITY_IDS = ("pascal", "lemma1", "lemma2", "lemma3", "theorem2", "corollary1")
-
 _ORACLE_POINTS = (2, 3, 5)
+
+Sides = tuple[LaurentPoly, LaurentPoly]
+Mismatch = Optional[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -56,13 +60,7 @@ class GridBounds:
     mat_max: int = 10
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "i_min": self.i_min,
-            "i_max": self.i_max,
-            "mat_max": self.mat_max,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -112,20 +110,20 @@ def _sign_shift(s: int, piece: LaurentPoly) -> LaurentPoly:
     return -shifted if s % 2 else shifted
 
 
-def pascal_sides(n: int, i: int) -> tuple[LaurentPoly, LaurentPoly]:
+def pascal_sides(n: int, i: int) -> Sides:
     lhs = gauss(n, i)
     rhs = gauss(n - 1, i - 1) + gauss(n - 1, i).shift(i)
     return lhs, rhs
 
 
-def lemma1_sides(n: int, i: int) -> tuple[LaurentPoly, LaurentPoly]:
+def lemma1_sides(n: int, i: int) -> Sides:
     lhs = gauss(n, i)
     reflected = gauss(i - 1 - n, i).shift(n * i - i * (i - 1) // 2)
     rhs = -reflected if i % 2 else reflected
     return lhs, rhs
 
 
-def lemma2_sides(n: int, a: int) -> tuple[LaurentPoly, LaurentPoly]:
+def lemma2_sides(n: int, a: int) -> Sides:
     lhs = ZERO
     for s in range(a + 1):
         lhs = lhs + _sign_shift(s, gauss(n, s))
@@ -133,23 +131,24 @@ def lemma2_sides(n: int, a: int) -> tuple[LaurentPoly, LaurentPoly]:
     return lhs, rhs
 
 
-def lemma3_sides(m: int, a: int, t: int) -> tuple[LaurentPoly, LaurentPoly]:
+def _two_coefficient_sum(m: int, a: int, t: int, top: int) -> Sides:
+    # sum_{s=0}^{top} (-1)^s q^C(s,2) [m s][a-s t]  against  q^(m(a-t)) [a-m a-t]
     lhs = ZERO
-    for s in range(a + 1):
+    for s in range(top + 1):
         lhs = lhs + _sign_shift(s, gauss(m, s) * gauss(a - s, t))
     rhs = gauss(a - m, a - t).shift(m * (a - t))
     return lhs, rhs
 
 
-def theorem2_sides(m: int, a: int, t: int) -> tuple[LaurentPoly, LaurentPoly]:
-    lhs = ZERO
-    for s in range(m + 1):
-        lhs = lhs + _sign_shift(s, gauss(m, s) * gauss(a - s, t))
-    rhs = gauss(a - m, a - t).shift(m * (a - t))
-    return lhs, rhs
+def lemma3_sides(m: int, a: int, t: int) -> Sides:
+    return _two_coefficient_sum(m, a, t, top=a)
 
 
-def corollary1_sides(m: int, a: int) -> tuple[LaurentPoly, LaurentPoly]:
+def theorem2_sides(m: int, a: int, t: int) -> Sides:
+    return _two_coefficient_sum(m, a, t, top=m)
+
+
+def corollary1_sides(m: int, a: int) -> Sides:
     lhs = ZERO
     for s in range(m + 1):
         lhs = lhs + _sign_shift(s, gauss(m, s) * gauss(a - s, a - m))
@@ -158,69 +157,25 @@ def corollary1_sides(m: int, a: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 # ----------------------------------------------------------------------
-# boolean checks with precondition enforcement
+# independent cross-checks, run once both sides already agree
 
 
-def check_pascal(n: int, i: int) -> bool:
-    """Pascal-type recurrence; requires i >= 1."""
-    if i < 1:
-        raise ValueError(f"pascal requires i >= 1, got i={i}")
-    lhs, rhs = pascal_sides(n, i)
-    return lhs == rhs
-
-
-def _lemma1_oracle_mismatch(n: int, i: int) -> tuple[str, str] | None:
+def _lemma1_oracle_mismatch(params: tuple[int, ...], lhs: LaurentPoly, rhs: LaurentPoly) -> Mismatch:
     # Both sides through the defining product at sampled points, which is
     # independent of the Laurent-ring computation path.
+    n, i = params
     for q0 in _ORACLE_POINTS:
-        lhs = gauss_eval_product(n, i, q0)
+        left = gauss_eval_product(n, i, q0)
         scale = Fraction(q0) ** (n * i - i * (i - 1) // 2)
-        rhs = (-1) ** i * scale * gauss_eval_product(i - 1 - n, i, q0)
-        if lhs != rhs:
-            return f"at q0={q0}: {lhs}", f"at q0={q0}: {rhs}"
+        right = (-1) ** i * scale * gauss_eval_product(i - 1 - n, i, q0)
+        if left != right:
+            return f"at q0={q0}: {left}", f"at q0={q0}: {right}"
     return None
 
 
-def check_lemma1(n: int, i: int) -> bool:
-    """Reflection to a nonnegative top; requires i >= 0.
-
-    Checked symbolically and through the product-formula oracle at
-    q0 in {2, 3, 5}, because for n < 0 the symbolic route is the same
-    reduction gauss itself performs.
-    """
-    if i < 0:
-        raise ValueError(f"lemma1 requires i >= 0, got i={i}")
-    lhs, rhs = lemma1_sides(n, i)
-    return lhs == rhs and _lemma1_oracle_mismatch(n, i) is None
-
-
-def check_lemma2(n: int, a: int) -> bool:
-    """Alternating sum collapsing to a single monomial times a coefficient."""
-    if a < 0:
-        raise ValueError(f"lemma2 requires a >= 0, got a={a}")
-    lhs, rhs = lemma2_sides(n, a)
-    return lhs == rhs
-
-
-def check_lemma3(m: int, a: int, t: int) -> bool:
-    """Two-coefficient alternating sum; requires 0 <= t <= a <= m."""
-    if not 0 <= t <= a <= m:
-        raise ValueError(f"lemma3 requires 0 <= t <= a <= m, got (m={m}, a={a}, t={t})")
-    lhs, rhs = lemma3_sides(m, a, t)
-    return lhs == rhs
-
-
-def check_theorem2(m: int, a: int, t: int) -> bool:
-    """Truncated alternating sum; requires a >= m >= 0 and a >= t >= 0."""
-    if m < 0 or t < 0 or a < m or a < t:
-        raise ValueError(f"theorem2 requires a >= m >= 0 and a >= t >= 0, got (m={m}, a={a}, t={t})")
-    lhs, rhs = theorem2_sides(m, a, t)
-    return lhs == rhs
-
-
-def _corollary1_consistency_mismatch(m: int, a: int) -> tuple[str, str] | None:
+def _corollary1_theorem2_mismatch(params: tuple[int, ...], lhs: LaurentPoly, rhs: LaurentPoly) -> Mismatch:
     # The corollary must coincide, side by side, with theorem2 at t = a-m.
-    lhs, rhs = corollary1_sides(m, a)
+    m, a = params
     lhs_t, rhs_t = theorem2_sides(m, a, a - m)
     if lhs != lhs_t:
         return f"corollary LHS {lhs}", f"theorem2 LHS {lhs_t}"
@@ -229,61 +184,73 @@ def _corollary1_consistency_mismatch(m: int, a: int) -> tuple[str, str] | None:
     return None
 
 
-def check_corollary1(m: int, a: int) -> bool:
-    """Substitution t = a-m of theorem2; requires 0 <= m <= a.
-
-    Verifies the identity itself and that both sides coincide with the
-    theorem2 sides at t = a-m.
-    """
-    if not 0 <= m <= a:
-        raise ValueError(f"corollary1 requires 0 <= m <= a, got (m={m}, a={a})")
-    lhs, rhs = corollary1_sides(m, a)
-    return lhs == rhs and _corollary1_consistency_mismatch(m, a) is None
-
-
 # ----------------------------------------------------------------------
-# grid sweeps
+# the identity table
 
 
-def _admissible(identity: str, b: GridBounds) -> Iterator[tuple[int, ...]]:
-    if identity == "pascal":
-        for n in range(b.n_min, b.n_max + 1):
-            for i in range(max(b.i_min, 1), b.i_max + 1):
-                yield (n, i)
-    elif identity == "lemma1":
-        for n in range(b.n_min, b.n_max + 1):
-            for i in range(max(b.i_min, 0), b.i_max + 1):
-                yield (n, i)
-    elif identity == "lemma2":
-        for n in range(b.n_min, b.n_max + 1):
-            for a in range(max(b.i_min, 0), b.i_max + 1):
-                yield (n, a)
-    elif identity == "lemma3":
-        for m in range(b.mat_max + 1):
-            for a in range(m + 1):
-                for t in range(a + 1):
-                    yield (m, a, t)
-    elif identity == "theorem2":
-        for m in range(b.mat_max + 1):
-            for a in range(m, b.mat_max + 1):
-                for t in range(a + 1):
-                    yield (m, a, t)
-    elif identity == "corollary1":
-        for m in range(b.mat_max + 1):
-            for a in range(m, b.mat_max + 1):
-                yield (m, a)
-    else:
-        raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITY_IDS}")
+@dataclass(frozen=True)
+class Identity:
+    """One identity: sides, parameter box, precondition, optional cross-check.
+
+    The admissible tuples are those of box(bounds), in lexicographic
+    order, that satisfy precondition (stated in words by requirement).
+    cross_check is an independent route run on (params, lhs, rhs) once the
+    sides agree; it returns the mismatching renderings or None.
+    """
+
+    sides: Callable[..., Sides]
+    precondition: Callable[..., bool]
+    requirement: str
+    mat_params: int = 0  # parameters drawn from 0..mat_max; 0 means the (n, i) box
+    cross_check: Callable[[tuple[int, ...], LaurentPoly, LaurentPoly], Mismatch] | None = None
+
+    def box(self, b: GridBounds) -> Iterator[tuple[int, ...]]:
+        if self.mat_params:
+            return product(range(b.mat_max + 1), repeat=self.mat_params)
+        return product(range(b.n_min, b.n_max + 1), range(b.i_min, b.i_max + 1))
 
 
-_SIDES: dict[str, Callable[..., tuple[LaurentPoly, LaurentPoly]]] = {
-    "pascal": pascal_sides,
-    "lemma1": lemma1_sides,
-    "lemma2": lemma2_sides,
-    "lemma3": lemma3_sides,
-    "theorem2": theorem2_sides,
-    "corollary1": corollary1_sides,
+IDENTITIES: dict[str, Identity] = {
+    "pascal": Identity(pascal_sides, lambda n, i: i >= 1, "i >= 1"),
+    "lemma1": Identity(lemma1_sides, lambda n, i: i >= 0, "i >= 0", cross_check=_lemma1_oracle_mismatch),
+    "lemma2": Identity(lemma2_sides, lambda n, a: a >= 0, "a >= 0"),
+    "lemma3": Identity(lemma3_sides, lambda m, a, t: 0 <= t <= a <= m, "0 <= t <= a <= m", mat_params=3),
+    "theorem2": Identity(theorem2_sides, lambda m, a, t: 0 <= m <= a and 0 <= t <= a,
+                         "a >= m >= 0 and a >= t >= 0", mat_params=3),
+    "corollary1": Identity(corollary1_sides, lambda m, a: 0 <= m <= a, "0 <= m <= a", mat_params=2,
+                           cross_check=_corollary1_theorem2_mismatch),
 }
+
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
+def _lookup(name: str) -> Identity:
+    if name not in IDENTITIES:
+        raise ValueError(f"unknown identity {name!r}; expected one of {IDENTITY_IDS}")
+    return IDENTITIES[name]
+
+
+def _mismatch(identity: Identity, params: tuple[int, ...], sabotage: bool = False) -> Mismatch:
+    lhs, rhs = identity.sides(*params)
+    if sabotage:
+        rhs = rhs.shift(1)
+    if lhs != rhs:
+        return str(lhs), str(rhs)
+    if sabotage or identity.cross_check is None:
+        return None
+    return identity.cross_check(params, lhs, rhs)
+
+
+def check(name: str, *params: int) -> bool:
+    """Whether the named identity holds at params, cross-check included.
+
+    Raises ValueError for an unknown name or a tuple outside the
+    identity's precondition.
+    """
+    identity = _lookup(name)
+    if not identity.precondition(*params):
+        raise ValueError(f"{name} requires {identity.requirement}, got {params}")
+    return _mismatch(identity, params) is None
 
 
 def run_grid(identity: str, bounds: GridBounds | None = None, *, sabotage: bool = False) -> IdentityReport:
@@ -292,27 +259,17 @@ def run_grid(identity: str, bounds: GridBounds | None = None, *, sabotage: bool 
     Identity violations are data: each failing tuple is recorded with the
     renderings of both sides.  With sabotage=True the RHS is multiplied
     by q before comparison, a deliberate off-by-one in its exponent that
-    proves the harness can fail; it exists for negative-control tests.
+    proves the harness can fail; it exists for negative-control tests and
+    skips the cross-checks.
     """
     bounds = GridBounds() if bounds is None else bounds
-    sides = _SIDES[identity] if identity in _SIDES else None
-    if sides is None:
-        raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITY_IDS}")
+    record = _lookup(identity)
     report = IdentityReport(identity=identity, bounds=bounds)
-    for params in _admissible(identity, bounds):
-        report.checked += 1
-        lhs, rhs = sides(*params)
-        if sabotage:
-            rhs = rhs.shift(1)
-        if lhs != rhs:
-            report.failures.append((params, str(lhs), str(rhs)))
+    for params in record.box(bounds):
+        if not record.precondition(*params):
             continue
-        if not sabotage:
-            extra = None
-            if identity == "lemma1":
-                extra = _lemma1_oracle_mismatch(*params)
-            elif identity == "corollary1":
-                extra = _corollary1_consistency_mismatch(*params)
-            if extra is not None:
-                report.failures.append((params, *extra))
+        report.checked += 1
+        mismatch = _mismatch(record, params, sabotage)
+        if mismatch is not None:
+            report.failures.append((params, *mismatch))
     return report

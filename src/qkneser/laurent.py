@@ -19,6 +19,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
+class InvariantError(RuntimeError):
+    """An exactness guard failed: a value the mathematics fixes came out otherwise.
+
+    This signals a defect in the program, never bad input; the CLI reports
+    it as a verification failure (exit 1).
+    """
+
+
 def _check_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, got {value!r}")
@@ -184,6 +192,13 @@ class LaurentPoly:
         for exp, coeff in self._terms.items():
             total += coeff * base**exp
         return total
+
+    def evaluate_int(self, q0: int) -> int:
+        """Exact value at q = q0 where it must be an integer; InvariantError otherwise."""
+        value = self.evaluate(q0)
+        if value.denominator != 1:
+            raise InvariantError(f"{self} at q={q0} is {value}, expected an integer")
+        return int(value)
 
     # ------------------------------------------------------------------
     # comparison and rendering

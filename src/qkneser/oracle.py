@@ -34,6 +34,7 @@ from pathlib import Path
 
 from .gf import FieldCtx
 from .intmatrix import IntMatrix
+from .laurent import InvariantError
 from .qbinom import gauss
 from .spectrum import SpectrumTable
 
@@ -68,9 +69,7 @@ class Subspace:
 
 
 def predicted_vertex_count(v: int, k: int, q: int) -> int:
-    value = gauss(v, k).evaluate(q)
-    assert value.denominator == 1
-    return int(value)
+    return gauss(v, k).evaluate_int(q)
 
 
 def enumerate_subspaces(ctx: FieldCtx, v: int, k: int, *, budget: int = DEFAULT_VERTEX_BUDGET) -> list[Subspace]:
@@ -98,7 +97,8 @@ def enumerate_subspaces(ctx: FieldCtx, v: int, k: int, *, budget: int = DEFAULT_
                 rows[r][c] = value
             out.append(Subspace(ctx=ctx, v=v, rows=tuple(map(tuple, rows)), pivots=pivots))
     out.sort(key=lambda s: (s.pivots, s.rows))
-    assert len(out) == predicted
+    if len(out) != predicted:
+        raise InvariantError(f"enumerated {len(out)} {k}-subspaces of GF({q})^{v}, the formula gives {predicted}")
     return out
 
 

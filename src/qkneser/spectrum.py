@@ -133,8 +133,5 @@ def spectrum_table(v: int, k: int, q0: int | None = None) -> SpectrumTable:
             entries.append(SpectrumEntry(j, eig, mult))
         else:
             # both are honest polynomials for v >= 2k, so the values are integers
-            eig_at = eig.evaluate(q0)
-            mult_at = mult.evaluate(q0)
-            assert eig_at.denominator == 1 and mult_at.denominator == 1
-            entries.append(SpectrumEntry(j, int(eig_at), int(mult_at)))
+            entries.append(SpectrumEntry(j, eig.evaluate_int(q0), mult.evaluate_int(q0)))
     return SpectrumTable(v=v, k=k, q=q0, entries=tuple(entries))

@@ -143,6 +143,86 @@ def test_verify_identities_sabotage_exits_1_with_counterexample(capsys):
     assert "!=" in out  # counterexample with both renderings
 
 
+# Full stdout of two sweeps, pinned so that a refactor of the identity
+# table cannot change a byte of it; the first is the README example.
+IDENTITIES_MAX_8 = """\
+pascal       checked=136    failures=0    ok
+lemma1       checked=153    failures=0    ok
+lemma2       checked=153    failures=0    ok
+lemma3       checked=165    failures=0    ok
+theorem2     checked=285    failures=0    ok
+corollary1   checked=45     failures=0    ok
+total: 937 instances, 0 failures
+"""
+
+IDENTITIES_MAX_2_SABOTAGE = """\
+pascal       checked=10     failures=7    FAIL
+    at (-2, 1): LHS = -q^-1 - q^-2  !=  RHS = -1 - q^-1
+    at (-2, 2): LHS = q^-3 + q^-4 + q^-5  !=  RHS = q^-2 + q^-3 + q^-4
+    at (-1, 1): LHS = -q^-1  !=  RHS = -1
+    at (-1, 2): LHS = q^-3  !=  RHS = q^-2
+    at (1, 1): LHS = 1  !=  RHS = q
+    at (2, 1): LHS = q + 1  !=  RHS = q^2 + q
+    at (2, 2): LHS = 1  !=  RHS = q
+lemma1       checked=15     failures=12   FAIL
+    at (-2, 0): LHS = 1  !=  RHS = q
+    at (-2, 1): LHS = -q^-1 - q^-2  !=  RHS = -1 - q^-1
+    at (-2, 2): LHS = q^-3 + q^-4 + q^-5  !=  RHS = q^-2 + q^-3 + q^-4
+    at (-1, 0): LHS = 1  !=  RHS = q
+    at (-1, 1): LHS = -q^-1  !=  RHS = -1
+    at (-1, 2): LHS = q^-3  !=  RHS = q^-2
+    at (0, 0): LHS = 1  !=  RHS = q
+    at (1, 0): LHS = 1  !=  RHS = q
+    at (1, 1): LHS = 1  !=  RHS = q
+    at (2, 0): LHS = 1  !=  RHS = q
+    at (2, 1): LHS = q + 1  !=  RHS = q^2 + q
+    at (2, 2): LHS = 1  !=  RHS = q
+lemma2       checked=15     failures=12   FAIL
+    at (-2, 0): LHS = 1  !=  RHS = q
+    at (-2, 1): LHS = 1 + q^-1 + q^-2  !=  RHS = q + 1 + q^-1
+    at (-2, 2): LHS = 1 + q^-1 + 2*q^-2 + q^-3 + q^-4  !=  RHS = q + 1 + 2*q^-1 + q^-2 + q^-3
+    at (-1, 0): LHS = 1  !=  RHS = q
+    at (-1, 1): LHS = 1 + q^-1  !=  RHS = q + 1
+    at (-1, 2): LHS = 1 + q^-1 + q^-2  !=  RHS = q + 1 + q^-1
+    at (0, 0): LHS = 1  !=  RHS = q
+    at (0, 1): LHS = 1  !=  RHS = q
+    at (0, 2): LHS = 1  !=  RHS = q
+    at (1, 0): LHS = 1  !=  RHS = q
+    at (2, 0): LHS = 1  !=  RHS = q
+    at (2, 1): LHS = -q  !=  RHS = -q^2
+lemma3       checked=10     failures=7    FAIL
+    at (0, 0, 0): LHS = 1  !=  RHS = q
+    at (1, 0, 0): LHS = 1  !=  RHS = q
+    at (1, 1, 1): LHS = 1  !=  RHS = q
+    at (2, 0, 0): LHS = 1  !=  RHS = q
+    at (2, 1, 0): LHS = -q  !=  RHS = -q^2
+    at (2, 1, 1): LHS = 1  !=  RHS = q
+    at (2, 2, 2): LHS = 1  !=  RHS = q
+theorem2     checked=14     failures=10   FAIL
+    at (0, 0, 0): LHS = 1  !=  RHS = q
+    at (0, 1, 0): LHS = 1  !=  RHS = q
+    at (0, 1, 1): LHS = 1  !=  RHS = q
+    at (0, 2, 0): LHS = 1  !=  RHS = q
+    at (0, 2, 1): LHS = q + 1  !=  RHS = q^2 + q
+    at (0, 2, 2): LHS = 1  !=  RHS = q
+    at (1, 1, 1): LHS = 1  !=  RHS = q
+    at (1, 2, 1): LHS = q  !=  RHS = q^2
+    at (1, 2, 2): LHS = 1  !=  RHS = q
+    at (2, 2, 2): LHS = 1  !=  RHS = q
+corollary1   checked=6      failures=4    FAIL
+    at (0, 0): LHS = 1  !=  RHS = q
+    at (0, 1): LHS = 1  !=  RHS = q
+    at (0, 2): LHS = 1  !=  RHS = q
+    at (1, 2): LHS = q  !=  RHS = q^2
+total: 70 instances, 52 failures
+"""
+
+
+def test_verify_identities_golden_stdout(capsys):
+    assert run(capsys, "verify", "identities", "--max", "8") == (0, IDENTITIES_MAX_8, "")
+    assert run(capsys, "verify", "identities", "--max", "2", "--sabotage") == (1, IDENTITIES_MAX_2_SABOTAGE, "")
+
+
 def test_verify_identities_bad_max(capsys):
     code, _, err = run(capsys, "verify", "identities", "--max", "0")
     assert code == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkneser.laurent import ONE, Q, ZERO, LaurentPoly
+from qkneser.laurent import ONE, Q, ZERO, InvariantError, LaurentPoly
 
 
 def P(terms):
@@ -72,6 +72,13 @@ def test_eval_examples():
     assert p.evaluate(2) == 35
     assert P({-1: -1}).evaluate(2) == Fraction(-1, 2)
     assert ZERO.evaluate(7) == 0
+
+
+def test_evaluate_int_guards_integrality():
+    assert P({4: 1, 3: 1, 2: 2, 1: 1, 0: 1}).evaluate_int(2) == 35
+    assert P({-1: 4}).evaluate_int(2) == 2
+    with pytest.raises(InvariantError):
+        P({-1: -1}).evaluate_int(2)
 
 
 def test_eval_rejects_small_points():

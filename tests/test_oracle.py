@@ -2,8 +2,11 @@
 
 import pytest
 
+from qkneser import oracle
+from qkneser.cli import main
 from qkneser.gf import field_of_order, make_field
 from qkneser.intmatrix import IntMatrix
+from qkneser.laurent import InvariantError
 from qkneser.oracle import (
     BudgetExceededError,
     Subspace,
@@ -75,6 +78,20 @@ def test_budget_guardrail():
         enumerate_subspaces(ctx, 6, 3, budget=100)
     assert err.value.predicted == 1395
     assert err.value.budget == 100
+
+
+def test_enumeration_count_mismatch_is_a_verification_failure(monkeypatch, capsys):
+    # The count check must survive python -O, and the CLI must report it
+    # as exit 1 (a real failure) with one error line and no traceback.
+    real = oracle.predicted_vertex_count
+    monkeypatch.setattr(oracle, "predicted_vertex_count", lambda v, k, q: real(v, k, q) + 1)
+    with pytest.raises(InvariantError, match="enumerated 7 1-subspaces"):
+        enumerate_subspaces(make_field(2, 1), 3, 1)
+    assert main(["count-subspaces", "3", "1", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_enumerate_rejects_k_above_v():
