@@ -244,10 +244,13 @@ def _mismatch(identity: Identity, params: tuple[int, ...], sabotage: bool = Fals
 def check(name: str, *params: int) -> bool:
     """Whether the named identity holds at params, cross-check included.
 
-    Raises ValueError for an unknown name or a tuple outside the
-    identity's precondition.
+    Raises ValueError for an unknown name, a tuple of the wrong length or
+    a tuple outside the identity's precondition.
     """
     identity = _lookup(name)
+    arity = identity.mat_params or 2
+    if len(params) != arity:
+        raise ValueError(f"{name} takes {arity} parameters, got {len(params)}: {params}")
     if not identity.precondition(*params):
         raise ValueError(f"{name} requires {identity.requirement}, got {params}")
     return _mismatch(identity, params) is None

@@ -17,7 +17,7 @@ Storage is int64 when entries fit, object otherwise.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,21 +53,7 @@ class IntMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("rows do not form a square matrix")
-        flat = [int(x) for r in rows for x in r]
-        big = any(abs(x) > _INT64_MAX for x in flat)
-        a = np.empty((n, n), dtype=object if big else np.int64)
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = flat[i * n + j]
-        return cls(a)
-
-    @classmethod
-    def from_bit_rows(cls, masks: Iterable[int], n: int) -> "IntMatrix":
-        """Unpack bit-packed 0/1 rows (bit j of masks[i] is entry (i, j))."""
-        rows = [[(mask >> j) & 1 for j in range(n)] for mask in masks]
-        if len(rows) != n:
-            raise ValueError(f"expected {n} row masks, got {len(rows)}")
-        return cls(np.array(rows, dtype=np.int64))
+        return cls(np.array(rows, dtype=object).reshape(n, n))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -79,13 +65,14 @@ class IntMatrix:
         return int(self._a[i, j])
 
     def to_rows(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self._a]
+        return self._a.tolist()
 
     def trace(self) -> int:
         return sum(int(self._a[i, i]) for i in range(self.n))
 
     def row_sums(self) -> list[int]:
-        return [int(s) for s in self._a.astype(object).sum(axis=1)]
+        dtype = np.int64 if self.n * self.max_abs <= _INT64_MAX else object
+        return self._a.sum(axis=1, dtype=dtype).tolist()
 
     def is_symmetric(self) -> bool:
         return bool((self._a == self._a.T).all())

@@ -2,8 +2,9 @@
 
 This module builds qK(v, k) from scratch: it enumerates every
 k-dimensional subspace of F_q^v as a canonical reduced-row-echelon basis,
-forms the trivial-intersection adjacency matrix, and certifies a
-predicted spectrum with zero numerical tolerance:
+forms the trivial-intersection adjacency matrix as one product of the
+vertex x projective-point incidence matrix with its transpose, and
+certifies a predicted spectrum with zero numerical tolerance:
 
   * annihilation: the exact integer product prod_j (A - lambda_j I) must
     be the zero matrix; since A is symmetric (hence diagonalizable) this
@@ -31,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
+
+import numpy as np
 
 from .gf import FieldCtx
 from .intmatrix import IntMatrix
@@ -137,34 +140,36 @@ def intersection_dim(a: Subspace, b: Subspace) -> int:
     return 2 * a.k - gf_rank(a.ctx, stacked)
 
 
-def _nonzero_vector_codes(s: Subspace) -> frozenset[int]:
-    # Every nonzero vector of the subspace, encoded base q; two subspaces
-    # intersect trivially iff these sets are disjoint.
-    ctx, q, v = s.ctx, s.ctx.q, s.v
-    codes = set()
-    for coeffs in product(range(q), repeat=s.k):
-        if not any(coeffs):
-            continue
-        vec = [0] * v
-        for c, row in zip(coeffs, s.rows):
-            if c:
-                for t in range(v):
-                    if row[t]:
-                        vec[t] = ctx.add(vec[t], ctx.mul(c, row[t]))
-        code = 0
-        for t in range(v - 1, -1, -1):
-            code = code * q + vec[t]
-        codes.add(code)
-    return frozenset(codes)
+def _point_codes(s: Subspace) -> list[int]:
+    # One code (the vector encoded base q) per projective point: the
+    # combinations of the RREF rows whose first nonzero coefficient is 1.
+    # That coefficient is also the vector's first nonzero coordinate, so
+    # equal points of different subspaces get equal codes.
+    ctx, q, v, k = s.ctx, s.ctx.q, s.v, s.k
+    codes = []
+    for lead in range(k):
+        for rest in product(range(q), repeat=k - 1 - lead):
+            vec = [0] * v
+            for c, row in zip((1, *rest), s.rows[lead:]):
+                if c:
+                    for t in range(v):
+                        if row[t]:
+                            vec[t] = ctx.add(vec[t], ctx.mul(c, row[t]))
+            code = 0
+            for t in range(v - 1, -1, -1):
+                code = code * q + vec[t]
+            codes.append(code)
+    return codes
 
 
 def build_adjacency(subspaces: list[Subspace]) -> IntMatrix:
     """Adjacency matrix: 1 where two subspaces intersect trivially.
 
-    Symmetric 0/1 with a zero diagonal (loops excluded).  Pairs are
-    tested by disjointness of their nonzero-vector sets, which agrees
-    with intersection_dim == 0; the tests assert both routes match.
-    Rows are accumulated bit-packed and widened at the end.
+    Symmetric 0/1 with a zero diagonal (loops excluded).  Two subspaces
+    meet trivially iff they share no projective point of PG(v-1, q)
+    (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), so with N the
+    0/1 vertex x point incidence matrix, A = [N N^T == 0] off the diagonal.
+    The tests assert that this agrees with intersection_dim == 0.
     """
     n = len(subspaces)
     if n == 0:
@@ -172,15 +177,14 @@ def build_adjacency(subspaces: list[Subspace]) -> IntMatrix:
     first = subspaces[0]
     if any(s.ctx != first.ctx or s.v != first.v or s.k != first.k for s in subspaces):
         raise ValueError("vertex list mixes ambient spaces")
-    vectors = [_nonzero_vector_codes(s) for s in subspaces]
-    masks = [0] * n
-    for i in range(n):
-        vi = vectors[i]
-        for j in range(i + 1, n):
-            if vi.isdisjoint(vectors[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return IntMatrix.from_bit_rows(masks, n)
+    codes = np.array([_point_codes(s) for s in subspaces], dtype=np.int64)
+    points, columns = np.unique(codes, return_inverse=True)
+    incidence = np.zeros((n, len(points)))
+    incidence[np.arange(n).repeat(codes.shape[1]), columns.ravel()] = 1
+    # float64 is exact: an entry of N N^T counts shared points, at most [k 1]_q
+    adjacency = (incidence @ incidence.T == 0).astype(np.int64)
+    np.fill_diagonal(adjacency, 0)
+    return IntMatrix(adjacency)
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +340,7 @@ def dump_vertices(subspaces: list[Subspace], path: str | Path) -> None:
 
 def dump_adjacency(matrix: IntMatrix, path: str | Path) -> None:
     """One 0/1 row per line, space-separated."""
-    lines = [" ".join(str(x) for x in row) for row in matrix.to_rows()]
+    lines = [" ".join(map(str, row)) for row in matrix.to_rows()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -1,6 +1,7 @@
 """CLI contract: the five commands, exit codes, and round-trippable output."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -261,6 +262,19 @@ def test_verify_spectrum_dump(capsys, tmp_path):
     assert (directory / "adjacency.txt").read_text() == "0 1 1\n1 0 1\n1 1 0\n"
     payload = json.loads((directory / "certification.json").read_text())
     assert payload["certified"] is True and payload["q"] == 2
+
+
+def test_verify_spectrum_dump_golden(capsys, tmp_path):
+    # sha256 of the qK(4,2) q=3 dump files as the earlier pairwise-disjointness
+    # adjacency wrote them; any drift in the matrix or the format shows here
+    code, _, _ = run(capsys, "verify", "spectrum", "4", "2", "3", "--dump", str(tmp_path))
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("adjacency.txt", "vertices.txt")}
+    assert digests == {
+        "adjacency.txt": "5b01b94dd55e67c560bdad3d5a8ba146d531f31ecb72b982d17a599e87ba51fb",
+        "vertices.txt": "6f9e92799e607e9891005606775a27201f5a96481abbf60d71f67635281b5ab7",
+    }
 
 
 def test_count_subspaces(capsys):

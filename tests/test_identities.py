@@ -131,6 +131,10 @@ def test_unknown_identity_rejected():
         run_grid("lemma9")
     with pytest.raises(ValueError):
         check("lemma9", 1, 1)
+    with pytest.raises(ValueError, match="pascal takes 2 parameters, got 1"):
+        check("pascal", 1)
+    with pytest.raises(ValueError, match="lemma3 takes 3 parameters, got 2"):
+        check("lemma3", 1, 1)
 
 
 def test_checked_counts_at_max_18():

@@ -43,6 +43,14 @@ def test_big_integer_entries_survive():
     square = m @ m
     assert square.entry(0, 0) == big**2
     assert square.trace() == 2 * big**2
+    assert m.row_sums() == [big, -big]
+
+
+def test_row_sums_exact_past_int64():
+    # int64 entries whose row sum does not fit in int64
+    half = 2**62
+    m = IntMatrix.from_rows([[half, half], [-half, -half]])
+    assert m.row_sums() == [2**63, -(2**63)]
 
 
 def test_minus_scaled_identity():
@@ -62,9 +70,9 @@ def test_identity_and_zero_predicates():
     assert eye.first_nonzero() == (0, 0, 1)
 
 
-def test_from_bit_rows():
+def test_from_rows_round_trip():
     # triangle graph: rows 011, 101, 110
-    m = IntMatrix.from_bit_rows([0b110, 0b101, 0b011], 3)
+    m = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert m.to_rows() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     assert m.is_symmetric()
     assert m.row_sums() == [2, 2, 2]

@@ -165,16 +165,55 @@ def test_adjacency_k0_is_single_vertex():
     assert adjacency.to_rows() == [[0]]
 
 
-@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (2, 1, 3), (4, 2, 3)])
-def test_adjacency_agrees_with_rank_route(v, k, q):
-    # the vector-set disjointness shortcut must match stacked-rank intersection
-    ctx = field_of_order(q)
-    subs = enumerate_subspaces(ctx, v, k)
-    adjacency = build_adjacency(subs)
+def rank_route_mismatch(subs, adjacency):
+    # first (i, j) where the adjacency disagrees with stacked-rank intersection
     for i in range(len(subs)):
         for j in range(len(subs)):
             expected = 1 if i != j and intersection_dim(subs[i], subs[j]) == 0 else 0
-            assert adjacency.entry(i, j) == expected
+            if adjacency.entry(i, j) != expected:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (2, 1, 3), (4, 2, 3), (3, 1, 4), (2, 1, 9)])
+def test_adjacency_agrees_with_rank_route(v, k, q):
+    # the point-incidence product must match stacked-rank intersection
+    ctx = field_of_order(q)
+    subs = enumerate_subspaces(ctx, v, k)
+    assert rank_route_mismatch(subs, build_adjacency(subs)) is None
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 3), (3, 2, 4)])
+def test_point_codes_are_the_canonical_points(v, k, q):
+    ctx = field_of_order(q)
+    points_per_vertex = int(gauss(k, 1).evaluate(q))
+    for s in enumerate_subspaces(ctx, v, k):
+        codes = oracle._point_codes(s)
+        assert len(codes) == len(set(codes)) == points_per_vertex
+        for code in codes:
+            vec = [code // q**t % q for t in range(v)]
+            assert next(x for x in vec if x) == 1
+            assert gf_rank(ctx, [*s.rows, vec]) == k  # the point lies in s
+
+
+def test_dropped_point_is_caught(monkeypatch):
+    # negative control for the incidence product: vertex 0 loses one of its
+    # points (replaced by a repeat of another), so it looks adjacent to the
+    # lines through that point
+    ctx = make_field(2, 1)
+    subs = enumerate_subspaces(ctx, 4, 2)
+    honest = oracle._point_codes
+
+    def lossy(s):
+        codes = honest(s)
+        if s is subs[0]:
+            codes[0] = codes[1]
+        return codes
+
+    monkeypatch.setattr(oracle, "_point_codes", lossy)
+    adjacency = build_adjacency(subs)
+    assert rank_route_mismatch(subs, adjacency) is not None
+    assert not certify_spectrum(adjacency, spectrum_table(4, 2, 2)).certified
 
 
 def test_regularity_matches_predicted_degree():
