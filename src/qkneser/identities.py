@@ -21,9 +21,10 @@ record; run_grid sweeps every admissible tuple of a box and reports
 failures as data (parameter tuple plus both renderings), not as
 exceptions.
 
-lemma1 is also the computation path gauss takes for n < 0, so its
-cross-check routes both sides through the product-formula oracle at
-q0 in {2, 3, 5}; the symbolic comparison alone would be circular there.
+pascal is the recurrence gauss runs for n >= i >= 1 and lemma1 the
+reflection it takes for n < 0, so the symbolic comparison alone would be
+circular for both; their cross-checks route both sides through the
+product-formula oracle at q0 in {2, 3, 5}.
 corollary1 is cross-checked side by side against theorem2 at t = a-m.
 """
 
@@ -160,6 +161,18 @@ def corollary1_sides(m: int, a: int) -> Sides:
 # independent cross-checks, run once both sides already agree
 
 
+def _pascal_oracle_mismatch(params: tuple[int, ...], lhs: LaurentPoly, rhs: LaurentPoly) -> Mismatch:
+    # gauss runs this very recurrence, so the symbolic comparison is a
+    # tautology; the defining product at sampled points is not.
+    n, i = params
+    for q0 in _ORACLE_POINTS:
+        left = gauss_eval_product(n, i, q0)
+        right = gauss_eval_product(n - 1, i - 1, q0) + q0**i * gauss_eval_product(n - 1, i, q0)
+        if left != right:
+            return f"at q0={q0}: {left}", f"at q0={q0}: {right}"
+    return None
+
+
 def _lemma1_oracle_mismatch(params: tuple[int, ...], lhs: LaurentPoly, rhs: LaurentPoly) -> Mismatch:
     # Both sides through the defining product at sampled points, which is
     # independent of the Laurent-ring computation path.
@@ -211,7 +224,7 @@ class Identity:
 
 
 IDENTITIES: dict[str, Identity] = {
-    "pascal": Identity(pascal_sides, lambda n, i: i >= 1, "i >= 1"),
+    "pascal": Identity(pascal_sides, lambda n, i: i >= 1, "i >= 1", cross_check=_pascal_oracle_mismatch),
     "lemma1": Identity(lemma1_sides, lambda n, i: i >= 0, "i >= 0", cross_check=_lemma1_oracle_mismatch),
     "lemma2": Identity(lemma2_sides, lambda n, a: a >= 0, "a >= 0"),
     "lemma3": Identity(lemma3_sides, lambda m, a, t: 0 <= t <= a <= m, "0 <= t <= a <= m", mat_params=3),

@@ -1,10 +1,23 @@
 """Exact Laurent polynomials in one indeterminate q over the integers.
 
-Terms are stored sparsely as a map {exponent: coefficient}, with integer
-exponents of either sign and arbitrary-precision integer coefficients.
-Normalization is eager: zero coefficients are never stored, so structural
-equality of the term maps is semantic equality, and the zero polynomial is
-the empty map.
+A polynomial is stored densely as its valuation `_low` (the smallest
+exponent) and the tuple `_coeffs` of the coefficients of q^_low, q^(_low+1),
+... up to the degree, with integer exponents of either sign and
+arbitrary-precision integer coefficients.  Normalization is eager: neither
+end of `_coeffs` is zero and the zero polynomial is `(0, ())`, so
+structural equality is semantic equality.  Interior zeros are stored, so
+memory grows with degree - valuation rather than with the number of terms:
+Gaussian binomials have no gaps, but a hand-built q^(10^9) + 1 would hold
+a billion slots.
+
+Products use Kronecker substitution: each operand becomes one big integer
+with one w-byte slot per coefficient, CPython multiplies the two integers
+once, and the slots of the result are the product's coefficients.  It is
+exact because every product coefficient is a sum of at most
+min(len a, len b) terms a_i*b_j, so its magnitude is at most
+min(len a, len b) * max|a| * max|b| < 2^(8w-1); adding 2^(8w-1) to every
+slot puts each one in [0, 2^(8w)), so the base-2^(8w) digits of the biased
+product are the biased coefficients.
 
 Instances are immutable and may be shared freely; every operation returns
 a fresh value.  Evaluation at an integer point q0 >= 2 is exact and yields
@@ -15,6 +28,7 @@ anywhere in this module.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -33,8 +47,20 @@ def _check_int(value: object, what: str) -> int:
     return value
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per Kronecker slot: the fewest w with 2^(8w-1) > bound >= 0."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """sum_k coeffs[k] * 2^(8*width*k) as one int: positive part minus negative part."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 class LaurentPoly:
-    """A sparse, normalized, immutable Laurent polynomial in q.
+    """A dense, normalized, immutable Laurent polynomial in q.
 
     >>> LaurentPoly({1: 1, 0: 1}) * LaurentPoly({1: 1, 0: -1})
     LaurentPoly('q^2 - 1')
@@ -42,31 +68,35 @@ class LaurentPoly:
     Fraction(1, 1)
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_low", "_coeffs")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         pairs = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        cleaned: dict[int, int] = {}
+        summed: dict[int, int] = {}
         for exp, coeff in pairs:
             _check_int(exp, "exponent")
             _check_int(coeff, "coefficient")
-            total = cleaned.get(exp, 0) + coeff
-            if total:
-                cleaned[exp] = total
-            else:
-                cleaned.pop(exp, None)
-        self._terms = cleaned
+            summed[exp] = summed.get(exp, 0) + coeff
+        nonzero = {exp: coeff for exp, coeff in summed.items() if coeff}
+        self._low, self._coeffs = 0, ()
+        if nonzero:
+            self._low = min(nonzero)
+            dense = [0] * (max(nonzero) - self._low + 1)
+            for exp, coeff in nonzero.items():
+                dense[exp - self._low] = coeff
+            self._coeffs = tuple(dense)
 
     @classmethod
-    def _wrap(cls, terms: dict[int, int]) -> "LaurentPoly":
-        # Internal constructor for dicts that are already normalized.
+    def _wrap(cls, low: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
+        # Internal constructor for coefficient tuples already free of end zeros.
         poly = object.__new__(cls)
-        poly._terms = terms
+        poly._low = low if coeffs else 0
+        poly._coeffs = coeffs
         return poly
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._wrap({})
+        return cls._wrap(0, ())
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -74,40 +104,41 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
-        _check_int(c, "coefficient")
-        return cls._wrap({0: c} if c else {})
+        return cls.monomial(c, 0)
 
     @classmethod
     def monomial(cls, coeff: int, exponent: int) -> "LaurentPoly":
         """The single-term polynomial coeff * q^exponent."""
         _check_int(coeff, "coefficient")
         _check_int(exponent, "exponent")
-        return cls._wrap({exponent: coeff} if coeff else {})
+        return cls._wrap(exponent, (coeff,) if coeff else ())
 
     # ------------------------------------------------------------------
     # inspection
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs, highest exponent first."""
-        return tuple(sorted(self._terms.items(), reverse=True))
+        low, coeffs = self._low, self._coeffs
+        return tuple((low + k, coeffs[k]) for k in range(len(coeffs) - 1, -1, -1) if coeffs[k])
 
     def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        k = exponent - self._low
+        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
 
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
-        return max(self._terms) if self._terms else None
+        return self._low + len(self._coeffs) - 1 if self._coeffs else None
 
     def valuation(self) -> int | None:
         """Smallest exponent, or None for the zero polynomial."""
-        return min(self._terms) if self._terms else None
+        return self._low if self._coeffs else None
 
     def coefficient_sum(self) -> int:
         """Sum of all coefficients, i.e. the exact value at q = 1."""
-        return sum(self._terms.values())
+        return sum(self._coeffs)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -116,19 +147,23 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            total = out.get(exp, 0) + coeff
-            if total:
-                out[exp] = total
-            else:
-                out.pop(exp, None)
-        return LaurentPoly._wrap(out)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        low = min(self._low, other._low)
+        out = [0] * (max(self._low + len(self._coeffs), other._low + len(other._coeffs)) - low)
+        start = self._low - low
+        out[start:start + len(self._coeffs)] = self._coeffs
+        start = other._low - low
+        stop = start + len(other._coeffs)
+        out[start:stop] = map(operator.add, out[start:stop], other._coeffs)
+        return _trimmed(low, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._wrap({exp: -coeff for exp, coeff in self._terms.items()})
+        return LaurentPoly._wrap(self._low, tuple(map(operator.neg, self._coeffs)))
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
@@ -145,20 +180,23 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int) and not isinstance(other, bool):
             if other == 0:
-                return LaurentPoly._wrap({})
-            return LaurentPoly._wrap({exp: coeff * other for exp, coeff in self._terms.items()})
+                return ZERO
+            return LaurentPoly._wrap(self._low, tuple(c * other for c in self._coeffs))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = e1 + e2
-                total = out.get(exp, 0) + c1 * c2
-                if total:
-                    out[exp] = total
-                else:
-                    out.pop(exp, None)
-        return LaurentPoly._wrap(out)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return ZERO
+        # Kronecker substitution; the module docstring proves the slot width.
+        width = _slot_bytes(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+        size = len(a) + len(b) - 1
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+        digits = (_pack(a, width) * _pack(b, width) + bias).to_bytes(size * width, "little")
+        coeffs = tuple(int.from_bytes(digits[k:k + width], "little") - half
+                       for k in range(0, size * width, width))
+        # a[-1]*b[-1] and a[0]*b[0] are nonzero, so both ends already are
+        return LaurentPoly._wrap(self._low + other._low, coeffs)
 
     __rmul__ = __mul__
 
@@ -178,20 +216,17 @@ class LaurentPoly:
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by the monomial q^e (translate every exponent by e)."""
         _check_int(e, "shift")
-        if e == 0:
-            return self
-        return LaurentPoly._wrap({exp + e: coeff for exp, coeff in self._terms.items()})
+        return LaurentPoly._wrap(self._low + e, self._coeffs)
 
     def evaluate(self, q0: int) -> Fraction:
         """Exact value at q = q0 for an integer q0 >= 2, as a Fraction."""
         _check_int(q0, "evaluation point")
         if q0 < 2:
             raise ValueError(f"evaluation point must be >= 2, got {q0}")
-        total = Fraction(0)
-        base = Fraction(q0)
-        for exp, coeff in self._terms.items():
-            total += coeff * base**exp
-        return total
+        value = 0
+        for coeff in reversed(self._coeffs):
+            value = value * q0 + coeff
+        return value * Fraction(q0) ** self._low
 
     def evaluate_int(self, q0: int) -> int:
         """Exact value at q = q0 where it must be an integer; InvariantError otherwise."""
@@ -206,20 +241,20 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._low == other._low and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._low, self._coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __str__(self) -> str:
         """Canonical rendering: terms in decreasing exponent order.
 
         Examples: 'q^4 + q^3 + 2*q^2 + q + 1', '-q^-1 - q^-2', '0'.
         """
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts: list[str] = []
         for exp, coeff in self.items():
@@ -235,6 +270,16 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
+
+
+def _trimmed(low: int, coeffs: list[int]) -> LaurentPoly:
+    """sum_k coeffs[k] q^(low+k), with the zeros at either end dropped."""
+    start, stop = 0, len(coeffs)
+    while start < stop and not coeffs[start]:
+        start += 1
+    while stop > start and not coeffs[stop - 1]:
+        stop -= 1
+    return LaurentPoly._wrap(low + start, tuple(coeffs[start:stop]))
 
 
 def _coerce(value: "LaurentPoly | int") -> "LaurentPoly":

@@ -13,8 +13,10 @@ gauss(n, i) is defined for every integer n and nonnegative integer i:
 
 gauss_eval_product evaluates the defining product
 prod_{j=0}^{i-1} (q0^(n-j) - 1)/(q0^(i-j) - 1) exactly at a concrete
-integer point.  It shares no code with gauss and serves as its
-independent oracle in the test suite.
+integer point, collecting the numerator and the denominator as integers
+and dividing once.  It shares no code with gauss and serves as its
+independent oracle in the test suite and in the pascal and lemma1
+cross-checks of identities.py.
 """
 
 from __future__ import annotations
@@ -59,8 +61,14 @@ def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:
         raise ValueError(f"lower index must be a nonnegative int, got {i!r}")
     if isinstance(q0, bool) or not isinstance(q0, int) or q0 < 2:
         raise ValueError(f"evaluation point must be an int >= 2, got {q0!r}")
-    base = Fraction(q0)
-    value = Fraction(1)
+    num = den = 1
     for j in range(i):
-        value *= (base ** (n - j) - 1) / (base ** (i - j) - 1)
-    return value
+        top = n - j
+        if top >= 0:
+            num *= q0**top - 1
+        else:
+            # q0^top - 1 = (1 - q0^-top) / q0^-top
+            num *= 1 - q0**-top
+            den *= q0**-top
+        den *= q0 ** (i - j) - 1
+    return Fraction(num, den)

@@ -34,6 +34,24 @@ def test_gauss_negative_top(capsys):
     assert (code, out) == (0, "-3/4\n")
 
 
+def test_gauss_negative_top_golden(capsys):
+    # captured before LaurentPoly became dense: the reflection of [9 3] by q^-24
+    code, out, _ = run(capsys, "gauss", "-7", "3")
+    assert (code, out) == (0, "-q^-6 - q^-7 - 2*q^-8 - 3*q^-9 - 4*q^-10 - 5*q^-11 - 7*q^-12 - 7*q^-13"
+                              " - 8*q^-14 - 8*q^-15 - 8*q^-16 - 7*q^-17 - 7*q^-18 - 5*q^-19 - 4*q^-20"
+                              " - 3*q^-21 - 2*q^-22 - q^-23 - q^-24\n")
+    assert run(capsys, "gauss", "-7", "3", "--q", "5") == (0, "-5007031143556/59604644775390625\n", "")
+
+
+def test_eigenvalues_golden_sha256(capsys):
+    # sha256 of the stdout as the sparse dict-based LaurentPoly printed it;
+    # the Delsarte products here need Kronecker slots wider than 8 bytes
+    code, out, _ = run(capsys, "eigenvalues", "100", "25", "--form", "both")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "cccf7777ee156376ae1bb1f696bbdbcbdeb0ec1f3e4c87e91dc3c2362fbbb357"
+
+
 def test_gauss_accepts_any_integer_point(capsys):
     # polynomial identities hold for all q, so no prime-power check here
     code, out, _ = run(capsys, "gauss", "4", "2", "--q", "6")

@@ -167,24 +167,35 @@ def _off_by_one_product(n, i, q0):
     return gauss_eval_product(n, i, q0) + 1
 
 
+def _index_scaled_product(n, i, q0):
+    # Wrong by a factor that depends on i alone: lemma1 relates two values
+    # with the same i, so only pascal's route (i against i-1) can see it.
+    return 2**i * gauss_eval_product(n, i, q0)
+
+
 def _off_by_one_theorem2(m, a, t):
     lhs, rhs = theorem2_sides(m, a, t)
     return lhs + ONE, rhs
 
 
-@pytest.mark.parametrize("target, attr, wrong", [
-    ("lemma1", "gauss_eval_product", _off_by_one_product),
-    ("corollary1", "theorem2_sides", _off_by_one_theorem2),
+@pytest.mark.parametrize("targets, attr, wrong", [
+    pytest.param({"lemma1", "pascal"}, "gauss_eval_product", _off_by_one_product,
+                 id="lemma1-gauss_eval_product-_off_by_one_product"),
+    pytest.param({"pascal"}, "gauss_eval_product", _index_scaled_product,
+                 id="pascal-gauss_eval_product-_index_scaled_product"),
+    pytest.param({"corollary1"}, "theorem2_sides", _off_by_one_theorem2,
+                 id="corollary1-theorem2_sides-_off_by_one_theorem2"),
 ])
-def test_cross_checks_catch_a_wrong_independent_route(monkeypatch, target, attr, wrong):
-    # Break the independent route as the identities module sees it: the
-    # identity whose cross-check uses it must fail, the other five pass.
+def test_cross_checks_catch_a_wrong_independent_route(monkeypatch, targets, attr, wrong):
+    # Break the independent route as the identities module sees it: exactly
+    # the identities whose cross-checks use it must fail, the others pass.
     small = GridBounds(n_min=-3, n_max=4, i_min=0, i_max=3, mat_max=4)
-    sabotaged = run_grid(target, small, sabotage=True).failures
+    sabotaged = {target: run_grid(target, small, sabotage=True).failures for target in targets}
     monkeypatch.setattr(identities, attr, wrong)
     for identity in IDENTITY_IDS:
-        assert run_grid(identity, small).passed == (identity != target), identity
-    params = run_grid(target, small).failures[0][0]
-    assert not check(target, *params)
-    # sabotage skips the cross-checks, so the broken route changes nothing there
-    assert run_grid(target, small, sabotage=True).failures == sabotaged
+        assert run_grid(identity, small).passed == (identity not in targets), identity
+    for target in targets:
+        params = run_grid(target, small).failures[0][0]
+        assert not check(target, *params)
+        # sabotage skips the cross-checks, so the broken route changes nothing there
+        assert run_grid(target, small, sabotage=True).failures == sabotaged[target]

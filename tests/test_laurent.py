@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qkneser import laurent
 from qkneser.laurent import ONE, Q, ZERO, InvariantError, LaurentPoly
 
 
@@ -146,3 +149,99 @@ def test_constructor_rejects_non_integers():
         LaurentPoly({0: 1.5})
     with pytest.raises(TypeError):
         LaurentPoly({0: True})
+
+
+# ----------------------------------------------------------------------
+# reference model: the sparse {exponent: coefficient} dict with a double-loop
+# product, against which the dense Kronecker representation is checked
+
+def _model(terms):
+    return {exp: coeff for exp, coeff in terms.items() if coeff}
+
+
+def _model_add(a, b):
+    out = dict(a)
+    for exp, coeff in b.items():
+        out[exp] = out.get(exp, 0) + coeff
+    return _model(out)
+
+
+def _model_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return _model(out)
+
+
+def _model_pow(a, n):
+    out = {0: 1}
+    for _ in range(n):
+        out = _model_mul(out, a)
+    return out
+
+
+def _model_items(a):
+    return tuple(sorted(_model(a).items(), reverse=True))
+
+
+def _model_evaluate(a, q0):
+    return sum((coeff * Fraction(q0) ** exp for exp, coeff in a.items()), Fraction(0))
+
+
+# magnitudes just below and at 2^(8w-1), the largest value a w-byte slot
+# holds and the smallest that needs one more byte
+_SLOT_EDGES = [sign * (2 ** (8 * w - 1) - d) for w in (1, 2, 8, 9) for d in (1, 0) for sign in (1, -1)]
+
+_coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from(_SLOT_EDGES),
+    st.integers(-(10**40), 10**40),
+)
+# sparse keys over a wide range give interior zeros; {} is the zero polynomial
+_terms = st.dictionaries(st.integers(-12, 12), _coefficients, max_size=8)
+
+
+@settings(max_examples=300, deadline=None, database=None, report_multiple_bugs=False)
+@given(a=_terms, b=_terms, power=st.integers(0, 3), e=st.integers(-30, 30), q0=st.sampled_from([2, 3, 7]))
+@example(a={0: 2**63 - 1}, b={0: 1}, power=1, e=0, q0=2)
+@example(a={-3: -(2**63)}, b={5: -1}, power=2, e=-1, q0=3)
+@example(a={0: 2**71 - 1, 1: 2**71 - 1}, b={0: 1, 1: -1}, power=1, e=4, q0=2)
+@example(a={-2: 127, 4: -128}, b={-1: 1, 2: 1, 9: -1}, power=3, e=2, q0=7)
+def test_operations_match_the_dict_model(a, b, power, e, q0):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    ma, mb = _model(a), _model(b)
+    results = {
+        "+": (pa + pb, _model_add(ma, mb)),
+        "-": (pa - pb, _model_add(ma, {exp: -coeff for exp, coeff in mb.items()})),
+        "neg": (-pa, {exp: -coeff for exp, coeff in ma.items()}),
+        "*": (pa * pb, _model_mul(ma, mb)),
+        "**": (pa**power, _model_pow(ma, power)),
+        "shift": (pa.shift(e), {exp + e: coeff for exp, coeff in ma.items()}),
+    }
+    for op, (got, want) in results.items():
+        assert got.items() == _model_items(want), op
+        assert got == LaurentPoly(want) and hash(got) == hash(LaurentPoly(want)), op
+        assert got.evaluate(q0) == _model_evaluate(want, q0), op
+    assert pa.items() == _model_items(ma)
+    assert (pa == pb) == (ma == mb)
+    assert pa.evaluate(q0) == _model_evaluate(ma, q0)
+
+
+def test_a_narrower_slot_fails_the_model_check(monkeypatch):
+    # Negative control: one byte less than the exactness bound asks for
+    # must break the products, so the model comparison above has teeth.
+    exact = laurent._slot_bytes
+    monkeypatch.setattr(laurent, "_slot_bytes", lambda bound: exact(bound) - 1)
+    with pytest.raises((AssertionError, OverflowError)):
+        test_operations_match_the_dict_model()
+
+
+@pytest.mark.parametrize("w", [1, 2, 8, 9])
+def test_products_at_the_slot_edge(w):
+    # coefficients of the product reach +-(2^(8w-1) - 1), the most a w-byte
+    # slot holds, and -2^(8w-1), which the bound sends one slot wider
+    top = 2 ** (8 * w - 1)
+    for a, b in [({0: top - 1}, {3: 1}), ({0: top - 1}, {-2: -1}), ({0: -top}, {1: 1}),
+                 ({0: top // 2, 1: top // 2}, {0: 1, 1: 1}), ({-1: top, 1: -top}, {0: top, 2: top})]:
+        assert (LaurentPoly(a) * LaurentPoly(b)).items() == _model_items(_model_mul(a, b))
