@@ -20,6 +20,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
+import numpy as np
+
 MAX_EXTENSION_DEGREE = 4
 _TABLE_LIMIT = 256  # build full op tables when q <= this
 
@@ -122,9 +124,15 @@ class FieldCtx:
             self._add_t = self._mul_t = self._neg_t = self._inv_t = None
 
     def _build_tables(self) -> None:
-        q = self.q
-        self._add_t = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._mul_t = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
+        p, e, q = self.p, self.e, self.q
+        places = p ** np.arange(e)
+        digits = np.array([self.decode(a) for a in range(q)])
+        # a + b adds base-p digits mod p
+        self._add_t = ((digits[:, None] + digits) % p @ places).tolist()
+        # b -> a*b is GF(p)-linear, a*b = sum_i b_i * (a * x^i), and x^i
+        # encodes to p^i: e raw products per a give the digits of every a*b
+        images = np.array([[self.decode(self._mul_raw(a, p**i)) for i in range(e)] for a in range(q)])
+        self._mul_t = ((digits @ images) % p @ places).tolist()
         self._neg_t = [self._neg_raw(a) for a in range(q)]
         self._inv_t = [0] + [self._inv_raw(a) for a in range(1, q)]
 

@@ -13,6 +13,21 @@ partial sum of the inner products is bounded by it in absolute value):
 
 All three backends are cross-checked against each other in the tests.
 Storage is int64 when entries fit, object otherwise.
+
+Two more exact operations serve the certification in qkneser.oracle
+without a product:
+
+  * X.frobenius(Y) is the Frobenius inner product sum_ij X_ij * Y_ij,
+    summed in int64 when n^2 * max|X| * max|Y| <= 2**63 - 1 and in
+    Python big ints otherwise;
+  * A.quadratic(S, s, p) is S - s*A + p*I, in int64 when
+    max|S| + |s| * max(max|A|, 1) + |p| <= 2**63 - 1 (so s and p fit
+    too) and in big ints otherwise.
+    With S = A @ A it is the factor (A - a I)(A - b I) for s = a + b,
+    p = a * b.
+
+to_array() hands out the entries as a read-only numpy view, for callers
+that format a whole matrix at once.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ class IntMatrix:
                 array = array.astype(np.int64)
         else:
             array = array.astype(np.int64, copy=False)
-            max_abs = int(np.abs(array).max(initial=0))
+            max_abs = max(int(array.max(initial=0)), -int(array.min(initial=0)))
         self._a = array
         self.max_abs = max_abs
 
@@ -66,6 +81,12 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return self._a.tolist()
+
+    def to_array(self) -> np.ndarray:
+        """The entries as a read-only numpy view: int64, or object past int64."""
+        view = self._a.view()
+        view.flags.writeable = False
+        return view
 
     def trace(self) -> int:
         return sum(int(self._a[i, i]) for i in range(self.n))
@@ -110,6 +131,28 @@ class IntMatrix:
             out[i, i] = int(out[i, i]) - lam
         return IntMatrix(out)
 
+    def quadratic(self, square: "IntMatrix", s: int, p: int) -> "IntMatrix":
+        """square - s * self + p * I, exactly."""
+        if self.n != square.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {square.n}")
+        idx = np.arange(self.n)
+        if square.max_abs + abs(s) * max(self.max_abs, 1) + abs(p) <= _INT64_MAX:
+            out = self._a * -s
+            out += square._a
+            out[idx, idx] += p
+            return IntMatrix(out)
+        out = square._a.astype(object) - s * self._a.astype(object)
+        out[idx, idx] += p
+        return IntMatrix(out)
+
+    def frobenius(self, other: "IntMatrix") -> int:
+        """sum_ij self[i, j] * other[i, j], exactly; equals tr(self @ other) for symmetric self."""
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        if self.n**2 * self.max_abs * other.max_abs <= _INT64_MAX:
+            return int(np.vdot(self._a, other._a))
+        return int(np.vdot(self._a.astype(object), other._a.astype(object)))
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -117,8 +160,8 @@ class IntMatrix:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         bound = self.n * self.max_abs * other.max_abs
         if bound < _FLOAT_EXACT:
-            prod = np.rint(self._a.astype(np.float64) @ other._a.astype(np.float64))
-            return IntMatrix(prod.astype(np.int64))
+            prod = self._a.astype(np.float64) @ other._a.astype(np.float64)
+            return IntMatrix(np.rint(prod, out=prod).astype(np.int64))
         if bound <= _INT64_MAX:
             return IntMatrix(self._a.astype(np.int64) @ other._a.astype(np.int64))
         return IntMatrix(np.dot(self._a.astype(object), other._a.astype(object)))

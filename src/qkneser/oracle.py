@@ -15,6 +15,16 @@ certifies a predicted spectrum with zero numerical tolerance:
 
 Both checks passing means the predicted spectrum IS the spectrum.
 
+Both checks need few dense products.  The factors A - lambda_j I are
+polynomials in A, so they commute and may be grouped in any order: the
+eigenvalues, sorted by |lambda|, are paired smallest with largest, and
+each pair's factor (A - a I)(A - b I) = A^2 - (a + b) A + ab I is formed
+from A^2 without a product (a linear factor is left over when k + 1 is
+odd).  Multiplying these ceil((k+1)/2) factors gives the same matrix as
+the sequential product, hence the same residual entry.  For symmetric A,
+tr(A^(a+b)) = tr(A^a A^b) is the Frobenius inner product <A^a, A^b>_F,
+so the moments up to k need the powers only up to A^ceil(k/2).
+
 Enumeration goes pivot-set by pivot-set: for each choice of pivot
 columns, the free entries of the echelon form range over all field
 elements.  Every subspace has exactly one echelon basis, so this is
@@ -289,22 +299,28 @@ def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable) -> Certific
     n = adjacency.n
     k = predicted.k
 
-    # spectral moments via cumulative exact powers A^0, A^1, ..., A^k
-    moments: list[int] = []
-    power = IntMatrix.identity(n)
-    for m in range(k + 1):
-        if m == 1:
-            power = adjacency
-        elif m > 1:
-            power = power @ adjacency
-        moments.append(power.trace())
+    # powers[e] = A^e for e = 1 .. max(2, ceil(k/2)); A^2 feeds the quadratic factors
+    powers = {1: adjacency}
+    for e in range(2, max(2, (k + 1) // 2) + 1):
+        powers[e] = powers[e - 1] @ adjacency
+
+    # spectral moments: tr(A^0) = n, tr(A^1), then tr(A^m) = <A^ceil(m/2), A^floor(m/2)>_F
+    moments = [n, adjacency.trace()][: k + 1]
+    moments += [powers[(m + 1) // 2].frobenius(powers[m // 2]) for m in range(2, k + 1)]
     expected = [sum(mult * lam**m for lam, mult in zip(eigenvalues, multiplicities)) for m in range(k + 1)]
     offending = [(m, e, a) for m, (e, a) in enumerate(zip(expected, moments)) if e != a]
 
-    # annihilating product prod_j (A - lambda_j I)
-    prod_matrix = adjacency.minus_scaled_identity(eigenvalues[0])
-    for lam in eigenvalues[1:]:
-        prod_matrix = prod_matrix @ adjacency.minus_scaled_identity(lam)
+    # annihilating product prod_j (A - lambda_j I), as commuting quadratic factors
+    by_size = sorted(eigenvalues, key=abs)
+    half = len(by_size) // 2
+    factors = [adjacency.quadratic(powers[2], a + b, a * b) for a, b in zip(by_size[:half], by_size[::-1])]
+    if len(by_size) % 2:
+        factors.append(adjacency.minus_scaled_identity(by_size[half]))
+    del powers
+    # popping releases each factor once it is multiplied in
+    prod_matrix = factors.pop()
+    while factors:
+        prod_matrix = prod_matrix @ factors.pop()
     residual = prod_matrix.first_nonzero()
 
     row_sums = adjacency.row_sums()
@@ -339,9 +355,17 @@ def dump_vertices(subspaces: list[Subspace], path: str | Path) -> None:
 
 
 def dump_adjacency(matrix: IntMatrix, path: str | Path) -> None:
-    """One 0/1 row per line, space-separated."""
-    lines = [" ".join(map(str, row)) for row in matrix.to_rows()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One 0/1 row per line, space-separated; other entries raise ValueError."""
+    entries = matrix.to_array()
+    if matrix.max_abs > 1 or entries.min() < 0:
+        raise ValueError("adjacency dump needs 0/1 entries")
+    # row i is bytes 2n*i .. 2n*(i+1): a digit at every even column, a
+    # space after it, and a newline in place of the last space
+    text = np.full((matrix.n, 2 * matrix.n), ord(" "), dtype=np.uint8)
+    text[:, ::2] = entries
+    text[:, ::2] += ord("0")
+    text[:, -1] = ord("\n")
+    Path(path).write_bytes(text)
 
 
 def dump_certification(result: CertificationResult, path: str | Path) -> None:

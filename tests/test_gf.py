@@ -107,3 +107,13 @@ def test_context_equality():
     assert make_field(2, 2) == make_field(2, 2)
     assert make_field(2, 2) != make_field(3, 2)
     assert field_of_order(9) == make_field(3, 2)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169])
+def test_tables_match_raw_arithmetic(q):
+    # every tabled extension field (e <= 4, q <= 256): the digit-wise add
+    # table and the linear-map mul table against the raw polynomial routines
+    ctx = field_of_order(q)
+    for a in range(q):
+        assert ctx._add_t[a] == [ctx._add_raw(a, b) for b in range(q)]
+        assert ctx._mul_t[a] == [ctx._mul_raw(a, b) for b in range(q)]

@@ -28,6 +28,61 @@ def test_matmul_matches_naive_product(magnitude):
         assert product.to_rows() == naive_product(a_rows, b_rows)
 
 
+def random_symmetric_rows(rng, n, magnitude):
+    rows = random_rows(rng, n, magnitude)
+    return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("magnitude", [1, 10**3, 10**9, 10**20])
+def test_frobenius_matches_naive_sum(magnitude):
+    # n^2 * max|X| * max|Y| fits int64 for the first two magnitudes, not
+    # for the last two, so both summation paths run
+    rng = random.Random(magnitude)
+    for n in (1, 2, 5):
+        x_rows = random_symmetric_rows(rng, n, magnitude)
+        y_rows = random_symmetric_rows(rng, n, magnitude)
+        naive = sum(x * y for xr, yr in zip(x_rows, y_rows) for x, y in zip(xr, yr))
+        x, y = IntMatrix.from_rows(x_rows), IntMatrix.from_rows(y_rows)
+        assert x.frobenius(y) == naive
+        assert x.frobenius(x) == (x @ x).trace()  # symmetric: <X, X>_F = tr(X^2)
+
+
+@pytest.mark.parametrize("magnitude,coefficient", [(1, 10), (10**3, 10**6), (10**9, 2**62), (2**62, 3), (10**20, 7)])
+def test_quadratic_matches_naive(magnitude, coefficient):
+    # square - s*A + p*I; the last three cases leave int64 and take the object path
+    rng = random.Random(magnitude + coefficient)
+    for n in (1, 2, 5):
+        a_rows = random_symmetric_rows(rng, n, magnitude)
+        square_rows = random_symmetric_rows(rng, n, magnitude)
+        s, p = rng.randint(-coefficient, coefficient), rng.randint(-coefficient, coefficient)
+        expected = [[square_rows[i][j] - s * a_rows[i][j] + (p if i == j else 0) for j in range(n)] for i in range(n)]
+        result = IntMatrix.from_rows(a_rows).quadratic(IntMatrix.from_rows(square_rows), s, p)
+        assert result.to_rows() == expected
+
+
+def test_quadratic_of_the_square_is_a_pair_of_linear_factors():
+    a = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    expected = a.minus_scaled_identity(2) @ a.minus_scaled_identity(-1)
+    assert a.quadratic(a @ a, 2 + -1, 2 * -1) == expected
+    assert expected.is_zero()  # the triangle's eigenvalues are 2 and -1
+
+
+def test_quadratic_and_frobenius_reject_mismatched_sizes():
+    with pytest.raises(ValueError):
+        IntMatrix.identity(2).quadratic(IntMatrix.identity(3), 1, 1)
+    with pytest.raises(ValueError):
+        IntMatrix.identity(2).frobenius(IntMatrix.identity(3))
+
+
+def test_to_array_is_a_read_only_view():
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    entries = m.to_array()
+    assert entries.tolist() == [[1, 2], [3, 4]]
+    with pytest.raises(ValueError):
+        entries[0, 0] = 7
+    assert m.entry(0, 0) == 1
+
+
 def test_backend_boundary_is_exact():
     # entries near 2^26 push n * maxA * maxB just past the float64 window
     value = 2**26

@@ -285,6 +285,76 @@ def test_certify_detects_wrong_eigenvalue():
     assert not result.certified
 
 
+@pytest.fixture(scope="module")
+def qk_6_3_2():
+    return build_adjacency(enumerate_subspaces(make_field(2, 1), 6, 3))
+
+
+def _perturbations(table):
+    # every +-1 change of one eigenvalue or one multiplicity
+    for e in table.entries:
+        for d in (-1, 1):
+            yield f"eigenvalue {e.j} {d:+d}", _tweaked(table, e.j, d_eig=d)
+            yield f"multiplicity {e.j} {d:+d}", _tweaked(table, e.j, d_mult=d)
+
+
+def test_certify_qk_6_3_2(qk_6_3_2):
+    # k = 3: four eigenvalues, so two quadratic factors and no linear one
+    result = certify_spectrum(qk_6_3_2, spectrum_table(6, 3, 2))
+    assert result.certified
+    assert result.vertex_count == 1395 and result.degree == 512
+    assert result.predicted_eigenvalues == [512, -64, 16, -8]
+    assert result.moments == [1395, 0, 714240, 119992320]
+    assert result.certified_multiplicities == [1, 62, 588, 744]
+
+
+def test_certify_qk_6_3_2_negative_controls(qk_6_3_2):
+    for label, wrong in _perturbations(spectrum_table(6, 3, 2)):
+        if 0 in wrong.multiplicities():
+            with pytest.raises(ValueError, match="must be positive"):  # the eigenvalue 512 has multiplicity 1
+                certify_spectrum(qk_6_3_2, wrong)
+            continue
+        result = certify_spectrum(qk_6_3_2, wrong)
+        assert not result.certified, label
+        if label.startswith("eigenvalue"):
+            assert not result.annihilation_ok and result.residual_entry is not None, label
+        else:
+            assert not result.moments_ok and result.offending_moments[0][0] == 0, label
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (5, 2, 2)])
+def test_residual_entry_matches_the_sequential_product(v, k, q):
+    # the grouped factors multiply to the same P(A) as prod_j (A - lambda_j I)
+    # in the given order, so a wrong prediction reports the same entry
+    adjacency = build_adjacency(enumerate_subspaces(field_of_order(q), v, k))
+    table = spectrum_table(v, k, q)
+    for e in table.entries:
+        for d in (-1, 1):
+            wrong = _tweaked(table, e.j, d_eig=d)
+            sequential = IntMatrix.identity(adjacency.n)
+            for lam in wrong.eigenvalues():
+                sequential = sequential @ adjacency.minus_scaled_identity(int(lam))
+            expected = sequential.first_nonzero()
+            assert expected is not None
+            assert certify_spectrum(adjacency, wrong).residual_entry == expected, (e.j, d)
+
+
+@pytest.mark.parametrize("v,k,q,products", [(3, 1, 2, 1), (2, 1, 5, 1), (4, 2, 2, 2), (4, 2, 3, 2), (6, 3, 2, 2)])
+def test_certification_product_count(monkeypatch, qk_6_3_2, v, k, q, products):
+    # A^2, then one product per extra factor: ceil((k+1)/2) factors for k <= 3
+    adjacency = qk_6_3_2 if (v, k, q) == (6, 3, 2) else build_adjacency(enumerate_subspaces(field_of_order(q), v, k))
+    calls = []
+    real = IntMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(self.n)
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    assert certify_spectrum(adjacency, spectrum_table(v, k, q)).certified
+    assert len(calls) == products
+
+
 def test_certify_rejects_degenerate_predictions():
     ctx = make_field(2, 1)
     adjacency = build_adjacency(enumerate_subspaces(ctx, 2, 1))
@@ -321,6 +391,18 @@ def test_dump_files(tmp_path):
     assert payload["schema"] == "qkneser.certification@1"
     assert payload["certified"] is True
     assert payload["vertex_count"] == 3
+
+
+@pytest.mark.parametrize("rows", [[[0, 2], [2, 0]], [[0, -1], [-1, 0]], [[0, 10**30], [10**30, 0]]])
+def test_dump_adjacency_rejects_entries_other_than_0_and_1(tmp_path, rows):
+    with pytest.raises(ValueError):
+        dump_adjacency(IntMatrix.from_rows(rows), tmp_path / "adjacency.txt")
+
+
+def test_dump_adjacency_single_vertex(tmp_path):
+    path = tmp_path / "adjacency.txt"
+    dump_adjacency(IntMatrix.from_rows([[0]]), path)
+    assert path.read_bytes() == b"0\n"
 
 
 def test_extension_field_vertices_serialize_with_element_encodings():
