@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Optional
 
-from .laurent import ZERO, LaurentPoly
+from .laurent import ONE, LaurentPoly, sum_of_products
 from .qbinom import gauss, gauss_eval_product
 
 _ORACLE_POINTS = (2, 3, 5)
@@ -105,10 +105,9 @@ class IdentityReport:
 # both sides of each identity, symbolically
 
 
-def _sign_shift(s: int, piece: LaurentPoly) -> LaurentPoly:
-    # (-1)^s q^(s(s-1)/2) * piece
-    shifted = piece.shift(s * (s - 1) // 2)
-    return -shifted if s % 2 else shifted
+def _alternating(s: int) -> tuple[int, int]:
+    # sign and exponent of (-1)^s q^C(s,2)
+    return -1 if s % 2 else 1, s * (s - 1) // 2
 
 
 def pascal_sides(n: int, i: int) -> Sides:
@@ -125,18 +124,14 @@ def lemma1_sides(n: int, i: int) -> Sides:
 
 
 def lemma2_sides(n: int, a: int) -> Sides:
-    lhs = ZERO
-    for s in range(a + 1):
-        lhs = lhs + _sign_shift(s, gauss(n, s))
+    lhs = sum_of_products((*_alternating(s), gauss(n, s), ONE) for s in range(a + 1))
     rhs = gauss(a - n, a).shift(n * a)
     return lhs, rhs
 
 
 def _two_coefficient_sum(m: int, a: int, t: int, top: int) -> Sides:
     # sum_{s=0}^{top} (-1)^s q^C(s,2) [m s][a-s t]  against  q^(m(a-t)) [a-m a-t]
-    lhs = ZERO
-    for s in range(top + 1):
-        lhs = lhs + _sign_shift(s, gauss(m, s) * gauss(a - s, t))
+    lhs = sum_of_products((*_alternating(s), gauss(m, s), gauss(a - s, t)) for s in range(top + 1))
     rhs = gauss(a - m, a - t).shift(m * (a - t))
     return lhs, rhs
 
@@ -150,9 +145,7 @@ def theorem2_sides(m: int, a: int, t: int) -> Sides:
 
 
 def corollary1_sides(m: int, a: int) -> Sides:
-    lhs = ZERO
-    for s in range(m + 1):
-        lhs = lhs + _sign_shift(s, gauss(m, s) * gauss(a - s, a - m))
+    lhs = sum_of_products((*_alternating(s), gauss(m, s), gauss(a - s, a - m)) for s in range(m + 1))
     rhs = gauss(a - m, m).shift(m * m)
     return lhs, rhs
 

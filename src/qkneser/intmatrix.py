@@ -103,10 +103,11 @@ class IntMatrix:
 
     def first_nonzero(self) -> tuple[int, int, int] | None:
         """Position and value of the first nonzero entry in row-major order."""
-        nz = np.argwhere(self._a != 0)
-        if len(nz) == 0:
+        # one n x n bool mask; argmax finds its first True, or 0 if there is none
+        nonzero = self._a != 0
+        i, j = divmod(int(np.argmax(nonzero)), self.n)
+        if not nonzero[i, j]:
             return None
-        i, j = (int(x) for x in nz[0])
         return i, j, int(self._a[i, j])
 
     def __eq__(self, other: object) -> bool:

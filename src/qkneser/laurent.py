@@ -19,6 +19,20 @@ min(len a, len b) * max|a| * max|b| < 2^(8w-1); adding 2^(8w-1) to every
 slot puts each one in [0, 2^(8w)), so the base-2^(8w) digits of the biased
 product are the biased coefficients.
 
+The map to big integers is linear at a fixed slot width, so a whole
+signed, shifted sum  sum_t (+-1) q^(e_t) a_t * b_t  (sum_of_products) is
+one big-integer sum: each product is moved into place by a left shift of
+8w bits per exponent and added or subtracted.  Every coefficient of the
+sum is bounded by the sum of the per-term bounds,
+sum_t min(len a_t, len b_t) * max|a_t| * max|b_t|, which fixes w; the
+sum is unpacked once and trimmed at both ends, since terms may cancel.
+A product is the one-term sum, so there is a single product path.
+
+Each instance caches its packed form for the last slot width it was
+packed at (one slot, `_packed`), because the Gaussian-binomial memo hands
+the same operands to many sums; the cache is invisible to equality,
+hashing and rendering.
+
 Instances are immutable and may be shared freely; every operation returns
 a fresh value.  Evaluation at an integer point q0 >= 2 is exact and yields
 a Fraction whose denominator is a power of q0 (an integer whenever the
@@ -30,6 +44,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping
 
 
@@ -52,11 +67,16 @@ def _slot_bytes(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
+def _bias(width: int, size: int) -> int:
+    """2^(8*width-1) in each of size slots of width bytes."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * size, "little")
+
+
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
-    """sum_k coeffs[k] * 2^(8*width*k) as one int: positive part minus negative part."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_k coeffs[k] * 2^(8*width*k) as one int, for |coeffs[k]| < 2^(8*width-1)."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join(map(int.to_bytes, map(half.__add__, coeffs), repeat(width), repeat("little")))
+    return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
 
 
 class LaurentPoly:
@@ -68,7 +88,7 @@ class LaurentPoly:
     Fraction(1, 1)
     """
 
-    __slots__ = ("_low", "_coeffs")
+    __slots__ = ("_low", "_coeffs", "_packed")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         pairs = terms.items() if isinstance(terms, Mapping) else (terms or ())
@@ -78,7 +98,7 @@ class LaurentPoly:
             _check_int(coeff, "coefficient")
             summed[exp] = summed.get(exp, 0) + coeff
         nonzero = {exp: coeff for exp, coeff in summed.items() if coeff}
-        self._low, self._coeffs = 0, ()
+        self._low, self._coeffs, self._packed = 0, (), None
         if nonzero:
             self._low = min(nonzero)
             dense = [0] * (max(nonzero) - self._low + 1)
@@ -92,7 +112,15 @@ class LaurentPoly:
         poly = object.__new__(cls)
         poly._low = low if coeffs else 0
         poly._coeffs = coeffs
+        poly._packed = None
         return poly
+
+    def _packed_at(self, width: int) -> int:
+        # the Kronecker image at this slot width, cached for the last width asked
+        packed = self._packed
+        if packed is None or packed[0] != width:
+            packed = self._packed = (width, _pack(self._coeffs, width))
+        return packed[1]
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -184,19 +212,7 @@ class LaurentPoly:
             return LaurentPoly._wrap(self._low, tuple(c * other for c in self._coeffs))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return ZERO
-        # Kronecker substitution; the module docstring proves the slot width.
-        width = _slot_bytes(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
-        size = len(a) + len(b) - 1
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
-        digits = (_pack(a, width) * _pack(b, width) + bias).to_bytes(size * width, "little")
-        coeffs = tuple(int.from_bytes(digits[k:k + width], "little") - half
-                       for k in range(0, size * width, width))
-        # a[-1]*b[-1] and a[0]*b[0] are nonzero, so both ends already are
-        return LaurentPoly._wrap(self._low + other._low, coeffs)
+        return sum_of_products(((1, 0, self, other),))
 
     __rmul__ = __mul__
 
@@ -270,6 +286,38 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
+
+
+def sum_of_products(terms: Iterable[tuple[int, int, LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """sum of sign * q^shift * a * b over (sign, shift, a, b) terms, sign = 1 or -1.
+
+    One Kronecker sum: a single slot width for all terms, one packed image
+    per operand, one big-integer accumulator and one unpack (see the
+    module docstring for the width bound).
+    """
+    live = []
+    bound = 0
+    for sign, shift, a, b in terms:
+        if sign != 1 and sign != -1:
+            raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        ca, cb = a._coeffs, b._coeffs
+        if ca and cb:
+            live.append((sign, shift + a._low + b._low, a, b))
+            bound += min(len(ca), len(cb)) * max(map(abs, ca)) * max(map(abs, cb))
+    if not live:
+        return ZERO
+    width = _slot_bytes(bound)
+    bits = 8 * width
+    low = min(term[1] for term in live)
+    total = size = 0
+    for sign, at, a, b in live:
+        product = a._packed_at(width) * b._packed_at(width) << bits * (at - low)
+        total = total + product if sign == 1 else total - product
+        size = max(size, at - low + len(a._coeffs) + len(b._coeffs) - 1)
+    digits = (total + _bias(width, size)).to_bytes(size * width, "little")
+    half = 1 << (bits - 1)
+    return _trimmed(low, [int.from_bytes(digits[k:k + width], "little") - half
+                          for k in range(0, size * width, width)])
 
 
 def _trimmed(low: int, coeffs: list[int]) -> LaurentPoly:

@@ -11,6 +11,16 @@ gauss(n, i) is defined for every integer n and nonnegative integer i:
     where i-1-n >= i, so the reduced coefficient is an honest polynomial
     and the monomial factor contributes the negative exponents.
 
+The recurrence is run bottom-up, not by recursion: a call that misses
+the memo first calls gauss on every cell [n' i'] with n' >= i' >= 1 that
+the recurrence reaches from [n i], columns i' ascending and tops n'
+ascending within a column.  Each of those calls finds its two cells in
+the memo or among the base cases i' = 0 and n' < i', so no call nests
+more than two deep.  The memo ends up holding the same cells as a
+recursive evaluation would.  A call whose memo is estimated (by
+_memo_bytes) above MEMO_BYTE_LIMIT bytes is refused with ValueError
+before any cell is computed.
+
 gauss_eval_product evaluates the defining product
 prod_{j=0}^{i-1} (q0^(n-j) - 1)/(q0^(i-j) - 1) exactly at a concrete
 integer point, collecting the numerator and the denominator as integers
@@ -21,10 +31,18 @@ cross-checks of identities.py.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import ONE, ZERO, LaurentPoly
+
+
+# Largest memo, in estimated bytes, that one call of gauss may build.
+MEMO_BYTE_LIMIT = 1 << 30
+
+# Set while _fill runs, so the calls it makes do not start fills of their own.
+_filling = threading.local()
 
 
 @lru_cache(maxsize=None)
@@ -32,7 +50,8 @@ def gauss(n: int, i: int) -> LaurentPoly:
     """[n choose i]_q, exactly, for any integer n and i >= 0.
 
     Results are memoized; the cache is safe to share because values are
-    immutable and the function is pure.
+    immutable and the function is pure.  Raises ValueError, before any
+    work, when the memo the call needs is estimated above MEMO_BYTE_LIMIT.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"top index must be an int, got {n!r}")
@@ -48,7 +67,39 @@ def gauss(n: int, i: int) -> LaurentPoly:
         return -shifted if i % 2 else shifted
     if n < i:
         return ZERO
+    if not getattr(_filling, "active", False):
+        _fill(n, i)
     return gauss(n - 1, i - 1) + gauss(n - 1, i).shift(i)
+
+
+def _fill(n: int, i: int) -> None:
+    # Every cell [c+r c] below [n i] with 1 <= c <= i and 0 <= r <= n-i,
+    # lowest first; the base cells [r 0] = 1 and [c-1 c] = 0 need no fill.
+    estimate = _memo_bytes(n, i)
+    if estimate > MEMO_BYTE_LIMIT:
+        raise ValueError(f"[{n} {i}]_q needs a q-Pascal memo of about {estimate} bytes, "
+                         f"above the limit of {MEMO_BYTE_LIMIT}")
+    _filling.active = True
+    try:
+        for col in range(1, i + 1):
+            for r in range(n - i + (col < i)):
+                gauss(col + r, col)
+    finally:
+        _filling.active = False
+
+
+def _memo_bytes(n: int, i: int) -> int:
+    """Upper estimate of the bytes the memo of [n i] needs, for n >= i >= 1.
+
+    The cells [c+r c] of _fill and the base cells have c*r + 1
+    coefficients each (counted with one spare cell per column).  Every
+    coefficient is at most C(n, min(i, n-i)) <= min(2^n, n^min(i, n-i)),
+    and each costs a pointer and an int object: 36 bytes plus bits / 8.
+    """
+    rest = n - i
+    coefficients = (i * (i + 1) // 2) * (rest * (rest + 1) // 2) + (i + 1) * (rest + 2)
+    bits = min(n, min(i, rest) * n.bit_length())
+    return coefficients * (36 + bits // 8)
 
 
 def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:

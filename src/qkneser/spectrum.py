@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import factor_prime_power
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, sum_of_products
 from .qbinom import gauss
 
 
@@ -92,12 +92,11 @@ def _validate_vkj(v: int, k: int, j: int | None, *, min_k: int) -> None:
 def delsarte_eigenvalue(v: int, k: int, j: int) -> LaurentPoly:
     """The alternating-sum form of the j-th eigenvalue of qK(v, k)."""
     _validate_vkj(v, k, j, min_k=0)
-    inner = LaurentPoly.zero()
-    for s in range(k - j + 1):
-        piece = (gauss(k - j, s) * gauss(v - 2 * j - s, v - k - j)).shift(s * (s - 1) // 2)
-        inner = inner + (-piece if s % 2 else piece)
-    result = inner.shift((k - j) * j + j * (j - 1) // 2)
-    return -result if j % 2 else result
+    outer = (k - j) * j + j * (j - 1) // 2
+    return sum_of_products(
+        (-1 if (s + j) % 2 else 1, s * (s - 1) // 2 + outer, gauss(k - j, s), gauss(v - 2 * j - s, v - k - j))
+        for s in range(k - j + 1)
+    )
 
 
 def simple_eigenvalue(v: int, k: int, j: int) -> LaurentPoly:

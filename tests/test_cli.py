@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from qkneser import qbinom
 from qkneser.cli import main
 
 
@@ -240,6 +241,30 @@ total: 70 instances, 52 failures
 def test_verify_identities_golden_stdout(capsys):
     assert run(capsys, "verify", "identities", "--max", "8") == (0, IDENTITIES_MAX_8, "")
     assert run(capsys, "verify", "identities", "--max", "2", "--sabotage") == (1, IDENTITIES_MAX_2_SABOTAGE, "")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--max", "18"), "d9fe26ed2af38a07ed5380499945bba0d25616f00c727831b42a45816942d68c"),
+    (("--max", "6", "--format", "json"), "c3f7927cd3b3663efef96bac97eb01e889924f9ae834768c0ce7e779aa5a0e18"),
+])
+def test_verify_identities_golden_sha256(capsys, argv, digest):
+    # sha256 of the stdout as printed before the alternating sums became
+    # one Kronecker sum each
+    code, out, _ = run(capsys, "verify", "identities", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [("gauss", "3000", "2"), ("gauss", "1200", "600"),
+                                  ("eigenvalues", "2000", "2", "--q", "2")])
+def test_deep_gauss_calls_keep_the_exit_contract(capsys, monkeypatch, argv):
+    # These once ended in a RecursionError traceback with exit 1.  With the
+    # memo limit patched low they are refused up front, so nothing large runs.
+    monkeypatch.setattr(qbinom, "MEMO_BYTE_LIMIT", 10**6)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2) and "Traceback" not in err
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "memo" in err
 
 
 def test_verify_identities_bad_max(capsys):

@@ -125,6 +125,15 @@ def test_identity_and_zero_predicates():
     assert eye.first_nonzero() == (0, 0, 1)
 
 
+def test_first_nonzero_is_row_major():
+    rows = [[0] * 4 for _ in range(4)]
+    assert IntMatrix.from_rows(rows).first_nonzero() is None
+    rows[3][3] = -7
+    assert IntMatrix.from_rows(rows).first_nonzero() == (3, 3, -7)
+    rows[2][0], rows[1][3] = 5, 2**70  # the big entry forces object storage
+    assert IntMatrix.from_rows(rows).first_nonzero() == (1, 3, 2**70)
+
+
 def test_from_rows_round_trip():
     # triangle graph: rows 011, 101, 110
     m = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkneser import laurent
-from qkneser.laurent import ONE, Q, ZERO, InvariantError, LaurentPoly
+from qkneser.laurent import ONE, Q, ZERO, InvariantError, LaurentPoly, sum_of_products
 
 
 def P(terms):
@@ -228,13 +228,75 @@ def test_operations_match_the_dict_model(a, b, power, e, q0):
     assert pa.evaluate(q0) == _model_evaluate(ma, q0)
 
 
+def _model_sum(terms):
+    out = {}
+    for sign, shift, a, b in terms:
+        term = {exp + shift: sign * coeff for exp, coeff in _model_mul(_model(a), _model(b)).items()}
+        out = _model_add(out, term)
+    return out
+
+
+_sum_terms = st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(-20, 20), _terms, _terms), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, database=None, report_multiple_bugs=False)
+@given(terms=_sum_terms, cancelled=st.integers(0, 6), q0=st.sampled_from([2, 3, 7]))
+@example(terms=[(1, 0, {0: 2**63 - 1}, {0: 1}), (1, 0, {0: 2**63 - 1}, {0: 1})], cancelled=0, q0=2)
+@example(terms=[(1, 3, {0: 1, 2: -1}, {1: 5}), (-1, 1, {2: 1, 4: -1}, {1: 5})], cancelled=0, q0=3)
+@example(terms=[(-1, -4, {-2: 127, 4: -128}, {0: 127}), (1, 2, {0: -(2**71)}, {3: 2**71 - 1})], cancelled=1, q0=7)
+def test_sums_of_products_match_the_dict_model(terms, cancelled, q0):
+    # the first `cancelled` terms come back with the opposite sign, so the
+    # sum loses whole terms, its top or bottom coefficients, or everything
+    terms = terms + [(-sign, shift, a, b) for sign, shift, a, b in terms[:cancelled]]
+    got = sum_of_products((sign, shift, LaurentPoly(a), LaurentPoly(b)) for sign, shift, a, b in terms)
+    want = _model_sum(terms)
+    assert got.items() == _model_items(want)
+    assert got == LaurentPoly(want) and hash(got) == hash(LaurentPoly(want))
+    assert got.evaluate(q0) == _model_evaluate(want, q0)
+
+
+def test_sum_of_products_edge_cases():
+    assert sum_of_products([]) == ZERO
+    assert sum_of_products([(1, 5, ZERO, Q), (-1, 0, Q, ZERO)]) == ZERO
+    assert sum_of_products([(1, 2, Q, Q), (-1, 0, Q.shift(2), Q)]) == ZERO
+    assert sum_of_products([(-1, -3, Q + ONE, Q - ONE)]) == LaurentPoly({-1: -1, -3: 1})
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError):
+            sum_of_products([(bad, 0, ONE, ONE)])
+
+
 def test_a_narrower_slot_fails_the_model_check(monkeypatch):
     # Negative control: one byte less than the exactness bound asks for
-    # must break the products, so the model comparison above has teeth.
+    # must break the products and the sums, so both model comparisons
+    # above have teeth.
     exact = laurent._slot_bytes
     monkeypatch.setattr(laurent, "_slot_bytes", lambda bound: exact(bound) - 1)
     with pytest.raises((AssertionError, OverflowError)):
         test_operations_match_the_dict_model()
+    with pytest.raises((AssertionError, OverflowError)):
+        test_sums_of_products_match_the_dict_model()
+
+
+# a * NARROW needs 1-byte slots (bound 100 < 2^7), a * WIDE 2-byte slots (bound 200)
+_CACHED = {0: 100, 1: -100, 3: 100}
+_NARROW, _WIDE = {0: 1}, {2: 2}
+
+
+def test_a_packed_operand_is_repacked_at_a_new_width():
+    a = LaurentPoly(_CACHED)
+    for other, width in ((_NARROW, 1), (_WIDE, 2), (_NARROW, 1)):
+        assert (a * LaurentPoly(other)).items() == _model_items(_model_mul(_CACHED, other))
+        assert a._packed[0] == width
+
+
+def test_a_stale_packed_image_fails_the_model_check():
+    # Negative control: the 2-byte image relabelled as the 1-byte one must
+    # break the product, so the width in the cache key matters.
+    a = LaurentPoly(_CACHED)
+    a * LaurentPoly(_WIDE)
+    a._packed = (1, a._packed[1])
+    with pytest.raises((AssertionError, OverflowError)):
+        assert (a * LaurentPoly(_NARROW)).items() == _model_items(_model_mul(_CACHED, _NARROW))
 
 
 @pytest.mark.parametrize("w", [1, 2, 8, 9])

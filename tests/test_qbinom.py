@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkneser import qbinom
 from qkneser.laurent import ONE, ZERO, LaurentPoly
 from qkneser.qbinom import gauss, gauss_eval_product
 
@@ -95,3 +96,31 @@ def test_negative_top_is_laurent():
     assert poly.degree() < 0  # every exponent negative here
     # reflection lands in the polynomial regime: top = i - 1 - n >= i
     assert gauss(2 - 1 - (-3), 2).valuation() == 0
+
+
+def test_deep_cells_need_no_recursion():
+    # a recursive q-Pascal evaluation of [1100 1] or [1100 1099] nests about
+    # 1100 calls deep, past the interpreter's default limit of 1000
+    assert gauss(1100, 1) == gauss(1100, 1099) == LaurentPoly({e: 1 for e in range(1100)})
+
+
+def test_memo_holds_the_cells_of_the_recursion():
+    # [n i] reaches [r 0] for 0 <= r <= n-i and [c+r c] for 1 <= c <= i,
+    # -1 <= r <= n-i; the bottom-up fill stores exactly these cells
+    gauss.cache_clear()
+    gauss(30, 12)
+    assert gauss.cache_info().currsize == (30 - 12 + 1) + 12 * (30 - 12 + 2)
+    gauss(-5, 14)  # itself, and [18 14] adds its columns 13 and 14 (r = -1..4)
+    assert gauss.cache_info().currsize == 259 + 1 + 2 * 6
+    gauss.cache_clear()
+
+
+def test_oversized_memo_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(qbinom, "MEMO_BYTE_LIMIT", 10**4)
+    gauss.cache_clear()
+    with pytest.raises(ValueError, match="memo"):
+        gauss(3000, 2)
+    with pytest.raises(ValueError, match="memo"):
+        gauss(-1200, 600)
+    assert gauss.cache_info().currsize == 0
+    assert gauss(6, 3) == gauss(5, 2) + gauss(5, 3).shift(3)  # small calls still run
