@@ -192,7 +192,7 @@ def build_adjacency(subspaces: list[Subspace]) -> IntMatrix:
     incidence = np.zeros((n, len(points)))
     incidence[np.arange(n).repeat(codes.shape[1]), columns.ravel()] = 1
     # float64 is exact: an entry of N N^T counts shared points, at most [k 1]_q
-    adjacency = (incidence @ incidence.T == 0).astype(np.int64)
+    adjacency = (incidence @ incidence.T == 0).astype(np.uint8)
     np.fill_diagonal(adjacency, 0)
     return IntMatrix(adjacency)
 
@@ -315,7 +315,7 @@ def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable) -> Certific
     half = len(by_size) // 2
     factors = [adjacency.quadratic(powers[2], a + b, a * b) for a, b in zip(by_size[:half], by_size[::-1])]
     if len(by_size) % 2:
-        factors.append(adjacency.minus_scaled_identity(by_size[half]))
+        factors.append(adjacency.quadratic(adjacency, 0, -by_size[half]))
     del powers
     # popping releases each factor once it is multiplied in
     prod_matrix = factors.pop()

@@ -1,13 +1,17 @@
 """CLI contract: the five commands, exit codes, and round-trippable output."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qkneser import qbinom
+from qkneser import cli, qbinom
 from qkneser.cli import main
 
 
@@ -343,3 +347,61 @@ def test_verify_spectrum_pentagon_like_case(capsys):
     code, out, _ = run(capsys, "verify", "spectrum", "2", "1", "3")
     assert code == 0
     assert "4 vertices" in out  # K_4: the 4 lines of F_3^2 pairwise meet trivially
+
+
+# Random argv for the exit contract: a subcommand, small or negative or
+# non-prime-power positionals, options and junk.  Most draws are well
+# formed, so that they reach the handlers.  Options are drawn with their
+# values, so --max stays <= 4 and --budget <= 200; with the default budget
+# patched to 200 no draw starts a large computation.
+_NUMBERS = [str(i) for i in range(-3, 5)]
+_SMALL = st.sampled_from(_NUMBERS)
+_POSITIONALS = st.sampled_from(_NUMBERS + ["6", "10", "12"])  # 6, 10, 12: not prime powers
+_OPTIONS = {
+    "--max": _SMALL,
+    "--budget": st.integers(-3, 200).map(str),
+    "--q": st.sampled_from(["2", "3", "4", "6", "-2", "0", "q"]),
+    "--format": st.sampled_from(["table", "csv", "json", "xml"]),
+    "--form": st.sampled_from(["simple", "delsarte", "both", "closed"]),
+}
+_COMMANDS = {  # positional count and options of each subcommand
+    "gauss": (2, ["--q", "--format"]),
+    "eigenvalues": (2, ["--q", "--form", "--format"]),
+    "verify identities": (0, ["--max", "--format"]),
+    "verify spectrum": (3, ["--budget"]),
+    "count-subspaces": (3, ["--budget"]),
+}
+_JUNK = st.sampled_from(["x", "", "-", "--", "-1.5", "1e3", "0x10", "--q", "--max", "--nonsense", "--help"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([*_COMMANDS, "", "verify", "nonsense"]))
+    arity, names = _COMMANDS.get(command, (0, list(_OPTIONS)))
+    arity = draw(st.sampled_from([arity, arity, 0, 1, 2, 3, 4]))
+    argv = command.split() + draw(st.lists(_POSITIONALS, min_size=arity, max_size=arity))
+    for name in draw(st.lists(st.sampled_from(names), max_size=2)):
+        argv += [name, draw(_OPTIONS[name])]
+    return argv + draw(st.one_of(st.just([]), st.lists(_JUNK, min_size=1, max_size=2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+@example(argv=["gauss", "2", "-1"])
+@example(argv=["eigenvalues", "3", "2"])  # the null graph
+@example(argv=["verify", "identities", "--max", "0"])
+@example(argv=["verify", "spectrum", "4", "2", "6"])
+@example(argv=["verify", "spectrum", "4", "2", "3", "--budget", "10"])
+@example(argv=["count-subspaces", "2", "3", "2"])
+def test_exit_contract_holds_for_random_argv(argv):
+    # 0 = ok, 1 = a real verification failure, 2 = usage or resource error.
+    # The honest code has no verification failure to report, so any exit 1
+    # here would be a crash passed off as one.
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "DEFAULT_VERTEX_BUDGET", 200), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert err.getvalue(), argv

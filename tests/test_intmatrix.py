@@ -1,11 +1,22 @@
-"""Exact matrix arithmetic: the three product backends must agree."""
+"""Exact matrix arithmetic: one dtype rule, exact at every tier boundary."""
 
 import random
 
 import numpy as np
 import pytest
 
-from qkneser.intmatrix import IntMatrix
+from qkneser import intmatrix
+from qkneser.intmatrix import IntMatrix, _dtype
+
+F64, I64, OBJ = np.float64, np.int64, object
+
+
+def mat(rows):
+    return IntMatrix(np.array(rows, dtype=object))
+
+
+def entries(matrix):
+    return matrix.to_array().tolist()
 
 
 def naive_product(a, b):
@@ -17,86 +28,214 @@ def random_rows(rng, n, magnitude):
     return [[rng.randint(-magnitude, magnitude) for _ in range(n)] for _ in range(n)]
 
 
-@pytest.mark.parametrize("magnitude", [1, 10**3, 10**9, 10**20])
-def test_matmul_matches_naive_product(magnitude):
-    # magnitudes chosen to drive the float64, int64, and object backends
-    rng = random.Random(magnitude)
-    for n in (1, 2, 5):
-        a_rows = random_rows(rng, n, magnitude)
-        b_rows = random_rows(rng, n, magnitude)
-        product = IntMatrix.from_rows(a_rows) @ IntMatrix.from_rows(b_rows)
-        assert product.to_rows() == naive_product(a_rows, b_rows)
-
-
 def random_symmetric_rows(rng, n, magnitude):
     rows = random_rows(rng, n, magnitude)
     return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
 
 
+def operand(top, seed, n=3):
+    # random entries in [-top, top] with top on the diagonal, so max_abs == top
+    rows = random_rows(random.Random(seed), n, top)
+    for i in range(n):
+        rows[i][i] = top
+    return rows
+
+
+def assert_narrowest(matrix, expected_rows):
+    # the entries are exact, and stored in the narrowest dtype that holds them
+    assert entries(matrix) == expected_rows
+    assert matrix.max_abs == max(abs(x) for row in expected_rows for x in row)
+    assert matrix.to_array().dtype == _dtype(matrix.max_abs)
+
+
+@pytest.fixture
+def compute_dtypes(monkeypatch):
+    # the dtype of every _dtype decision, in call order
+    seen = []
+    real = intmatrix._dtype
+
+    def spy(bound):
+        seen.append(real(bound))
+        return seen[-1]
+
+    monkeypatch.setattr(intmatrix, "_dtype", spy)
+    return seen
+
+
+def test_dtype_tiers():
+    for bound, dtype in [(0, F64), (2**53 - 1, F64), (2**53, I64), (2**63 - 1, I64), (2**63, OBJ)]:
+        assert _dtype(bound) is dtype
+
+
+@pytest.mark.parametrize("top,dtype", [(0, F64), (2**53 - 1, F64), (2**53, I64), (2**63 - 1, I64), (2**63, OBJ)])
+def test_storage_is_the_narrowest_exact_dtype(top, dtype):
+    for source in [object, np.uint64] + ([np.int64] if top <= 2**63 - 1 else []):
+        m = IntMatrix(np.array([[top, 0], [0, 0]], dtype=source))
+        assert m.to_array().dtype == dtype and m.max_abs == top
+        assert int(m.to_array()[0, 0]) == top
+    negative = IntMatrix(np.array([[0, 0], [0, -top]], dtype=object))
+    assert negative.to_array().dtype == dtype and negative.max_abs == top
+
+
+# (max|A|, max|B| or max|S|, storage dtype of A, compute dtype): each case
+# crosses from one storage dtype into one compute dtype; float64 -> object
+# is the case where widening must pass through int64
+
+@pytest.mark.parametrize("top_a,top_b,storage,compute", [
+    (2**25, 2**25, F64, F64),
+    (2**27 + 1, 2**27 + 1, F64, I64),
+    (2**40 + 1, 2**40 + 1, F64, OBJ),
+    (2**54 + 1, 3, I64, I64),
+    (2**54 + 1, 0, I64, I64),  # zero result: computed in int64, stored float64
+    (2**54 + 1, 2**10, I64, OBJ),
+    (2**70 + 1, 5, OBJ, OBJ),
+    (2**70 + 1, 0, OBJ, OBJ),
+])
+def test_product_tiers(compute_dtypes, top_a, top_b, storage, compute):
+    a_rows, b_rows = operand(top_a, 1), operand(top_b, 2)
+    a, b = mat(a_rows), mat(b_rows)
+    assert a.to_array().dtype == storage
+    compute_dtypes.clear()
+    product = a @ b
+    assert compute_dtypes[0] is compute
+    assert_narrowest(product, naive_product(a_rows, b_rows))
+
+
+@pytest.mark.parametrize("top_x,top_y,storage,compute", [
+    (2**24, 2**24, F64, F64),
+    (2**27 + 1, 2**27 + 1, F64, I64),
+    (2**40 + 1, 2**40 + 1, F64, OBJ),
+    (2**54 + 1, 3, I64, I64),
+    (2**54 + 1, 2**10, I64, OBJ),
+    (2**70 + 1, 1, OBJ, OBJ),
+])
+def test_frobenius_tiers(compute_dtypes, top_x, top_y, storage, compute):
+    x_rows, y_rows = operand(top_x, 3), operand(top_y, 4)
+    x, y = mat(x_rows), mat(y_rows)
+    assert x.to_array().dtype == storage
+    compute_dtypes.clear()
+    value = x.frobenius(y)
+    assert compute_dtypes[0] is compute
+    assert value == sum(a * b for xr, yr in zip(x_rows, y_rows) for a, b in zip(xr, yr))
+
+
+@pytest.mark.parametrize("top_a,top_s,s,p,storage,compute", [
+    (2**20, 2**40, 2**20 + 1, 12345, F64, F64),
+    (2**30 + 1, 2**52 - 1, 2**30 + 3, -7, F64, I64),
+    (513, 3, 2**62, 1, F64, OBJ),  # float64 operands, s = 2^62
+    (2**54 + 1, 3, 5, 7, I64, I64),
+    (2**54 + 1, 3, 2**10, 7, I64, OBJ),
+    (2**70 + 1, 3, 1, -1, OBJ, OBJ),
+])
+def test_quadratic_tiers(compute_dtypes, top_a, top_s, s, p, storage, compute):
+    a_rows, square_rows = operand(top_a, 5), operand(top_s, 6)
+    a, square = mat(a_rows), mat(square_rows)
+    assert a.to_array().dtype == storage
+    compute_dtypes.clear()
+    result = a.quadratic(square, s, p)
+    assert compute_dtypes[0] is compute
+    n = len(a_rows)
+    assert_narrowest(result, [[square_rows[i][j] - s * a_rows[i][j] + (p if i == j else 0) for j in range(n)]
+                              for i in range(n)])
+
+
+@pytest.mark.parametrize("n,top,storage,compute", [
+    (3, 2**20, F64, F64),
+    (3, 2**52 + 1, F64, I64),
+    (1025, 2**53 - 1, F64, OBJ),  # n * top just past 2^63 - 1
+    (3, 2**54 + 1, I64, I64),
+    (3, 2**62 + 1, I64, OBJ),  # int64 row sums past 2^63
+    (3, 2**70 + 1, OBJ, OBJ),
+])
+def test_trace_and_row_sum_tiers(compute_dtypes, n, top, storage, compute):
+    # every entry is top: the trace and each row sum are n * top, odd, so a
+    # float64 sum past 2^53 would round and an int64 sum past 2^63 would wrap
+    m = IntMatrix(np.full((n, n), top, dtype=object))
+    assert m.to_array().dtype == storage
+    compute_dtypes.clear()
+    assert m.trace() == n * top
+    assert m.row_sums() == [n * top] * n
+    assert compute_dtypes == [compute, compute]
+    assert all(type(x) is int for x in m.row_sums())
+
+
+@pytest.mark.parametrize("magnitude", [1, 10**3, 10**9, 10**20])
+def test_matmul_matches_naive_product(magnitude):
+    rng = random.Random(magnitude)
+    for n in (1, 2, 5):
+        a_rows = random_rows(rng, n, magnitude)
+        b_rows = random_rows(rng, n, magnitude)
+        assert entries(mat(a_rows) @ mat(b_rows)) == naive_product(a_rows, b_rows)
+
+
 @pytest.mark.parametrize("magnitude", [1, 10**3, 10**9, 10**20])
 def test_frobenius_matches_naive_sum(magnitude):
-    # n^2 * max|X| * max|Y| fits int64 for the first two magnitudes, not
-    # for the last two, so both summation paths run
     rng = random.Random(magnitude)
     for n in (1, 2, 5):
         x_rows = random_symmetric_rows(rng, n, magnitude)
         y_rows = random_symmetric_rows(rng, n, magnitude)
         naive = sum(x * y for xr, yr in zip(x_rows, y_rows) for x, y in zip(xr, yr))
-        x, y = IntMatrix.from_rows(x_rows), IntMatrix.from_rows(y_rows)
+        x, y = mat(x_rows), mat(y_rows)
         assert x.frobenius(y) == naive
         assert x.frobenius(x) == (x @ x).trace()  # symmetric: <X, X>_F = tr(X^2)
 
 
 @pytest.mark.parametrize("magnitude,coefficient", [(1, 10), (10**3, 10**6), (10**9, 2**62), (2**62, 3), (10**20, 7)])
 def test_quadratic_matches_naive(magnitude, coefficient):
-    # square - s*A + p*I; the last three cases leave int64 and take the object path
     rng = random.Random(magnitude + coefficient)
     for n in (1, 2, 5):
         a_rows = random_symmetric_rows(rng, n, magnitude)
         square_rows = random_symmetric_rows(rng, n, magnitude)
         s, p = rng.randint(-coefficient, coefficient), rng.randint(-coefficient, coefficient)
         expected = [[square_rows[i][j] - s * a_rows[i][j] + (p if i == j else 0) for j in range(n)] for i in range(n)]
-        result = IntMatrix.from_rows(a_rows).quadratic(IntMatrix.from_rows(square_rows), s, p)
-        assert result.to_rows() == expected
+        assert entries(mat(a_rows).quadratic(mat(square_rows), s, p)) == expected
 
 
 def test_quadratic_of_the_square_is_a_pair_of_linear_factors():
-    a = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    expected = a.minus_scaled_identity(2) @ a.minus_scaled_identity(-1)
-    assert a.quadratic(a @ a, 2 + -1, 2 * -1) == expected
-    assert expected.is_zero()  # the triangle's eigenvalues are 2 and -1
+    a = mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    expected = a.quadratic(a, 0, -2) @ a.quadratic(a, 0, 1)
+    assert entries(a.quadratic(a @ a, 2 + -1, 2 * -1)) == entries(expected)
+    assert expected.first_nonzero() is None  # the triangle's eigenvalues are 2 and -1
+
+
+def test_linear_factor_is_the_affine_op_with_s_zero():
+    m = mat([[1, 2], [3, 4]])
+    assert entries(m.quadratic(m, 0, -5)) == [[-4, 2], [3, -1]]
+    assert entries(m) == [[1, 2], [3, 4]]  # original untouched
+    big = mat([[2**70, 1], [1, 0]])
+    assert entries(big.quadratic(big, 0, -(2**70))) == [[0, 1], [1, -(2**70)]]
 
 
 def test_quadratic_and_frobenius_reject_mismatched_sizes():
+    two, three = mat(np.eye(2, dtype=int)), mat(np.eye(3, dtype=int))
     with pytest.raises(ValueError):
-        IntMatrix.identity(2).quadratic(IntMatrix.identity(3), 1, 1)
+        two.quadratic(three, 1, 1)
     with pytest.raises(ValueError):
-        IntMatrix.identity(2).frobenius(IntMatrix.identity(3))
+        two.frobenius(three)
 
 
 def test_to_array_is_a_read_only_view():
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    entries = m.to_array()
-    assert entries.tolist() == [[1, 2], [3, 4]]
+    m = mat([[1, 2], [3, 4]])
+    view = m.to_array()
+    assert view.tolist() == [[1, 2], [3, 4]]
     with pytest.raises(ValueError):
-        entries[0, 0] = 7
-    assert m.entry(0, 0) == 1
+        view[0, 0] = 7
+    assert m.to_array()[0, 0] == 1
 
 
 def test_backend_boundary_is_exact():
     # entries near 2^26 push n * maxA * maxB just past the float64 window
     value = 2**26
-    a = IntMatrix.from_rows([[value, value - 1], [value - 3, value]])
-    product = a @ a
-    assert product.to_rows() == naive_product(a.to_rows(), a.to_rows())
+    rows = [[value, value - 1], [value - 3, value]]
+    assert entries(mat(rows) @ mat(rows)) == naive_product(rows, rows)
 
 
 def test_big_integer_entries_survive():
     big = 10**30
-    m = IntMatrix.from_rows([[big, 0], [0, -big]])
-    assert m.entry(0, 0) == big
+    m = mat([[big, 0], [0, -big]])
+    assert m.to_array()[0, 0] == big
     square = m @ m
-    assert square.entry(0, 0) == big**2
+    assert square.to_array()[0, 0] == big**2
     assert square.trace() == 2 * big**2
     assert m.row_sums() == [big, -big]
 
@@ -104,52 +243,41 @@ def test_big_integer_entries_survive():
 def test_row_sums_exact_past_int64():
     # int64 entries whose row sum does not fit in int64
     half = 2**62
-    m = IntMatrix.from_rows([[half, half], [-half, -half]])
-    assert m.row_sums() == [2**63, -(2**63)]
-
-
-def test_minus_scaled_identity():
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    shifted = m.minus_scaled_identity(5)
-    assert shifted.to_rows() == [[-4, 2], [3, -1]]
-    assert m.to_rows() == [[1, 2], [3, 4]]  # original untouched
+    assert mat([[half, half], [-half, -half]]).row_sums() == [2**63, -(2**63)]
 
 
 def test_identity_and_zero_predicates():
-    eye = IntMatrix.identity(3)
+    eye = IntMatrix(np.eye(3, dtype=np.int64))
     assert eye.trace() == 3
-    assert not eye.is_zero()
-    zero = eye.minus_scaled_identity(1)
-    assert zero.is_zero()
-    assert zero.first_nonzero() is None
     assert eye.first_nonzero() == (0, 0, 1)
+    assert eye.quadratic(eye, 0, -1).first_nonzero() is None
 
 
 def test_first_nonzero_is_row_major():
     rows = [[0] * 4 for _ in range(4)]
-    assert IntMatrix.from_rows(rows).first_nonzero() is None
+    assert mat(rows).first_nonzero() is None
     rows[3][3] = -7
-    assert IntMatrix.from_rows(rows).first_nonzero() == (3, 3, -7)
+    assert mat(rows).first_nonzero() == (3, 3, -7)
     rows[2][0], rows[1][3] = 5, 2**70  # the big entry forces object storage
-    assert IntMatrix.from_rows(rows).first_nonzero() == (1, 3, 2**70)
+    assert mat(rows).first_nonzero() == (1, 3, 2**70)
 
 
-def test_from_rows_round_trip():
+def test_object_rows_round_trip():
     # triangle graph: rows 011, 101, 110
-    m = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert m.to_rows() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    m = mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert entries(m) == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     assert m.is_symmetric()
     assert m.row_sums() == [2, 2, 2]
 
 
 def test_symmetry_check():
-    assert IntMatrix.from_rows([[1, 2], [2, 1]]).is_symmetric()
-    assert not IntMatrix.from_rows([[1, 2], [3, 1]]).is_symmetric()
+    assert mat([[1, 2], [2, 1]]).is_symmetric()
+    assert not mat([[1, 2], [3, 1]]).is_symmetric()
 
 
 def test_rejects_non_square():
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        mat([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         IntMatrix(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValueError):
@@ -158,10 +286,4 @@ def test_rejects_non_square():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        IntMatrix.identity(2) @ IntMatrix.identity(3)
-
-
-def test_equality():
-    a = IntMatrix.from_rows([[1, 0], [0, 1]])
-    assert a == IntMatrix.identity(2)
-    assert a != IntMatrix.from_rows([[1, 0], [0, 2]])
+        mat(np.eye(2, dtype=int)) @ mat(np.eye(3, dtype=int))

@@ -1,5 +1,6 @@
 """Brute-force oracle: enumeration, intersections, adjacency, certification."""
 
+import numpy as np
 import pytest
 
 from qkneser import oracle
@@ -148,7 +149,7 @@ def test_intersection_dim_rejects_mixed_ambient():
 def test_adjacency_is_triangle_for_qk_2_1_2():
     ctx = make_field(2, 1)
     adjacency = build_adjacency(enumerate_subspaces(ctx, 2, 1))
-    assert adjacency.to_rows() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert adjacency.to_array().tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_adjacency_regular_of_degree_16():
@@ -156,21 +157,22 @@ def test_adjacency_regular_of_degree_16():
     adjacency = build_adjacency(enumerate_subspaces(ctx, 4, 2))
     assert set(adjacency.row_sums()) == {16}
     assert adjacency.is_symmetric()
-    assert all(adjacency.entry(i, i) == 0 for i in range(adjacency.n))
+    assert not adjacency.to_array().diagonal().any()
 
 
 def test_adjacency_k0_is_single_vertex():
     ctx = make_field(2, 1)
     adjacency = build_adjacency(enumerate_subspaces(ctx, 3, 0))
-    assert adjacency.to_rows() == [[0]]
+    assert adjacency.to_array().tolist() == [[0]]
 
 
 def rank_route_mismatch(subs, adjacency):
     # first (i, j) where the adjacency disagrees with stacked-rank intersection
+    entries = adjacency.to_array()
     for i in range(len(subs)):
         for j in range(len(subs)):
             expected = 1 if i != j and intersection_dim(subs[i], subs[j]) == 0 else 0
-            if adjacency.entry(i, j) != expected:
+            if entries[i, j] != expected:
                 return i, j
     return None
 
@@ -322,6 +324,22 @@ def test_certify_qk_6_3_2_negative_controls(qk_6_3_2):
             assert not result.moments_ok and result.offending_moments[0][0] == 0, label
 
 
+def sequential_first_nonzero(adjacency, eigenvalues):
+    # row-major first nonzero entry of prod_j (A - lambda_j I), formed row by
+    # row in plain numpy object arrays (Python ints), independent of IntMatrix:
+    # row i of the product is e_i (A - lambda_1 I) (A - lambda_2 I) ...
+    a = adjacency.astype(np.int64).astype(object)
+    for i in range(len(a)):
+        row = np.zeros(len(a), dtype=object)
+        row[i] = 1
+        for lam in eigenvalues:
+            row = row.dot(a) - lam * row
+        nonzero = np.flatnonzero(row)
+        if nonzero.size:
+            return i, int(nonzero[0]), row[nonzero[0]]
+    return None
+
+
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (5, 2, 2)])
 def test_residual_entry_matches_the_sequential_product(v, k, q):
     # the grouped factors multiply to the same P(A) as prod_j (A - lambda_j I)
@@ -331,10 +349,7 @@ def test_residual_entry_matches_the_sequential_product(v, k, q):
     for e in table.entries:
         for d in (-1, 1):
             wrong = _tweaked(table, e.j, d_eig=d)
-            sequential = IntMatrix.identity(adjacency.n)
-            for lam in wrong.eigenvalues():
-                sequential = sequential @ adjacency.minus_scaled_identity(int(lam))
-            expected = sequential.first_nonzero()
+            expected = sequential_first_nonzero(adjacency.to_array(), [int(lam) for lam in wrong.eigenvalues()])
             assert expected is not None
             assert certify_spectrum(adjacency, wrong).residual_entry == expected, (e.j, d)
 
@@ -365,7 +380,7 @@ def test_certify_rejects_degenerate_predictions():
         certify_spectrum(adjacency, repeated)
     with pytest.raises(ValueError):
         certify_spectrum(adjacency, spectrum_table(2, 1))  # symbolic table
-    lopsided = IntMatrix.from_rows([[0, 1], [0, 0]])
+    lopsided = IntMatrix(np.array([[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
         certify_spectrum(lopsided, table)
 
@@ -396,12 +411,12 @@ def test_dump_files(tmp_path):
 @pytest.mark.parametrize("rows", [[[0, 2], [2, 0]], [[0, -1], [-1, 0]], [[0, 10**30], [10**30, 0]]])
 def test_dump_adjacency_rejects_entries_other_than_0_and_1(tmp_path, rows):
     with pytest.raises(ValueError):
-        dump_adjacency(IntMatrix.from_rows(rows), tmp_path / "adjacency.txt")
+        dump_adjacency(IntMatrix(np.array(rows, dtype=object)), tmp_path / "adjacency.txt")
 
 
 def test_dump_adjacency_single_vertex(tmp_path):
     path = tmp_path / "adjacency.txt"
-    dump_adjacency(IntMatrix.from_rows([[0]]), path)
+    dump_adjacency(IntMatrix(np.array([[0]])), path)
     assert path.read_bytes() == b"0\n"
 
 
