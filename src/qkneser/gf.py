@@ -11,8 +11,12 @@ most e/2, which is exhaustive and cheap at the degrees in scope.
 Field elements are canonical integers in [0, q): the base-p digits of the
 integer are the residue-polynomial coefficients, constant term in the
 least significant digit.  This encoding is what appears in every
-serialized matrix.  For small q the context precomputes full operation
-tables; contexts are immutable and all arithmetic is pure.
+serialized matrix.  add, neg, mul and inv act on single elements through
+the polynomial routines below, for every q.  For whole arrays there is
+the linear-map view: multiplication by a constant c is GF(p)-linear on
+base-p digits, an e x e matrix whose column i holds the digits of c*x^i,
+and mul_maps returns these matrices for an array of constants.  Contexts
+are immutable and all arithmetic is pure.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Iterator
 import numpy as np
 
 MAX_EXTENSION_DEGREE = 4
-_TABLE_LIMIT = 256  # build full op tables when q <= this
 
 
 def is_prime(n: int) -> bool:
@@ -111,30 +114,13 @@ def _monic_irreducibles(p: int, degree: int) -> Iterator[list[int]]:
 class FieldCtx:
     """Immutable GF(p^e) context; elements are ints in [0, q)."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_add_t", "_mul_t", "_neg_t", "_inv_t")
+    __slots__ = ("p", "e", "q", "modulus")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = modulus
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self._add_t = self._mul_t = self._neg_t = self._inv_t = None
-
-    def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-        places = p ** np.arange(e)
-        digits = np.array([self.decode(a) for a in range(q)])
-        # a + b adds base-p digits mod p
-        self._add_t = ((digits[:, None] + digits) % p @ places).tolist()
-        # b -> a*b is GF(p)-linear, a*b = sum_i b_i * (a * x^i), and x^i
-        # encodes to p^i: e raw products per a give the digits of every a*b
-        images = np.array([[self.decode(self._mul_raw(a, p**i)) for i in range(e)] for a in range(q)])
-        self._mul_t = ((digits @ images) % p @ places).tolist()
-        self._neg_t = [self._neg_raw(a) for a in range(q)]
-        self._inv_t = [0] + [self._inv_raw(a) for a in range(1, q)]
 
     # -- canonical integer encoding
 
@@ -152,60 +138,40 @@ class FieldCtx:
             value = value * self.p + c % self.p
         return value
 
+    def digits(self, a: np.ndarray) -> np.ndarray:
+        """decode over an integer array: its base-p digits on a new last axis."""
+        return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.e) % self.p
+
     def elements(self) -> range:
         return range(self.q)
 
-    # -- raw arithmetic on encodings
+    # -- arithmetic on encodings
 
-    def _add_raw(self, a: int, b: int) -> int:
+    def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
         da, db = self.decode(a), self.decode(b)
         return self.encode([(x + y) % self.p for x, y in zip(da, db)])
 
-    def _neg_raw(self, a: int) -> int:
+    def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
         return self.encode([(-x) % self.p for x in self.decode(a)])
 
-    def _mul_raw(self, a: int, b: int) -> int:
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
         prod = _poly_mul(list(self.decode(a)), list(self.decode(b)), self.p)
         rem = _poly_mod(prod, list(self.modulus), self.p)
         return self.encode(rem + [0] * (self.e - len(rem)))
 
-    def _inv_raw(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)  # the multiplicative group has order q - 1
-
-    # -- public operations
-
-    def add(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        return self._add_raw(a, b)
-
-    def neg(self, a: int) -> int:
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        return self._neg_raw(a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        return self._mul_raw(a, b)
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self._inv_raw(a)
+        return self.pow(a, self.q - 2)  # the multiplicative group has order q - 1
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -218,6 +184,18 @@ class FieldCtx:
             base = self.mul(base, base)
             n >>= 1
         return result
+
+    def mul_maps(self, c: np.ndarray) -> np.ndarray:
+        """The matrices of b -> c*b on base-p digits, shape c.shape + (e, e).
+
+        digits(c*b) = mul_maps(c) @ digits(b) mod p.  The map is linear in
+        c as well, so every map is a combination of the maps of x^0 ..
+        x^(e-1), whose columns come from e^2 calls of mul.
+        """
+        e, p = self.e, self.p
+        # basis[j] is the map of x^j: column i holds digits(x^j * x^i), and x^i encodes to p^i
+        basis = np.array([[self.decode(self.mul(p**j, p**i)) for i in range(e)] for j in range(e)]).transpose(0, 2, 1)
+        return np.tensordot(self.digits(c), basis, axes=1) % p
 
     # -- identity and rendering
 
@@ -249,20 +227,20 @@ def _poly_str(coeffs: tuple[int, ...]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def make_field(p: int, e: int, *, max_degree: int = MAX_EXTENSION_DEGREE) -> FieldCtx:
+def make_field(p: int, e: int) -> FieldCtx:
     """Construct GF(p^e) with the deterministic smallest irreducible modulus.
 
     For e = 1 the modulus is x (arithmetic is plain mod p).  Rejects
-    composite p and extension degrees outside [1, max_degree].
+    composite p and extension degrees outside [1, MAX_EXTENSION_DEGREE].
     """
     if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"field characteristic must be prime, got {p!r}")
-    if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= max_degree:
-        raise ValueError(f"extension degree must be in [1, {max_degree}], got {e!r}")
+    if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= MAX_EXTENSION_DEGREE:
+        raise ValueError(f"extension degree must be in [1, {MAX_EXTENSION_DEGREE}], got {e!r}")
     return FieldCtx(p, e, tuple(next(_monic_irreducibles(p, e))))
 
 
-def field_of_order(q: int, *, max_degree: int = MAX_EXTENSION_DEGREE) -> FieldCtx:
+def field_of_order(q: int) -> FieldCtx:
     """GF(q) for a prime power q; rejects q = 1 and non-prime-powers."""
     p, e = factor_prime_power(q)
-    return make_field(p, e, max_degree=max_degree)
+    return make_field(p, e)

@@ -88,6 +88,8 @@ def predicted_vertex_count(v: int, k: int, q: int) -> int:
 def enumerate_subspaces(ctx: FieldCtx, v: int, k: int, *, budget: int = DEFAULT_VERTEX_BUDGET) -> list[Subspace]:
     """All k-subspaces of F_q^v, sorted by (pivot columns, entries).
 
+    They are generated in that order: combinations yields the pivot sets
+    in order, and product runs over the free entries in row-major order.
     Refuses to start when the predicted count exceeds budget.
     """
     if not 0 <= k <= v:
@@ -109,7 +111,6 @@ def enumerate_subspaces(ctx: FieldCtx, v: int, k: int, *, budget: int = DEFAULT_
             for (r, c), value in zip(free, values):
                 rows[r][c] = value
             out.append(Subspace(ctx=ctx, v=v, rows=tuple(map(tuple, rows)), pivots=pivots))
-    out.sort(key=lambda s: (s.pivots, s.rows))
     if len(out) != predicted:
         raise InvariantError(f"enumerated {len(out)} {k}-subspaces of GF({q})^{v}, the formula gives {predicted}")
     return out
@@ -150,26 +151,28 @@ def intersection_dim(a: Subspace, b: Subspace) -> int:
     return 2 * a.k - gf_rank(a.ctx, stacked)
 
 
-def _point_codes(s: Subspace) -> list[int]:
-    # One code (the vector encoded base q) per projective point: the
-    # combinations of the RREF rows whose first nonzero coefficient is 1.
-    # That coefficient is also the vector's first nonzero coordinate, so
-    # equal points of different subspaces get equal codes.
-    ctx, q, v, k = s.ctx, s.ctx.q, s.v, s.k
-    codes = []
-    for lead in range(k):
-        for rest in product(range(q), repeat=k - 1 - lead):
-            vec = [0] * v
-            for c, row in zip((1, *rest), s.rows[lead:]):
-                if c:
-                    for t in range(v):
-                        if row[t]:
-                            vec[t] = ctx.add(vec[t], ctx.mul(c, row[t]))
-            code = 0
-            for t in range(v - 1, -1, -1):
-                code = code * q + vec[t]
-            codes.append(code)
-    return codes
+def _point_codes(subspaces: list[Subspace]) -> np.ndarray:
+    """The projective points of each vertex, as an (n, [k 1]_q) int64 array.
+
+    The points of a subspace are the combinations of its RREF rows whose
+    first nonzero coefficient is 1.  That coefficient is also the
+    vector's first nonzero coordinate, so equal points of different
+    subspaces get equal codes: the vector's (v, e) array of base-p digits,
+    flattened and read base p (the coordinates read base q).  All
+    vertices share the coefficient list, and multiplying by a coefficient
+    is a linear map on digits (FieldCtx.mul_maps), so every vector is one
+    contraction.  The vertices must share ctx, v and k.  Codes are below
+    q^v, which fits int64 whenever the result fits in memory: q^v <= n^2
+    for 1 <= k < v, and q^v <= [v 1]_q^2 for k = v >= 2.
+    """
+    first = subspaces[0]
+    ctx, v, k = first.ctx, first.v, first.k
+    coeffs = [(0,) * lead + (1, *rest) for lead in range(k) for rest in product(range(ctx.q), repeat=k - 1 - lead)]
+    maps = ctx.mul_maps(np.array(coeffs, dtype=np.int64).reshape(len(coeffs), k))
+    digits = ctx.digits(np.array([s.rows for s in subspaces], dtype=np.int64).reshape(len(subspaces), k, v))
+    # vectors[s, c, t] = sum_r maps[c, r] @ digits[s, r, t] over GF(p)
+    vectors = np.einsum("crab,srtb->scta", maps, digits) % ctx.p
+    return vectors.reshape(len(subspaces), len(coeffs), v * ctx.e) @ ctx.p ** np.arange(v * ctx.e)
 
 
 def build_adjacency(subspaces: list[Subspace]) -> IntMatrix:
@@ -187,7 +190,7 @@ def build_adjacency(subspaces: list[Subspace]) -> IntMatrix:
     first = subspaces[0]
     if any(s.ctx != first.ctx or s.v != first.v or s.k != first.k for s in subspaces):
         raise ValueError("vertex list mixes ambient spaces")
-    codes = np.array([_point_codes(s) for s in subspaces], dtype=np.int64)
+    codes = _point_codes(subspaces)
     points, columns = np.unique(codes, return_inverse=True)
     incidence = np.zeros((n, len(points)))
     incidence[np.arange(n).repeat(codes.shape[1]), columns.ravel()] = 1

@@ -296,6 +296,30 @@ def test_verify_spectrum_gf4(capsys):
     assert "357 vertices" in out and "certified: yes" in out
 
 
+@pytest.mark.parametrize("argv, digests", [
+    (("4", "2", "4"), ("afd5a1e4ea199a3c13270940fd7bc64382a63ac977ea3cbf659e0d0a183a3a27",
+                       "d8c3673db782f71f64d0275bbefae552c854e0446f98f5fb5f7aa19fcb99f58d",
+                       "36aa6ef5ae057f154c2ec7dd5d4bbe5f730c404b6ade67c2456e2f39794d542f",
+                       "274eae5c066448db733ada8d5efa8a792d4ea374fa44ae23954fa91c6ee38179")),
+    (("3", "1", "8"), ("b3cba98fc82b72bd24656654f022f81888f73cc832ff163be8588041757e6844",
+                       "e3833062b712b2a426183f0893c469ac5339128a272bce12d8382991c25fb263",
+                       "f626c6614f526157b957c708673cae4f49e03917d2c15e706a6b3d2f486ad24d",
+                       "e2b8030bcaf1970974bd97e1ce5d8874a378097fb8ce4e7a5abca26c50b28fd0")),
+    (("2", "1", "289"), ("6b1d6eee44e20d0c69077d82a017ba818b5d9b061d6af49e014fb55f0130b476",
+                         "9a4ce12d46baaff695c6b003bf580af328c1caee056320b632dda79b3785f440",
+                         "2a2ef5ff6ee7e2061c15e8ff77f594c748b68373856c440ff044ac5a99d7bb35",
+                         "6fbd014bf64fcf45c1513872f1a3333f6f4601775998d6c76ffd19c31d7f6736")),
+])
+def test_verify_spectrum_extension_field_golden_sha256(capsys, monkeypatch, tmp_path, argv, digests):
+    # sha256 of stdout, adjacency.txt, vertices.txt and certification.json,
+    # as written when GF(q) arithmetic for q <= 256 still ran on q x q tables
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "verify", "spectrum", *argv, "--dump", "dump")
+    assert code == 0
+    files = [(tmp_path / "dump" / name).read_bytes() for name in ("adjacency.txt", "vertices.txt", "certification.json")]
+    assert tuple(hashlib.sha256(data).hexdigest() for data in [out.encode(), *files]) == digests
+
+
 def test_verify_spectrum_rejects_non_prime_power(capsys):
     code, _, err = run(capsys, "verify", "spectrum", "4", "2", "6")
     assert code == 2

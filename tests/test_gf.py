@@ -1,5 +1,6 @@
 """Finite field construction and arithmetic, exhaustively at small orders."""
 
+import numpy as np
 import pytest
 
 from qkneser.gf import factor_prime_power, field_of_order, is_prime, make_field
@@ -74,8 +75,9 @@ def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(2, 0)
     with pytest.raises(ValueError):
-        make_field(2, 5)  # beyond default degree bound
-    assert make_field(2, 5, max_degree=5).q == 32  # explicit override works
+        make_field(2, 5)  # beyond MAX_EXTENSION_DEGREE
+    with pytest.raises(ValueError):
+        field_of_order(32)
 
 
 def test_factor_prime_power():
@@ -109,11 +111,19 @@ def test_context_equality():
     assert field_of_order(9) == make_field(3, 2)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169])
+@pytest.mark.parametrize("q", [2, 5, 4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169, 289])
 def test_tables_match_raw_arithmetic(q):
-    # every tabled extension field (e <= 4, q <= 256): the digit-wise add
-    # table and the linear-map mul table against the raw polynomial routines
+    # the table of multiplication maps of all q elements against mul, which
+    # runs the polynomial routines: for every c and b, the map of c applied
+    # to digits(b) gives digits(c*b); 289 lies past the old q <= 256 cutoff
     ctx = field_of_order(q)
-    for a in range(q):
-        assert ctx._add_t[a] == [ctx._add_raw(a, b) for b in range(q)]
-        assert ctx._mul_t[a] == [ctx._mul_raw(a, b) for b in range(q)]
+    elements = np.arange(q)
+    digits = ctx.digits(elements)
+    assert digits.tolist() == [list(ctx.decode(b)) for b in range(q)]
+    maps = ctx.mul_maps(elements)
+    # column i of the map of c holds the digits of c * x^i, and x^i encodes to p^i
+    columns = ctx.digits([[ctx.mul(c, ctx.p**i) for i in range(ctx.e)] for c in range(q)])
+    assert np.array_equal(maps, columns.transpose(0, 2, 1))
+    images = np.einsum("cab,nb->cna", maps, digits) % ctx.p
+    expected = ctx.digits([[ctx.mul(c, b) for b in range(q)] for c in range(q)])
+    assert np.array_equal(images, expected)

@@ -56,6 +56,13 @@ def test_enumerate_planes_of_f2_fourth():
     assert subs == sorted(subs, key=lambda s: (s.pivots, s.rows))
 
 
+@pytest.mark.parametrize("v,k,q", [(4, 2, 3), (6, 3, 2), (4, 2, 4), (3, 1, 9), (5, 3, 3), (4, 0, 2), (4, 4, 3)])
+def test_enumeration_is_generated_sorted(v, k, q):
+    # the docstring's order comes from the generation itself, with no sort
+    subs = enumerate_subspaces(field_of_order(q), v, k)
+    assert subs == sorted(subs, key=lambda s: (s.pivots, s.rows))
+
+
 def test_enumerate_zero_subspace():
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 3, 0)
@@ -177,7 +184,7 @@ def rank_route_mismatch(subs, adjacency):
     return None
 
 
-@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (2, 1, 3), (4, 2, 3), (3, 1, 4), (2, 1, 9)])
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (2, 1, 3), (4, 2, 3), (3, 1, 4), (2, 1, 9), (3, 1, 8), (2, 1, 27)])
 def test_adjacency_agrees_with_rank_route(v, k, q):
     # the point-incidence product must match stacked-rank intersection
     ctx = field_of_order(q)
@@ -185,14 +192,16 @@ def test_adjacency_agrees_with_rank_route(v, k, q):
     assert rank_route_mismatch(subs, build_adjacency(subs)) is None
 
 
-@pytest.mark.parametrize("v,k,q", [(4, 2, 3), (3, 2, 4)])
+@pytest.mark.parametrize("v,k,q", [(4, 2, 3), (3, 2, 4), (3, 1, 8), (4, 0, 2)])
 def test_point_codes_are_the_canonical_points(v, k, q):
     ctx = field_of_order(q)
     points_per_vertex = int(gauss(k, 1).evaluate(q))
-    for s in enumerate_subspaces(ctx, v, k):
-        codes = oracle._point_codes(s)
-        assert len(codes) == len(set(codes)) == points_per_vertex
-        for code in codes:
+    subs = enumerate_subspaces(ctx, v, k)
+    codes = oracle._point_codes(subs)
+    assert codes.shape == (len(subs), points_per_vertex) and codes.dtype == np.int64
+    for s, row in zip(subs, codes.tolist()):
+        assert len(set(row)) == points_per_vertex
+        for code in row:
             vec = [code // q**t % q for t in range(v)]
             assert next(x for x in vec if x) == 1
             assert gf_rank(ctx, [*s.rows, vec]) == k  # the point lies in s
@@ -206,10 +215,9 @@ def test_dropped_point_is_caught(monkeypatch):
     subs = enumerate_subspaces(ctx, 4, 2)
     honest = oracle._point_codes
 
-    def lossy(s):
-        codes = honest(s)
-        if s is subs[0]:
-            codes[0] = codes[1]
+    def lossy(subspaces):
+        codes = honest(subspaces)
+        codes[0, 0] = codes[0, 1]
         return codes
 
     monkeypatch.setattr(oracle, "_point_codes", lossy)
