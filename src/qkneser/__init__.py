@@ -20,9 +20,9 @@ from .oracle import (
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
     CertificationResult,
-    Subspace,
     build_adjacency,
     certify_spectrum,
+    check_vertex_budget,
     enumerate_subspaces,
     gf_rank,
     intersection_dim,
@@ -55,11 +55,11 @@ __all__ = [
     "Q",
     "SpectrumEntry",
     "SpectrumTable",
-    "Subspace",
     "ZERO",
     "build_adjacency",
     "certify_spectrum",
     "check",
+    "check_vertex_budget",
     "delsarte_eigenvalue",
     "enumerate_subspaces",
     "factor_prime_power",

@@ -29,11 +29,11 @@ from .oracle import (
     DEFAULT_VERTEX_BUDGET,
     build_adjacency,
     certify_spectrum,
+    check_vertex_budget,
     dump_adjacency,
     dump_certification,
     dump_vertices,
     enumerate_subspaces,
-    predicted_vertex_count,
 )
 from .qbinom import gauss, gauss_eval_product
 from .spectrum import delsarte_eigenvalue, spectrum_table
@@ -180,10 +180,11 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_spectrum(args: argparse.Namespace) -> int:
+    check_vertex_budget(args.v, args.k, args.q, args.budget)
     ctx = field_of_order(args.q)
     predicted = spectrum_table(args.v, args.k, args.q)
-    subspaces = enumerate_subspaces(ctx, args.v, args.k, budget=args.budget)
-    adjacency = build_adjacency(subspaces)
+    bases = enumerate_subspaces(ctx, args.v, args.k, budget=args.budget)
+    adjacency = build_adjacency(bases, ctx)
     result = certify_spectrum(adjacency, predicted)
 
     print(f"qK({args.v},{args.k}) over GF({args.q}): {result.vertex_count} vertices, degree {result.degree}")
@@ -202,7 +203,7 @@ def cmd_verify_spectrum(args: argparse.Namespace) -> int:
     if args.dump is not None:
         directory = Path(args.dump)
         directory.mkdir(parents=True, exist_ok=True)
-        dump_vertices(subspaces, directory / "vertices.txt")
+        dump_vertices(bases, directory / "vertices.txt")
         dump_adjacency(adjacency, directory / "adjacency.txt")
         dump_certification(result, directory / "certification.json")
         print(f"dumped vertices.txt, adjacency.txt, certification.json to {directory}")
@@ -210,10 +211,10 @@ def cmd_verify_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_count_subspaces(args: argparse.Namespace) -> int:
-    ctx = field_of_order(args.q)
-    subspaces = enumerate_subspaces(ctx, args.v, args.k, budget=args.budget)
+    predicted = check_vertex_budget(args.v, args.k, args.q, args.budget)
+    bases = enumerate_subspaces(field_of_order(args.q), args.v, args.k, budget=args.budget)
     # enumerate_subspaces raises InvariantError (exit 1) if the count differs from the formula
-    print(f"{len(subspaces)} = {predicted_vertex_count(args.v, args.k, args.q)}")
+    print(f"{len(bases)} = {predicted}")
     return 0
 
 

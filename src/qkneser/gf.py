@@ -21,7 +21,6 @@ are immutable and all arithmetic is pure.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -100,10 +99,12 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
 
 def _monic_irreducibles(p: int, degree: int) -> Iterator[list[int]]:
     # Candidates in lexicographic order of their coefficient tuples, constant
-    # term first; the lower-degree irreducibles are enumerated once.
+    # term first: the base-p digits of 0, 1, 2, ..., most significant first,
+    # made one at a time so that no list of p values is built.  The
+    # lower-degree irreducibles are enumerated once.
     lower = [irr for d in range(1, degree // 2 + 1) for irr in _monic_irreducibles(p, d)]
-    for coeffs in product(range(p), repeat=degree):
-        cand = list(coeffs) + [1]
+    for index in range(p**degree):
+        cand = [index // p ** (degree - 1 - i) % p for i in range(degree)] + [1]
         if all(_poly_mod(cand, irr, p) for irr in lower):
             yield cand
 

@@ -25,14 +25,15 @@ the sequential product, hence the same residual entry.  For symmetric A,
 tr(A^(a+b)) = tr(A^a A^b) is the Frobenius inner product <A^a, A^b>_F,
 so the moments up to k need the powers only up to A^ceil(k/2).
 
-Enumeration goes pivot-set by pivot-set: for each choice of pivot
-columns, the free entries of the echelon form range over all field
-elements.  Every subspace has exactly one echelon basis, so this is
-exhaustive and duplicate-free without any hashing of raw matrices.
+The vertex list is one read-only (n, k, v) int64 array of RREF bases,
+built pivot-set by pivot-set: one numpy block per choice of pivot
+columns holds every assignment of field elements to the free entries.
+Every subspace has exactly one echelon basis, so this is exhaustive and
+duplicate-free without any hashing of raw matrices.
 
 Everything here is deliberately independent of the closed-form spectrum
-formulas; the only shared ingredient is the Gaussian-binomial vertex
-count used as a budget guardrail before enumeration starts.
+formulas and of the symbolic gauss: the vertex count, refused above the
+budget before any other work, is the defining product gauss_eval_product.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -48,72 +49,77 @@ import numpy as np
 from .gf import FieldCtx
 from .intmatrix import IntMatrix
 from .laurent import InvariantError
-from .qbinom import gauss
+from .qbinom import gauss_eval_product
 from .spectrum import SpectrumTable
 
 DEFAULT_VERTEX_BUDGET = 2000
 
 
 class BudgetExceededError(ValueError):
-    """Predicted vertex count exceeds the configured budget."""
+    """Predicted vertex count (an int, or "at least 2^b") exceeds the budget."""
 
-    def __init__(self, predicted: int, budget: int):
+    def __init__(self, predicted: int | str, budget: int):
         super().__init__(f"predicted vertex count {predicted} exceeds budget {budget}")
         self.predicted = predicted
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A k-dimensional subspace of F_q^v as its unique RREF basis.
-
-    rows is a k x v matrix of field-element encodings in reduced row
-    echelon form; pivots are its strictly increasing pivot columns.
-    """
-
-    ctx: FieldCtx
-    v: int
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-
 def predicted_vertex_count(v: int, k: int, q: int) -> int:
-    return gauss(v, k).evaluate_int(q)
+    """[v k]_q = [v v-k]_q for 0 <= k <= v, as gauss_eval_product over min(k, v-k) factors."""
+    return int(gauss_eval_product(v, min(k, v - k), q))
 
 
-def enumerate_subspaces(ctx: FieldCtx, v: int, k: int, *, budget: int = DEFAULT_VERTEX_BUDGET) -> list[Subspace]:
-    """All k-subspaces of F_q^v, sorted by (pivot columns, entries).
+def check_vertex_budget(v: int, k: int, q: int, budget: int) -> int:
+    """The vertex count [v k]_q, refused above budget (BudgetExceededError).
 
-    They are generated in that order: combinations yields the pivot sets
-    in order, and product runs over the free entries in row-major order.
-    Refuses to start when the predicted count exceeds budget.
+    Raises ValueError unless 0 <= k <= v and q >= 2.  The pivots 0..k-1
+    leave k(v-k) free entries, so [v k]_q >= q^(k(v-k)) >= 2^bits.  A
+    bound more than 64 bits above the budget refuses alone, so a huge v
+    costs nothing; otherwise the exact count costs O(bits) to compute.
     """
     if not 0 <= k <= v:
         raise ValueError(f"need 0 <= k <= v, got k={k}, v={v}")
-    predicted = predicted_vertex_count(v, k, ctx.q)
+    if q < 2:
+        raise ValueError(f"field order must be an int >= 2, got {q}")
+    bits = k * (v - k) * (q.bit_length() - 1)
+    if bits > budget.bit_length() + 64:
+        raise BudgetExceededError(f"at least 2^{bits}", budget)
+    predicted = predicted_vertex_count(v, k, q)
     if predicted > budget:
         raise BudgetExceededError(predicted, budget)
+    return predicted
 
-    q = ctx.q
-    out: list[Subspace] = []
+
+def enumerate_subspaces(ctx: FieldCtx, v: int, k: int, *, budget: int = DEFAULT_VERTEX_BUDGET) -> np.ndarray:
+    """All k-subspaces of F_q^v as a read-only (n, k, v) int64 array of RREF bases.
+
+    Entries are field-element encodings.  The bases are sorted by (pivot
+    columns, entries), and they are generated in that order: combinations
+    yields the pivot sets in order, and within a pivot set the free
+    entries run in itertools.product order, row-major.  Refuses to start
+    when check_vertex_budget does.
+    """
+    predicted = check_vertex_budget(v, k, ctx.q, budget)
+    bases = _rref_bases(ctx.q, v, k)
+    if len(bases) != predicted:
+        raise InvariantError(f"enumerated {len(bases)} {k}-subspaces of GF({ctx.q})^{v}, the formula gives {predicted}")
+    bases.flags.writeable = False
+    return bases
+
+
+def _rref_bases(q: int, v: int, k: int) -> np.ndarray:
+    # One (q^f, k, v) block per pivot set: 1 at the pivots, and the f free
+    # entries (right of a row's pivot, outside the pivot columns) run over
+    # np.indices, whose flattened order is that of itertools.product.
+    blocks = [np.zeros((0, k, v), dtype=np.int64)]
     for pivots in combinations(range(v), k):
-        pivot_set = set(pivots)
-        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, v) if c not in pivot_set]
-        template = [[0] * v for _ in range(k)]
-        for r, col in enumerate(pivots):
-            template[r][col] = 1
-        for values in product(range(q), repeat=len(free)):
-            rows = [row[:] for row in template]
-            for (r, c), value in zip(free, values):
-                rows[r][c] = value
-            out.append(Subspace(ctx=ctx, v=v, rows=tuple(map(tuple, rows)), pivots=pivots))
-    if len(out) != predicted:
-        raise InvariantError(f"enumerated {len(out)} {k}-subspaces of GF({q})^{v}, the formula gives {predicted}")
-    return out
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, v) if c not in pivots]
+        block = np.zeros((q ** len(free), k, v), dtype=np.int64)
+        block[:, range(k), pivots] = 1
+        rows, cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        block[:, rows, cols] = np.indices((q,) * len(free), dtype=np.int64).reshape(len(free), len(block)).T
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def gf_rank(ctx: FieldCtx, rows: list[list[int]]) -> int:
@@ -141,17 +147,15 @@ def gf_rank(ctx: FieldCtx, rows: list[list[int]]) -> int:
     return rank
 
 
-def intersection_dim(a: Subspace, b: Subspace) -> int:
-    """dim(A intersect B), as 2k minus the rank of the stacked bases."""
-    if a.ctx != b.ctx or a.v != b.v:
-        raise ValueError("subspaces live in different ambient spaces")
-    if a.k != b.k:
-        raise ValueError(f"subspace dimensions differ: {a.k} vs {b.k}")
-    stacked = [list(r) for r in a.rows] + [list(r) for r in b.rows]
-    return 2 * a.k - gf_rank(a.ctx, stacked)
+def intersection_dim(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> int:
+    """dim(A intersect B) for two k x v bases, as 2k minus the rank of the stacked bases."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"need two k x v bases of one shape, got {a.shape} and {b.shape}")
+    return 2 * len(a) - gf_rank(ctx, [*a.tolist(), *b.tolist()])
 
 
-def _point_codes(subspaces: list[Subspace]) -> np.ndarray:
+def _point_codes(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     """The projective points of each vertex, as an (n, [k 1]_q) int64 array.
 
     The points of a subspace are the combinations of its RREF rows whose
@@ -161,21 +165,19 @@ def _point_codes(subspaces: list[Subspace]) -> np.ndarray:
     flattened and read base p (the coordinates read base q).  All
     vertices share the coefficient list, and multiplying by a coefficient
     is a linear map on digits (FieldCtx.mul_maps), so every vector is one
-    contraction.  The vertices must share ctx, v and k.  Codes are below
+    contraction.  The coefficient vectors are the RREF bases of the
+    1-subspaces of F_q^k, in enumeration order.  Codes are below
     q^v, which fits int64 whenever the result fits in memory: q^v <= n^2
     for 1 <= k < v, and q^v <= [v 1]_q^2 for k = v >= 2.
     """
-    first = subspaces[0]
-    ctx, v, k = first.ctx, first.v, first.k
-    coeffs = [(0,) * lead + (1, *rest) for lead in range(k) for rest in product(range(ctx.q), repeat=k - 1 - lead)]
-    maps = ctx.mul_maps(np.array(coeffs, dtype=np.int64).reshape(len(coeffs), k))
-    digits = ctx.digits(np.array([s.rows for s in subspaces], dtype=np.int64).reshape(len(subspaces), k, v))
+    n, k, v = bases.shape
+    maps = ctx.mul_maps(_rref_bases(ctx.q, k, 1)[:, 0])
     # vectors[s, c, t] = sum_r maps[c, r] @ digits[s, r, t] over GF(p)
-    vectors = np.einsum("crab,srtb->scta", maps, digits) % ctx.p
-    return vectors.reshape(len(subspaces), len(coeffs), v * ctx.e) @ ctx.p ** np.arange(v * ctx.e)
+    vectors = np.einsum("crab,srtb->scta", maps, ctx.digits(bases)) % ctx.p
+    return vectors.reshape(n, len(maps), v * ctx.e) @ ctx.p ** np.arange(v * ctx.e)
 
 
-def build_adjacency(subspaces: list[Subspace]) -> IntMatrix:
+def build_adjacency(bases: np.ndarray, ctx: FieldCtx) -> IntMatrix:
     """Adjacency matrix: 1 where two subspaces intersect trivially.
 
     Symmetric 0/1 with a zero diagonal (loops excluded).  Two subspaces
@@ -184,13 +186,10 @@ def build_adjacency(subspaces: list[Subspace]) -> IntMatrix:
     0/1 vertex x point incidence matrix, A = [N N^T == 0] off the diagonal.
     The tests assert that this agrees with intersection_dim == 0.
     """
-    n = len(subspaces)
+    n = len(bases)
     if n == 0:
         raise ValueError("empty vertex list")
-    first = subspaces[0]
-    if any(s.ctx != first.ctx or s.v != first.v or s.k != first.k for s in subspaces):
-        raise ValueError("vertex list mixes ambient spaces")
-    codes = _point_codes(subspaces)
+    codes = _point_codes(ctx, bases)
     points, columns = np.unique(codes, return_inverse=True)
     incidence = np.zeros((n, len(points)))
     incidence[np.arange(n).repeat(codes.shape[1]), columns.ravel()] = 1
@@ -351,9 +350,9 @@ def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable) -> Certific
 # serialization
 
 
-def dump_vertices(subspaces: list[Subspace], path: str | Path) -> None:
+def dump_vertices(bases: np.ndarray, path: str | Path) -> None:
     """One RREF basis per line: entry encodings, row-major, space-separated."""
-    lines = [" ".join(str(x) for row in s.rows for x in row) for s in subspaces]
+    lines = [" ".join(map(str, basis)) for basis in bases.reshape(len(bases), -1).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -60,20 +60,6 @@ class SpectrumTable:
     def multiplicities(self) -> list[LaurentPoly | int]:
         return [entry.multiplicity for entry in self.entries]
 
-    def to_json_dict(self) -> dict:
-        def cell(value: LaurentPoly | int) -> str | int:
-            return value if isinstance(value, int) else str(value)
-
-        return {
-            "v": self.v,
-            "k": self.k,
-            "q": self.q,
-            "entries": [
-                {"j": e.j, "eigenvalue": cell(e.eigenvalue), "multiplicity": cell(e.multiplicity)}
-                for e in self.entries
-            ],
-        }
-
 
 def _validate_vkj(v: int, k: int, j: int | None, *, min_k: int) -> None:
     if k < min_k:

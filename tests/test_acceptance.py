@@ -42,7 +42,7 @@ def graphs():
     for v, k, q in COUNTING_CASES:
         ctx = field_of_order(q)
         subspaces = enumerate_subspaces(ctx, v, k)
-        built[(v, k, q)] = (subspaces, build_adjacency(subspaces))
+        built[(v, k, q)] = (subspaces, build_adjacency(subspaces, ctx))
     return built
 
 

@@ -309,10 +309,24 @@ def test_verify_spectrum_gf4(capsys):
                          "9a4ce12d46baaff695c6b003bf580af328c1caee056320b632dda79b3785f440",
                          "2a2ef5ff6ee7e2061c15e8ff77f594c748b68373856c440ff044ac5a99d7bb35",
                          "6fbd014bf64fcf45c1513872f1a3333f6f4601775998d6c76ffd19c31d7f6736")),
+    (("4", "2", "5"), ("be92c54bf8267f24ff88b29746592450e5780185dbe38cf5bc367534a04689c8",
+                       "69fd2b15f989a67e222cd93c401637e76931b5205b9e66bd8191fb250c68e472",
+                       "7a8b50759cd4200e09c1246383b74fbb629a7a5f0684d0f7b3221d7067644a18",
+                       "2aee6cb19f80a721c8b83c39d29733b5c39566d1c2302dfb8631eb069d0bfeaa")),
+    (("6", "3", "2"), ("4654173ea0fa8691ff6e13ce0cbed8bd41e3f4d3e41ca31c900298c9262d9eb9",
+                       "6feacd7cf36c0da809d89f68ed449549bab76e335469c1a60a80328833759d59",
+                       "cd047124c6f79845bb1879a3c42ed36ced5dc8e749e16d24d89f91dd5529af61",
+                       "de221442504169f05ec8c4f49b0f1e3bd9c59e1a6adb497663ac05fcb7f9ed58")),
+    (("2", "1", "1999"), ("8b43bc55a4f77d7eee447eab8432fdd6f85183c4a163bea0663cf6987c354ddc",
+                          "4080fd865da516062eacc4b6eaf513599c97e44ae41c7fc85cb5fdca5c19d17f",
+                          "054e462844f041a359fdf0c5ccc9d558154acdaef48a3670021501be70abd88a",
+                          "74b5bf5db72034defb1c7fe8d13709ae66ff406f164234d12537714c0d751978")),
 ])
-def test_verify_spectrum_extension_field_golden_sha256(capsys, monkeypatch, tmp_path, argv, digests):
-    # sha256 of stdout, adjacency.txt, vertices.txt and certification.json,
-    # as written when GF(q) arithmetic for q <= 256 still ran on q x q tables
+def test_verify_spectrum_golden_sha256(capsys, monkeypatch, tmp_path, argv, digests):
+    # sha256 of stdout, adjacency.txt, vertices.txt and certification.json:
+    # the extension fields as written when GF(q) arithmetic for q <= 256 still
+    # ran on q x q tables, and all six as written by the per-vertex Subspace
+    # enumeration that the (n, k, v) array replaced
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "verify", "spectrum", *argv, "--dump", "dump")
     assert code == 0
@@ -360,6 +374,39 @@ def test_count_subspaces(capsys):
 def test_count_subspaces_budget(capsys):
     code, _, err = run(capsys, "count-subspaces", "6", "3", "2", "--budget", "10")
     assert code == 2 and "1395" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "spectrum", "3000", "2", "2"),
+    ("count-subspaces", "3000", "2", "2"),
+    ("verify", "spectrum", "2", "1", str(1009**4)),
+    ("count-subspaces", "100000", "1", "2"),
+    ("verify", "spectrum", "4", "2", "6", "--budget", "100"),  # not a prime power, but too big first
+    ("count-subspaces", str(10**12), "2", "2"),
+])
+def test_budget_is_refused_before_any_other_work(capsys, monkeypatch, argv):
+    # neither the field (a modulus search, or trial division of q) nor the
+    # predicted spectrum (a gauss memo) may be built for a graph over budget
+    for name in ("field_of_order", "spectrum_table", "enumerate_subspaces"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} called"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "exceeds budget" in err and "Traceback" not in err
+
+
+def test_budget_refusal_keeps_the_other_messages_within_budget(capsys):
+    code, _, err = run(capsys, "verify", "spectrum", "3", "2", "2")
+    assert code == 2 and "null graph" in err
+    code, _, err = run(capsys, "verify", "spectrum", "4", "2", "6")
+    assert code == 2 and "prime power" in err
+    code, _, err = run(capsys, "count-subspaces", "4", "2", "6")
+    assert code == 2 and "prime power" in err
+
+
+def test_count_subspaces_at_a_large_prime(capsys):
+    # the modulus of GF(p) is x, found without listing the p candidates
+    code, out, _ = run(capsys, "count-subspaces", "3", "0", "10000000000037")
+    assert (code, out) == (0, "1 = 1\n")
 
 
 def test_usage_error_exit_2(capsys):

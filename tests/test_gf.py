@@ -1,5 +1,7 @@
 """Finite field construction and arithmetic, exhaustively at small orders."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,27 @@ def test_larger_extension_field():
     for a in range(1, 16):
         assert ctx.mul(a, ctx.inv(a)) == 1
         assert ctx.pow(a, 15) == 1
+
+
+def test_moduli_are_pinned():
+    # the modulus of every GF(p^e) with q <= 10^4 and e <= 4, as the
+    # candidate search chose it when it still ran on itertools.product
+    moduli = []
+    for q in range(2, 10**4 + 1):
+        try:
+            p, e = factor_prime_power(q)
+        except ValueError:
+            continue
+        if e <= 4:
+            moduli.append((q, make_field(p, e).modulus))
+    assert len(moduli) == 1266
+    assert hashlib.sha256(repr(moduli).encode()).hexdigest() == (
+        "3ec9695f2037fc7617c1ba4c65e424357b8e8778d03a49df63d3786847b10a45")
+
+
+def test_prime_modulus_needs_no_list_of_candidates():
+    # a large prime p: the modulus x is the first candidate, found at once
+    assert make_field(10000000000037, 1).modulus == (0, 1)
 
 
 def test_context_equality():

@@ -10,9 +10,9 @@ from qkneser.intmatrix import IntMatrix
 from qkneser.laurent import InvariantError
 from qkneser.oracle import (
     BudgetExceededError,
-    Subspace,
     build_adjacency,
     certify_spectrum,
+    check_vertex_budget,
     dump_adjacency,
     dump_certification,
     dump_vertices,
@@ -25,49 +25,72 @@ from qkneser.qbinom import gauss
 from qkneser.spectrum import SpectrumEntry, SpectrumTable, spectrum_table
 
 
-def assert_rref(s):
-    k, v = s.k, s.v
-    assert list(s.pivots) == sorted(set(s.pivots))
-    assert len(s.pivots) == k
-    for r in range(k):
-        row = s.rows[r]
-        assert row[s.pivots[r]] == 1
-        assert all(x == 0 for x in row[: s.pivots[r]])
-        for other in range(k):
-            if other != r:
-                assert s.rows[other][s.pivots[r]] == 0
+def pivots_of(basis):
+    # the column of each row's first nonzero entry
+    return tuple(int(np.flatnonzero(row)[0]) for row in basis)
+
+
+def assert_rref(basis):
+    pivots = pivots_of(basis)
+    assert list(pivots) == sorted(set(pivots))
+    for r, col in enumerate(pivots):
+        assert basis[r, col] == 1
+        assert basis[:, col].tolist() == [int(other == r) for other in range(len(basis))]
+
+
+def sorted_order(bases):
+    # (pivot columns, entries) order, by a plain Python sort
+    return sorted(bases.tolist(), key=lambda rows: (pivots_of(np.array(rows)), rows))
 
 
 def test_enumerate_lines_of_f2_cubed():
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 3, 1)
-    assert len(subs) == 7  # one line per nonzero vector
+    assert subs.shape == (7, 1, 3) and subs.dtype == np.int64  # one line per nonzero vector
     for s in subs:
         assert_rref(s)
-    assert len(set(subs)) == 7
+    assert len(np.unique(subs, axis=0)) == 7
 
 
 def test_enumerate_planes_of_f2_fourth():
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 4, 2)
-    assert len(subs) == 35
+    assert subs.shape == (35, 2, 4)
     for s in subs:
         assert_rref(s)
-    assert subs == sorted(subs, key=lambda s: (s.pivots, s.rows))
+    assert subs.tolist() == sorted_order(subs)
 
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 3), (6, 3, 2), (4, 2, 4), (3, 1, 9), (5, 3, 3), (4, 0, 2), (4, 4, 3)])
 def test_enumeration_is_generated_sorted(v, k, q):
     # the docstring's order comes from the generation itself, with no sort
     subs = enumerate_subspaces(field_of_order(q), v, k)
-    assert subs == sorted(subs, key=lambda s: (s.pivots, s.rows))
+    assert subs.tolist() == sorted_order(subs)
+    for s in subs:
+        assert_rref(s)
+    assert len(np.unique(subs.reshape(len(subs), -1), axis=0)) == len(subs)
 
 
 def test_enumerate_zero_subspace():
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 3, 0)
-    assert len(subs) == 1
-    assert subs[0].rows == () and subs[0].pivots == ()
+    assert subs.shape == (1, 0, 3) and subs.dtype == np.int64
+
+
+@pytest.mark.parametrize("v,q", [(1, 2), (3, 2), (3, 5), (2, 4)])
+def test_enumerate_whole_space(v, q):
+    subs = enumerate_subspaces(field_of_order(q), v, v)
+    assert subs.shape == (1, v, v) and subs.dtype == np.int64
+    assert subs[0].tolist() == np.eye(v, dtype=np.int64).tolist()
+
+
+def test_enumeration_is_read_only():
+    subs = enumerate_subspaces(make_field(2, 1), 4, 2)
+    assert not subs.flags.writeable
+    with pytest.raises(ValueError):
+        subs[0, 0, 0] = 5
+    with pytest.raises(ValueError):
+        subs[0][1] = 0
 
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (5, 2, 2), (6, 2, 2), (4, 2, 3),
@@ -86,6 +109,42 @@ def test_budget_guardrail():
         enumerate_subspaces(ctx, 6, 3, budget=100)
     assert err.value.predicted == 1395
     assert err.value.budget == 100
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_budget_check_refuses_exactly_above_budget(q):
+    # the symbolic gauss is the independent count here
+    for v in range(7):
+        for k in range(v + 1):
+            count = gauss(v, k).evaluate_int(q)
+            assert check_vertex_budget(v, k, q, count) == count
+            with pytest.raises(BudgetExceededError) as err:
+                check_vertex_budget(v, k, q, count - 1)
+            assert err.value.predicted == count
+
+
+def test_budget_check_refuses_by_the_bound_alone(monkeypatch):
+    # [v k]_q >= q^(k(v-k)): above budget by more than 64 bits, the count
+    # is never computed, so a huge v costs nothing
+    monkeypatch.setattr(oracle, "predicted_vertex_count", lambda v, k, q: pytest.fail("count computed"))
+    for v, k, q, bits in [(10**12, 2, 2, 2 * (10**12 - 2)), (100, 50, 3, 2500), (68, 1, 2, 67), (3, 1, 2**80, 160)]:
+        with pytest.raises(BudgetExceededError, match=rf"at least 2\^{bits} exceeds budget 2\b"):
+            check_vertex_budget(v, k, q, 2)
+
+
+def test_budget_check_shows_the_exact_count_near_the_bound():
+    # 66 bits of bound against a 2-bit budget: within the 64-bit margin
+    with pytest.raises(BudgetExceededError) as err:
+        check_vertex_budget(67, 1, 2, 2)
+    assert err.value.predicted == 2**67 - 1
+
+
+@pytest.mark.parametrize("v,k,q,message", [(3, 4, 2, "0 <= k <= v"), (3, -1, 2, "0 <= k <= v"),
+                                           (-1, 0, 2, "0 <= k <= v"), (3, 1, 1, ">= 2"), (3, 1, -4, ">= 2")])
+def test_budget_check_rejects_bad_arguments(v, k, q, message):
+    with pytest.raises(ValueError, match=message) as err:
+        check_vertex_budget(v, k, q, 2000)
+    assert not isinstance(err.value, BudgetExceededError)
 
 
 def test_enumeration_count_mismatch_is_a_verification_failure(monkeypatch, capsys):
@@ -121,14 +180,14 @@ def test_intersection_dim_examples():
     ctx = make_field(2, 1)
     planes = enumerate_subspaces(ctx, 4, 2)
     for s in planes:
-        assert intersection_dim(s, s) == s.k
+        assert intersection_dim(ctx, s, s) == 2
     lines2 = enumerate_subspaces(ctx, 2, 1)
     for a in lines2:
         for b in lines2:
-            assert intersection_dim(a, b) == (1 if a == b else 0)
-    e12 = next(s for s in planes if s.rows == ((1, 0, 0, 0), (0, 1, 0, 0)))
-    e23 = next(s for s in planes if s.rows == ((0, 1, 0, 0), (0, 0, 1, 0)))
-    assert intersection_dim(e12, e23) == 1
+            assert intersection_dim(ctx, a, b) == (1 if np.array_equal(a, b) else 0)
+    e12 = next(s for s in planes if s.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]])
+    e23 = next(s for s in planes if s.tolist() == [[0, 1, 0, 0], [0, 0, 1, 0]])
+    assert intersection_dim(ctx, e12, e23) == 1
 
 
 def test_intersection_dim_bounds_and_symmetry():
@@ -136,10 +195,10 @@ def test_intersection_dim_bounds_and_symmetry():
     planes = enumerate_subspaces(ctx, 4, 2)
     for a in planes[:12]:
         for b in planes[:12]:
-            d = intersection_dim(a, b)
-            assert d == intersection_dim(b, a)
-            assert max(0, 2 * a.k - a.v) <= d <= a.k
-            assert (d == a.k) == (a == b)
+            d = intersection_dim(ctx, a, b)
+            assert d == intersection_dim(ctx, b, a)
+            assert 0 <= d <= 2
+            assert (d == 2) == np.array_equal(a, b)
 
 
 def test_intersection_dim_rejects_mixed_ambient():
@@ -147,21 +206,32 @@ def test_intersection_dim_rejects_mixed_ambient():
     a = enumerate_subspaces(ctx, 3, 1)[0]
     b = enumerate_subspaces(ctx, 4, 1)[0]
     with pytest.raises(ValueError):
-        intersection_dim(a, b)
-    c = enumerate_subspaces(ctx, 4, 2)[0]
+        intersection_dim(ctx, a, b)
+    planes = enumerate_subspaces(ctx, 4, 2)
     with pytest.raises(ValueError):
-        intersection_dim(b, c)
+        intersection_dim(ctx, b, planes[0])
+    with pytest.raises(ValueError):
+        intersection_dim(ctx, planes, planes)  # a vertex list, not one basis
+
+
+def adjacency_of(ctx, v, k):
+    return build_adjacency(enumerate_subspaces(ctx, v, k), ctx)
+
+
+def test_adjacency_rejects_an_empty_vertex_list():
+    with pytest.raises(ValueError, match="empty"):
+        build_adjacency(np.zeros((0, 1, 2), dtype=np.int64), make_field(2, 1))
 
 
 def test_adjacency_is_triangle_for_qk_2_1_2():
     ctx = make_field(2, 1)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, 2, 1))
+    adjacency = adjacency_of(ctx, 2, 1)
     assert adjacency.to_array().tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_adjacency_regular_of_degree_16():
     ctx = make_field(2, 1)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, 4, 2))
+    adjacency = adjacency_of(ctx, 4, 2)
     assert set(adjacency.row_sums()) == {16}
     assert adjacency.is_symmetric()
     assert not adjacency.to_array().diagonal().any()
@@ -169,16 +239,16 @@ def test_adjacency_regular_of_degree_16():
 
 def test_adjacency_k0_is_single_vertex():
     ctx = make_field(2, 1)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, 3, 0))
+    adjacency = adjacency_of(ctx, 3, 0)
     assert adjacency.to_array().tolist() == [[0]]
 
 
-def rank_route_mismatch(subs, adjacency):
+def rank_route_mismatch(ctx, subs, adjacency):
     # first (i, j) where the adjacency disagrees with stacked-rank intersection
     entries = adjacency.to_array()
     for i in range(len(subs)):
         for j in range(len(subs)):
-            expected = 1 if i != j and intersection_dim(subs[i], subs[j]) == 0 else 0
+            expected = 1 if i != j and intersection_dim(ctx, subs[i], subs[j]) == 0 else 0
             if entries[i, j] != expected:
                 return i, j
     return None
@@ -189,7 +259,7 @@ def test_adjacency_agrees_with_rank_route(v, k, q):
     # the point-incidence product must match stacked-rank intersection
     ctx = field_of_order(q)
     subs = enumerate_subspaces(ctx, v, k)
-    assert rank_route_mismatch(subs, build_adjacency(subs)) is None
+    assert rank_route_mismatch(ctx, subs, build_adjacency(subs, ctx)) is None
 
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 3), (3, 2, 4), (3, 1, 8), (4, 0, 2)])
@@ -197,14 +267,14 @@ def test_point_codes_are_the_canonical_points(v, k, q):
     ctx = field_of_order(q)
     points_per_vertex = int(gauss(k, 1).evaluate(q))
     subs = enumerate_subspaces(ctx, v, k)
-    codes = oracle._point_codes(subs)
+    codes = oracle._point_codes(ctx, subs)
     assert codes.shape == (len(subs), points_per_vertex) and codes.dtype == np.int64
     for s, row in zip(subs, codes.tolist()):
         assert len(set(row)) == points_per_vertex
         for code in row:
             vec = [code // q**t % q for t in range(v)]
             assert next(x for x in vec if x) == 1
-            assert gf_rank(ctx, [*s.rows, vec]) == k  # the point lies in s
+            assert gf_rank(ctx, [*s.tolist(), vec]) == k  # the point lies in s
 
 
 def test_dropped_point_is_caught(monkeypatch):
@@ -215,28 +285,28 @@ def test_dropped_point_is_caught(monkeypatch):
     subs = enumerate_subspaces(ctx, 4, 2)
     honest = oracle._point_codes
 
-    def lossy(subspaces):
-        codes = honest(subspaces)
+    def lossy(ctx, bases):
+        codes = honest(ctx, bases)
         codes[0, 0] = codes[0, 1]
         return codes
 
     monkeypatch.setattr(oracle, "_point_codes", lossy)
-    adjacency = build_adjacency(subs)
-    assert rank_route_mismatch(subs, adjacency) is not None
+    adjacency = build_adjacency(subs, ctx)
+    assert rank_route_mismatch(ctx, subs, adjacency) is not None
     assert not certify_spectrum(adjacency, spectrum_table(4, 2, 2)).certified
 
 
 def test_regularity_matches_predicted_degree():
     for v, k, q in [(4, 2, 2), (5, 2, 2), (2, 1, 5), (4, 2, 3)]:
         ctx = field_of_order(q)
-        adjacency = build_adjacency(enumerate_subspaces(ctx, v, k))
+        adjacency = adjacency_of(ctx, v, k)
         degree = gauss(v - k, k).shift(k * k).evaluate(q)
         assert set(adjacency.row_sums()) == {int(degree)}
 
 
 def test_certify_qk_4_2_2():
     ctx = make_field(2, 1)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, 4, 2))
+    adjacency = adjacency_of(ctx, 4, 2)
     result = certify_spectrum(adjacency, spectrum_table(4, 2, 2))
     assert result.certified
     assert result.annihilation_ok and result.moments_ok
@@ -248,7 +318,7 @@ def test_certify_qk_4_2_2():
 
 def test_certify_triangle():
     ctx = make_field(2, 1)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, 2, 1))
+    adjacency = adjacency_of(ctx, 2, 1)
     result = certify_spectrum(adjacency, spectrum_table(2, 1, 2))
     assert result.certified
     assert result.predicted_eigenvalues == [2, -1]
@@ -259,7 +329,7 @@ def test_certify_triangle():
 def test_certify_more_cases(v, k, q):
     # qK(2,1) is complete on q+1 vertices: distinct lines of a plane meet trivially
     ctx = field_of_order(q)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, v, k))
+    adjacency = adjacency_of(ctx, v, k)
     result = certify_spectrum(adjacency, spectrum_table(v, k, q))
     assert result.certified
     assert sum(result.certified_multiplicities) == result.vertex_count
@@ -277,7 +347,7 @@ def _tweaked(table, j, d_eig=0, d_mult=0):
 
 def test_certify_detects_wrong_multiplicity():
     ctx = make_field(2, 1)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, 4, 2))
+    adjacency = adjacency_of(ctx, 4, 2)
     wrong = _tweaked(spectrum_table(4, 2, 2), j=1, d_mult=-1)  # 13 instead of 14
     result = certify_spectrum(adjacency, wrong)
     assert not result.moments_ok
@@ -287,7 +357,7 @@ def test_certify_detects_wrong_multiplicity():
 
 def test_certify_detects_wrong_eigenvalue():
     ctx = make_field(2, 1)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, 4, 2))
+    adjacency = adjacency_of(ctx, 4, 2)
     wrong = _tweaked(spectrum_table(4, 2, 2), j=2, d_eig=1)  # 3 instead of 2
     result = certify_spectrum(adjacency, wrong)
     assert not result.annihilation_ok
@@ -297,7 +367,7 @@ def test_certify_detects_wrong_eigenvalue():
 
 @pytest.fixture(scope="module")
 def qk_6_3_2():
-    return build_adjacency(enumerate_subspaces(make_field(2, 1), 6, 3))
+    return adjacency_of(make_field(2, 1), 6, 3)
 
 
 def _perturbations(table):
@@ -352,7 +422,7 @@ def sequential_first_nonzero(adjacency, eigenvalues):
 def test_residual_entry_matches_the_sequential_product(v, k, q):
     # the grouped factors multiply to the same P(A) as prod_j (A - lambda_j I)
     # in the given order, so a wrong prediction reports the same entry
-    adjacency = build_adjacency(enumerate_subspaces(field_of_order(q), v, k))
+    adjacency = adjacency_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     for e in table.entries:
         for d in (-1, 1):
@@ -365,7 +435,7 @@ def test_residual_entry_matches_the_sequential_product(v, k, q):
 @pytest.mark.parametrize("v,k,q,products", [(3, 1, 2, 1), (2, 1, 5, 1), (4, 2, 2, 2), (4, 2, 3, 2), (6, 3, 2, 2)])
 def test_certification_product_count(monkeypatch, qk_6_3_2, v, k, q, products):
     # A^2, then one product per extra factor: ceil((k+1)/2) factors for k <= 3
-    adjacency = qk_6_3_2 if (v, k, q) == (6, 3, 2) else build_adjacency(enumerate_subspaces(field_of_order(q), v, k))
+    adjacency = qk_6_3_2 if (v, k, q) == (6, 3, 2) else adjacency_of(field_of_order(q), v, k)
     calls = []
     real = IntMatrix.__matmul__
 
@@ -380,7 +450,7 @@ def test_certification_product_count(monkeypatch, qk_6_3_2, v, k, q, products):
 
 def test_certify_rejects_degenerate_predictions():
     ctx = make_field(2, 1)
-    adjacency = build_adjacency(enumerate_subspaces(ctx, 2, 1))
+    adjacency = adjacency_of(ctx, 2, 1)
     table = spectrum_table(2, 1, 2)
     repeated = SpectrumTable(v=2, k=1, q=2, entries=(
         SpectrumEntry(0, 2, 1), SpectrumEntry(1, 2, 2)))
@@ -396,7 +466,7 @@ def test_certify_rejects_degenerate_predictions():
 def test_dump_files(tmp_path):
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 2, 1)
-    adjacency = build_adjacency(subs)
+    adjacency = build_adjacency(subs, ctx)
     result = certify_spectrum(adjacency, spectrum_table(2, 1, 2))
 
     vertex_path = tmp_path / "vertices.txt"
@@ -432,5 +502,5 @@ def test_extension_field_vertices_serialize_with_element_encodings():
     ctx = make_field(2, 2)  # GF(4): encodings 0..3 appear literally
     subs = enumerate_subspaces(ctx, 2, 1)
     assert len(subs) == 5
-    flat = {x for s in subs for row in s.rows for x in row}
+    flat = set(subs.ravel().tolist())
     assert flat == {0, 1, 2, 3}

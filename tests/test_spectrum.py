@@ -1,7 +1,10 @@
 """Spectrum formulas: both closed forms, multiplicities, spectral sums."""
 
+import json
+
 import pytest
 
+from qkneser.cli import main
 from qkneser.laurent import ONE, LaurentPoly
 from qkneser.qbinom import gauss
 from qkneser.spectrum import (
@@ -152,9 +155,13 @@ def test_rejects_non_prime_power_q():
             spectrum_table(4, 2, bad)
 
 
-def test_json_schema():
-    payload = spectrum_table(4, 2, 2).to_json_dict()
-    assert payload == {
+def test_json_schema(capsys):
+    # the table's JSON form is the one `eigenvalues --format json` prints
+    def payload(*argv):
+        assert main(["eigenvalues", "4", "2", *argv, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert payload("--q", "2") == {
         "v": 4, "k": 2, "q": 2,
         "entries": [
             {"j": 0, "eigenvalue": 16, "multiplicity": 1},
@@ -162,6 +169,6 @@ def test_json_schema():
             {"j": 2, "eigenvalue": 2, "multiplicity": 20},
         ],
     }
-    symbolic = spectrum_table(4, 2).to_json_dict()
+    symbolic = payload()
     assert symbolic["q"] is None
     assert symbolic["entries"][0]["eigenvalue"] == "q^4"
