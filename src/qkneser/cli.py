@@ -9,8 +9,9 @@ Subcommands:
   count-subspaces V K Q                enumeration count vs formula
 
 Exit codes: 0 success/certified, 1 verification failure, 2 usage or
-resource error.  Output ordering is deterministic everywhere so that
-csv/json outputs can be golden-file tested.
+resource error (a MemoryError included).  Output ordering is
+deterministic everywhere so that csv/json outputs can be golden-file
+tested.
 """
 
 from __future__ import annotations
@@ -239,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)

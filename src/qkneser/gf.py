@@ -21,6 +21,7 @@ are immutable and all arithmetic is pure.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -28,16 +29,39 @@ import numpy as np
 MAX_EXTENSION_DEGREE = 4
 
 
+# Miller-Rabin to these bases, the first 13 primes, proves primality below
+# PRIME_TEST_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, decided exactly; ValueError where it cannot be.
+
+    A Miller-Rabin witness among the first 13 primes proves n composite at
+    any size; their passing the test proves n prime below PRIME_TEST_LIMIT,
+    and a larger n that passes is refused.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: the Miller-Rabin test to the first 13 "
+                         f"prime bases is a proof only below {PRIME_TEST_LIMIT}")
     return True
 
 
@@ -45,21 +69,42 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, e) with p prime and q = p^e, or raise ValueError."""
     if isinstance(q, bool) or not isinstance(q, int) or q < 2:
         raise ValueError(f"field order must be an int >= 2, got {q!r}")
-    p = 2
-    while p * p <= q:
+    for p in _PRIME_BASES:
         if q % p == 0:
+            e, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            if rest != 1:
+                raise ValueError(f"{q} is not a prime power")
+            return p, e
+    # Every prime factor of q now exceeds 41 > 2^5, so q = p^e has e <= bits/5.
+    # The largest e with an exact root leaves a root that is no perfect
+    # power, so q is a prime power iff that root is prime.
+    for e in range(q.bit_length() // 5, 1, -1):
+        p = _iroot(q, e)
+        if p**e == q:
             break
-        p += 1
     else:
-        return q, 1  # q itself is prime
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+        p, e = q, 1
+    if not is_prime(p):
         raise ValueError(f"{q} is not a prime power")
     return p, e
+
+
+def _iroot(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q >= 1 and e >= 2, by Newton's method from above."""
+    bits = q.bit_length()
+    if bits <= 1000 * e:
+        # a seed above the root (float errors here are ~1e-12); the iteration is exact
+        root = int(2.0 ** (math.log2(q) / e) * (1 + 1e-9)) + 1
+    else:
+        root = 1 << -(-bits // e)
+    while True:
+        nxt = ((e - 1) * root + q // root ** (e - 1)) // e
+        if nxt >= root:
+            return root
+        root = nxt
 
 
 # ----------------------------------------------------------------------

@@ -1,37 +1,48 @@
 """Exact Laurent polynomials in one indeterminate q over the integers.
 
-A polynomial is stored densely as its valuation `_low` (the smallest
-exponent) and the tuple `_coeffs` of the coefficients of q^_low, q^(_low+1),
-... up to the degree, with integer exponents of either sign and
-arbitrary-precision integer coefficients.  Normalization is eager: neither
-end of `_coeffs` is zero and the zero polynomial is `(0, ())`, so
-structural equality is semantic equality.  Interior zeros are stored, so
-memory grows with degree - valuation rather than with the number of terms:
-Gaussian binomials have no gaps, but a hand-built q^(10^9) + 1 would hold
-a billion slots.
+A polynomial is stored as its valuation `_low` (the smallest exponent)
+and its Kronecker image: one big integer with one w-byte slot per
+coefficient,  image = sum_k c_k * 2^(8wk),  where c_k is the coefficient
+of q^(_low+k) and w (`_width`) is wide enough that |c_k| < 2^(8w-1).
+Adding 2^(8w-1) to every slot puts each one in [0, 2^(8w)), so the
+base-2^(8w) digits of the biased image are the biased coefficients; the
+map is linear at a fixed width, and different coefficient vectors have
+different images.  The image is the working form: every operation
+computes on it, and the coefficient tuple is unpacked (and kept) only
+when something reads coefficients: items, coefficient, evaluate,
+coefficient_sum, rendering and hashing.  Exponents may have either sign
+and coefficients are arbitrary-precision integers.  Normalization is
+eager: the lowest slot is nonzero and the zero polynomial is (0, image 0),
+and the top slot is nonzero by construction, since the image of K + 1
+slots with a nonzero top has  2^(8wK-1) < |image| < 2^(8w(K+1)-1)  and so
+K = bit_length(|image|) // 8w.  Interior zeros are stored, so memory
+grows with degree - valuation rather than with the number of terms:
+Gaussian binomials have no gaps, but a hand-built q^(10^9) + 1 would
+hold a billion slots.
 
-Products use Kronecker substitution: each operand becomes one big integer
-with one w-byte slot per coefficient, CPython multiplies the two integers
-once, and the slots of the result are the product's coefficients.  It is
-exact because every product coefficient is a sum of at most
-min(len a, len b) terms a_i*b_j, so its magnitude is at most
-min(len a, len b) * max|a| * max|b| < 2^(8w-1); adding 2^(8w-1) to every
-slot puts each one in [0, 2^(8w)), so the base-2^(8w) digits of the biased
-product are the biased coefficients.
+A whole signed, shifted sum of products  sum_t (+-1) q^(e_t) a_t * b_t
+(sum_of_products) is one big-integer sum: the operands' images at one
+common width are multiplied, each product is moved into place by a left
+shift of 8w bits per exponent and added or subtracted.  Every coefficient
+of a_t * b_t is a sum of at most min(len a_t, len b_t) products, so every
+coefficient of the sum is bounded by the sum of the per-term bounds
+sum_t min(len a_t, len b_t) * max|a_t| * max|b_t|, which fixes w.  The
+total is the result's image as it stands: the zero slots it may have
+lost at the low end to cancellation are cut off from its lowest set bit,
+and the top ones vanish by themselves.  Each instance computes its exact
+max|coefficient| once, from the image, and keeps it.  A product is the
+one-term sum and a sum or difference the two-term sum against 1, so
+there is a single arithmetic path; shift and negation act on the image
+directly.
 
-The map to big integers is linear at a fixed slot width, so a whole
-signed, shifted sum  sum_t (+-1) q^(e_t) a_t * b_t  (sum_of_products) is
-one big-integer sum: each product is moved into place by a left shift of
-8w bits per exponent and added or subtracted.  Every coefficient of the
-sum is bounded by the sum of the per-term bounds,
-sum_t min(len a_t, len b_t) * max|a_t| * max|b_t|, which fixes w; the
-sum is unpacked once and trimmed at both ends, since terms may cancel.
-A product is the one-term sum, so there is a single product path.
-
-Each instance caches its packed form for the last slot width it was
-packed at (one slot, `_packed`), because the Gaussian-binomial memo hands
-the same operands to many sums; the cache is invisible to equality,
-hashing and rendering.
+An image is moved to another width by re-slotting: bias it at the
+narrower of the two widths, copy the low bytes of every slot into slots
+of the new width (one numpy copy of the byte array, no Python loop over
+coefficients), and take the bias off at the new width.  Each instance
+keeps the last re-slot it made (`_alt`), because the Gaussian-binomial
+memo hands the same operands to many sums.  Equality compares the two
+images at the wider of the two widths; the width and the caches are
+invisible to equality, hashing and rendering.
 
 Instances are immutable and may be shared freely; every operation returns
 a fresh value.  Evaluation at an integer point q0 >= 2 is exact and yields
@@ -42,10 +53,11 @@ anywhere in this module.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Mapping
+
+import numpy as np
 
 
 class InvariantError(RuntimeError):
@@ -67,9 +79,15 @@ def _slot_bytes(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _bias(width: int, size: int) -> int:
-    """2^(8*width-1) in each of size slots of width bytes."""
-    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * size, "little")
+def _slot_count(image: int, width: int) -> int:
+    """Number of slots of a normalized image: its top slot is the last nonzero one."""
+    return image.bit_length() // (8 * width) + 1 if image else 0
+
+
+def _bias(width: int, size: int, narrow: int | None = None) -> int:
+    """2^(8*narrow-1) in each of size slots of width bytes (narrow defaults to width)."""
+    half = 1 << (8 * (width if narrow is None else narrow) - 1)
+    return int.from_bytes(half.to_bytes(width, "little") * size, "little")
 
 
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
@@ -79,8 +97,28 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
 
 
+def _slots(image: int, width: int, size: int, narrow: int | None = None) -> np.ndarray:
+    """The biased slots of an image as a (size, width) uint8 array, least significant byte first."""
+    raw = (image + _bias(width, size, narrow)).to_bytes(size * width, "little")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(size, width)
+
+
+def _reslot(image: int, size: int, old: int, new: int) -> int:
+    """The same coefficients in slots of new bytes instead of old ones.
+
+    Every coefficient must fit both widths, |c| < 2^(8*min(old, new)-1): biased
+    by half of the narrower width, each slot is then its low min(old, new) bytes.
+    """
+    if size <= 1:
+        return image  # a single slot is the coefficient itself at every width
+    narrow = min(old, new)
+    out = np.zeros((size, new), dtype=np.uint8)
+    out[:, :narrow] = _slots(image, old, size, narrow)[:, :narrow]
+    return int.from_bytes(out.tobytes(), "little") - _bias(new, size, narrow)
+
+
 class LaurentPoly:
-    """A dense, normalized, immutable Laurent polynomial in q.
+    """A normalized, immutable Laurent polynomial in q, held as its Kronecker image.
 
     >>> LaurentPoly({1: 1, 0: 1}) * LaurentPoly({1: 1, 0: -1})
     LaurentPoly('q^2 - 1')
@@ -88,7 +126,7 @@ class LaurentPoly:
     Fraction(1, 1)
     """
 
-    __slots__ = ("_low", "_coeffs", "_packed")
+    __slots__ = ("_low", "_width", "_image", "_len", "_coeffs", "_max", "_alt")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         pairs = terms.items() if isinstance(terms, Mapping) else (terms or ())
@@ -98,33 +136,68 @@ class LaurentPoly:
             _check_int(coeff, "coefficient")
             summed[exp] = summed.get(exp, 0) + coeff
         nonzero = {exp: coeff for exp, coeff in summed.items() if coeff}
-        self._low, self._coeffs, self._packed = 0, (), None
+        low, coeffs = 0, ()
         if nonzero:
-            self._low = min(nonzero)
-            dense = [0] * (max(nonzero) - self._low + 1)
+            low = min(nonzero)
+            dense = [0] * (max(nonzero) - low + 1)
             for exp, coeff in nonzero.items():
-                dense[exp - self._low] = coeff
-            self._coeffs = tuple(dense)
+                dense[exp - low] = coeff
+            coeffs = tuple(dense)
+        top = max(map(abs, coeffs), default=0)
+        width = _slot_bytes(top)
+        self._low, self._width, self._image, self._len = low, width, _pack(coeffs, width), len(coeffs)
+        self._coeffs, self._max, self._alt = coeffs, top, None
 
     @classmethod
-    def _wrap(cls, low: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
-        # Internal constructor for coefficient tuples already free of end zeros.
+    def _from_image(cls, low: int, width: int, image: int, top: int | None = None) -> "LaurentPoly":
+        # Internal constructor: image holds the coefficients of q^low, q^(low+1), ...
+        # in width-byte slots and may start with zero slots, which are cut off
+        # here; top, when given, is the exact max|coefficient|.
         poly = object.__new__(cls)
-        poly._low = low if coeffs else 0
-        poly._coeffs = coeffs
-        poly._packed = None
+        bits = 8 * width
+        if not image:
+            low, top = 0, 0
+        elif not image & ((1 << bits) - 1):
+            skip = ((image & -image).bit_length() - 1) // bits
+            image >>= bits * skip
+            low += skip
+        poly._low, poly._width, poly._image, poly._len = low, width, image, _slot_count(image, width)
+        poly._coeffs, poly._max, poly._alt = None, top, None
         return poly
 
-    def _packed_at(self, width: int) -> int:
-        # the Kronecker image at this slot width, cached for the last width asked
-        packed = self._packed
-        if packed is None or packed[0] != width:
-            packed = self._packed = (width, _pack(self._coeffs, width))
-        return packed[1]
+    def _image_at(self, width: int) -> int:
+        """The image at another slot width; every coefficient must fit it."""
+        if width == self._width:
+            return self._image
+        alt = self._alt
+        if alt is None or alt[0] != width:
+            alt = self._alt = (width, _reslot(self._image, self._len, self._width, width))
+        return alt[1]
+
+    def _coefficients(self) -> tuple[int, ...]:
+        """The coefficient tuple, lowest exponent first, unpacked once from the image."""
+        if self._coeffs is None:
+            width, size = self._width, self._len
+            half = 1 << (8 * width - 1)
+            digits = (self._image + _bias(width, size)).to_bytes(size * width, "little")
+            self._coeffs = tuple(int.from_bytes(digits[k:k + width], "little") - half
+                                 for k in range(0, size * width, width))
+        return self._coeffs
+
+    def _max_abs(self) -> int:
+        """The exact max|coefficient|, found once from the biased slots and kept."""
+        if self._max is None:
+            width = self._width
+            slots = _slots(self._image, width, self._len)
+            order = np.lexsort(slots.T)  # lexsort's primary key is its last: the most significant byte
+            largest, smallest = (int.from_bytes(slots[k].tobytes(), "little") for k in (order[-1], order[0]))
+            half = 1 << (8 * width - 1)
+            self._max = max(largest - half, half - smallest)
+        return self._max
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._wrap(0, ())
+        return cls._from_image(0, 1, 0, 0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -139,34 +212,35 @@ class LaurentPoly:
         """The single-term polynomial coeff * q^exponent."""
         _check_int(coeff, "coefficient")
         _check_int(exponent, "exponent")
-        return cls._wrap(exponent, (coeff,) if coeff else ())
+        return cls._from_image(exponent, _slot_bytes(abs(coeff)), coeff, abs(coeff))
 
     # ------------------------------------------------------------------
     # inspection
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._image
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs, highest exponent first."""
-        low, coeffs = self._low, self._coeffs
+        low, coeffs = self._low, self._coefficients()
         return tuple((low + k, coeffs[k]) for k in range(len(coeffs) - 1, -1, -1) if coeffs[k])
 
     def coefficient(self, exponent: int) -> int:
+        coeffs = self._coefficients()
         k = exponent - self._low
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
+        return coeffs[k] if 0 <= k < len(coeffs) else 0
 
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
-        return self._low + len(self._coeffs) - 1 if self._coeffs else None
+        return self._low + self._len - 1 if self._image else None
 
     def valuation(self) -> int | None:
         """Smallest exponent, or None for the zero polynomial."""
-        return self._low if self._coeffs else None
+        return self._low if self._image else None
 
     def coefficient_sum(self) -> int:
         """Sum of all coefficients, i.e. the exact value at q = 1."""
-        return sum(self._coeffs)
+        return sum(self._coefficients())
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -175,42 +249,28 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._coeffs:
-            return self
-        if not self._coeffs:
-            return other
-        low = min(self._low, other._low)
-        out = [0] * (max(self._low + len(self._coeffs), other._low + len(other._coeffs)) - low)
-        start = self._low - low
-        out[start:start + len(self._coeffs)] = self._coeffs
-        start = other._low - low
-        stop = start + len(other._coeffs)
-        out[start:stop] = map(operator.add, out[start:stop], other._coeffs)
-        return _trimmed(low, out)
+        return sum_of_products(((1, 0, self, ONE), (1, 0, other, ONE)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._wrap(self._low, tuple(map(operator.neg, self._coeffs)))
+        return LaurentPoly._from_image(self._low, self._width, -self._image, self._max)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return sum_of_products(((1, 0, self, ONE), (-1, 0, other, ONE)))
 
     def __rsub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int) and not isinstance(other, bool):
-            if other == 0:
-                return ZERO
-            return LaurentPoly._wrap(self._low, tuple(c * other for c in self._coeffs))
-        if not isinstance(other, LaurentPoly):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return sum_of_products(((1, 0, self, other),))
 
@@ -232,7 +292,11 @@ class LaurentPoly:
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by the monomial q^e (translate every exponent by e)."""
         _check_int(e, "shift")
-        return LaurentPoly._wrap(self._low + e, self._coeffs)
+        if not self._image:
+            return self
+        poly = LaurentPoly._from_image(self._low + e, self._width, self._image, self._max)
+        poly._coeffs, poly._alt = self._coeffs, self._alt  # the same coefficients
+        return poly
 
     def evaluate(self, q0: int) -> Fraction:
         """Exact value at q = q0 for an integer q0 >= 2, as a Fraction."""
@@ -240,7 +304,7 @@ class LaurentPoly:
         if q0 < 2:
             raise ValueError(f"evaluation point must be >= 2, got {q0}")
         value = 0
-        for coeff in reversed(self._coeffs):
+        for coeff in reversed(self._coefficients()):
             value = value * q0 + coeff
         return value * Fraction(q0) ** self._low
 
@@ -257,20 +321,23 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._low == other._low and self._coeffs == other._coeffs
+        if self._low != other._low or self._len != other._len:
+            return False
+        width = max(self._width, other._width)
+        return self._image_at(width) == other._image_at(width)
 
     def __hash__(self) -> int:
-        return hash((self._low, self._coeffs))
+        return hash((self._low, self._coefficients()))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._image)
 
     def __str__(self) -> str:
         """Canonical rendering: terms in decreasing exponent order.
 
         Examples: 'q^4 + q^3 + 2*q^2 + q + 1', '-q^-1 - q^-2', '0'.
         """
-        if not self._coeffs:
+        if not self._image:
             return "0"
         parts: list[str] = []
         for exp, coeff in self.items():
@@ -291,43 +358,28 @@ class LaurentPoly:
 def sum_of_products(terms: Iterable[tuple[int, int, LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     """sum of sign * q^shift * a * b over (sign, shift, a, b) terms, sign = 1 or -1.
 
-    One Kronecker sum: a single slot width for all terms, one packed image
-    per operand, one big-integer accumulator and one unpack (see the
-    module docstring for the width bound).
+    One Kronecker sum: a single slot width for all terms, one image per
+    operand at that width and one big-integer accumulator, which is the
+    result's image (see the module docstring for the width bound).
     """
     live = []
     bound = 0
     for sign, shift, a, b in terms:
         if sign != 1 and sign != -1:
             raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-        ca, cb = a._coeffs, b._coeffs
-        if ca and cb:
+        if a._image and b._image:
             live.append((sign, shift + a._low + b._low, a, b))
-            bound += min(len(ca), len(cb)) * max(map(abs, ca)) * max(map(abs, cb))
+            bound += min(a._len, b._len) * a._max_abs() * b._max_abs()
     if not live:
         return ZERO
     width = _slot_bytes(bound)
     bits = 8 * width
     low = min(term[1] for term in live)
-    total = size = 0
+    total = 0
     for sign, at, a, b in live:
-        product = a._packed_at(width) * b._packed_at(width) << bits * (at - low)
+        product = a._image_at(width) * b._image_at(width) << bits * (at - low)
         total = total + product if sign == 1 else total - product
-        size = max(size, at - low + len(a._coeffs) + len(b._coeffs) - 1)
-    digits = (total + _bias(width, size)).to_bytes(size * width, "little")
-    half = 1 << (bits - 1)
-    return _trimmed(low, [int.from_bytes(digits[k:k + width], "little") - half
-                          for k in range(0, size * width, width)])
-
-
-def _trimmed(low: int, coeffs: list[int]) -> LaurentPoly:
-    """sum_k coeffs[k] q^(low+k), with the zeros at either end dropped."""
-    start, stop = 0, len(coeffs)
-    while start < stop and not coeffs[start]:
-        start += 1
-    while stop > start and not coeffs[stop - 1]:
-        stop -= 1
-    return LaurentPoly._wrap(low + start, tuple(coeffs[start:stop]))
+    return LaurentPoly._from_image(low, width, total)
 
 
 def _coerce(value: "LaurentPoly | int") -> "LaurentPoly":

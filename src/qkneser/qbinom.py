@@ -21,10 +21,19 @@ recursive evaluation would.  A call whose memo is estimated (by
 _memo_bytes) above MEMO_BYTE_LIMIT bytes is refused with ValueError
 before any cell is computed.
 
+The cells are added as Kronecker images (see laurent.py), not as
+polynomials: one fill runs at one slot width W = _slot_bytes(C(n, i)),
+and a cell is  [c+r c] = [c+r-1 c-1] + ([c+r-1 c] << 8W*c),  two big-integer
+operations.  This is exact because every cell [c+r c] of the fill has
+nonnegative coefficients summing to C(c+r, c) <= C(n, i) < 2^(8W-1).  A
+cell that an earlier fill left in the memo at another width is
+re-slotted to W, widened or narrowed, which the same bound allows.
+
 gauss_eval_product evaluates the defining product
 prod_{j=0}^{i-1} (q0^(n-j) - 1)/(q0^(i-j) - 1) exactly at a concrete
 integer point, collecting the numerator and the denominator as integers
-and dividing once.  It shares no code with gauss and serves as its
+and dividing once; its results are memoized by (n, i, q0), after its
+arguments are checked.  It shares no code with gauss and serves as its
 independent oracle in the test suite and in the pascal and lemma1
 cross-checks of identities.py.
 """
@@ -34,14 +43,16 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, _slot_bytes
 
 
 # Largest memo, in estimated bytes, that one call of gauss may build.
 MEMO_BYTE_LIMIT = 1 << 30
 
-# Set while _fill runs, so the calls it makes do not start fills of their own.
+# The slot width of the fill in progress, so the calls it makes add their
+# images at that width and do not start fills of their own.
 _filling = threading.local()
 
 
@@ -67,25 +78,29 @@ def gauss(n: int, i: int) -> LaurentPoly:
         return -shifted if i % 2 else shifted
     if n < i:
         return ZERO
-    if not getattr(_filling, "active", False):
-        _fill(n, i)
-    return gauss(n - 1, i - 1) + gauss(n - 1, i).shift(i)
+    width = getattr(_filling, "width", None) or _fill(n, i)
+    # [n i] = [n-1 i-1] + q^i [n-1 i] on the images, lowest coefficient 1
+    image = gauss(n - 1, i - 1)._image_at(width) + (gauss(n - 1, i)._image_at(width) << 8 * width * i)
+    return LaurentPoly._from_image(0, width, image)
 
 
-def _fill(n: int, i: int) -> None:
+def _fill(n: int, i: int) -> int:
     # Every cell [c+r c] below [n i] with 1 <= c <= i and 0 <= r <= n-i,
     # lowest first; the base cells [r 0] = 1 and [c-1 c] = 0 need no fill.
+    # All of them are added at the width of [n i], returned: their
+    # coefficients are nonnegative and sum to C(c+r, c) <= C(n, i).
     estimate = _memo_bytes(n, i)
     if estimate > MEMO_BYTE_LIMIT:
         raise ValueError(f"[{n} {i}]_q needs a q-Pascal memo of about {estimate} bytes, "
                          f"above the limit of {MEMO_BYTE_LIMIT}")
-    _filling.active = True
+    _filling.width = width = _slot_bytes(comb(n, i))
     try:
         for col in range(1, i + 1):
             for r in range(n - i + (col < i)):
                 gauss(col + r, col)
     finally:
-        _filling.active = False
+        _filling.width = None
+    return width
 
 
 def _memo_bytes(n: int, i: int) -> int:
@@ -94,7 +109,9 @@ def _memo_bytes(n: int, i: int) -> int:
     The cells [c+r c] of _fill and the base cells have c*r + 1
     coefficients each (counted with one spare cell per column).  Every
     coefficient is at most C(n, min(i, n-i)) <= min(2^n, n^min(i, n-i)),
-    and each costs a pointer and an int object: 36 bytes plus bits / 8.
+    and each is counted at 36 bytes plus bits / 8, the size of a pointer
+    and an int object.  The memo holds one W-byte slot per coefficient,
+    W <= bits / 8 + 1, so this stays an upper bound.
     """
     rest = n - i
     coefficients = (i * (i + 1) // 2) * (rest * (rest + 1) // 2) + (i + 1) * (rest + 2)
@@ -106,12 +123,18 @@ def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:
     """The defining product for [n choose i]_q evaluated exactly at q = q0.
 
     The empty product (i = 0) is 1.  Requires i >= 0 and q0 >= 2; the
-    result is an exact rational, an integer whenever n >= i.
+    result is an exact rational, an integer whenever n >= i.  Results are
+    memoized by (n, i, q0), after the arguments are checked.
     """
     if isinstance(i, bool) or not isinstance(i, int) or i < 0:
         raise ValueError(f"lower index must be a nonnegative int, got {i!r}")
     if isinstance(q0, bool) or not isinstance(q0, int) or q0 < 2:
         raise ValueError(f"evaluation point must be an int >= 2, got {q0!r}")
+    return _eval_product(n, i, q0)
+
+
+@lru_cache(maxsize=None)
+def _eval_product(n: int, i: int, q0: int) -> Fraction:
     num = den = 1
     for j in range(i):
         top = n - j

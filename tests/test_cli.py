@@ -5,14 +5,16 @@ import csv
 import hashlib
 import io
 import json
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkneser import cli, qbinom
+from qkneser import cli, oracle, qbinom
 from qkneser.cli import main
+from qkneser.oracle import predicted_vertex_count
 
 
 def run(capsys, *argv):
@@ -456,8 +458,53 @@ def _argv(draw):
     return argv + draw(st.one_of(st.just([]), st.lists(_JUNK, min_size=1, max_size=2)))
 
 
+# What one allocation may ask for before the tests below treat it as one the
+# host refuses; no argv that Hypothesis draws comes near it.
+_ALLOCATION_LIMIT = 10**6
+
+
+def _rref_bases_within(limit):
+    build = oracle._rref_bases
+
+    def bases(q, v, k):
+        if predicted_vertex_count(v, k, q) > limit:
+            raise MemoryError(f"Unable to allocate the bases of {v}-dimensional {k}-subspaces over GF({q})")
+        return build(q, v, k)
+
+    return bases
+
+
+# [12 6]_2 is about 2.3e11 vertices: the budget lets it through and the
+# (n, k, v) array of bases, 36 TiB, cannot be allocated
+_OUT_OF_MEMORY = ["verify", "spectrum", "12", "6", "2", "--budget", "1000000000000000000000"]
+
+
+def test_memory_error_is_a_resource_error(capsys, monkeypatch):
+    # once a traceback with exit 1; now one error line and exit 2
+    monkeypatch.setattr(oracle, "_rref_bases", _rref_bases_within(0))
+    for argv in (_OUT_OF_MEMORY, ["count-subspaces", "3", "1", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: out of memory: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def out_of_memory(q, v, k):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "_rref_bases", out_of_memory)
+    assert run(capsys, *_OUT_OF_MEMORY) == (2, "", "error: out of memory\n")
+
+
+def test_a_large_prime_order_is_factored_at_once(capsys):
+    # trial division up to sqrt(q) ran for more than 15 s on this prime
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eigenvalues", "4", "2", "--q", "1000000000000000003")
+    assert (code, err) == (0, "") and "1000000000000000003" in out
+    assert time.perf_counter() - start < 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(argv=_argv())
+@example(argv=_OUT_OF_MEMORY)
 @example(argv=["gauss", "2", "-1"])
 @example(argv=["eigenvalues", "3", "2"])  # the null graph
 @example(argv=["verify", "identities", "--max", "0"])
@@ -470,6 +517,7 @@ def test_exit_contract_holds_for_random_argv(argv):
     # here would be a crash passed off as one.
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(cli, "DEFAULT_VERTEX_BUDGET", 200), \
+            mock.patch.object(oracle, "_rref_bases", _rref_bases_within(_ALLOCATION_LIMIT)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2), (argv, code, err.getvalue())

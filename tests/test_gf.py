@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qkneser.gf import factor_prime_power, field_of_order, is_prime, make_field
+from qkneser.gf import PRIME_TEST_LIMIT, factor_prime_power, field_of_order, is_prime, make_field
 
 
 def test_prime_field():
@@ -95,6 +95,49 @@ def test_factor_prime_power():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+    assert is_prime(1000000000000000003) and not is_prime(1000000000000000001)
+    # the smallest strong pseudoprimes to the first 12 and to the first 13 prime bases
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(PRIME_TEST_LIMIT)
+
+
+def _trial_division(q):
+    # the factorisation by trial division up to sqrt(q), result or error text
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            break
+        p += 1
+    else:
+        return q, 1
+    e, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    return (p, e) if rest == 1 else f"{q} is not a prime power"
+
+
+def _factor_or_error(q):
+    try:
+        return factor_prime_power(q)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_factor_prime_power_agrees_with_trial_division():
+    assert all(_factor_or_error(q) == _trial_division(q) for q in range(2, 2 * 10**5))
+    # large orders with a small prime factor, where trial division stops early
+    for q in (2**100, 3**200, 43**300, 1009**40, 10**30, 1009 * (2**89 - 1), 7919 * 1000000000000000003):
+        assert _factor_or_error(q) == _trial_division(q), q
+
+
+def test_factor_prime_power_refuses_what_it_cannot_prove():
+    # a probable prime above the limit of the prime test, or a power of one
+    for q in (2**89 - 1, (2**127 - 1) ** 2):
+        with pytest.raises(ValueError, match="cannot decide"):
+            factor_prime_power(q)
+    assert factor_prime_power(1000000000000000003**2) == (1000000000000000003, 2)
 
 
 def test_larger_extension_field():

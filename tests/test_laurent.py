@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -189,6 +190,35 @@ def _model_evaluate(a, q0):
     return sum((coeff * Fraction(q0) ** exp for exp, coeff in a.items()), Fraction(0))
 
 
+def _model_neg(a):
+    return {exp: -coeff for exp, coeff in a.items()}
+
+
+def _model_shift(a, e):
+    return {exp + e: coeff for exp, coeff in a.items()}
+
+
+def _model_max(a):
+    return max(map(abs, a.values()), default=0)
+
+
+def _model_len(a):
+    return max(a) - min(a) + 1 if a else 0
+
+
+def _assert_matches(got, want, q0, op=None):
+    # got against the model: terms, both ends, the exact max, equality and
+    # hash against the value built from coefficients (at its own width), and
+    # the value at q0
+    want = _model(want)
+    assert got.items() == _model_items(want), op
+    assert (got.valuation(), got.degree()) == ((min(want), max(want)) if want else (None, None)), op
+    assert got._max_abs() == _model_max(want), op
+    built = LaurentPoly(want)
+    assert got == built and built == got and hash(got) == hash(built), op
+    assert got.evaluate(q0) == _model_evaluate(want, q0), op
+
+
 # magnitudes just below and at 2^(8w-1), the largest value a w-byte slot
 # holds and the smallest that needs one more byte
 _SLOT_EDGES = [sign * (2 ** (8 * w - 1) - d) for w in (1, 2, 8, 9) for d in (1, 0) for sign in (1, -1)]
@@ -213,16 +243,14 @@ def test_operations_match_the_dict_model(a, b, power, e, q0):
     ma, mb = _model(a), _model(b)
     results = {
         "+": (pa + pb, _model_add(ma, mb)),
-        "-": (pa - pb, _model_add(ma, {exp: -coeff for exp, coeff in mb.items()})),
-        "neg": (-pa, {exp: -coeff for exp, coeff in ma.items()}),
+        "-": (pa - pb, _model_add(ma, _model_neg(mb))),
+        "neg": (-pa, _model_neg(ma)),
         "*": (pa * pb, _model_mul(ma, mb)),
         "**": (pa**power, _model_pow(ma, power)),
-        "shift": (pa.shift(e), {exp + e: coeff for exp, coeff in ma.items()}),
+        "shift": (pa.shift(e), _model_shift(ma, e)),
     }
     for op, (got, want) in results.items():
-        assert got.items() == _model_items(want), op
-        assert got == LaurentPoly(want) and hash(got) == hash(LaurentPoly(want)), op
-        assert got.evaluate(q0) == _model_evaluate(want, q0), op
+        _assert_matches(got, want, q0, op)
     assert pa.items() == _model_items(ma)
     assert (pa == pb) == (ma == mb)
     assert pa.evaluate(q0) == _model_evaluate(ma, q0)
@@ -249,10 +277,51 @@ def test_sums_of_products_match_the_dict_model(terms, cancelled, q0):
     # sum loses whole terms, its top or bottom coefficients, or everything
     terms = terms + [(-sign, shift, a, b) for sign, shift, a, b in terms[:cancelled]]
     got = sum_of_products((sign, shift, LaurentPoly(a), LaurentPoly(b)) for sign, shift, a, b in terms)
-    want = _model_sum(terms)
-    assert got.items() == _model_items(want)
-    assert got == LaurentPoly(want) and hash(got) == hash(LaurentPoly(want))
-    assert got.evaluate(q0) == _model_evaluate(want, q0)
+    _assert_matches(got, _model_sum(terms), q0)
+    # the slot width is the one the exact per-term bounds ask for
+    bound = sum(min(_model_len(_model(a)), _model_len(_model(b))) * _model_max(a) * _model_max(b)
+                for _, _, a, b in terms)
+    if bound:
+        assert got._width == laurent._slot_bytes(bound)
+
+
+_CHAIN_OPS = st.sampled_from(["+", "-", "sum", "shift", "neg"])
+_chain = st.lists(st.tuples(_CHAIN_OPS, _terms, st.integers(-20, 20), st.sampled_from([1, -1])), max_size=8)
+
+
+@settings(max_examples=200, deadline=None, database=None, report_multiple_bugs=False)
+@given(start=_terms, steps=_chain, q0=st.sampled_from([2, 3, 7]))
+@example(start={0: 1, 1: -1}, steps=[("+", {0: 2**71}, 0, 1), ("-", {0: 2**71}, 0, 1)], q0=2)
+@example(start={3: -128}, steps=[("sum", {-1: 127, 2: -1}, 4, -1), ("neg", {}, 0, 1), ("shift", {}, -9, 1),
+                                 ("-", {2: -128}, 0, 1)], q0=3)
+def test_chains_of_operations_stay_images_and_match_the_dict_model(start, steps, q0):
+    # every intermediate value is the output of an operation, so none of
+    # them is ever unpacked; widths drift along the chain, while equality
+    # and hashing must not see them
+    value = LaurentPoly(start) + ZERO
+    want = _model(start)
+    for op, terms, e, sign in steps:
+        other, mother = LaurentPoly(terms), _model(terms)
+        if op == "+":
+            value, want = value + other, _model_add(want, mother)
+        elif op == "-":
+            value, want = value - other, _model_add(want, _model_neg(mother))
+        elif op == "sum":
+            value = sum_of_products([(1, 0, value, ONE), (sign, e, value, other)])
+            want = _model_add(want, {exp + e: sign * c for exp, c in _model_mul(want, mother).items()})
+        elif op == "shift":
+            value, want = value.shift(e), _model_shift(want, e)
+        else:
+            value, want = -value, _model_neg(want)
+        assert value._coeffs is None or not value, op
+    _assert_matches(value, want, q0)
+    for extra in (1, 2, 5):
+        # the same value re-slotted wider is still the same value
+        width = value._width + extra
+        wider = LaurentPoly._from_image(value._low, width, value._image_at(width))
+        assert wider._width != value._width
+        assert wider == value and value == wider and hash(wider) == hash(value)
+        _assert_matches(wider, want, q0)
 
 
 def test_sum_of_products_edge_cases():
@@ -283,20 +352,57 @@ _NARROW, _WIDE = {0: 1}, {2: 2}
 
 
 def test_a_packed_operand_is_repacked_at_a_new_width():
+    # a keeps its own 1-byte image and re-slots it for the 2-byte sum,
+    # keeping that copy for the next sum at the same width
     a = LaurentPoly(_CACHED)
+    assert a._width == 1
     for other, width in ((_NARROW, 1), (_WIDE, 2), (_NARROW, 1)):
-        assert (a * LaurentPoly(other)).items() == _model_items(_model_mul(_CACHED, other))
-        assert a._packed[0] == width
+        product = a * LaurentPoly(other)
+        assert product._width == width
+        assert product.items() == _model_items(_model_mul(_CACHED, other))
+        assert a._image_at(width) == laurent._pack(a._coefficients(), width)
+    assert a._alt == (2, laurent._pack((100, -100, 0, 100), 2))
 
 
 def test_a_stale_packed_image_fails_the_model_check():
-    # Negative control: the 2-byte image relabelled as the 1-byte one must
+    # Negative control: the 1-byte image relabelled as the 2-byte one must
     # break the product, so the width in the cache key matters.
     a = LaurentPoly(_CACHED)
     a * LaurentPoly(_WIDE)
-    a._packed = (1, a._packed[1])
+    a._alt = (2, a._image)
     with pytest.raises((AssertionError, OverflowError)):
-        assert (a * LaurentPoly(_NARROW)).items() == _model_items(_model_mul(_CACHED, _NARROW))
+        assert (a * LaurentPoly(_WIDE)).items() == _model_items(_model_mul(_CACHED, _WIDE))
+
+
+def _model_tests():
+    test_operations_match_the_dict_model()
+    test_sums_of_products_match_the_dict_model()
+    test_chains_of_operations_stay_images_and_match_the_dict_model()
+
+
+def _reslot_without_bias(image, size, old, new):
+    # the slots of the two's-complement image copied as they are: a
+    # negative coefficient borrows from the slot above, which this loses
+    out = np.zeros((size, new), dtype=np.uint8)
+    raw = np.frombuffer(image.to_bytes(size * old + 1, "little", signed=True)[:size * old], dtype=np.uint8)
+    out[:, :min(old, new)] = raw.reshape(size, old)[:, :min(old, new)]
+    return int.from_bytes(out.tobytes(), "little", signed=True)
+
+
+@pytest.mark.parametrize("mutation", ["reslot without bias", "top slot dropped", "top slot added",
+                                      "max is the slot bound"])
+def test_broken_image_handling_fails_the_model_checks(monkeypatch, mutation):
+    # Negative controls: each defect must be caught by the model tests above.
+    if mutation == "reslot without bias":
+        monkeypatch.setattr(laurent, "_reslot", _reslot_without_bias)
+    elif mutation.startswith("top slot"):
+        exact, off = laurent._slot_count, -1 if mutation == "top slot dropped" else 1
+        monkeypatch.setattr(laurent, "_slot_count", lambda image, width: exact(image, width) + off if image else 0)
+    else:
+        # a bound instead of the exact maximum: right results, wider slots
+        monkeypatch.setattr(LaurentPoly, "_max_abs", lambda self: (1 << (8 * self._width - 1)) - 1)
+    with pytest.raises((AssertionError, OverflowError, ValueError)):
+        _model_tests()
 
 
 @pytest.mark.parametrize("w", [1, 2, 8, 9])

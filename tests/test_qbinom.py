@@ -1,11 +1,13 @@
 """Gaussian binomials against the independent product-formula oracle."""
 
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from qkneser import qbinom
+from qkneser import identities, qbinom
 from qkneser.laurent import ONE, ZERO, LaurentPoly
 from qkneser.qbinom import gauss, gauss_eval_product
 
@@ -49,6 +51,31 @@ def test_product_oracle_rejects_bad_point():
         gauss_eval_product(4, 2, 1)
     with pytest.raises(ValueError):
         gauss_eval_product(4, 2, 0)
+    # the arguments are checked before the memo, which holds (4, 1, 2)
+    # under a key equal to (4, True, 2)
+    assert gauss_eval_product(4, 1, 2) == 15
+    for i, q0 in ((True, 2), (False, 2), (1, True), (1, 2.0)):
+        with pytest.raises(ValueError):
+            gauss_eval_product(4, i, q0)
+
+
+def test_product_oracle_computes_each_point_once(monkeypatch):
+    # the pascal and lemma1 cross-checks of `verify identities --max 18`
+    # ask for 10212 products at 2625 distinct (n, i, q0)
+    computed = []
+    product = qbinom._eval_product.__wrapped__
+
+    def spy(n, i, q0):
+        computed.append((n, i, q0))
+        return product(n, i, q0)
+
+    monkeypatch.setattr(qbinom, "_eval_product", lru_cache(maxsize=None)(spy))
+    asked = []
+    monkeypatch.setattr(identities, "gauss_eval_product", lambda *args: asked.append(args) or gauss_eval_product(*args))
+    bounds = identities.GridBounds(n_min=-18, n_max=18, i_min=0, i_max=18, mat_max=18)
+    assert identities.run_grid("pascal", bounds).passed and identities.run_grid("lemma1", bounds).passed
+    assert len(asked) == 10212
+    assert len(computed) == len(set(computed)) == len(set(asked)) == 2625
 
 
 def test_oracle_agreement_full_grid():
@@ -124,3 +151,54 @@ def test_oversized_memo_is_refused_before_any_work(monkeypatch):
         gauss(-1200, 600)
     assert gauss.cache_info().currsize == 0
     assert gauss(6, 3) == gauss(5, 2) + gauss(5, 3).shift(3)  # small calls still run
+
+
+def _pascal_reference(top):
+    # [n i] for 0 <= i <= n <= top as coefficient lists, by q-Pascal on lists
+    cells = {(n, 0): [1] for n in range(top + 1)}
+    for n in range(1, top + 1):
+        for i in range(1, n + 1):
+            left = cells[(n - 1, i - 1)]
+            right = [0] * i + cells[(n - 1, i)] if i < n else []
+            size = max(len(left), len(right))
+            cells[(n, i)] = [a + b for a, b in zip(left + [0] * (size - len(left)), right + [0] * (size - len(right)))]
+    return cells
+
+
+_REFERENCE_40 = _pascal_reference(40)
+
+
+def _check_memo_against_reference(order):
+    gauss.cache_clear()
+    try:
+        for n, i in order:
+            gauss(n, i)
+        for (n, i), coeffs in _REFERENCE_40.items():
+            poly = gauss(n, i)
+            assert (poly.valuation(), poly.degree()) == (0, i * (n - i)), (n, i)
+            assert [poly.coefficient(e) for e in range(i * (n - i) + 1)] == coeffs, (n, i)
+            for q0 in (2, 3, 7):
+                assert poly.evaluate(q0) == gauss_eval_product(n, i, q0), (n, i, q0)
+    finally:
+        gauss.cache_clear()
+
+
+@pytest.mark.parametrize("order", ["ascending", "widest first", "shuffled"])
+def test_every_memo_cell_up_to_40_matches_list_pascal(order):
+    # The fills run at the width of their own top cell and re-slot what an
+    # earlier fill left at another width; the order of the calls decides
+    # which cells are re-slotted, widened or narrowed.
+    cells = sorted(_REFERENCE_40)
+    if order == "widest first":
+        cells.sort(key=lambda cell: -math.comb(*cell))
+    elif order == "shuffled":
+        random.Random(40).shuffle(cells)
+    _check_memo_against_reference(cells)
+
+
+def test_a_fill_one_byte_narrower_fails_the_memo_check(monkeypatch):
+    # Negative control: slots one byte short of C(n, i) must break cells.
+    exact = qbinom._slot_bytes
+    monkeypatch.setattr(qbinom, "_slot_bytes", lambda bound: max(exact(bound) - 1, 1))
+    with pytest.raises((AssertionError, OverflowError)):
+        _check_memo_against_reference([(40, 20)])
