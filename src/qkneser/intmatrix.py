@@ -3,38 +3,55 @@
 Entries are mathematically unbounded integers.  One rule keeps every
 operation exact: it bounds a priori, from its operands' max|entry|, every
 number it will form (scalars, products, partial sums, result), and runs
-as one numpy expression in the dtype _dtype(bound):
+as numpy in the dtype _dtype(bound):
 
-    bound < 2**53        float64  every value is an integer that a double
-                                  holds exactly, so BLAS rounds nothing
+    bound < 2**24        float32  every value is an integer that a float
+    bound < 2**53        float64  holds exactly, so BLAS rounds nothing
     bound <= 2**63 - 1   int64    no overflow is possible
     otherwise            object   Python big ints
 
-The bounds, for n x n operands and |X| = max(max|X|, 1):
+This is exact BLAS under an a-priori bound, as in Dumas, Giorgi and
+Pernet, "Dense linear algebra over word-size prime fields: the FFLAS and
+FFPACK packages", ACM TOMS 35 (2008): whatever order BLAS sums in, every
+partial sum is an integer within the bound.  The bounds, for n x n
+operands and |X| = max(max|X|, 1):
 
     A @ B                  n * |A| * |B|
-    X.frobenius(Y)         n**2 * |X| * |Y|                  sum_ij X_ij Y_ij
-    A.quadratic(S, s, p)   max|S| + max(|s|, 1) * |A| + |p|  S - s A + p I
+    X.frobenius(Y)         r * n * |X| * |Y|, r = min(STRIP, n)  per strip
+    A.quadratic(S, s, p)   max|S| + max(|s|, 1) * |A| + |p|      S - s A + p I
     A.trace(), row_sums()  n * max|A|
 
 Each bound is at least every operand's max|entry|, so operands are only
-widened, and float64 widens to object through int64 (float64.astype(object)
+widened, and a float widens to object through int64 (float.astype(object)
 holds Python floats).  Every matrix, results included, is stored in the
 narrowest exact dtype for its own entries, so a 0/1 adjacency matrix and
-its low powers stay float64 throughout.  A.quadratic(A @ A, a + b, a * b)
-is (A - a I)(A - b I), and A.quadratic(A, 0, -lam) is A - lam I.
+its square stay float32 up to n = 2**24 - 1, half the bytes of float64.
+
+A @ A, for a symmetric A, is formed as A A^T on one buffer, which numpy
+hands to the symmetric rank-k update (SYRK): half the multiplications of
+a general product.  frobenius works through strips of STRIP rows, so its
+temporaries are STRIP x n whatever dtype its bound needs.
+A.quadratic(A @ A, a + b, a * b) is (A - a I)(A - b I), and
+A.quadratic(A, 0, -lam) is A - lam I.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_FLOAT32_EXACT = 2**24
 _FLOAT_EXACT = 2**53
 _INT64_MAX = 2**63 - 1
+
+# Rows or columns that a strip-wise operation handles at once: its
+# temporaries are n x STRIP, small beside an n x n operand.
+STRIP = 256
 
 
 def _dtype(bound: int):
     """The narrowest dtype in which every integer of absolute value <= bound is exact."""
+    if bound < _FLOAT32_EXACT:
+        return np.float32
     if bound < _FLOAT_EXACT:
         return np.float64
     if bound <= _INT64_MAX:
@@ -42,17 +59,27 @@ def _dtype(bound: int):
     return object
 
 
-def _cast(array: np.ndarray, dtype) -> np.ndarray:
-    """array in dtype, exactly; float64 widens to object through int64, so entries become ints."""
-    if dtype is object and array.dtype == np.float64:
+def _cast(array: np.ndarray, dtype, copy: bool = False) -> np.ndarray:
+    """array in dtype, exactly; a float widens to object through int64, so entries become ints."""
+    if dtype is object and array.dtype.kind == "f":
         array = array.astype(np.int64)
-    return array.astype(dtype, copy=False)
+    return array.astype(dtype, copy=copy)
+
+
+def _first_nonzero(array: np.ndarray) -> tuple[int, int, int] | None:
+    """Position and value of the first nonzero entry of a 2-D array in row-major order."""
+    # one bool mask; argmax finds its first True, or 0 if there is none
+    nonzero = array != 0
+    i, j = divmod(int(np.argmax(nonzero)), array.shape[1])
+    if not nonzero[i, j]:
+        return None
+    return i, j, int(array[i, j])
 
 
 class IntMatrix:
     """Immutable dense square matrix of exact integers."""
 
-    __slots__ = ("_a", "n", "max_abs")
+    __slots__ = ("_a", "n", "max_abs", "_symmetric")
 
     def __init__(self, array: np.ndarray):
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
@@ -63,7 +90,7 @@ class IntMatrix:
 
     @classmethod
     def _exact(cls, array: np.ndarray) -> "IntMatrix":
-        """An operation's result, exact by its bound; it may arrive as float64."""
+        """An operation's result, exact by its bound; it may arrive as a float array."""
         matrix = object.__new__(cls)
         matrix._store(array)
         return matrix
@@ -72,11 +99,12 @@ class IntMatrix:
         self.n = int(array.shape[0])
         self.max_abs = max(int(array.max(initial=0)), -int(array.min(initial=0)))
         self._a = _cast(array, _dtype(self.max_abs))
+        self._symmetric = None
 
     # -- inspection
 
     def to_array(self) -> np.ndarray:
-        """The entries as a read-only numpy view: float64, int64 or object, the narrowest exact."""
+        """The entries as a read-only numpy view: float32, float64, int64 or object, the narrowest exact."""
         view = self._a.view()
         view.flags.writeable = False
         return view
@@ -89,16 +117,14 @@ class IntMatrix:
         return _cast(sums, object).tolist()
 
     def is_symmetric(self) -> bool:
-        return bool((self._a == self._a.T).all())
+        """Whether the matrix equals its transpose; decided once, since the entries never change."""
+        if self._symmetric is None:
+            self._symmetric = bool((self._a == self._a.T).all())
+        return self._symmetric
 
     def first_nonzero(self) -> tuple[int, int, int] | None:
         """Position and value of the first nonzero entry in row-major order."""
-        # one n x n bool mask; argmax finds its first True, or 0 if there is none
-        nonzero = self._a != 0
-        i, j = divmod(int(np.argmax(nonzero)), self.n)
-        if not nonzero[i, j]:
-            return None
-        return i, j, int(self._a[i, j])
+        return _first_nonzero(self._a)
 
     def __repr__(self) -> str:
         return f"IntMatrix(n={self.n}, max_abs={self.max_abs})"
@@ -110,16 +136,21 @@ class IntMatrix:
         if self.n != square.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {square.n}")
         dtype = _dtype(square.max_abs + max(abs(s), 1) * max(self.max_abs, 1) + abs(p))
-        out = _cast(square._a, dtype) - s * _cast(self._a, dtype)
-        out[np.diag_indices(self.n)] += p
+        # in place on one new buffer, so -s A needs no n x n temporary of its own
+        out = _cast(self._a, dtype, copy=True)
+        out *= -s
+        out += _cast(square._a, dtype)
+        out.flat[:: self.n + 1] += p
         return IntMatrix._exact(out)
 
     def frobenius(self, other: "IntMatrix") -> int:
         """sum_ij self[i, j] * other[i, j], exactly; equals tr(self @ other) for symmetric self."""
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        dtype = _dtype(self.n**2 * max(self.max_abs, 1) * max(other.max_abs, 1))
-        return int(np.vdot(_cast(self._a, dtype), _cast(other._a, dtype)))
+        rows = max(min(STRIP, self.n), 1)
+        dtype = _dtype(rows * self.n * max(self.max_abs, 1) * max(other.max_abs, 1))
+        return sum(int(np.vdot(_cast(self._a[r : r + rows], dtype), _cast(other._a[r : r + rows], dtype)))
+                   for r in range(0, self.n, rows))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -127,4 +158,7 @@ class IntMatrix:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         dtype = _dtype(self.n * max(self.max_abs, 1) * max(other.max_abs, 1))
-        return IntMatrix._exact(_cast(self._a, dtype) @ _cast(other._a, dtype))
+        left = _cast(self._a, dtype)
+        # A A = A A^T for symmetric A: the transpose of the same buffer is SYRK's pattern
+        right = left.T if other is self and self.is_symmetric() else _cast(other._a, dtype)
+        return IntMatrix._exact(left @ right)

@@ -15,15 +15,20 @@ certifies a predicted spectrum with zero numerical tolerance:
 
 Both checks passing means the predicted spectrum IS the spectrum.
 
-Both checks need few dense products.  The factors A - lambda_j I are
-polynomials in A, so they commute and may be grouped in any order: the
-eigenvalues, sorted by |lambda|, are paired smallest with largest, and
-each pair's factor (A - a I)(A - b I) = A^2 - (a + b) A + ab I is formed
-from A^2 without a product (a linear factor is left over when k + 1 is
-odd).  Multiplying these ceil((k+1)/2) factors gives the same matrix as
-the sequential product, hence the same residual entry.  For symmetric A,
-tr(A^(a+b)) = tr(A^a A^b) is the Frobenius inner product <A^a, A^b>_F,
-so the moments up to k need the powers only up to A^ceil(k/2).
+Both checks need one dense product and, for k >= 2, one strip-wise
+one.  A^2 is formed once, as the symmetric product A A^T on one buffer
+(SYRK, see intmatrix), in float32: the 0/1 adjacency and its square are
+exact there up to n = 2^24 - 1.  For symmetric A, tr(A^(a+b)) is the
+Frobenius inner product <A^a, A^b>_F, so A and A^2 give every moment up
+to k = 4.  The factors A - lambda_j I are polynomials in A, so they
+commute and may be grouped: the first pair's F = A^2 - (a + b) A + ab I
+is formed from A^2 without a product, and every other factor is applied
+to column strips built from columns of F and A (_certificate).  The
+product P(A) is a polynomial in the symmetric A, hence symmetric, so its
+first nonzero entry in row-major order lies on or above the diagonal,
+and the upper rows of each strip find it (_strip_residual): the same
+residual entry as the sequential product, with half the multiplications
+of a full final product and temporaries of n x STRIP entries.
 
 The vertex list is one read-only (n, k, v) int64 array of RREF bases,
 built pivot-set by pivot-set: one numpy block per choice of pivot
@@ -47,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf import FieldCtx
-from .intmatrix import IntMatrix
+from .intmatrix import STRIP, IntMatrix, _cast, _dtype, _first_nonzero
 from .laurent import InvariantError
 from .qbinom import gauss_eval_product
 from .spectrum import SpectrumTable
@@ -191,12 +196,14 @@ def build_adjacency(bases: np.ndarray, ctx: FieldCtx) -> IntMatrix:
         raise ValueError("empty vertex list")
     codes = _point_codes(ctx, bases)
     points, columns = np.unique(codes, return_inverse=True)
-    incidence = np.zeros((n, len(points)))
+    # an entry of N N^T counts shared points, at most [k 1]_q: exact in _dtype of that
+    incidence = np.zeros((n, len(points)), dtype=_dtype(codes.shape[1]))
     incidence[np.arange(n).repeat(codes.shape[1]), columns.ravel()] = 1
-    # float64 is exact: an entry of N N^T counts shared points, at most [k 1]_q
-    adjacency = (incidence @ incidence.T == 0).astype(np.uint8)
-    np.fill_diagonal(adjacency, 0)
-    return IntMatrix(adjacency)
+    shared = incidence @ incidence.T
+    adjacency = shared == 0
+    del shared
+    np.fill_diagonal(adjacency, False)
+    return IntMatrix(adjacency.view(np.uint8))
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +285,92 @@ def _solve_moment_system(eigenvalues: list[int], moments: list[int]) -> list[int
     return [int(x) for x in solution]
 
 
+def _moments(adjacency: IntMatrix, square: IntMatrix, k: int) -> list[int]:
+    """tr(A^m) for m = 0..k: n, tr(A), then <A^ceil(m/2), A^floor(m/2)>_F for symmetric A."""
+    powers = [adjacency, square]
+    while len(powers) < (k + 1) // 2:  # A^3 and up: only hand-built tables with k >= 5
+        powers.append(powers[-1] @ adjacency)
+    moments = [adjacency.n, adjacency.trace()]
+    moments += [powers[(m + 1) // 2 - 1].frobenius(powers[m // 2 - 1]) for m in range(2, k + 1)]
+    return moments[: k + 1]
+
+
+def _certificate(adjacency: IntMatrix, eigenvalues: list[int], k: int):
+    """The moments tr(A^m), m = 0..k, and the residual: the row-major first
+    nonzero (i, j, value) of prod_j (A - lambda_j I), or None.
+
+    The factors commute, so they may be grouped: the eigenvalues, sorted by
+    |lambda|, are paired smallest with largest, and only the first pair's
+    F = A^2 - s1 A + p1 I is formed as a matrix.  Every other factor is
+    f F + d A + e I: F - (s - s1) A + (p - p1) I for a pair, and A - lam I
+    for the one left over when the count is odd.  A^2 is released once F
+    is formed, and F's own copy once F is widened to the product's dtype,
+    so the strips run beside one n x n factor.
+    """
+    square = adjacency @ adjacency
+    moments = _moments(adjacency, square, k)
+    by_size = sorted(eigenvalues, key=abs)
+    half = len(by_size) // 2
+    pairs = [(a + b, a * b) for a, b in zip(by_size[:half], by_size[::-1])]
+    if not pairs:  # a single eigenvalue
+        return moments, adjacency.quadratic(adjacency, 0, -by_size[0]).first_nonzero()
+    (s1, p1), *others = pairs
+    first = adjacency.quadratic(square, s1, p1)
+    del square
+    rest = [(1, s1 - s, p - p1) for s, p in others] + ([(0, 1, -by_size[half])] if len(by_size) % 2 else [])
+    if not rest:  # k = 1: F is the product
+        return moments, first.first_nonzero()
+    # every entry formed is at most the bound of the last step, F[:j1] @ X:
+    # a strip of G_r is at most f|F| + |d||A| + |e|, and applying a further
+    # G multiplies that by f n|F| + |d| n|A| + |e|
+    n, f_max, a_max = adjacency.n, max(first.max_abs, 1), max(adjacency.max_abs, 1)
+    *middle, (f, d, e) = rest
+    bound = f * f_max + abs(d) * a_max + abs(e)
+    for f_, d_, e_ in middle:
+        bound *= f_ * n * f_max + abs(d_) * n * a_max + abs(e_)
+    dtype = _dtype(n * f_max * bound)
+    factor = _cast(first.to_array(), dtype)
+    del first
+    return moments, _strip_residual(adjacency, factor, rest, dtype)
+
+
+def _strip_residual(adjacency: IntMatrix, factor: np.ndarray, rest: list[tuple[int, int, int]], dtype):
+    """Row-major first nonzero (i, j, value) of P = F G_1 ... G_r, or None.
+
+    factor is F in dtype, and rest holds G_1 .. G_r as (f, d, e) with
+    G = f F + d A + e I; dtype is exact for every entry formed.  P is a
+    polynomial in the symmetric A, so P is symmetric, and its first nonzero
+    (i, j) in row-major order has i <= j: a nonzero below the diagonal has
+    a mirror in an earlier row.  So for the column strip B = j0..j1-1 the
+    rows 0..j1-1 of P[:, B] = F[:j1] (G_1 ... G_r E_B) suffice, and the
+    least (row, column) over all strips is the first nonzero; once one is
+    found in row i, later strips need only the rows above it.  G_r E_B is
+    built from columns of F and A, and G_1 .. G_(r-1), which exist only for
+    five or more eigenvalues, are applied to it in turn.
+    """
+    n = len(factor)
+    a = adjacency.to_array()
+    *middle, (f, d, e) = rest
+    a_wide = _cast(a, dtype) if middle else None
+    best = None
+    for j0 in range(0, n, STRIP):
+        j1 = min(j0 + STRIP, n)
+        rows = j1 if best is None else min(j1, best[0])
+        if rows == 0:
+            break
+        x = _cast(a[:, j0:j1], dtype, copy=True)
+        x *= d
+        if f:
+            x += factor[:, j0:j1]
+        x[range(j0, j1), range(j1 - j0)] += e
+        for f_, d_, e_ in middle:
+            x = f_ * (factor @ x) + d_ * (a_wide @ x) + e_ * x
+        found = _first_nonzero(factor[:rows] @ x)
+        if found is not None:
+            best = (found[0], j0 + found[1], found[2])
+    return best
+
+
 def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable) -> CertificationResult:
     """Certify that predicted is exactly the spectrum of the adjacency matrix.
 
@@ -301,29 +394,9 @@ def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable) -> Certific
     n = adjacency.n
     k = predicted.k
 
-    # powers[e] = A^e for e = 1 .. max(2, ceil(k/2)); A^2 feeds the quadratic factors
-    powers = {1: adjacency}
-    for e in range(2, max(2, (k + 1) // 2) + 1):
-        powers[e] = powers[e - 1] @ adjacency
-
-    # spectral moments: tr(A^0) = n, tr(A^1), then tr(A^m) = <A^ceil(m/2), A^floor(m/2)>_F
-    moments = [n, adjacency.trace()][: k + 1]
-    moments += [powers[(m + 1) // 2].frobenius(powers[m // 2]) for m in range(2, k + 1)]
+    moments, residual = _certificate(adjacency, eigenvalues, k)
     expected = [sum(mult * lam**m for lam, mult in zip(eigenvalues, multiplicities)) for m in range(k + 1)]
     offending = [(m, e, a) for m, (e, a) in enumerate(zip(expected, moments)) if e != a]
-
-    # annihilating product prod_j (A - lambda_j I), as commuting quadratic factors
-    by_size = sorted(eigenvalues, key=abs)
-    half = len(by_size) // 2
-    factors = [adjacency.quadratic(powers[2], a + b, a * b) for a, b in zip(by_size[:half], by_size[::-1])]
-    if len(by_size) % 2:
-        factors.append(adjacency.quadratic(adjacency, 0, -by_size[half]))
-    del powers
-    # popping releases each factor once it is multiplied in
-    prod_matrix = factors.pop()
-    while factors:
-        prod_matrix = prod_matrix @ factors.pop()
-    residual = prod_matrix.first_nonzero()
 
     row_sums = adjacency.row_sums()
     degree = row_sums[0] if len(set(row_sums)) == 1 else None

@@ -51,6 +51,9 @@ from .laurent import ONE, ZERO, LaurentPoly, _slot_bytes
 # Largest memo, in estimated bytes, that one call of gauss may build.
 MEMO_BYTE_LIMIT = 1 << 30
 
+# Bytes per memo cell beside its coefficients (see _memo_bytes).
+_CELL_BYTES = 256
+
 # The slot width of the fill in progress, so the calls it makes add their
 # images at that width and do not start fills of their own.
 _filling = threading.local()
@@ -106,17 +109,20 @@ def _fill(n: int, i: int) -> int:
 def _memo_bytes(n: int, i: int) -> int:
     """Upper estimate of the bytes the memo of [n i] needs, for n >= i >= 1.
 
-    The cells [c+r c] of _fill and the base cells have c*r + 1
-    coefficients each (counted with one spare cell per column).  Every
-    coefficient is at most C(n, min(i, n-i)) <= min(2^n, n^min(i, n-i)),
-    and each is counted at 36 bytes plus bits / 8, the size of a pointer
-    and an int object.  The memo holds one W-byte slot per coefficient,
-    W <= bits / 8 + 1, so this stays an upper bound.
+    The cells [c+r c] of _fill and the base cells, about (i + 1)(n - i + 2)
+    of them with one spare cell per column, have c*r + 1 coefficients
+    each.  A cell's image holds one W-byte slot per coefficient, with
+    W = _slot_bytes(C(n, i)) <= bits // 8 + 1, since every coefficient is
+    at most C(n, min(i, n-i)) <= min(2^n, n^min(i, n-i)); CPython stores
+    the image in 30-bit digits of 4 bytes, 16/15 of that.  Each cell also
+    costs its LaurentPoly, the image's int header and the memo entry,
+    under _CELL_BYTES (about 180 to 210 bytes, measured with tracemalloc).
     """
     rest = n - i
-    coefficients = (i * (i + 1) // 2) * (rest * (rest + 1) // 2) + (i + 1) * (rest + 2)
+    cells = (i + 1) * (rest + 2)
+    coefficients = (i * (i + 1) // 2) * (rest * (rest + 1) // 2) + cells
     bits = min(n, min(i, rest) * n.bit_length())
-    return coefficients * (36 + bits // 8)
+    return coefficients * (bits // 8 + 1) * 16 // 15 + cells * _CELL_BYTES
 
 
 def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:

@@ -273,6 +273,27 @@ def test_deep_gauss_calls_keep_the_exit_contract(capsys, monkeypatch, argv):
     assert "memo" in err
 
 
+def test_memo_refusal_is_priced_in_slots(capsys):
+    # gauss 8000 1 needs about 70 MB of Kronecker images and runs; gauss
+    # 100000 1 would need about 16 GB and is refused before any cell
+    try:
+        code, out, _ = run(capsys, "gauss", "8000", "1")
+        assert code == 0 and out.startswith("q^7999 + q^7998 + ") and out.endswith(" + q^2 + q + 1\n")
+        code, out, err = run(capsys, "gauss", "100000", "1")
+        assert code == 2 and out == ""
+        assert err == (f"error: [100000 1]_q needs a q-Pascal memo of about {qbinom._memo_bytes(100000, 1)} bytes, "
+                       f"above the limit of {qbinom.MEMO_BYTE_LIMIT}\n")
+    finally:
+        qbinom.gauss.cache_clear()
+
+
+def test_huge_field_order_is_refused_up_front(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eigenvalues", "4", "2", "--q", str(10**4000 + 1))
+    assert code == 2 and out == "" and "more than 1000 digits" in err
+    assert time.perf_counter() - start < 0.5
+
+
 def test_verify_identities_bad_max(capsys):
     code, _, err = run(capsys, "verify", "identities", "--max", "0")
     assert code == 2

@@ -1,6 +1,7 @@
 """Finite field construction and arithmetic, exhaustively at small orders."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ def test_factor_prime_power_refuses_what_it_cannot_prove():
         with pytest.raises(ValueError, match="cannot decide"):
             factor_prime_power(q)
     assert factor_prime_power(1000000000000000003**2) == (1000000000000000003, 2)
+
+
+def test_orders_past_the_digit_limit_are_refused_before_the_prime_test():
+    # 10^4000 + 1 has no prime factor up to 41; the Miller-Rabin test on it
+    # took 7 s before it said "not a prime power".  43^700 (1144 digits) is
+    # a prime power, refused for its size alone
+    start = time.perf_counter()
+    for q in (10**4000 + 1, 43**700):
+        with pytest.raises(ValueError, match="more than 1000 digits"):
+            factor_prime_power(q)
+    assert time.perf_counter() - start < 0.2
+    # powers of small primes still split at any size, and below the limit
+    # so do powers of larger ones
+    assert factor_prime_power(2**4000) == (2, 4000)
+    assert factor_prime_power(43**600) == (43, 600)
 
 
 def test_larger_extension_field():

@@ -8,7 +8,7 @@ import pytest
 from qkneser import intmatrix
 from qkneser.intmatrix import IntMatrix, _dtype
 
-F64, I64, OBJ = np.float64, np.int64, object
+F32, F64, I64, OBJ = np.float32, np.float64, np.int64, object
 
 
 def mat(rows):
@@ -63,11 +63,13 @@ def compute_dtypes(monkeypatch):
 
 
 def test_dtype_tiers():
-    for bound, dtype in [(0, F64), (2**53 - 1, F64), (2**53, I64), (2**63 - 1, I64), (2**63, OBJ)]:
+    for bound, dtype in [(0, F32), (2**24 - 1, F32), (2**24, F64), (2**53 - 1, F64), (2**53, I64),
+                         (2**63 - 1, I64), (2**63, OBJ)]:
         assert _dtype(bound) is dtype
 
 
-@pytest.mark.parametrize("top,dtype", [(0, F64), (2**53 - 1, F64), (2**53, I64), (2**63 - 1, I64), (2**63, OBJ)])
+@pytest.mark.parametrize("top,dtype", [(0, F32), (2**24 - 1, F32), (2**24, F64), (2**53 - 1, F64), (2**53, I64),
+                                       (2**63 - 1, I64), (2**63, OBJ)])
 def test_storage_is_the_narrowest_exact_dtype(top, dtype):
     for source in [object, np.uint64] + ([np.int64] if top <= 2**63 - 1 else []):
         m = IntMatrix(np.array([[top, 0], [0, 0]], dtype=source))
@@ -79,9 +81,13 @@ def test_storage_is_the_narrowest_exact_dtype(top, dtype):
 
 # (max|A|, max|B| or max|S|, storage dtype of A, compute dtype): each case
 # crosses from one storage dtype into one compute dtype; float64 -> object
-# is the case where widening must pass through int64
+# (and float32 -> object) is the case where widening must pass through int64
 
 @pytest.mark.parametrize("top_a,top_b,storage,compute", [
+    (2**11, 2**11, F32, F32),  # 3 * 2^22: just below 2^24
+    (2**12, 2**11, F32, F64),  # 3 * 2^23: the bound crosses 2^24
+    (2**12, 2**24, F32, F64),  # float32 times float64 operands
+    (2**23, 2**41, F32, OBJ),  # float32 widens to object through int64
     (2**25, 2**25, F64, F64),
     (2**27 + 1, 2**27 + 1, F64, I64),
     (2**40 + 1, 2**40 + 1, F64, OBJ),
@@ -120,9 +126,10 @@ def test_frobenius_tiers(compute_dtypes, top_x, top_y, storage, compute):
 
 
 @pytest.mark.parametrize("top_a,top_s,s,p,storage,compute", [
-    (2**20, 2**40, 2**20 + 1, 12345, F64, F64),
+    (2**10, 2**12, 2**10 + 1, 12345, F32, F32),
+    (2**20, 2**40, 2**20 + 1, 12345, F32, F64),
     (2**30 + 1, 2**52 - 1, 2**30 + 3, -7, F64, I64),
-    (513, 3, 2**62, 1, F64, OBJ),  # float64 operands, s = 2^62
+    (513, 3, 2**62, 1, F32, OBJ),  # float32 operands, s = 2^62
     (2**54 + 1, 3, 5, 7, I64, I64),
     (2**54 + 1, 3, 2**10, 7, I64, OBJ),
     (2**70 + 1, 3, 1, -1, OBJ, OBJ),
@@ -140,7 +147,8 @@ def test_quadratic_tiers(compute_dtypes, top_a, top_s, s, p, storage, compute):
 
 
 @pytest.mark.parametrize("n,top,storage,compute", [
-    (3, 2**20, F64, F64),
+    (3, 2**20, F32, F32),
+    (3, 2**23, F32, F64),  # n * top = 3 * 2^23 is past 2^24
     (3, 2**52 + 1, F64, I64),
     (1025, 2**53 - 1, F64, OBJ),  # n * top just past 2^63 - 1
     (3, 2**54 + 1, I64, I64),
@@ -166,6 +174,10 @@ def test_matmul_matches_naive_product(magnitude):
         a_rows = random_rows(rng, n, magnitude)
         b_rows = random_rows(rng, n, magnitude)
         assert entries(mat(a_rows) @ mat(b_rows)) == naive_product(a_rows, b_rows)
+        # a matrix times itself: A A^T on one buffer when A is symmetric, and A A otherwise
+        for rows in (a_rows, random_symmetric_rows(rng, n, magnitude)):
+            square = mat(rows)
+            assert entries(square @ square) == naive_product(rows, rows)
 
 
 @pytest.mark.parametrize("magnitude", [1, 10**3, 10**9, 10**20])
@@ -224,10 +236,11 @@ def test_to_array_is_a_read_only_view():
 
 
 def test_backend_boundary_is_exact():
-    # entries near 2^26 push n * maxA * maxB just past the float64 window
-    value = 2**26
-    rows = [[value, value - 1], [value - 3, value]]
-    assert entries(mat(rows) @ mat(rows)) == naive_product(rows, rows)
+    # entries near 2^12 (2^26) push n * maxA * maxB just past the float32
+    # (float64) window, to odd results that the narrower float would round
+    for value in (2**12, 2**26):
+        rows = [[value, value - 1], [value - 3, value]]
+        assert entries(mat(rows) @ mat(rows)) == naive_product(rows, rows)
 
 
 def test_big_integer_entries_survive():

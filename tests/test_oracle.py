@@ -1,5 +1,8 @@
 """Brute-force oracle: enumeration, intersections, adjacency, certification."""
 
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -419,33 +422,127 @@ def sequential_first_nonzero(adjacency, eigenvalues):
 
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (5, 2, 2)])
-def test_residual_entry_matches_the_sequential_product(v, k, q):
+def test_residual_entry_matches_the_sequential_product(monkeypatch, v, k, q):
     # the grouped factors multiply to the same P(A) as prod_j (A - lambda_j I)
-    # in the given order, so a wrong prediction reports the same entry
+    # in the given order, so a wrong prediction reports the same entry, in
+    # one strip or in strips of 8 columns (n = 35, 130, 155: the last is narrower)
     adjacency = adjacency_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
-    for e in table.entries:
-        for d in (-1, 1):
-            wrong = _tweaked(table, e.j, d_eig=d)
-            expected = sequential_first_nonzero(adjacency.to_array(), [int(lam) for lam in wrong.eigenvalues()])
-            assert expected is not None
-            assert certify_spectrum(adjacency, wrong).residual_entry == expected, (e.j, d)
+    for strip in (oracle.STRIP, 8):
+        monkeypatch.setattr(oracle, "STRIP", strip)
+        for e in table.entries:
+            for d in (-1, 1):
+                wrong = _tweaked(table, e.j, d_eig=d)
+                expected = sequential_first_nonzero(adjacency.to_array(), [int(lam) for lam in wrong.eigenvalues()])
+                assert expected is not None
+                assert certify_spectrum(adjacency, wrong).residual_entry == expected, (strip, e.j, d)
 
 
 @pytest.mark.parametrize("v,k,q,products", [(3, 1, 2, 1), (2, 1, 5, 1), (4, 2, 2, 2), (4, 2, 3, 2), (6, 3, 2, 2)])
 def test_certification_product_count(monkeypatch, qk_6_3_2, v, k, q, products):
-    # A^2, then one product per extra factor: ceil((k+1)/2) factors for k <= 3
+    # A^2 as one symmetric product A A^T, then, for three or more factors,
+    # one strip-wise pass of the final product; k = 1 needs no product
     adjacency = qk_6_3_2 if (v, k, q) == (6, 3, 2) else adjacency_of(field_of_order(q), v, k)
     calls = []
-    real = IntMatrix.__matmul__
+    real_matmul, real_strips = IntMatrix.__matmul__, oracle._strip_residual
 
     def counted(self, other):
-        calls.append(self.n)
-        return real(self, other)
+        calls.append(other is self)
+        return real_matmul(self, other)
+
+    def counted_strips(*args):
+        calls.append("strips")
+        return real_strips(*args)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    monkeypatch.setattr(oracle, "_strip_residual", counted_strips)
     assert certify_spectrum(adjacency, spectrum_table(v, k, q)).certified
-    assert len(calls) == products
+    assert calls == [True] + ["strips"] * (products - 1)
+
+
+def hypercube(d):
+    # Q_d: vertices 0 .. 2^d - 1, adjacent when they differ in one bit
+    vertices = np.arange(2**d)
+    xor = vertices[:, None] ^ vertices[None, :]
+    return IntMatrix(((xor & (xor - 1)) == 0).astype(np.int64) - np.eye(2**d, dtype=np.int64))
+
+
+def hypercube_table(d):
+    # the spectrum of Q_d: d - 2j with multiplicity C(d, j), j = 0 .. d
+    entries = tuple(SpectrumEntry(j, d - 2 * j, comb(d, j)) for j in range(d + 1))
+    return SpectrumTable(v=d, k=d, q=2, entries=entries)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_certify_hypercube_through_every_factor_count(d):
+    # d + 1 eigenvalues: one linear factor (d = 0), one quadratic (d = 1),
+    # and from d = 4 on, factors between the first and the last of each strip
+    adjacency = hypercube(d)
+    result = certify_spectrum(adjacency, hypercube_table(d))
+    assert result.certified and result.certified_multiplicities == [e.multiplicity for e in hypercube_table(d).entries]
+    for label, wrong in _perturbations(hypercube_table(d)):
+        if 0 in wrong.multiplicities():
+            continue
+        result = certify_spectrum(adjacency, wrong)
+        assert not result.certified, label
+        if label.startswith("eigenvalue"):
+            assert result.residual_entry == sequential_first_nonzero(
+                adjacency.to_array(), [int(lam) for lam in wrong.eigenvalues()]), label
+        else:
+            assert not result.moments_ok, label
+
+
+def _disjoint_union(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=np.int64)
+    start = 0
+    for block in blocks:
+        out[start : start + len(block), start : start + len(block)] = block
+        start += len(block)
+    return out
+
+
+def _graph(n, edges):
+    out = np.zeros((n, n), dtype=np.int64)
+    for i, j in edges:
+        out[i, j] = out[j, i] = 1
+    return out
+
+
+@pytest.mark.parametrize("rows,eigenvalues", [
+    # Q_4 then K_5: P(A) vanishes on Q_4, so the residual is in row 16, in
+    # the third strip, which is 5 columns wide
+    (_disjoint_union(hypercube(4).to_array().astype(np.int64), np.ones((5, 5), dtype=np.int64) - np.eye(5, dtype=np.int64)),
+     [4, 2, 0, -2, -4]),
+    # row 3 has a nonzero in the first strip and row 0 only in the third,
+    # so the third strip, run on rows 0..2 alone, finds the earlier row
+    (_graph(22, [(0, 20), (20, 21), (3, 4), (3, 5)]), [1, -1, 7]),
+])
+def test_residual_entry_across_strips(monkeypatch, rows, eigenvalues):
+    monkeypatch.setattr(oracle, "STRIP", 8)
+    n = len(rows)
+    assert n % 8
+    table = SpectrumTable(v=n, k=len(eigenvalues) - 1, q=2,
+                          entries=tuple(SpectrumEntry(j, lam, 1) for j, lam in enumerate(eigenvalues)))
+    expected = sequential_first_nonzero(rows, eigenvalues)
+    assert expected is not None and max(expected[:2]) >= 8
+    assert certify_spectrum(IntMatrix(rows), table).residual_entry == expected
+
+
+@pytest.mark.parametrize("v,k,q", [(6, 3, 2), (4, 2, 5)])
+def test_certification_memory_is_at_most_18_bytes_per_entry(v, k, q):
+    # A^2 in float32 (4 n^2 bytes), the first factor in the product's
+    # dtype (8 n^2), and strips of n x STRIP: the dense route took 32 n^2
+    adjacency = adjacency_of(field_of_order(q), v, k)
+    table = spectrum_table(v, k, q)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert certify_spectrum(adjacency, table).certified
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * adjacency.n**2
 
 
 def test_certify_rejects_degenerate_predictions():

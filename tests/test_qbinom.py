@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -151,6 +152,22 @@ def test_oversized_memo_is_refused_before_any_work(monkeypatch):
         gauss(-1200, 600)
     assert gauss.cache_info().currsize == 0
     assert gauss(6, 3) == gauss(5, 2) + gauss(5, 3).shift(3)  # small calls still run
+
+
+def test_memo_estimate_prices_slots_and_stays_an_upper_bound():
+    # one W-byte slot per coefficient plus the objects of each cell: gauss
+    # 8000 1 (about 70 MB of images) fits, gauss 100000 1 (16 GB) does not
+    assert qbinom._memo_bytes(8000, 1) < qbinom.MEMO_BYTE_LIMIT < qbinom._memo_bytes(100000, 1)
+    for n, i in [(500, 5), (120, 40), (40, 20), (10, 5)]:
+        gauss.cache_clear()
+        tracemalloc.start()
+        try:
+            gauss(n, i)
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gauss.cache_clear()
+        assert used <= qbinom._memo_bytes(n, i), (n, i)
 
 
 def _pascal_reference(top):
