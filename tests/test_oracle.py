@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from qkneser import oracle
+from qkneser import intmatrix, oracle
 from qkneser.cli import main
 from qkneser.gf import field_of_order, make_field
 from qkneser.intmatrix import IntMatrix
@@ -492,6 +492,19 @@ def test_certify_hypercube_through_every_factor_count(d):
             assert not result.moments_ok, label
 
 
+@pytest.mark.parametrize("lam,dtype", [(2**5, np.float32), (2**12, np.float64), (2**22, np.int64), (2**40, object)])
+def test_strip_pass_is_exact_in_every_dtype(monkeypatch, lam, dtype):
+    # one wrong eigenvalue of Q_4 sets the a-priori bound of the strip
+    # pass, and with it the one dtype every strip runs in
+    chosen = []
+    monkeypatch.setattr(oracle, "_dtype", lambda bound: chosen.append(intmatrix._dtype(bound)) or chosen[-1])
+    adjacency = hypercube(4)
+    eigenvalues = [4, lam, 0, -2, -4]
+    table = SpectrumTable(v=4, k=4, q=2, entries=tuple(SpectrumEntry(j, x, 1) for j, x in enumerate(eigenvalues)))
+    assert certify_spectrum(adjacency, table).residual_entry == sequential_first_nonzero(adjacency.to_array(), eigenvalues)
+    assert chosen == [dtype]
+
+
 def _disjoint_union(*blocks):
     n = sum(len(b) for b in blocks)
     out = np.zeros((n, n), dtype=np.int64)
@@ -517,6 +530,9 @@ def _graph(n, edges):
     # row 3 has a nonzero in the first strip and row 0 only in the third,
     # so the third strip, run on rows 0..2 alone, finds the earlier row
     (_graph(22, [(0, 20), (20, 21), (3, 4), (3, 5)]), [1, -1, 7]),
+    # rows 0..6 are isolated and P(0) = 0: the residual is on the diagonal
+    # in row 7, the last row of the first strip
+    (_graph(12, [(7, 8), (8, 9)]), [0, 1, 2]),
 ])
 def test_residual_entry_across_strips(monkeypatch, rows, eigenvalues):
     monkeypatch.setattr(oracle, "STRIP", 8)
@@ -525,7 +541,7 @@ def test_residual_entry_across_strips(monkeypatch, rows, eigenvalues):
     table = SpectrumTable(v=n, k=len(eigenvalues) - 1, q=2,
                           entries=tuple(SpectrumEntry(j, lam, 1) for j, lam in enumerate(eigenvalues)))
     expected = sequential_first_nonzero(rows, eigenvalues)
-    assert expected is not None and max(expected[:2]) >= 8
+    assert expected is not None and max(expected[:2]) >= 7
     assert certify_spectrum(IntMatrix(rows), table).residual_entry == expected
 
 
