@@ -339,17 +339,24 @@ class LaurentPoly:
         """
         if not self._image:
             return "0"
+        # one pass over the coefficients, highest first, each term with its
+        # separator; the leading " + " or " - " becomes "" or "-" at the end
         parts: list[str] = []
-        for exp, coeff in self.items():
-            sep = ("-" if coeff < 0 else "") if not parts else (" - " if coeff < 0 else " + ")
-            mag = abs(coeff)
+        exp = self._low + self._len
+        for coeff in reversed(self._coefficients()):
+            exp -= 1
+            if not coeff:
+                continue
+            sign = " + "
+            if coeff < 0:
+                sign, coeff = " - ", -coeff
             if exp == 0:
-                body = str(mag)
+                parts.append(f"{sign}{coeff}")
             else:
                 power = "q" if exp == 1 else f"q^{exp}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            parts.append(sep + body)
-        return "".join(parts)
+                parts.append(sign + power if coeff == 1 else f"{sign}{coeff}*{power}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"

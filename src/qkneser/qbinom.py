@@ -2,24 +2,32 @@
 
 gauss(n, i) is defined for every integer n and nonnegative integer i:
 
-  * n >= i >= 0: the classical Gaussian binomial, computed by the
+  * n >= 2i >= 0: the classical Gaussian binomial, computed by the
     Pascal-type recurrence  [n i] = [n-1 i-1] + q^i [n-1 i]  with
     [n 0] = 1, staying inside the polynomial ring the whole way;
+  * i <= n < 2i: the mirror [n i] = [n n-i], a cell of the case above;
   * 0 <= n < i: identically zero;
   * n < 0: the reflection to a nonnegative top,
         [n i] = (-1)^i q^(n*i - i(i-1)/2) [i-1-n i],
     where i-1-n >= i, so the reduced coefficient is an honest polynomial
     and the monomial factor contributes the negative exponents.
 
+Only the canonical cells [n i] with n >= 2i are computed and kept.  A
+mirrored cell is looked up as its canonical one, before any fill, and
+the memo hands out that same object under both keys; a negative top is
+reflected first, so [-5 14] is served from [18 14], which is [18 4].
+
 The recurrence is run bottom-up, not by recursion: a call that misses
-the memo first calls gauss on every cell [n' i'] with n' >= i' >= 1 that
-the recurrence reaches from [n i], columns i' ascending and tops n'
-ascending within a column.  Each of those calls finds its two cells in
-the memo or among the base cases i' = 0 and n' < i', so no call nests
-more than two deep.  The memo ends up holding the same cells as a
-recursive evaluation would.  A call whose memo is estimated (by
-_memo_bytes) above MEMO_BYTE_LIMIT bytes is refused with ValueError
-before any cell is computed.
+the memo first calls gauss on every canonical cell [c+r c] with
+1 <= c <= r that the recurrence reaches from [n i], columns c ascending
+and rows r ascending within a column.  A mirrored cell r < c of the same
+box is [c+r r], also canonical and in the box; the recurrence meets one
+only on the diagonal, where [2c c] reads its right parent [2c-1 c] as
+[2c-1 c-1].  Each of those calls finds its two cells in the memo or among
+the base cells [r 0] = 1, so no call nests more than two deep.  A call
+whose memo is estimated (by _memo_bytes) above MEMO_BYTE_LIMIT bytes is
+refused with MemoRefused, a ValueError naming the cell asked for, before
+any cell is computed.
 
 The cells are added as Kronecker images (see laurent.py), not as
 polynomials: one fill runs at one slot width W = _slot_bytes(C(n, i)),
@@ -59,13 +67,26 @@ _CELL_BYTES = 256
 _filling = threading.local()
 
 
+class MemoRefused(ValueError):
+    """A call of gauss refused up front: its q-Pascal memo is estimated above MEMO_BYTE_LIMIT."""
+
+    def __init__(self, n: int, i: int, estimate: int):
+        super().__init__(f"[{n} {i}]_q needs a q-Pascal memo of about {estimate} bytes, "
+                         f"above the limit of {MEMO_BYTE_LIMIT}")
+        self.estimate = estimate
+
+
 @lru_cache(maxsize=None)
 def gauss(n: int, i: int) -> LaurentPoly:
     """[n choose i]_q, exactly, for any integer n and i >= 0.
 
     Results are memoized; the cache is safe to share because values are
-    immutable and the function is pure.  Raises ValueError, before any
-    work, when the memo the call needs is estimated above MEMO_BYTE_LIMIT.
+    immutable and the function is pure.  Only the canonical cells
+    [n i] with n >= 2i are computed: a mirrored cell, i <= n < 2i, is the
+    same object as [n n-i], and a negative top is first reflected to a
+    nonnegative one.  Raises MemoRefused, a ValueError naming [n i],
+    before any work, when the memo the call needs is estimated above
+    MEMO_BYTE_LIMIT.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"top index must be an int, got {n!r}")
@@ -76,30 +97,42 @@ def gauss(n: int, i: int) -> LaurentPoly:
     if i == 0:
         return ONE
     if n < 0:
-        reflected = gauss(i - 1 - n, i)
+        reflected = _served_from(n, i, i - 1 - n, i)
         shifted = reflected.shift(n * i - i * (i - 1) // 2)
         return -shifted if i % 2 else shifted
     if n < i:
         return ZERO
+    if n < 2 * i:
+        return _served_from(n, i, n, n - i)
     width = getattr(_filling, "width", None) or _fill(n, i)
-    # [n i] = [n-1 i-1] + q^i [n-1 i] on the images, lowest coefficient 1
-    image = gauss(n - 1, i - 1)._image_at(width) + (gauss(n - 1, i)._image_at(width) << 8 * width * i)
+    # [n i] = [n-1 i-1] + q^i [n-1 i] on the images, lowest coefficient 1;
+    # on the diagonal n = 2i the right parent [2i-1 i] is read as [2i-1 i-1]
+    right = gauss(n - 1, min(i, n - 1 - i))
+    image = gauss(n - 1, i - 1)._image_at(width) + (right._image_at(width) << 8 * width * i)
     return LaurentPoly._from_image(0, width, image)
 
 
+def _served_from(n: int, i: int, top: int, low: int) -> LaurentPoly:
+    # gauss(top, low), which [n i] is computed from; a refusal names [n i]
+    try:
+        return gauss(top, low)
+    except MemoRefused as exc:
+        raise MemoRefused(n, i, exc.estimate) from None
+
+
 def _fill(n: int, i: int) -> int:
-    # Every cell [c+r c] below [n i] with 1 <= c <= i and 0 <= r <= n-i,
-    # lowest first; the base cells [r 0] = 1 and [c-1 c] = 0 need no fill.
+    # Every canonical cell [c+r c] below [n i], 1 <= c <= r with c <= i and
+    # r <= n-i, lowest first; the base cells [r 0] = 1 need no fill, and the
+    # mirrored cells r < c are read as [c+r r], which lies in the same box.
     # All of them are added at the width of [n i], returned: their
     # coefficients are nonnegative and sum to C(c+r, c) <= C(n, i).
     estimate = _memo_bytes(n, i)
     if estimate > MEMO_BYTE_LIMIT:
-        raise ValueError(f"[{n} {i}]_q needs a q-Pascal memo of about {estimate} bytes, "
-                         f"above the limit of {MEMO_BYTE_LIMIT}")
+        raise MemoRefused(n, i, estimate)
     _filling.width = width = _slot_bytes(comb(n, i))
     try:
         for col in range(1, i + 1):
-            for r in range(n - i + (col < i)):
+            for r in range(col, n - i + (col < i)):
                 gauss(col + r, col)
     finally:
         _filling.width = None
@@ -109,20 +142,24 @@ def _fill(n: int, i: int) -> int:
 def _memo_bytes(n: int, i: int) -> int:
     """Upper estimate of the bytes the memo of [n i] needs, for n >= i >= 1.
 
-    The cells [c+r c] of _fill and the base cells, about (i + 1)(n - i + 2)
-    of them with one spare cell per column, have c*r + 1 coefficients
-    each.  A cell's image holds one W-byte slot per coefficient, with
+    The fill that runs is that of the canonical cell, so i is first taken
+    as min(i, n - i).  Its cells [c+r c] with 1 <= c <= i and c <= r <= n-i,
+    i(n - i) - i(i - 1)/2 of them, have c*r + 1 coefficients each, and the
+    n - i base cells [r 0] share the single polynomial 1.  A cell's image
+    holds one W-byte slot per coefficient, with
     W = _slot_bytes(C(n, i)) <= bits // 8 + 1, since every coefficient is
-    at most C(n, min(i, n-i)) <= min(2^n, n^min(i, n-i)); CPython stores
-    the image in 30-bit digits of 4 bytes, 16/15 of that.  Each cell also
-    costs its LaurentPoly, the image's int header and the memo entry,
-    under _CELL_BYTES (about 180 to 210 bytes, measured with tracemalloc).
+    at most C(n, i) <= min(2^n, n^i); CPython stores the image in 30-bit
+    digits of 4 bytes, 16/15 of that.  Each cell also costs its
+    LaurentPoly, the image's int header and the memo entry, under
+    _CELL_BYTES (about 180 to 210 bytes, measured with tracemalloc).
     """
+    i = min(i, n - i)
     rest = n - i
-    cells = (i + 1) * (rest + 2)
-    coefficients = (i * (i + 1) // 2) * (rest * (rest + 1) // 2) + cells
-    bits = min(n, min(i, rest) * n.bit_length())
-    return coefficients * (bits // 8 + 1) * 16 // 15 + cells * _CELL_BYTES
+    cells = i * rest - i * (i - 1) // 2 + rest
+    # sum of c*r over the cells: T(i) T(rest) less the sum of c T(c-1), c <= i
+    products = (i * (i + 1) // 2) * (rest * (rest + 1) // 2) - (i - 1) * i * (i + 1) * (3 * i + 2) // 24
+    bits = min(n, i * n.bit_length())
+    return (products + cells) * (bits // 8 + 1) * 16 // 15 + cells * _CELL_BYTES
 
 
 def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:

@@ -287,6 +287,19 @@ def test_memo_refusal_is_priced_in_slots(capsys):
         qbinom.gauss.cache_clear()
 
 
+def test_mirrored_memo_refusal_names_the_cell_asked_for(capsys):
+    # [100000 99999] is served from [100000 1] and priced as its fill, but
+    # the refusal names the cell on the command line, before any cell
+    qbinom.gauss.cache_clear()
+    try:
+        code, out, err = run(capsys, "gauss", "100000", "99999")
+        assert code == 2 and out == "" and qbinom.gauss.cache_info().currsize == 0
+        assert err == (f"error: [100000 99999]_q needs a q-Pascal memo of about {qbinom._memo_bytes(100000, 1)} bytes, "
+                       f"above the limit of {qbinom.MEMO_BYTE_LIMIT}\n")
+    finally:
+        qbinom.gauss.cache_clear()
+
+
 def test_huge_field_order_is_refused_up_front(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "eigenvalues", "4", "2", "--q", str(10**4000 + 1))

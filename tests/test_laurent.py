@@ -135,6 +135,25 @@ def test_rendering_canonical():
     assert str(P({2: 1, 0: -1})) == "q^2 - 1"
 
 
+def _render_terms(poly):
+    # reference rendering, term by term from items(), highest exponent first
+    parts = []
+    for exp, coeff in poly.items():
+        sep = ("-" if coeff < 0 else "") if not parts else (" - " if coeff < 0 else " + ")
+        mag = abs(coeff)
+        power = "q" if exp == 1 else f"q^{exp}"
+        parts.append(sep + (str(mag) if exp == 0 else power if mag == 1 else f"{mag}*{power}"))
+    return "".join(parts) or "0"
+
+
+def test_rendering_matches_the_term_by_term_reference():
+    rng = random.Random(7)
+    polys = [random_poly(rng) * random_poly(rng) - random_poly(rng) for _ in range(300)]
+    polys += [P({e: c}) for e in (-2, -1, 0, 1, 2) for c in (-10**30, -2, -1, 1, 2, 10**30)]
+    for poly in polys:
+        assert str(poly) == _render_terms(poly), poly.items()
+
+
 def test_equality_and_hash():
     a = P({2: 1, 0: -1})
     b = P({0: -1, 2: 1})

@@ -11,6 +11,7 @@ import pytest
 from qkneser import identities, qbinom
 from qkneser.laurent import ONE, ZERO, LaurentPoly
 from qkneser.qbinom import gauss, gauss_eval_product
+from qkneser.spectrum import delsarte_eigenvalue, spectrum_table
 
 
 def test_convention_lower_index_zero():
@@ -132,15 +133,83 @@ def test_deep_cells_need_no_recursion():
     assert gauss(1100, 1) == gauss(1100, 1099) == LaurentPoly({e: 1 for e in range(1100)})
 
 
+def _in_memo(cell):
+    # whether the memo holds cell: looking it up must not miss
+    misses = gauss.cache_info().misses
+    value = gauss(*cell)
+    return gauss.cache_info().misses == misses, value
+
+
 def test_memo_holds_the_cells_of_the_recursion():
-    # [n i] reaches [r 0] for 0 <= r <= n-i and [c+r c] for 1 <= c <= i,
-    # -1 <= r <= n-i; the bottom-up fill stores exactly these cells
+    # [n i] with n >= 2i reaches [c+r c] for 1 <= c <= i and r <= n-i; the
+    # bottom-up fill stores the canonical ones, c <= r, and the base cells
+    # [r 0] for 1 <= r <= n-i, and nothing else: no mirrored cell r < c,
+    # no zero cell [c-1 c]
+    canonical = {(r, 0) for r in range(1, 19)} | {(c + r, c) for c in range(1, 13) for r in range(c, 19)}
     gauss.cache_clear()
-    gauss(30, 12)
-    assert gauss.cache_info().currsize == (30 - 12 + 1) + 12 * (30 - 12 + 2)
-    gauss(-5, 14)  # itself, and [18 14] adds its columns 13 and 14 (r = -1..4)
-    assert gauss.cache_info().currsize == 259 + 1 + 2 * 6
+    try:
+        gauss(30, 12)
+        size = gauss.cache_info().currsize
+        assert size == len(canonical) == 18 + 12 * 18 - 12 * 11 // 2
+        assert all(_in_memo(cell)[0] for cell in canonical)
+        # [-5 14] adds itself and [18 14], which is [18 4] of the same memo
+        gauss(-5, 14)
+        assert gauss.cache_info().currsize == size + 2
+        assert _in_memo((18, 14)) == (True, gauss(18, 4))
+    finally:
+        gauss.cache_clear()
+
+
+def test_a_mirrored_cell_is_its_canonical_cell(monkeypatch):
+    # [n i] = [n n-i]: for 2i > n the memo hands out the canonical cell
+    # itself, and no fill ever starts for a mirrored cell, also not for one
+    # reached through the reflection of a negative top
+    fills = []
+    fill = qbinom._fill
+    monkeypatch.setattr(qbinom, "_fill", lambda n, i: fills.append((n, i)) or fill(n, i))
     gauss.cache_clear()
+    try:
+        assert gauss(-5, 14) == gauss(18, 4).shift(-5 * 14 - 14 * 13 // 2)  # (-1)^14 = 1
+        assert fills == [(18, 4)] and gauss(18, 14) is gauss(18, 4)
+        for n in range(-20, 41):
+            for i in range(1, 21):
+                top = n if n >= 0 else i - 1 - n
+                if i <= top < 2 * i:
+                    gauss(n, i)
+                    assert gauss(top, i) is gauss(top, top - i), (n, i)
+        assert fills and all(n >= 2 * i for n, i in fills)
+    finally:
+        gauss.cache_clear()
+
+
+def _spectrum_memo_peak():
+    # traced peak of the symbolic spectrum of qK(60, 15) in both forms, from a cold memo
+    gauss.cache_clear()
+    tracemalloc.start()
+    try:
+        for entry in spectrum_table(60, 15).entries:
+            delsarte_eigenvalue(60, 15, entry.j)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_memo_holds_no_mirrored_cell():
+    # The closed form reads [45-j 30] and the Delsarte sum [60-2j-s 45-j],
+    # mirrors of cells in the box of [60 15].  Computed apart from it they
+    # took the peak to 2071877 bytes (Python 3.11).  The canonical memo
+    # halves the images, 1.49 to 0.77 MB, but the peak also holds the
+    # results and the operands re-slotted for the sums: 1162055 bytes, 56%.
+    # The first run pays one-time allocations of about 65 kB.
+    try:
+        _spectrum_memo_peak()
+        assert _spectrum_memo_peak() < 0.6 * 2071877
+        for n in range(61):
+            for i in range(n // 2 + 1, n + 1):
+                found, value = _in_memo((n, i))
+                assert not found or value is gauss(n, n - i), (n, i)
+    finally:
+        gauss.cache_clear()
 
 
 def test_oversized_memo_is_refused_before_any_work(monkeypatch):
@@ -148,17 +217,22 @@ def test_oversized_memo_is_refused_before_any_work(monkeypatch):
     gauss.cache_clear()
     with pytest.raises(ValueError, match="memo"):
         gauss(3000, 2)
-    with pytest.raises(ValueError, match="memo"):
+    # a refusal names the cell asked for, not the one it is served from
+    with pytest.raises(qbinom.MemoRefused, match=r"^\[-1200 600\]_q needs a q-Pascal memo"):
         gauss(-1200, 600)
+    with pytest.raises(qbinom.MemoRefused, match=r"^\[3000 2998\]_q needs a q-Pascal memo"):
+        gauss(3000, 2998)
     assert gauss.cache_info().currsize == 0
     assert gauss(6, 3) == gauss(5, 2) + gauss(5, 3).shift(3)  # small calls still run
 
 
 def test_memo_estimate_prices_slots_and_stays_an_upper_bound():
     # one W-byte slot per coefficient plus the objects of each cell: gauss
-    # 8000 1 (about 70 MB of images) fits, gauss 100000 1 (16 GB) does not
+    # 8000 1 (about 70 MB of images) fits, gauss 100000 1 (16 GB) does not;
+    # a mirrored cell is priced as the canonical fill it runs
     assert qbinom._memo_bytes(8000, 1) < qbinom.MEMO_BYTE_LIMIT < qbinom._memo_bytes(100000, 1)
-    for n, i in [(500, 5), (120, 40), (40, 20), (10, 5)]:
+    assert qbinom._memo_bytes(100000, 99999) == qbinom._memo_bytes(100000, 1)
+    for n, i in [(500, 5), (120, 40), (120, 80), (40, 20), (10, 5)]:
         gauss.cache_clear()
         tracemalloc.start()
         try:
