@@ -9,7 +9,7 @@ Subcommands:
   count-subspaces V K Q                enumeration count vs formula
 
 Exit codes: 0 success/certified, 1 verification failure, 2 usage or
-resource error (a MemoryError included).  Output ordering is
+resource error (a MemoryError, or a value too long to print).  Output ordering is
 deterministic everywhere so that csv/json outputs can be golden-file
 tested.
 """
@@ -21,6 +21,8 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
+from math import log10
 from pathlib import Path
 
 from .gf import factor_prime_power, field_of_order
@@ -105,7 +107,11 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     if args.q is None:
         value = str(gauss(args.n, args.i))
     else:
-        value = str(gauss_eval_product(args.n, args.i, args.q))
+        # q0^(i(n-i)) <= [n i]_q0 for n >= i, q0^(i(i-1)/2 - ni) its denominator for n < 0
+        n, i = args.n, args.i
+        exponent = i * (n - i) if n >= i else i * (i - 1) // 2 - n * i if n < 0 else 0
+        _refuse_unprintable(f"[{n} {i}]_q at q={args.q}", args.q, exponent)
+        value = str(gauss_eval_product(n, i, args.q))
     if args.format == "table":
         print(value)
     elif args.format == "json":
@@ -140,6 +146,9 @@ def _render(value) -> str | int:
 
 
 def cmd_eigenvalues(args: argparse.Namespace) -> int:
+    if args.q is not None and args.v >= 2 * args.k >= 2:
+        factor_prime_power(args.q)  # named first; the degree q^(k^2) [v-k k]_q is >= q^(k(v-k))
+        _refuse_unprintable(f"qK({args.v},{args.k}) at q={args.q}", args.q, args.k * (args.v - args.k))
     table, rows = _spectrum_cells(args.v, args.k, args.q, args.form)
     if args.form == "both":
         disagreements = [r["j"] for r in rows if r["eigenvalue"] != r["eigenvalue_delsarte"]]
@@ -220,6 +229,15 @@ def cmd_count_subspaces(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+
+
+def _refuse_unprintable(what: str, q0: int, exponent: int) -> None:
+    """Refuse, before computing it, a value >= q0^exponent that str() could not print; none that it could."""
+    limit = sys.get_int_max_str_digits()
+    if limit and q0 >= 2 and exponent >= limit / log10(q0):
+        digits = int(exponent * Fraction(log10(q0))) + 1
+        raise ValueError(f"{what} has at least {digits} digits, above the limit of {limit} "
+                         f"for integer string conversion")
 
 
 def _print_csv(header: list[str], rows: list[list]) -> None:

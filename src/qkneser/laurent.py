@@ -6,58 +6,53 @@ coefficient,  image = sum_k c_k * 2^(8wk),  where c_k is the coefficient
 of q^(_low+k) and w (`_width`) is wide enough that |c_k| < 2^(8w-1).
 Adding 2^(8w-1) to every slot puts each one in [0, 2^(8w)), so the
 base-2^(8w) digits of the biased image are the biased coefficients; the
-map is linear at a fixed width, and different coefficient vectors have
-different images.  The image is the working form: every operation
-computes on it, and the coefficient tuple is unpacked (and kept) only
-when something reads coefficients: items, coefficient, evaluate,
-coefficient_sum, rendering and hashing.  Exponents may have either sign
-and coefficients are arbitrary-precision integers.  Normalization is
-eager: the lowest slot is nonzero and the zero polynomial is (0, image 0),
-and the top slot is nonzero by construction, since the image of K + 1
-slots with a nonzero top has  2^(8wK-1) < |image| < 2^(8w(K+1)-1)  and so
-K = bit_length(|image|) // 8w.  Interior zeros are stored, so memory
-grows with degree - valuation rather than with the number of terms:
-Gaussian binomials have no gaps, but a hand-built q^(10^9) + 1 would
-hold a billion slots.
+map is linear at a fixed width and one-to-one.  Every operation computes
+on the image; coefficients are unpacked from it, and not kept, only to
+be read (items, evaluate, coefficient_sum, rendering, hashing), and
+coefficient(e) reads one slot.  The lowest slot is nonzero, the zero
+polynomial is (0, image 0), and the top slot is nonzero by construction:
+an image of K + 1 slots with a nonzero top has 2^(8wK-1) < |image| <
+2^(8w(K+1)-1), so K = bit_length(|image|) // 8w.  Interior zeros are
+stored, so a hand-built q^(10^9) + 1 would hold a billion slots.
 
-A whole signed, shifted sum of products  sum_t (+-1) q^(e_t) a_t * b_t
+Each instance carries `_norm`, a proven upper bound on the sum of its
+|coefficients|, set by its constructor and never recomputed: the exact
+sum for a value built from coefficients, |c| for a monomial, the
+operand's for a negation or a shift, C(n, i) for a Gaussian-binomial
+cell (qbinom.py), and the width bound below for a sum of products.  Its
+width holds its norm, and so every coefficient.
+
+A signed, shifted sum of products  sum_t (+-1) q^(e_t) a_t * b_t
 (sum_of_products) is one big-integer sum: the operands' images at one
-common width are multiplied, each product is moved into place by a left
-shift of 8w bits per exponent and added or subtracted.  Every coefficient
-of a_t * b_t is a sum of at most min(len a_t, len b_t) products, so every
-coefficient of the sum is bounded by the sum of the per-term bounds
-sum_t min(len a_t, len b_t) * max|a_t| * max|b_t|, which fixes w.  The
-total is the result's image as it stands: the zero slots it may have
-lost at the low end to cancellation are cut off from its lowest set bit,
-and the top ones vanish by themselves.  Each instance computes its exact
-max|coefficient| once, from the image, and keeps it.  A product is the
-one-term sum and a sum or difference the two-term sum against 1, so
-there is a single arithmetic path; shift and negation act on the image
-directly.
+common width are multiplied, and each product is shifted into place by
+8w bits per exponent and added or subtracted.  Every coefficient of the
+sum is at most sum_t ||a_t||_1 ||b_t||_1 <= sum_t norm(a_t) norm(b_t),
+which fixes w and is the result's norm.  Zero slots that cancellation
+leaves at the low end are cut off; the top ones vanish by themselves.  A
+product is the one-term sum and a sum or difference the two-term sum
+against 1; shift and negation act on the image directly.
 
-An image is moved to another width by re-slotting: bias it at the
-narrower of the two widths, copy the low bytes of every slot into slots
-of the new width (one numpy copy of the byte array, no Python loop over
-coefficients), and take the bias off at the new width.  Each instance
-keeps the last re-slot it made (`_alt`), because the Gaussian-binomial
-memo hands the same operands to many sums.  Equality compares the two
-images at the wider of the two widths; the width and the caches are
-invisible to equality, hashing and rendering.
+An image moves to another width by re-slotting: biased at the narrower
+width, every slot is its low bytes, which one strided bytes copy per
+byte moves into slots of the new width, where the bias comes off.  Each
+instance keeps its last re-slot (`_alt`), because the Gaussian-binomial
+memo hands the same operands to many sums: without it `verify identities
+--max 18` ran 1.4 times slower.  Equality compares the two images at
+the wider width; width, norm and re-slot are invisible to equality,
+hashing and rendering.
 
-Instances are immutable and may be shared freely; every operation returns
-a fresh value.  Evaluation at an integer point q0 >= 2 is exact and yields
-a Fraction whose denominator is a power of q0 (an integer whenever the
-polynomial has no negative exponents).  There is deliberately no float
-anywhere in this module.
+Instances are immutable and may be shared freely.  Evaluation at an
+integer point q0 >= 2 is exact and yields a Fraction whose denominator
+is a power of q0 (an integer when no exponent is negative).  The module
+computes on Python integers and bytes only: no numpy and no float.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Mapping
-
-import numpy as np
 
 
 class InvariantError(RuntimeError):
@@ -97,24 +92,16 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
 
 
-def _slots(image: int, width: int, size: int, narrow: int | None = None) -> np.ndarray:
-    """The biased slots of an image as a (size, width) uint8 array, least significant byte first."""
-    raw = (image + _bias(width, size, narrow)).to_bytes(size * width, "little")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(size, width)
-
-
 def _reslot(image: int, size: int, old: int, new: int) -> int:
-    """The same coefficients in slots of new bytes instead of old ones.
-
-    Every coefficient must fit both widths, |c| < 2^(8*min(old, new)-1): biased
-    by half of the narrower width, each slot is then its low min(old, new) bytes.
-    """
+    """The same coefficients, |c| < 2^(8*min(old, new)-1), in slots of new bytes instead of old ones."""
     if size <= 1:
         return image  # a single slot is the coefficient itself at every width
     narrow = min(old, new)
-    out = np.zeros((size, new), dtype=np.uint8)
-    out[:, :narrow] = _slots(image, old, size, narrow)[:, :narrow]
-    return int.from_bytes(out.tobytes(), "little") - _bias(new, size, narrow)
+    raw = (image + _bias(old, size, narrow)).to_bytes(size * old, "little")
+    out = bytearray(size * new)
+    for byte in range(narrow):
+        out[byte::new] = raw[byte::old]
+    return int.from_bytes(out, "little") - _bias(new, size, narrow)
 
 
 class LaurentPoly:
@@ -126,7 +113,7 @@ class LaurentPoly:
     Fraction(1, 1)
     """
 
-    __slots__ = ("_low", "_width", "_image", "_len", "_coeffs", "_max", "_alt")
+    __slots__ = ("_low", "_width", "_image", "_len", "_norm", "_alt")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         pairs = terms.items() if isinstance(terms, Mapping) else (terms or ())
@@ -143,26 +130,25 @@ class LaurentPoly:
             for exp, coeff in nonzero.items():
                 dense[exp - low] = coeff
             coeffs = tuple(dense)
-        top = max(map(abs, coeffs), default=0)
-        width = _slot_bytes(top)
+        norm = sum(map(abs, coeffs))
+        width = _slot_bytes(norm)
         self._low, self._width, self._image, self._len = low, width, _pack(coeffs, width), len(coeffs)
-        self._coeffs, self._max, self._alt = coeffs, top, None
+        self._norm, self._alt = norm, None
 
     @classmethod
-    def _from_image(cls, low: int, width: int, image: int, top: int | None = None) -> "LaurentPoly":
-        # Internal constructor: image holds the coefficients of q^low, q^(low+1), ...
-        # in width-byte slots and may start with zero slots, which are cut off
-        # here; top, when given, is the exact max|coefficient|.
+    def _from_image(cls, low: int, width: int, image: int, norm: int) -> "LaurentPoly":
+        # Internal constructor: image holds the coefficients of q^low, q^(low+1), ... in width-byte
+        # slots, maybe zero ones first (cut off here); norm < 2^(8*width-1) bounds the sum of their |c|.
         poly = object.__new__(cls)
         bits = 8 * width
         if not image:
-            low, top = 0, 0
+            low, norm = 0, 0
         elif not image & ((1 << bits) - 1):
             skip = ((image & -image).bit_length() - 1) // bits
             image >>= bits * skip
             low += skip
         poly._low, poly._width, poly._image, poly._len = low, width, image, _slot_count(image, width)
-        poly._coeffs, poly._max, poly._alt = None, top, None
+        poly._norm, poly._alt = norm, None
         return poly
 
     def _image_at(self, width: int) -> int:
@@ -175,25 +161,14 @@ class LaurentPoly:
         return alt[1]
 
     def _coefficients(self) -> tuple[int, ...]:
-        """The coefficient tuple, lowest exponent first, unpacked once from the image."""
-        if self._coeffs is None:
-            width, size = self._width, self._len
-            half = 1 << (8 * width - 1)
-            digits = (self._image + _bias(width, size)).to_bytes(size * width, "little")
-            self._coeffs = tuple(int.from_bytes(digits[k:k + width], "little") - half
-                                 for k in range(0, size * width, width))
-        return self._coeffs
-
-    def _max_abs(self) -> int:
-        """The exact max|coefficient|, found once from the biased slots and kept."""
-        if self._max is None:
-            width = self._width
-            slots = _slots(self._image, width, self._len)
-            order = np.lexsort(slots.T)  # lexsort's primary key is its last: the most significant byte
-            largest, smallest = (int.from_bytes(slots[k].tobytes(), "little") for k in (order[-1], order[0]))
-            half = 1 << (8 * width - 1)
-            self._max = max(largest - half, half - smallest)
-        return self._max
+        """The coefficient tuple, lowest exponent first, unpacked from the biased image."""
+        width, size = self._width, self._len
+        if width <= 8:  # re-slotted to 8 bytes, the biased slots are little-endian uint64s
+            digits = (_reslot(self._image, size, width, 8) + _bias(8, size)).to_bytes(8 * size, "little")
+            return tuple(slot - (1 << 63) for slot in struct.unpack(f"<{size}Q", digits))
+        half = 1 << (8 * width - 1)
+        digits = (self._image + _bias(width, size)).to_bytes(size * width, "little")
+        return tuple(int.from_bytes(digits[k:k + width], "little") - half for k in range(0, size * width, width))
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -226,9 +201,15 @@ class LaurentPoly:
         return tuple((low + k, coeffs[k]) for k in range(len(coeffs) - 1, -1, -1) if coeffs[k])
 
     def coefficient(self, exponent: int) -> int:
-        coeffs = self._coefficients()
         k = exponent - self._low
-        return coeffs[k] if 0 <= k < len(coeffs) else 0
+        if not 0 <= k < self._len:
+            return 0
+        # the image divided by 2^(8wk) and rounded: the slots below k add up
+        # to less than half of that, so the quotient's lowest slot is c_k
+        bits = 8 * self._width
+        slot = ((self._image >> (bits * k - 1)) + 1) >> 1 if k else self._image
+        half = 1 << (bits - 1)
+        return ((slot & ((1 << bits) - 1)) ^ half) - half
 
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
@@ -254,7 +235,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._from_image(self._low, self._width, -self._image, self._max)
+        return LaurentPoly._from_image(self._low, self._width, -self._image, self._norm)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
@@ -294,9 +275,7 @@ class LaurentPoly:
         _check_int(e, "shift")
         if not self._image:
             return self
-        poly = LaurentPoly._from_image(self._low + e, self._width, self._image, self._max)
-        poly._coeffs, poly._alt = self._coeffs, self._alt  # the same coefficients
-        return poly
+        return LaurentPoly._from_image(self._low + e, self._width, self._image, self._norm)
 
     def evaluate(self, q0: int) -> Fraction:
         """Exact value at q = q0 for an integer q0 >= 2, as a Fraction."""
@@ -376,7 +355,7 @@ def sum_of_products(terms: Iterable[tuple[int, int, LaurentPoly, LaurentPoly]]) 
             raise ValueError(f"sign must be 1 or -1, got {sign!r}")
         if a._image and b._image:
             live.append((sign, shift + a._low + b._low, a, b))
-            bound += min(a._len, b._len) * a._max_abs() * b._max_abs()
+            bound += a._norm * b._norm
     if not live:
         return ZERO
     width = _slot_bytes(bound)
@@ -386,7 +365,7 @@ def sum_of_products(terms: Iterable[tuple[int, int, LaurentPoly, LaurentPoly]]) 
     for sign, at, a, b in live:
         product = a._image_at(width) * b._image_at(width) << bits * (at - low)
         total = total + product if sign == 1 else total - product
-    return LaurentPoly._from_image(low, width, total)
+    return LaurentPoly._from_image(low, width, total, bound)
 
 
 def _coerce(value: "LaurentPoly | int") -> "LaurentPoly":

@@ -35,7 +35,8 @@ and a cell is  [c+r c] = [c+r-1 c-1] + ([c+r-1 c] << 8W*c),  two big-integer
 operations.  This is exact because every cell [c+r c] of the fill has
 nonnegative coefficients summing to C(c+r, c) <= C(n, i) < 2^(8W-1).  A
 cell that an earlier fill left in the memo at another width is
-re-slotted to W, widened or narrowed, which the same bound allows.
+re-slotted to W, widened or narrowed, which the same bound allows.  Each
+cell carries C(c+r, c), the sum of its parents', as its norm (laurent.py).
 
 gauss_eval_product evaluates the defining product
 prod_{j=0}^{i-1} (q0^(n-j) - 1)/(q0^(i-j) - 1) exactly at a concrete
@@ -106,10 +107,11 @@ def gauss(n: int, i: int) -> LaurentPoly:
         return _served_from(n, i, n, n - i)
     width = getattr(_filling, "width", None) or _fill(n, i)
     # [n i] = [n-1 i-1] + q^i [n-1 i] on the images, lowest coefficient 1;
-    # on the diagonal n = 2i the right parent [2i-1 i] is read as [2i-1 i-1]
-    right = gauss(n - 1, min(i, n - 1 - i))
-    image = gauss(n - 1, i - 1)._image_at(width) + (right._image_at(width) << 8 * width * i)
-    return LaurentPoly._from_image(0, width, image)
+    # on the diagonal n = 2i the right parent [2i-1 i] is read as [2i-1 i-1].
+    # The norm is C(n-1, i-1) + C(n-1, i) = C(n, i), the coefficient sum.
+    left, right = gauss(n - 1, i - 1), gauss(n - 1, min(i, n - 1 - i))
+    image = left._image_at(width) + (right._image_at(width) << 8 * width * i)
+    return LaurentPoly._from_image(0, width, image, left._norm + right._norm)
 
 
 def _served_from(n: int, i: int, top: int, low: int) -> LaurentPoly:

@@ -5,6 +5,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import sys
 import time
 from unittest import mock
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkneser import cli, oracle, qbinom
+from qkneser import cli, oracle, qbinom, spectrum
 from qkneser.cli import main
 from qkneser.oracle import predicted_vertex_count
 
@@ -305,6 +307,50 @@ def test_huge_field_order_is_refused_up_front(capsys):
     code, out, err = run(capsys, "eigenvalues", "4", "2", "--q", str(10**4000 + 1))
     assert code == 2 and out == "" and "more than 1000 digits" in err
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("argv", [("gauss", "5000", "3", "--q", "2"), ("gauss", "30000000", "3", "--q", "2"),
+                                  ("gauss", "-5000", "3", "--q", "2"), ("eigenvalues", "8000", "2", "--q", "2"),
+                                  ("eigenvalues", "8000", "2", "--q", "2", "--form", "both")])
+def test_unprintable_values_are_refused_before_they_are_computed(capsys, monkeypatch, argv):
+    # these once computed the whole value (or ran for minutes) and then
+    # failed in str() at CPython's limit on int-to-string conversion
+    def not_computed(*args):
+        raise AssertionError(f"computed {args}")
+    monkeypatch.setattr(cli, "gauss_eval_product", not_computed)
+    monkeypatch.setattr(cli, "_spectrum_cells", not_computed)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert f"digits, above the limit of {sys.get_int_max_str_digits()} for integer string conversion" in err
+
+
+def _digits(value):
+    return max(len(str(abs(part))) for part in (value.numerator, value.denominator))
+
+
+def test_the_digit_refusal_spares_every_value_that_prints(capsys):
+    # at the lowest limit CPython allows, every value around it prints
+    # exactly when it has few enough digits, and every refusal made before
+    # computing names the limit; the few in between fail in str()
+    limit = sys.get_int_max_str_digits()
+    gauss_cases = [(n, i, q0) for i, q0 in ((1, 2), (3, 2), (2, 3)) for sign in (1, -1)
+                   for base in [int(640 / (i * math.log10(q0)))] for n in range(sign * base - 6, sign * base + 7)]
+    spectrum_cases = [(v, 2, 2) for v in range(1062, 1070)]
+    try:
+        sys.set_int_max_str_digits(0)
+        need = {("gauss", n, i, q0): _digits(qbinom.gauss_eval_product(n, i, q0)) for n, i, q0 in gauss_cases}
+        for v, k, q0 in spectrum_cases:
+            table = spectrum.spectrum_table(v, k, q0)
+            need["eigenvalues", v, k, q0] = max(map(_digits, table.eigenvalues() + table.multiplicities()))
+        sys.set_int_max_str_digits(640)
+        refused = 0
+        for (command, *args), digits in need.items():
+            code, out, err = run(capsys, command, str(args[0]), str(args[1]), "--q", str(args[2]))
+            assert (code == 0) == (digits <= 640), (command, args, digits, err)
+            refused += "has at least" in err
+        assert refused > len(need) // 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_identities_bad_max(capsys):

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,8 +216,8 @@ def _model_shift(a, e):
     return {exp + e: coeff for exp, coeff in a.items()}
 
 
-def _model_max(a):
-    return max(map(abs, a.values()), default=0)
+def _model_norm(a):
+    return sum(map(abs, a.values()))
 
 
 def _model_len(a):
@@ -226,14 +225,16 @@ def _model_len(a):
 
 
 def _assert_matches(got, want, q0, op=None):
-    # got against the model: terms, both ends, the exact max, equality and
-    # hash against the value built from coefficients (at its own width), and
-    # the value at q0
+    # got against the model: terms, both ends, a norm that bounds the sum
+    # of |coefficient| and fits the width, equality and hash against the
+    # value built from coefficients (at its own width, with the exact
+    # norm), and the value at q0
     want = _model(want)
     assert got.items() == _model_items(want), op
     assert (got.valuation(), got.degree()) == ((min(want), max(want)) if want else (None, None)), op
-    assert got._max_abs() == _model_max(want), op
+    assert _model_norm(want) <= got._norm < 2 ** (8 * got._width - 1), op
     built = LaurentPoly(want)
+    assert built._norm == _model_norm(want), op
     assert got == built and built == got and hash(got) == hash(built), op
     assert got.evaluate(q0) == _model_evaluate(want, q0), op
 
@@ -297,11 +298,10 @@ def test_sums_of_products_match_the_dict_model(terms, cancelled, q0):
     terms = terms + [(-sign, shift, a, b) for sign, shift, a, b in terms[:cancelled]]
     got = sum_of_products((sign, shift, LaurentPoly(a), LaurentPoly(b)) for sign, shift, a, b in terms)
     _assert_matches(got, _model_sum(terms), q0)
-    # the slot width is the one the exact per-term bounds ask for
-    bound = sum(min(_model_len(_model(a)), _model_len(_model(b))) * _model_max(a) * _model_max(b)
-                for _, _, a, b in terms)
+    # the slot width and the norm (0 once all cancels) are the sum of the terms' norm products
+    bound = sum(_model_norm(_model(a)) * _model_norm(_model(b)) for _, _, a, b in terms)
     if bound:
-        assert got._width == laurent._slot_bytes(bound)
+        assert got._width == laurent._slot_bytes(bound) and got._norm == (bound if got else 0)
 
 
 _CHAIN_OPS = st.sampled_from(["+", "-", "sum", "shift", "neg"])
@@ -314,9 +314,9 @@ _chain = st.lists(st.tuples(_CHAIN_OPS, _terms, st.integers(-20, 20), st.sampled
 @example(start={3: -128}, steps=[("sum", {-1: 127, 2: -1}, 4, -1), ("neg", {}, 0, 1), ("shift", {}, -9, 1),
                                  ("-", {2: -128}, 0, 1)], q0=3)
 def test_chains_of_operations_stay_images_and_match_the_dict_model(start, steps, q0):
-    # every intermediate value is the output of an operation, so none of
-    # them is ever unpacked; widths drift along the chain, while equality
-    # and hashing must not see them
+    # every intermediate value is the output of an operation, so its width
+    # and norm come from the bounds alone; they drift along the chain,
+    # while equality and hashing must not see them
     value = LaurentPoly(start) + ZERO
     want = _model(start)
     for op, terms, e, sign in steps:
@@ -332,12 +332,11 @@ def test_chains_of_operations_stay_images_and_match_the_dict_model(start, steps,
             value, want = value.shift(e), _model_shift(want, e)
         else:
             value, want = -value, _model_neg(want)
-        assert value._coeffs is None or not value, op
     _assert_matches(value, want, q0)
     for extra in (1, 2, 5):
         # the same value re-slotted wider is still the same value
         width = value._width + extra
-        wider = LaurentPoly._from_image(value._low, width, value._image_at(width))
+        wider = LaurentPoly._from_image(value._low, width, value._image_at(width), value._norm)
         assert wider._width != value._width
         assert wider == value and value == wider and hash(wider) == hash(value)
         _assert_matches(wider, want, q0)
@@ -365,8 +364,8 @@ def test_a_narrower_slot_fails_the_model_check(monkeypatch):
         test_sums_of_products_match_the_dict_model()
 
 
-# a * NARROW needs 1-byte slots (bound 100 < 2^7), a * WIDE 2-byte slots (bound 200)
-_CACHED = {0: 100, 1: -100, 3: 100}
+# a * NARROW needs 1-byte slots (norm bound 120 < 2^7), a * WIDE 2-byte slots (bound 240)
+_CACHED = {0: 40, 1: -40, 3: 40}
 _NARROW, _WIDE = {0: 1}, {2: 2}
 
 
@@ -380,7 +379,7 @@ def test_a_packed_operand_is_repacked_at_a_new_width():
         assert product._width == width
         assert product.items() == _model_items(_model_mul(_CACHED, other))
         assert a._image_at(width) == laurent._pack(a._coefficients(), width)
-    assert a._alt == (2, laurent._pack((100, -100, 0, 100), 2))
+    assert a._alt == (2, laurent._pack((40, -40, 0, 40), 2))
 
 
 def test_a_stale_packed_image_fails_the_model_check():
@@ -402,14 +401,26 @@ def _model_tests():
 def _reslot_without_bias(image, size, old, new):
     # the slots of the two's-complement image copied as they are: a
     # negative coefficient borrows from the slot above, which this loses
-    out = np.zeros((size, new), dtype=np.uint8)
-    raw = np.frombuffer(image.to_bytes(size * old + 1, "little", signed=True)[:size * old], dtype=np.uint8)
-    out[:, :min(old, new)] = raw.reshape(size, old)[:, :min(old, new)]
-    return int.from_bytes(out.tobytes(), "little", signed=True)
+    raw = image.to_bytes(size * old + 1, "little", signed=True)[:size * old]
+    out = bytearray(size * new)
+    for byte in range(min(old, new)):
+        out[byte::new] = raw[byte::old]
+    return int.from_bytes(out, "little", signed=True)
+
+
+def _max_as_norm(original):
+    # a value built from coefficients with max|c| as its norm and width
+    def init(self, terms=None):
+        original(self, terms)
+        coeffs = self._coefficients()
+        self._norm = max(map(abs, coeffs), default=0)
+        self._width = laurent._slot_bytes(self._norm)
+        self._image = laurent._pack(coeffs, self._width)
+    return init
 
 
 @pytest.mark.parametrize("mutation", ["reslot without bias", "top slot dropped", "top slot added",
-                                      "max is the slot bound"])
+                                      "norm is the max"])
 def test_broken_image_handling_fails_the_model_checks(monkeypatch, mutation):
     # Negative controls: each defect must be caught by the model tests above.
     if mutation == "reslot without bias":
@@ -418,8 +429,10 @@ def test_broken_image_handling_fails_the_model_checks(monkeypatch, mutation):
         exact, off = laurent._slot_count, -1 if mutation == "top slot dropped" else 1
         monkeypatch.setattr(laurent, "_slot_count", lambda image, width: exact(image, width) + off if image else 0)
     else:
-        # a bound instead of the exact maximum: right results, wider slots
-        monkeypatch.setattr(LaurentPoly, "_max_abs", lambda self: (1 << (8 * self._width - 1)) - 1)
+        # max|c| bounds a coefficient of the value but not one of its products
+        monkeypatch.setattr(LaurentPoly, "__init__", _max_as_norm(LaurentPoly.__init__))
+        with pytest.raises((AssertionError, OverflowError)):
+            test_products_at_the_slot_edge(1)
     with pytest.raises((AssertionError, OverflowError, ValueError)):
         _model_tests()
 
@@ -432,3 +445,28 @@ def test_products_at_the_slot_edge(w):
     for a, b in [({0: top - 1}, {3: 1}), ({0: top - 1}, {-2: -1}), ({0: -top}, {1: 1}),
                  ({0: top // 2, 1: top // 2}, {0: 1, 1: 1}), ({-1: top, 1: -top}, {0: top, 2: top})]:
         assert (LaurentPoly(a) * LaurentPoly(b)).items() == _model_items(_model_mul(a, b))
+
+
+@pytest.mark.parametrize("w", [1, 2, 8, 9])
+def test_reslot_round_trips_at_the_slot_edge(w):
+    # narrow -> wide -> narrow keeps every coefficient of either sign up to
+    # 2^(8w-1) - 1, the most a w-byte slot holds, next to small ones and zeros
+    edge = 2 ** (8 * w - 1) - 1
+    for coeffs in [(edge,), (-edge,), (edge, -edge, 0, 1, -1, 0, -edge, edge), (-1, edge, -edge, 1)]:
+        image = laurent._pack(coeffs, w)
+        for wide in (w + 1, 2 * w + 3):
+            widened = laurent._reslot(image, len(coeffs), w, wide)
+            assert widened == laurent._pack(coeffs, wide)
+            assert laurent._reslot(widened, len(coeffs), wide, w) == image
+
+
+@settings(max_examples=30, deadline=None, database=None, report_multiple_bugs=False)
+@given(a=_terms, b=_terms)
+@example(a={-2: -(2**63), 0: 2**63 - 1, 3: -1}, b={0: 1})
+@example(a={0: -127, 1: 127, 2: -127}, b={5: -1, 6: 1})
+def test_coefficient_reads_the_slot_that_items_report(a, b):
+    # inside the exponent range, at both ends and outside it
+    for poly in (LaurentPoly(a), LaurentPoly(a) * LaurentPoly(b), LaurentPoly(a) - LaurentPoly(b)):
+        terms = dict(poly.items())
+        span = range(min(terms, default=0) - 3, max(terms, default=0) + 4)
+        assert [poly.coefficient(e) for e in span] == [terms.get(e, 0) for e in span], poly

@@ -24,6 +24,27 @@ def test_no_assert_statements_in_the_package():
     assert offenders == []
 
 
+def _top_level_imports(path):
+    # the first component of every module an import statement names
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_symbolic_core_imports_no_numpy():
+    # The symbolic modules compute on Python integers and bytes only; with
+    # numpy out of their own imports, a symbolic command can later be made
+    # to run without loading it (spectrum still reaches it through gf).
+    assert "numpy" in _top_level_imports(SOURCE_DIR / "intmatrix.py")  # the scan finds a numpy import
+    core = ("laurent", "qbinom", "identities", "spectrum")
+    assert [name for name in core if "numpy" in _top_level_imports(SOURCE_DIR / f"{name}.py")] == []
+
+
 def test_bench_tracer_finds_every_entry_point():
     # bench/tracer.py wraps qkneser functions and methods by name and only
     # reports the ones it cannot find; a renamed entry point would silently
