@@ -108,10 +108,10 @@ def cmd_gauss(args: argparse.Namespace) -> int:
         value = str(gauss(args.n, args.i))
     else:
         # q0^(i(n-i)) <= [n i]_q0 for n >= i, q0^(i(i-1)/2 - ni) its denominator for n < 0
-        n, i = args.n, args.i
+        n, i, what = args.n, args.i, f"[{args.n} {args.i}]_q at q={args.q}"
         exponent = i * (n - i) if n >= i else i * (i - 1) // 2 - n * i if n < 0 else 0
-        _refuse_unprintable(f"[{n} {i}]_q at q={args.q}", args.q, exponent)
-        value = str(gauss_eval_product(n, i, args.q))
+        _refuse_unprintable(what, args.q, exponent)
+        value = str(_printable(what, gauss_eval_product(n, i, args.q)))
     if args.format == "table":
         print(value)
     elif args.format == "json":
@@ -125,24 +125,25 @@ def cmd_gauss(args: argparse.Namespace) -> int:
 
 def _spectrum_cells(v: int, k: int, q0: int | None, form: str):
     table = spectrum_table(v, k, q0)
+    what = f"qK({v},{k}) at q={q0}"
     rows = []
     for entry in table.entries:
         simple = entry.eigenvalue
-        cell = {"j": entry.j, "multiplicity": _render(entry.multiplicity)}
+        cell = {"j": entry.j, "multiplicity": _render(entry.multiplicity, what)}
         if form in ("simple", "both"):
-            cell["eigenvalue"] = _render(simple)
+            cell["eigenvalue"] = _render(simple, what)
         if form in ("delsarte", "both"):
             dels = delsarte_eigenvalue(v, k, entry.j)
             if q0 is not None:
                 dels = dels.evaluate_int(q0)
             key = "eigenvalue_delsarte" if form == "both" else "eigenvalue"
-            cell[key] = _render(dels)
+            cell[key] = _render(dels, what)
         rows.append(cell)
     return table, rows
 
 
-def _render(value) -> str | int:
-    return value if isinstance(value, int) else str(value)
+def _render(value, what: str) -> str | int:
+    return _printable(what, value) if isinstance(value, int) else str(value)
 
 
 def cmd_eigenvalues(args: argparse.Namespace) -> int:
@@ -238,6 +239,18 @@ def _refuse_unprintable(what: str, q0: int, exponent: int) -> None:
         digits = int(exponent * Fraction(log10(q0))) + 1
         raise ValueError(f"{what} has at least {digits} digits, above the limit of {limit} "
                          f"for integer string conversion")
+
+
+def _printable(what: str, value):
+    """value, refused in _refuse_unprintable's words with its digit count when str() could not print it."""
+    limit = sys.get_int_max_str_digits()
+    part = max(abs(value.numerator), value.denominator)
+    if limit and part >= 10**limit:
+        digits = limit + 1
+        while part >= 10**digits:
+            digits += 1
+        raise ValueError(f"{what} has {digits} digits, above the limit of {limit} for integer string conversion")
+    return value
 
 
 def _print_csv(header: list[str], rows: list[list]) -> None:

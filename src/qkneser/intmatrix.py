@@ -16,10 +16,8 @@ FFPACK packages", ACM TOMS 35 (2008): whatever order BLAS sums in, every
 partial sum is an integer within the bound.  The bounds, for n x n
 operands and |X| = max(max|X|, 1):
 
-    A @ B                  n * |A| * |B|
-    X.frobenius(Y)         r * n * |X| * |Y|, r = min(STRIP, n)  per strip
-    A.quadratic(S, s, p)   max|S| + max(|s|, 1) * |A| + |p|      S - s A + p I
-    A.trace(), row_sums()  n * max|A|
+    A @ B          n * |A| * |B|
+    row_sums()     n * max|A|
 
 Each bound is at least every operand's max|entry|, so operands are only
 widened, and a float widens to object through int64 (float.astype(object)
@@ -29,10 +27,9 @@ its square stay float32 up to n = 2**24 - 1, half the bytes of float64.
 
 A @ A, for a symmetric A, is formed as A A^T on one buffer, which numpy
 hands to the symmetric rank-k update (SYRK): half the multiplications of
-a general product.  frobenius works through strips of STRIP rows, so its
-temporaries are STRIP x n whatever dtype its bound needs.
-A.quadratic(A @ A, a + b, a * b) is (A - a I)(A - b I), and
-A.quadratic(A, 0, -lam) is A - lam I.
+a general product.  The rest of the certificate (its factors, its strip
+pass and its moments) works on these arrays in oracle, under the same
+rule: every step runs in _dtype of its a-priori bound, through _cast.
 """
 
 from __future__ import annotations
@@ -42,10 +39,6 @@ import numpy as np
 _FLOAT32_EXACT = 2**24
 _FLOAT_EXACT = 2**53
 _INT64_MAX = 2**63 - 1
-
-# Rows or columns that a strip-wise operation handles at once: its
-# temporaries are n x STRIP, small beside an n x n operand.
-STRIP = 256
 
 
 def _dtype(bound: int):
@@ -64,16 +57,6 @@ def _cast(array: np.ndarray, dtype, copy: bool = False) -> np.ndarray:
     if dtype is object and array.dtype.kind == "f":
         array = array.astype(np.int64)
     return array.astype(dtype, copy=copy)
-
-
-def _first_nonzero(array: np.ndarray) -> tuple[int, int, int] | None:
-    """Position and value of the first nonzero entry of a 2-D array in row-major order."""
-    # one bool mask; argmax finds its first True, or 0 if there is none
-    nonzero = array != 0
-    i, j = divmod(int(np.argmax(nonzero)), array.shape[1])
-    if not nonzero[i, j]:
-        return None
-    return i, j, int(array[i, j])
 
 
 class IntMatrix:
@@ -101,16 +84,11 @@ class IntMatrix:
         self._a = _cast(array, _dtype(self.max_abs))
         self._symmetric = None
 
-    # -- inspection
-
     def to_array(self) -> np.ndarray:
         """The entries as a read-only numpy view: float32, float64, int64 or object, the narrowest exact."""
         view = self._a.view()
         view.flags.writeable = False
         return view
-
-    def trace(self) -> int:
-        return int(_cast(self._a.diagonal(), _dtype(self.n * self.max_abs)).sum())
 
     def row_sums(self) -> list[int]:
         sums = _cast(self._a, _dtype(self.n * self.max_abs)).sum(axis=1)
@@ -122,35 +100,8 @@ class IntMatrix:
             self._symmetric = bool((self._a == self._a.T).all())
         return self._symmetric
 
-    def first_nonzero(self) -> tuple[int, int, int] | None:
-        """Position and value of the first nonzero entry in row-major order."""
-        return _first_nonzero(self._a)
-
     def __repr__(self) -> str:
         return f"IntMatrix(n={self.n}, max_abs={self.max_abs})"
-
-    # -- arithmetic
-
-    def quadratic(self, square: "IntMatrix", s: int, p: int) -> "IntMatrix":
-        """square - s * self + p * I, exactly."""
-        if self.n != square.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {square.n}")
-        dtype = _dtype(square.max_abs + max(abs(s), 1) * max(self.max_abs, 1) + abs(p))
-        # in place on one new buffer, so -s A needs no n x n temporary of its own
-        out = _cast(self._a, dtype, copy=True)
-        out *= -s
-        out += _cast(square._a, dtype)
-        out.flat[:: self.n + 1] += p
-        return IntMatrix._exact(out)
-
-    def frobenius(self, other: "IntMatrix") -> int:
-        """sum_ij self[i, j] * other[i, j], exactly; equals tr(self @ other) for symmetric self."""
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        rows = max(min(STRIP, self.n), 1)
-        dtype = _dtype(rows * self.n * max(self.max_abs, 1) * max(other.max_abs, 1))
-        return sum(int(np.vdot(_cast(self._a[r : r + rows], dtype), _cast(other._a[r : r + rows], dtype)))
-                   for r in range(0, self.n, rows))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):

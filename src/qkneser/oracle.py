@@ -15,20 +15,20 @@ certifies a predicted spectrum with zero numerical tolerance:
 
 Both checks passing means the predicted spectrum IS the spectrum.
 
-Both checks need one dense product and, for k >= 2, one strip-wise
-one.  A^2 is formed once, as the symmetric product A A^T on one buffer
-(SYRK, see intmatrix), in float32: the 0/1 adjacency and its square are
-exact there up to n = 2^24 - 1.  For symmetric A, tr(A^(a+b)) is the
-Frobenius inner product <A^a, A^b>_F, so A and A^2 give every moment up
-to k = 4.  The factors A - lambda_j I are polynomials in A, so they
-commute and may be grouped: the first pair's F = A^2 - (a + b) A + ab I
-is formed from A^2 without a product, and every other factor is applied
-to column strips built from columns of F and A (_certificate).  The
-product P(A) is a polynomial in the symmetric A, hence symmetric, so its
-first nonzero entry in row-major order lies on or above the diagonal,
-and the upper rows of each strip find it (_strip_residual): the same
-residual entry as the sequential product, with half the multiplications
-of a full final product and temporaries of n x STRIP entries.
+Both checks take one symmetric square and one strip pass, for every k.
+A^2 is formed once, as the symmetric product A A^T on one buffer (SYRK,
+see intmatrix), in float32: the 0/1 adjacency and its square are exact
+there up to n = 2^24 - 1.  tr(A^m) is a sum over column strips, and
+strips of A and A^2 give every moment up to k = 4 (_moments).  The
+factors A - lambda_j I are polynomials in A, so they commute and may be
+grouped: the first pair's F = A^2 - (a + b) A + ab I is formed from A^2
+without a product, and every other factor is applied to column strips
+built from columns of F and A (_certificate).  The product P(A) is
+symmetric, so its first nonzero entry in row-major order lies on or
+above the diagonal, and the upper rows of each strip find it
+(_strip_residual): the same residual entry as the sequential product,
+with half the multiplications of a full final product and temporaries of
+n x STRIP entries.  With k = 1, or one eigenvalue, F is P itself.
 
 The vertex list is one read-only (n, k, v) int64 array of RREF bases,
 built pivot-set by pivot-set: one numpy block per choice of pivot
@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf import FieldCtx
-from .intmatrix import STRIP, IntMatrix, _cast, _dtype, _first_nonzero
+from .intmatrix import IntMatrix, _cast, _dtype
 from .laurent import InvariantError
 from .qbinom import gauss_eval_product
 from .spectrum import SpectrumTable
@@ -285,72 +285,103 @@ def _solve_moment_system(eigenvalues: list[int], moments: list[int]) -> list[int
     return [int(x) for x in solution]
 
 
+# Rows or columns that a strip of the certificate spans: its temporaries
+# are n x STRIP, small beside an n x n operand.
+STRIP = 256
+
+
+def _first_nonzero(array: np.ndarray) -> tuple[int, int, int] | None:
+    """Position and value of the first nonzero entry of a 2-D array in row-major order."""
+    # one bool mask; argmax finds its first True, or 0 if there is none
+    nonzero = array != 0
+    i, j = divmod(int(np.argmax(nonzero)), array.shape[1])
+    if not nonzero[i, j]:
+        return None
+    return i, j, int(array[i, j])
+
+
 def _moments(adjacency: IntMatrix, square: IntMatrix, k: int) -> list[int]:
-    """tr(A^m) for m = 0..k: n, tr(A), then <A^ceil(m/2), A^floor(m/2)>_F for symmetric A."""
-    powers = [adjacency, square]
-    while len(powers) < (k + 1) // 2:  # A^3 and up: only hand-built tables with k >= 5
-        powers.append(powers[-1] @ adjacency)
-    moments = [adjacency.n, adjacency.trace()]
-    moments += [powers[(m + 1) // 2 - 1].frobenius(powers[m // 2 - 1]) for m in range(2, k + 1)]
-    return moments[: k + 1]
+    """tr(A^m) for m = 0..k: n, the diagonal's sum, then sums over column strips B.
+
+    For m >= 2, tr(A^m) is the sum over B of <A^ceil(m/2) E_B, A^floor(m/2) E_B>_F,
+    and A^p E_B is the transpose of the rows B of A^p (A is symmetric): rows of
+    A and A^2, then, for k >= 5, rows of A^(p-1) times A.  With |A^p| = max_abs
+    up to p = 2, n |A| |A^(p-1)| above, m runs in _dtype(r n |X| |Y|), r = min(STRIP, n).
+    """
+    n = adjacency.n
+    a, a2 = adjacency.to_array(), square.to_array()
+    tops = [max(adjacency.max_abs, 1), max(square.max_abs, 1)]  # |A^p| for p = 1, 2, ...
+    while len(tops) < (k + 1) // 2:
+        tops.append(n * tops[0] * tops[-1])
+    dtypes = {m: _dtype(min(STRIP, n) * n * tops[(m - 1) // 2] * tops[m // 2 - 1]) for m in range(2, k + 1)}
+    wide = _dtype(tops[-1])
+    a_wide = _cast(a, wide) if len(tops) > 2 else None
+    moments = [n, int(_cast(a.diagonal(), object).sum())][: k + 1] + [0] * (k - 1)
+    for j0 in range(0, n, STRIP):
+        strips = [a[j0 : j0 + STRIP], a2[j0 : j0 + STRIP]]
+        while len(strips) < len(tops):
+            strips.append(_cast(strips[-1], wide) @ a_wide)
+        for m, dtype in dtypes.items():
+            moments[m] += int(np.vdot(_cast(strips[(m - 1) // 2], dtype), _cast(strips[m // 2 - 1], dtype)))
+    return moments
 
 
 def _certificate(adjacency: IntMatrix, eigenvalues: list[int], k: int):
     """The moments tr(A^m), m = 0..k, and the residual: the row-major first
     nonzero (i, j, value) of prod_j (A - lambda_j I), or None.
 
-    The factors commute, so they may be grouped: the eigenvalues, sorted by
-    |lambda|, are paired smallest with largest, and only the first pair's
-    F = A^2 - s1 A + p1 I is formed as a matrix.  Every other factor is
-    f F + d A + e I: F - (s - s1) A + (p - p1) I for a pair, and A - lam I
-    for the one left over when the count is odd.  A^2 is released once F
-    is formed, and F's own copy once F is widened to the product's dtype,
-    so the strips run beside one n x n factor.
+    The eigenvalues, sorted by |lambda|, are paired smallest with largest.
+    Each factor is a triple (f, d, e) = f A^2 + d A + e I: A^2 - s A + p I
+    for a pair, A - lam I for the one left over when the count is odd.
+    Only the first, F, is formed as a matrix, in the strip pass's dtype;
+    every later one is f F + d A + e I.
     """
+    n, a_max = adjacency.n, max(adjacency.max_abs, 1)
     square = adjacency @ adjacency
     moments = _moments(adjacency, square, k)
     by_size = sorted(eigenvalues, key=abs)
     half = len(by_size) // 2
-    pairs = [(a + b, a * b) for a, b in zip(by_size[:half], by_size[::-1])]
-    if not pairs:  # a single eigenvalue
-        return moments, adjacency.quadratic(adjacency, 0, -by_size[0]).first_nonzero()
-    (s1, p1), *others = pairs
-    first = adjacency.quadratic(square, s1, p1)
+    factors = [(1, -(a + b), a * b) for a, b in zip(by_size[:half], by_size[::-1])]
+    factors += [(0, 1, -by_size[half])] if len(by_size) % 2 else []
+    (f0, d0, e0), *later = factors
+    rest = [(f, d - f * d0, e - f * e0) for f, d, e in later]  # f0 = 1 whenever there are later factors
+    # every entry formed is at most the last step's bound: |F| alone, or F[:j1] @ X
+    # with |X| <= f|F| + |d||A| + |e| for G_r, times f n|F| + |d| n|A| + |e| for
+    # each further G; |A| <= |A^2| for symmetric A, so A is exact in it too
+    f_max = bound = f0 * square.max_abs + abs(d0) * a_max + abs(e0)
+    if rest:
+        *middle, (f, d, e) = rest
+        x_max = f * f_max + abs(d) * a_max + abs(e)
+        for f_, d_, e_ in middle:
+            x_max *= f_ * n * f_max + abs(d_) * n * a_max + abs(e_)
+        bound = n * f_max * x_max
+    dtype = _dtype(bound)
+    # F in place, A^2 widened a row at a time: F peaks beside A^2 alone,
+    # and the strips run beside F alone
+    factor = _cast(adjacency.to_array(), dtype, copy=True)
+    factor *= d0
+    for r in range(n if f0 else 0):  # no name keeps a view of A^2 past del
+        factor[r] += _cast(square.to_array()[r], dtype)
+    factor.flat[:: n + 1] += e0
     del square
-    rest = [(1, s1 - s, p - p1) for s, p in others] + ([(0, 1, -by_size[half])] if len(by_size) % 2 else [])
-    if not rest:  # k = 1: F is the product
-        return moments, first.first_nonzero()
-    # every entry formed is at most the bound of the last step, F[:j1] @ X:
-    # a strip of G_r is at most f|F| + |d||A| + |e|, and applying a further
-    # G multiplies that by f n|F| + |d| n|A| + |e|
-    n, f_max, a_max = adjacency.n, max(first.max_abs, 1), max(adjacency.max_abs, 1)
-    *middle, (f, d, e) = rest
-    bound = f * f_max + abs(d) * a_max + abs(e)
-    for f_, d_, e_ in middle:
-        bound *= f_ * n * f_max + abs(d_) * n * a_max + abs(e_)
-    dtype = _dtype(n * f_max * bound)
-    factor = _cast(first.to_array(), dtype)
-    del first
     return moments, _strip_residual(adjacency, factor, rest, dtype)
 
 
 def _strip_residual(adjacency: IntMatrix, factor: np.ndarray, rest: list[tuple[int, int, int]], dtype):
     """Row-major first nonzero (i, j, value) of P = F G_1 ... G_r, or None.
 
-    factor is F in dtype, and rest holds G_1 .. G_r as (f, d, e) with
-    G = f F + d A + e I; dtype is exact for every entry formed.  P is a
-    polynomial in the symmetric A, so P is symmetric, and its first nonzero
-    (i, j) in row-major order has i <= j: a nonzero below the diagonal has
-    a mirror in an earlier row.  So for the column strip B = j0..j1-1 the
-    rows 0..j1-1 of P[:, B] = F[:j1] (G_1 ... G_r E_B) suffice, and the
-    least (row, column) over all strips is the first nonzero; once one is
-    found in row i, later strips need only the rows above it.  G_r E_B is
-    built from columns of F and A, and G_1 .. G_(r-1), which exist only for
-    five or more eigenvalues, are applied to it in turn.
+    factor is F in dtype, and rest holds G_1 .. G_r, r >= 0, as (f, d, e)
+    with G = f F + d A + e I; dtype is exact for every entry formed.  P is
+    symmetric, so its first nonzero (i, j) in row-major order has i <= j,
+    and for the column strip B = j0..j1-1 the rows 0..j1-1 of P[:, B]
+    suffice; once one is found in row i, later strips need only the rows
+    above it.  With r = 0 the strip is read from F; otherwise it is
+    F[:j1] (G_1 ... G_r E_B), where G_r E_B is built from columns of F and
+    A, and G_1 .. G_(r-1) (five or more eigenvalues) are applied in turn.
     """
     n = len(factor)
     a = adjacency.to_array()
-    *middle, (f, d, e) = rest
+    middle = rest[:-1]
     a_wide = _cast(a, dtype) if middle else None
     best = None
     for j0 in range(0, n, STRIP):
@@ -358,14 +389,18 @@ def _strip_residual(adjacency: IntMatrix, factor: np.ndarray, rest: list[tuple[i
         rows = j1 if best is None else min(j1, best[0])
         if rows == 0:
             break
-        x = _cast(a[:, j0:j1], dtype, copy=True)
-        x *= d
-        if f:
-            x += factor[:, j0:j1]
-        x[range(j0, j1), range(j1 - j0)] += e
-        for f_, d_, e_ in middle:
-            x = f_ * (factor @ x) + d_ * (a_wide @ x) + e_ * x
-        found = _first_nonzero(factor[:rows] @ x)
+        strip = factor[:rows, j0:j1]
+        if rest:
+            f, d, e = rest[-1]
+            x = _cast(a[:, j0:j1], dtype, copy=True)
+            x *= d
+            if f:
+                x += factor[:, j0:j1]
+            x[range(j0, j1), range(j1 - j0)] += e
+            for f_, d_, e_ in middle:
+                x = f_ * (factor @ x) + d_ * (a_wide @ x) + e_ * x
+            strip = factor[:rows] @ x
+        found = _first_nonzero(strip)
         if found is not None:
             best = (found[0], j0 + found[1], found[2])
     return best

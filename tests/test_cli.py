@@ -324,14 +324,29 @@ def test_unprintable_values_are_refused_before_they_are_computed(capsys, monkeyp
     assert f"digits, above the limit of {sys.get_int_max_str_digits()} for integer string conversion" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_value_just_past_the_limit_gets_the_refusal_wording(capsys, fmt):
+    # [4764 3]_2 has 4301 digits: its lower bound 2^14283 has 4300, so the
+    # value is computed, and is then refused in the same one line, with
+    # its exact digit count, instead of CPython's own conversion error
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, "gauss", "4764", "3", "--q", "2", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == "error: [4764 3]_q at q=2 has 4301 digits, above the limit of 4300 for integer string conversion\n"
+
+
 def _digits(value):
     return max(len(str(abs(part))) for part in (value.numerator, value.denominator))
 
 
 def test_the_digit_refusal_spares_every_value_that_prints(capsys):
     # at the lowest limit CPython allows, every value around it prints
-    # exactly when it has few enough digits, and every refusal made before
-    # computing names the limit; the few in between fail in str()
+    # exactly when it has few enough digits, and every refusal names the
+    # limit: most before computing, the few in between once computed
     limit = sys.get_int_max_str_digits()
     gauss_cases = [(n, i, q0) for i, q0 in ((1, 2), (3, 2), (2, 3)) for sign in (1, -1)
                    for base in [int(640 / (i * math.log10(q0)))] for n in range(sign * base - 6, sign * base + 7)]
@@ -347,6 +362,7 @@ def test_the_digit_refusal_spares_every_value_that_prints(capsys):
         for (command, *args), digits in need.items():
             code, out, err = run(capsys, command, str(args[0]), str(args[1]), "--q", str(args[2]))
             assert (code == 0) == (digits <= 640), (command, args, digits, err)
+            assert code == 0 or err.endswith(" digits, above the limit of 640 for integer string conversion\n")
             refused += "has at least" in err
         assert refused > len(need) // 3
     finally:

@@ -1,7 +1,8 @@
 """Brute-force oracle: enumeration, intersections, adjacency, certification."""
 
+import random
 import tracemalloc
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -421,13 +422,47 @@ def sequential_first_nonzero(adjacency, eigenvalues):
     return None
 
 
+def naive_traces(adjacency, k):
+    # tr(A^m) for m = 0..k from powers of A in plain numpy object arrays
+    a = np.array([[int(x) for x in row] for row in adjacency.tolist()], dtype=object)
+    power, traces = np.identity(len(a), dtype=np.int64).astype(object), []
+    for _ in range(k + 1):
+        traces.append(int(power.trace()))
+        power = power.dot(a)
+    return traces
+
+
+def test_first_nonzero_is_row_major():
+    rows = np.zeros((4, 4), dtype=object)
+    assert oracle._first_nonzero(rows) is None
+    rows[3, 3] = -7
+    assert oracle._first_nonzero(rows) == (3, 3, -7)
+    rows[2, 0], rows[1, 3] = 5, 2**70  # a big entry, as in object strips
+    assert oracle._first_nonzero(rows) == (1, 3, 2**70)
+    assert oracle._first_nonzero(rows.astype(float)[2:]) == (0, 0, 5)
+
+
+@pytest.mark.parametrize("eigenvalues", [[2, -1], [-1, 2], [2, 1], [3, -1], [0, 5], [2], [-1], [7]])
+def test_pair_of_linear_factors_is_one_quadratic_factor(eigenvalues):
+    # k = 1 and a single eigenvalue: F = A^2 - (a + b) A + ab I, or A - lam I,
+    # is the whole product; the triangle's eigenvalues are 2 and -1
+    triangle = IntMatrix(np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
+    table = SpectrumTable(v=3, k=len(eigenvalues) - 1, q=2,
+                          entries=tuple(SpectrumEntry(j, lam, 1) for j, lam in enumerate(eigenvalues)))
+    expected = sequential_first_nonzero(triangle.to_array(), eigenvalues)
+    assert certify_spectrum(triangle, table).residual_entry == expected
+    assert (expected is None) == (sorted(eigenvalues) == [-1, 2])
+
+
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (5, 2, 2)])
 def test_residual_entry_matches_the_sequential_product(monkeypatch, v, k, q):
     # the grouped factors multiply to the same P(A) as prod_j (A - lambda_j I)
-    # in the given order, so a wrong prediction reports the same entry, in
-    # one strip or in strips of 8 columns (n = 35, 130, 155: the last is narrower)
+    # in the given order, so a wrong prediction reports the same entry, and
+    # the strip-wise moments are the traces of A^m, in one strip or in strips
+    # of 8 columns (n = 35, 130, 155: the last is narrower)
     adjacency = adjacency_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
+    traces = naive_traces(adjacency.to_array(), k)
     for strip in (oracle.STRIP, 8):
         monkeypatch.setattr(oracle, "STRIP", strip)
         for e in table.entries:
@@ -435,13 +470,15 @@ def test_residual_entry_matches_the_sequential_product(monkeypatch, v, k, q):
                 wrong = _tweaked(table, e.j, d_eig=d)
                 expected = sequential_first_nonzero(adjacency.to_array(), [int(lam) for lam in wrong.eigenvalues()])
                 assert expected is not None
-                assert certify_spectrum(adjacency, wrong).residual_entry == expected, (strip, e.j, d)
+                result = certify_spectrum(adjacency, wrong)
+                assert result.residual_entry == expected, (strip, e.j, d)
+                assert result.moments == traces, (strip, e.j, d)
 
 
-@pytest.mark.parametrize("v,k,q,products", [(3, 1, 2, 1), (2, 1, 5, 1), (4, 2, 2, 2), (4, 2, 3, 2), (6, 3, 2, 2)])
+@pytest.mark.parametrize("v,k,q,products", [(3, 1, 2, 2), (2, 1, 5, 2), (4, 2, 2, 2), (4, 2, 3, 2), (6, 3, 2, 2)])
 def test_certification_product_count(monkeypatch, qk_6_3_2, v, k, q, products):
-    # A^2 as one symmetric product A A^T, then, for three or more factors,
-    # one strip-wise pass of the final product; k = 1 needs no product
+    # A^2 as one symmetric product A A^T, then one strip pass, for every k:
+    # with k = 1 it reads the strips of F instead of forming a product
     adjacency = qk_6_3_2 if (v, k, q) == (6, 3, 2) else adjacency_of(field_of_order(q), v, k)
     calls = []
     real_matmul, real_strips = IntMatrix.__matmul__, oracle._strip_residual
@@ -474,12 +511,17 @@ def hypercube_table(d):
 
 
 @pytest.mark.parametrize("d", range(7))
-def test_certify_hypercube_through_every_factor_count(d):
+def test_certify_hypercube_through_every_factor_count(monkeypatch, d):
     # d + 1 eigenvalues: one linear factor (d = 0), one quadratic (d = 1),
-    # and from d = 4 on, factors between the first and the last of each strip
+    # and from d = 4 on, factors between the first and the last of each strip;
+    # from d = 5 on the moments apply A to each strip, here in strips of 12
+    # columns, so that n = 32 and 64 end in a narrower one
+    if d >= 5:
+        monkeypatch.setattr(oracle, "STRIP", 12)
     adjacency = hypercube(d)
     result = certify_spectrum(adjacency, hypercube_table(d))
     assert result.certified and result.certified_multiplicities == [e.multiplicity for e in hypercube_table(d).entries]
+    assert result.moments == naive_traces(adjacency.to_array(), d)
     for label, wrong in _perturbations(hypercube_table(d)):
         if 0 in wrong.multiplicities():
             continue
@@ -494,15 +536,44 @@ def test_certify_hypercube_through_every_factor_count(d):
 
 @pytest.mark.parametrize("lam,dtype", [(2**5, np.float32), (2**12, np.float64), (2**22, np.int64), (2**40, object)])
 def test_strip_pass_is_exact_in_every_dtype(monkeypatch, lam, dtype):
-    # one wrong eigenvalue of Q_4 sets the a-priori bound of the strip
-    # pass, and with it the one dtype every strip runs in
+    # a wrong eigenvalue of Q_4 sets the a-priori bound of the strip pass,
+    # and with it the one dtype F and every strip are formed in: with later
+    # factors, with none (k = 1, F is the product), and for one eigenvalue
+    # (F = A - big I); big = lam^2 isqrt(lam) + 1 lands the last two in the
+    # same dtype, and is odd, so a narrower float would round F[0, 0]
+    chosen = []
+    real = oracle._strip_residual
+    monkeypatch.setattr(oracle, "_strip_residual", lambda a, f, rest, dt: chosen.append(dt) or real(a, f, rest, dt))
+    adjacency = hypercube(4)
+    big = lam**2 * isqrt(lam) + 1
+    for eigenvalues in ([4, lam, 0, -2, -4], [big, 1], [big]):
+        table = SpectrumTable(v=4, k=len(eigenvalues) - 1, q=2,
+                              entries=tuple(SpectrumEntry(j, x, 1) for j, x in enumerate(eigenvalues)))
+        expected = sequential_first_nonzero(adjacency.to_array(), eigenvalues)
+        assert certify_spectrum(adjacency, table).residual_entry == expected, eigenvalues
+    assert chosen == [dtype] * 3
+
+
+@pytest.mark.parametrize("k,top,dtype", [
+    (2, 2**10, np.float32), (2, 2**11, np.float64), (2, 2**24, np.float64), (2, 2**25, np.int64), (2, 2**30, object),
+    (3, 2**6, np.float32), (3, 2**12, np.float64), (3, 2**17, np.int64), (3, 2**20, object),
+    (4, 2**4, np.float32), (4, 2**5, np.float64), (4, 2**13, np.int64), (4, 2**15, object),
+    (5, 2**8, np.float64), (5, 2**10, np.int64), (5, 2**12, object),
+    (6, 2**8, np.int64), (6, 2**9, object),
+])
+def test_moments_are_exact_in_every_dtype(monkeypatch, k, top, dtype):
+    # a symmetric 3 x 3 matrix with top on the diagonal: the bound
+    # r n |A^ceil(k/2)| |A^floor(k/2)| of tr(A^k) lands in dtype, on either
+    # side of a tier boundary, and k >= 5 forms A^3 strips; the traces are
+    # compared with naive ones
+    rng = random.Random(k)
+    upper = [[top if i == j else rng.randint(-top, top) for j in range(3)] for i in range(3)]
+    rows = np.array([[upper[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)], dtype=object)
+    adjacency = IntMatrix(rows)
     chosen = []
     monkeypatch.setattr(oracle, "_dtype", lambda bound: chosen.append(intmatrix._dtype(bound)) or chosen[-1])
-    adjacency = hypercube(4)
-    eigenvalues = [4, lam, 0, -2, -4]
-    table = SpectrumTable(v=4, k=4, q=2, entries=tuple(SpectrumEntry(j, x, 1) for j, x in enumerate(eigenvalues)))
-    assert certify_spectrum(adjacency, table).residual_entry == sequential_first_nonzero(adjacency.to_array(), eigenvalues)
-    assert chosen == [dtype]
+    assert oracle._moments(adjacency, adjacency @ adjacency, k) == naive_traces(rows, k)
+    assert chosen[k - 2] is dtype  # the dtypes of m = 2..k come first
 
 
 def _disjoint_union(*blocks):
@@ -533,6 +604,9 @@ def _graph(n, edges):
     # rows 0..6 are isolated and P(0) = 0: the residual is on the diagonal
     # in row 7, the last row of the first strip
     (_graph(12, [(7, 8), (8, 9)]), [0, 1, 2]),
+    # one eigenvalue, 0, so P = A is read from F: the second strip finds
+    # (3, 9), and the third, run on rows 0..2 alone, must not report (5, 20)
+    (_graph(22, [(3, 9), (5, 20)]), [0]),
 ])
 def test_residual_entry_across_strips(monkeypatch, rows, eigenvalues):
     monkeypatch.setattr(oracle, "STRIP", 8)
@@ -545,10 +619,12 @@ def test_residual_entry_across_strips(monkeypatch, rows, eigenvalues):
     assert certify_spectrum(IntMatrix(rows), table).residual_entry == expected
 
 
-@pytest.mark.parametrize("v,k,q", [(6, 3, 2), (4, 2, 5)])
-def test_certification_memory_is_at_most_18_bytes_per_entry(v, k, q):
-    # A^2 in float32 (4 n^2 bytes), the first factor in the product's
-    # dtype (8 n^2), and strips of n x STRIP: the dense route took 32 n^2
+@pytest.mark.parametrize("v,k,q,bytes_per_entry", [(6, 3, 2, 14), (4, 2, 5, 14), (3, 1, 31, 9)])
+def test_certification_memory_per_entry(v, k, q, bytes_per_entry):
+    # A^2 in float32 (4 n^2 bytes) beside the first factor F, built in the
+    # strip pass's dtype (8 n^2), then strips of n x STRIP beside F once
+    # A^2 is gone: the dense route took 32 n^2.  With k = 1, F is float32
+    # and the strips are read from it (8 n^2)
     adjacency = adjacency_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     tracemalloc.start()
@@ -558,7 +634,7 @@ def test_certification_memory_is_at_most_18_bytes_per_entry(v, k, q):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * adjacency.n**2
+    assert peak <= bytes_per_entry * adjacency.n**2
 
 
 def test_certify_rejects_degenerate_predictions():
