@@ -9,7 +9,8 @@ Subcommands:
   count-subspaces V K Q                enumeration count vs formula
 
 Exit codes: 0 success/certified, 1 verification failure, 2 usage or
-resource error (a MemoryError, or a value too long to print).  Output ordering is
+resource error (a MemoryError, an OSError such as an unusable --dump
+directory, or a value too long to print).  Output ordering is
 deterministic everywhere so that csv/json outputs can be golden-file
 tested.
 """
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("q", type=int, help="prime power field order")
     p_spec.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET, metavar="B",
                         help=f"vertex budget (default {DEFAULT_VERTEX_BUDGET})")
-    p_spec.add_argument("--dump", metavar="DIR", default=None,
+    p_spec.add_argument("--dump", metavar="DIR", type=Path, default=None,
                         help="write vertices.txt, adjacency.txt, certification.json to DIR")
     p_spec.set_defaults(handler=cmd_verify_spectrum)
 
@@ -137,7 +138,8 @@ def _spectrum_cells(v: int, k: int, q0: int | None, form: str):
             if q0 is not None:
                 dels = dels.evaluate_int(q0)
             key = "eigenvalue_delsarte" if form == "both" else "eigenvalue"
-            cell[key] = _render(dels, what)
+            # equal values render alike, so the closed form's string serves both
+            cell[key] = cell["eigenvalue"] if form == "both" and dels == simple else _render(dels, what)
         rows.append(cell)
     return table, rows
 
@@ -194,6 +196,8 @@ def cmd_verify_spectrum(args: argparse.Namespace) -> int:
     check_vertex_budget(args.v, args.k, args.q, args.budget)
     ctx = field_of_order(args.q)
     predicted = spectrum_table(args.v, args.k, args.q)
+    if args.dump is not None:  # an unusable directory is an OSError (exit 2) before any enumeration
+        args.dump.mkdir(parents=True, exist_ok=True)
     bases = enumerate_subspaces(ctx, args.v, args.k, budget=args.budget)
     adjacency = build_adjacency(bases, ctx)
     result = certify_spectrum(adjacency, predicted)
@@ -212,12 +216,10 @@ def cmd_verify_spectrum(args: argparse.Namespace) -> int:
     print(f"certified: {'yes' if result.certified else 'NO'}")
 
     if args.dump is not None:
-        directory = Path(args.dump)
-        directory.mkdir(parents=True, exist_ok=True)
-        dump_vertices(bases, directory / "vertices.txt")
-        dump_adjacency(adjacency, directory / "adjacency.txt")
-        dump_certification(result, directory / "certification.json")
-        print(f"dumped vertices.txt, adjacency.txt, certification.json to {directory}")
+        dump_vertices(bases, args.dump / "vertices.txt")
+        dump_adjacency(adjacency, args.dump / "adjacency.txt")
+        dump_certification(result, args.dump / "certification.json")
+        print(f"dumped vertices.txt, adjacency.txt, certification.json to {args.dump}")
     return 0 if result.certified else 1
 
 
@@ -269,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

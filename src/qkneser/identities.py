@@ -11,8 +11,7 @@ with C(s,2) = s(s-1)/2:
   lemma3      sum_{s=0}^{a} (-1)^s q^C(s,2) [m s][a-s t]
                   = q^(m(a-t)) [a-m a-t]                     (t <= a <= m)
   theorem2    same sum truncated at s = m, valid for a >= m, a >= t
-  corollary1  theorem2 at t = a-m:
-              sum_{s=0}^{m} (-1)^s q^C(s,2) [m s][a-s a-m] = q^(m^2) [a-m m]
+  corollary1  theorem2 at t = a-m, with right side q^(m^2) [a-m m]
 
 The IDENTITIES table holds one Identity record per identity: its sides,
 its parameter box in GridBounds, its precondition and an optional
@@ -24,8 +23,11 @@ exceptions.
 pascal is the recurrence gauss runs for n >= i >= 1 and lemma1 the
 reflection it takes for n < 0, so the symbolic comparison alone would be
 circular for both; their cross-checks route both sides through the
-product-formula oracle at q0 in {2, 3, 5}.
-corollary1 is cross-checked side by side against theorem2 at t = a-m.
+product-formula oracle at q0 in {2, 3, 5}.  lemma2 to corollary1 share
+one pair of sides (qbinom.alternating_sum on the left), and both
+eigenvalue forms (spectrum.py) are theorem2's sides, so its grid checks
+what `eigenvalues` prints.  corollary1's cross-check against theorem2
+at t = a-m catches a mis-wired substitution, not an independent route.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Optional
 
-from .laurent import ONE, LaurentPoly, sum_of_products
-from .qbinom import gauss, gauss_eval_product
+from .laurent import LaurentPoly
+from .qbinom import alternating_sum, gauss, gauss_eval_product
 
 _ORACLE_POINTS = (2, 3, 5)
 
@@ -105,11 +107,6 @@ class IdentityReport:
 # both sides of each identity, symbolically
 
 
-def _alternating(s: int) -> tuple[int, int]:
-    # sign and exponent of (-1)^s q^C(s,2)
-    return -1 if s % 2 else 1, s * (s - 1) // 2
-
-
 def pascal_sides(n: int, i: int) -> Sides:
     lhs = gauss(n, i)
     rhs = gauss(n - 1, i - 1) + gauss(n - 1, i).shift(i)
@@ -123,31 +120,25 @@ def lemma1_sides(n: int, i: int) -> Sides:
     return lhs, rhs
 
 
-def lemma2_sides(n: int, a: int) -> Sides:
-    lhs = sum_of_products((*_alternating(s), gauss(n, s), ONE) for s in range(a + 1))
-    rhs = gauss(a - n, a).shift(n * a)
-    return lhs, rhs
-
-
-def _two_coefficient_sum(m: int, a: int, t: int, top: int) -> Sides:
+def _alternating_sides(m: int, a: int, t: int, top: int) -> Sides:
     # sum_{s=0}^{top} (-1)^s q^C(s,2) [m s][a-s t]  against  q^(m(a-t)) [a-m a-t]
-    lhs = sum_of_products((*_alternating(s), gauss(m, s), gauss(a - s, t)) for s in range(top + 1))
-    rhs = gauss(a - m, a - t).shift(m * (a - t))
-    return lhs, rhs
+    return alternating_sum(m, a, t, top), gauss(a - m, a - t).shift(m * (a - t))
+
+
+def lemma2_sides(n: int, a: int) -> Sides:
+    return _alternating_sides(n, a, 0, top=a)
 
 
 def lemma3_sides(m: int, a: int, t: int) -> Sides:
-    return _two_coefficient_sum(m, a, t, top=a)
+    return _alternating_sides(m, a, t, top=a)
 
 
 def theorem2_sides(m: int, a: int, t: int) -> Sides:
-    return _two_coefficient_sum(m, a, t, top=m)
+    return _alternating_sides(m, a, t, top=m)
 
 
 def corollary1_sides(m: int, a: int) -> Sides:
-    lhs = sum_of_products((*_alternating(s), gauss(m, s), gauss(a - s, a - m)) for s in range(m + 1))
-    rhs = gauss(a - m, m).shift(m * m)
-    return lhs, rhs
+    return _alternating_sides(m, a, a - m, top=m)
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -261,28 +260,20 @@ class CertificationResult:
 
 
 def _solve_moment_system(eigenvalues: list[int], moments: list[int]) -> list[int] | None:
-    # Solve V x = moments for the (k+1)x(k+1) Vandermonde V[m][j] = lam_j^m,
-    # exactly over the rationals; return x when it is nonnegative integers.
-    size = len(eigenvalues)
-    rows = [
-        [Fraction(lam**m) for lam in eigenvalues] + [Fraction(moments[m])]
-        for m in range(size)
-    ]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col]), None)
-        if piv is None:
+    # x with sum_j x_j lam_j^m = moments[m], m = 0..k, when it is nonnegative integers.  x_j is the
+    # trace of the j-th spectral projector, p_j(A) / p_j(lam_j) with p_j = prod_{i != j} (x - lam_i):
+    # sum_m c_jm moments[m] / p_j(lam_j), c_j the coefficients of p_j; distinct lam make p_j(lam_j) != 0.
+    solution = []
+    for j, lam in enumerate(eigenvalues):
+        coeffs, scale = [1], 1  # of p_j, lowest degree first, and p_j(lam_j)
+        for other in eigenvalues[:j] + eigenvalues[j + 1 :]:
+            coeffs = [shifted - other * c for shifted, c in zip([0, *coeffs], [*coeffs, 0])]
+            scale *= lam - other
+        mult, remainder = divmod(sum(c * moment for c, moment in zip(coeffs, moments)), scale)
+        if remainder or mult < 0:
             return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    solution = [rows[r][size] for r in range(size)]
-    if any(x.denominator != 1 or x < 0 for x in solution):
-        return None
-    return [int(x) for x in solution]
+        solution.append(mult)
+    return solution
 
 
 # Rows or columns that a strip of the certificate spans: its temporaries

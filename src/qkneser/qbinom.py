@@ -44,7 +44,9 @@ integer point, collecting the numerator and the denominator as integers
 and dividing once; its results are memoized by (n, i, q0), after its
 arguments are checked.  It shares no code with gauss and serves as its
 independent oracle in the test suite and in the pascal and lemma1
-cross-checks of identities.py.
+cross-checks of identities.py.  alternating_sum is the one alternating
+q-binomial sum of the package: theorem 2's left side, behind both
+eigenvalue forms (spectrum.py) and four identities (identities.py).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .laurent import ONE, ZERO, LaurentPoly, _slot_bytes
+from .laurent import ONE, ZERO, LaurentPoly, _slot_bytes, sum_of_products
 
 
 # Largest memo, in estimated bytes, that one call of gauss may build.
@@ -162,6 +164,21 @@ def _memo_bytes(n: int, i: int) -> int:
     products = (i * (i + 1) // 2) * (rest * (rest + 1) // 2) - (i - 1) * i * (i + 1) * (3 * i + 2) // 24
     bits = min(n, i * n.bit_length())
     return (products + cells) * (bits // 8 + 1) * 16 // 15 + cells * _CELL_BYTES
+
+
+def alternating_sum(m: int, a: int, t: int, top: int) -> LaurentPoly:
+    """sum_{s=0}^{top} (-1)^s q^C(s,2) [m s][a-s t], as one sum_of_products.
+
+    Lemma 2 at (n, a) = (3, 2) is q^(na) [a-n a] = q^6 [-1 2]; the j = 1
+    Delsarte sum of qK(4, 2), at (k-j, v-2j, v-k-j, k-j), is the
+    eigenvalue -q^2 over (-1)^j q^((k-j)j + C(j,2)) = -q:
+
+    >>> alternating_sum(3, 2, 0, 2)
+    LaurentPoly('q^3')
+    >>> alternating_sum(1, 2, 1, 1)
+    LaurentPoly('q')
+    """
+    return sum_of_products(((-1) ** s, s * (s - 1) // 2, gauss(m, s), gauss(a - s, t)) for s in range(top + 1))
 
 
 def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:

@@ -12,10 +12,11 @@ first-class operations on exact Laurent polynomials:
   simple_eigenvalue(v, k, j) =
       (-1)^j q^(C(k,2) + C(k-j+1,2)) [v-k-j v-2k]
 
-Their symbolic equality over a parameter grid is the central acceptance
-test of this package.  The multiplicity of the j-th eigenvalue is 1 for
-j = 0 and [v j] - [v j-1] for j >= 1; the j = 0 case is an explicit
-branch, not a [v -1] := 0 convention.
+They are theorem 2's left and right sides (identities.py) at (m, a, t) =
+(k-j, v-2j, v-k-j), times (-1)^j q^((k-j)j + C(j,2)); the closed form reads
+the right side's mirror cell.  Their symbolic equality over a parameter grid
+is the central acceptance test of this package.  The multiplicity of the j-th
+eigenvalue is 1 for j = 0 and [v j] - [v j-1] for j >= 1, an explicit branch.
 
 For k <= v < 2k the graph is null (no two k-subspaces can intersect
 trivially), and all operations here reject that range.
@@ -26,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import factor_prime_power
-from .laurent import ONE, LaurentPoly, sum_of_products
-from .qbinom import gauss
+from .laurent import ONE, LaurentPoly
+from .qbinom import alternating_sum, gauss
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,8 @@ def _validate_vkj(v: int, k: int, j: int | None, *, min_k: int) -> None:
 def delsarte_eigenvalue(v: int, k: int, j: int) -> LaurentPoly:
     """The alternating-sum form of the j-th eigenvalue of qK(v, k)."""
     _validate_vkj(v, k, j, min_k=0)
-    outer = (k - j) * j + j * (j - 1) // 2
-    return sum_of_products(
-        (-1 if (s + j) % 2 else 1, s * (s - 1) // 2 + outer, gauss(k - j, s), gauss(v - 2 * j - s, v - k - j))
-        for s in range(k - j + 1)
-    )
+    result = alternating_sum(k - j, v - 2 * j, v - k - j, k - j).shift((k - j) * j + j * (j - 1) // 2)
+    return -result if j % 2 else result
 
 
 def simple_eigenvalue(v: int, k: int, j: int) -> LaurentPoly:

@@ -127,6 +127,25 @@ def test_eigenvalues_both_forms_agree(capsys):
         assert entry["eigenvalue"] == entry["eigenvalue_delsarte"]
 
 
+def _delsarte_times_q(v, k, j):
+    return spectrum.delsarte_eigenvalue(v, k, j).shift(1)
+
+
+def _delsarte_plus_one(v, k, j):
+    return spectrum.delsarte_eigenvalue(v, k, j) + 1
+
+
+@pytest.mark.parametrize("wrong", [_delsarte_times_q, _delsarte_plus_one])
+@pytest.mark.parametrize("point", [[], ["--q", "3"]], ids=["symbolic", "q3"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_eigenvalues_both_forms_disagreement_exits_1(capsys, monkeypatch, wrong, point, fmt):
+    # negative control: a Delsarte form that is off must fail the comparison
+    # at every j, before anything is printed
+    monkeypatch.setattr(cli, "delsarte_eigenvalue", wrong)
+    code, out, err = run(capsys, "eigenvalues", "4", "2", "--form", "both", *point, "--format", fmt)
+    assert (code, out, err) == (1, "", "error: eigenvalue forms disagree at j=[0, 1, 2]\n")
+
+
 def test_eigenvalues_delsarte_form(capsys):
     code, out, _ = run(capsys, "eigenvalues", "4", "2", "--form", "delsarte", "--q", "2", "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -458,6 +477,25 @@ def test_verify_spectrum_dump_golden(capsys, tmp_path):
         "adjacency.txt": "5b01b94dd55e67c560bdad3d5a8ba146d531f31ecb72b982d17a599e87ba51fb",
         "vertices.txt": "6f9e92799e607e9891005606775a27201f5a96481abbf60d71f67635281b5ab7",
     }
+
+
+def test_verify_spectrum_dump_into_a_file_exits_2(capsys, tmp_path):
+    # once "certified: yes", a traceback and exit 1; now refused before enumeration
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    for target, error in ((blocker, "File exists"), (blocker / "sub", "Not a directory")):
+        code, out, err = run(capsys, "verify", "spectrum", "3", "1", "2", "--dump", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and error in err and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
+def test_verify_spectrum_dump_onto_a_directory_name_exits_2(capsys, tmp_path):
+    (tmp_path / "adjacency.txt").mkdir()
+    code, out, err = run(capsys, "verify", "spectrum", "3", "1", "2", "--dump", str(tmp_path))
+    assert code == 2 and "certified: yes" in out
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+    assert (tmp_path / "adjacency.txt").is_dir()
 
 
 def test_count_subspaces(capsys):

@@ -2,10 +2,13 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 from math import comb, isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkneser import intmatrix, oracle
 from qkneser.cli import main
@@ -693,3 +696,45 @@ def test_extension_field_vertices_serialize_with_element_encodings():
     assert len(subs) == 5
     flat = set(subs.ravel().tolist())
     assert flat == {0, 1, 2, 3}
+
+
+def _gauss_jordan_moment_solve(eigenvalues, moments):
+    # The solver the spectral-projector one replaced: V x = moments with
+    # V[m][j] = lam_j^m, by Gauss-Jordan over the rationals; x when it is
+    # nonnegative integers, else None.
+    size = len(eigenvalues)
+    rows = [[Fraction(lam**m) for lam in eigenvalues] + [Fraction(moments[m])] for m in range(size)]
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    solution = [rows[r][size] for r in range(size)]
+    if any(x.denominator != 1 or x < 0 for x in solution):
+        return None
+    return [int(x) for x in solution]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spectrum=st.lists(st.tuples(st.integers(-60, 60), st.integers(-3, 40)), min_size=1, max_size=6,
+                      unique_by=lambda pair: pair[0]),
+    perturbation=st.tuples(st.integers(0, 5), st.integers(-3, 3)),
+)
+def test_moment_solve_matches_gauss_jordan(spectrum, perturbation):
+    # random distinct eigenvalues and multiplicities (some negative), with one
+    # moment perturbed by up to 3 in many draws: both solvers must agree
+    eigenvalues = [lam for lam, _ in spectrum]
+    moments = [sum(mult * lam**m for lam, mult in spectrum) for m in range(len(spectrum))]
+    m, delta = perturbation
+    if m < len(moments):
+        moments[m] += delta
+    expected = _gauss_jordan_moment_solve(eigenvalues, moments)
+    assert oracle._solve_moment_system(eigenvalues, moments) == expected
+    if delta == 0 and all(mult >= 0 for _, mult in spectrum):
+        assert expected == [mult for _, mult in spectrum]

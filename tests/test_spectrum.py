@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qkneser.cli import main
+from qkneser.identities import IDENTITIES, theorem2_sides
 from qkneser.laurent import ONE, LaurentPoly
 from qkneser.qbinom import gauss
 from qkneser.spectrum import (
@@ -35,6 +36,22 @@ def test_forms_agree_on_grid():
         for v in range(2 * k, 11):
             for j in range(0, k + 1):
                 assert delsarte_eigenvalue(v, k, j) == simple_eigenvalue(v, k, j), (v, k, j)
+
+
+def test_both_forms_are_the_sides_of_theorem2():
+    # The Delsarte form is theorem2's left side by construction; the closed
+    # form reads the mirror cell [v-k-j v-2k], so its match with the right
+    # side [v-k-j k-j] is a check in its own right.
+    theorem2 = IDENTITIES["theorem2"]
+    for k in range(1, 6):
+        for v in range(2 * k, 15):
+            for j in range(k + 1):
+                params = (k - j, v - 2 * j, v - k - j)
+                assert theorem2.precondition(*params), (v, k, j)
+                lhs, rhs = theorem2_sides(*params)
+                factor = LaurentPoly.monomial((-1) ** j, (k - j) * j + j * (j - 1) // 2)
+                assert delsarte_eigenvalue(v, k, j) == factor * lhs, (v, k, j)
+                assert simple_eigenvalue(v, k, j) == factor * rhs, (v, k, j)
 
 
 def test_multiplicity_values():
