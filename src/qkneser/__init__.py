@@ -27,6 +27,7 @@ from .oracle import (
     gf_rank,
     intersection_dim,
     predicted_vertex_count,
+    vertex_automorphisms,
 )
 from .qbinom import gauss, gauss_eval_product
 from .spectrum import (
@@ -75,4 +76,5 @@ __all__ = [
     "run_grid",
     "simple_eigenvalue",
     "spectrum_table",
+    "vertex_automorphisms",
 ]

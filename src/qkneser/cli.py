@@ -38,6 +38,7 @@ from .oracle import (
     dump_certification,
     dump_vertices,
     enumerate_subspaces,
+    vertex_automorphisms,
 )
 from .qbinom import gauss, gauss_eval_product
 from .spectrum import delsarte_eigenvalue, spectrum_table
@@ -196,11 +197,14 @@ def cmd_verify_spectrum(args: argparse.Namespace) -> int:
     check_vertex_budget(args.v, args.k, args.q, args.budget)
     ctx = field_of_order(args.q)
     predicted = spectrum_table(args.v, args.k, args.q)
-    if args.dump is not None:  # an unusable directory is an OSError (exit 2) before any enumeration
+    if args.dump is not None:  # an unusable directory or dump name is an OSError (exit 2) before any enumeration
         args.dump.mkdir(parents=True, exist_ok=True)
+        for name in ("vertices.txt", "adjacency.txt", "certification.json"):
+            if (args.dump / name).exists() and not (args.dump / name).is_file():
+                raise OSError(f"{args.dump / name} exists and is not a regular file")
     bases = enumerate_subspaces(ctx, args.v, args.k, budget=args.budget)
     adjacency = build_adjacency(bases, ctx)
-    result = certify_spectrum(adjacency, predicted)
+    result = certify_spectrum(adjacency, predicted, vertex_automorphisms(bases, ctx))
 
     print(f"qK({args.v},{args.k}) over GF({args.q}): {result.vertex_count} vertices, degree {result.degree}")
     print(f"predicted spectrum: " + ", ".join(

@@ -27,9 +27,9 @@ its square stay float32 up to n = 2**24 - 1, half the bytes of float64.
 
 A @ A, for a symmetric A, is formed as A A^T on one buffer, which numpy
 hands to the symmetric rank-k update (SYRK): half the multiplications of
-a general product.  The rest of the certificate (its factors, its strip
-pass and its moments) works on these arrays in oracle, under the same
-rule: every step runs in _dtype of its a-priori bound, through _cast.
+a general product.  The certificate in oracle forms no matrix product:
+it applies A to a single vector, under the same rule, widening A a block
+of rows at a time through _dtype and _cast.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ def _dtype(bound: int):
     return object
 
 
-def _cast(array: np.ndarray, dtype, copy: bool = False) -> np.ndarray:
-    """array in dtype, exactly; a float widens to object through int64, so entries become ints."""
+def _cast(array: np.ndarray, dtype) -> np.ndarray:
+    """array in dtype exactly (not copied if already in it); a float widens to object through int64, to ints."""
     if dtype is object and array.dtype.kind == "f":
         array = array.astype(np.int64)
-    return array.astype(dtype, copy=copy)
+    return array.astype(dtype, copy=False)
 
 
 class IntMatrix:

@@ -6,8 +6,8 @@ forms the trivial-intersection adjacency matrix as one product of the
 vertex x projective-point incidence matrix with its transpose, and
 certifies a predicted spectrum with zero numerical tolerance:
 
-  * annihilation: the exact integer product prod_j (A - lambda_j I) must
-    be the zero matrix; since A is symmetric (hence diagonalizable) this
+  * annihilation: the exact integer product P(A) = prod_j (A - lambda_j I)
+    must be the zero matrix; since A is symmetric (hence diagonalizable) this
     proves every eigenvalue of A lies among the predicted values;
   * moments: tr(A^m) must equal sum_j mult_j * lambda_j^m for m = 0..k;
     the (k+1) x (k+1) Vandermonde matrix on distinct eigenvalues is
@@ -15,20 +15,28 @@ certifies a predicted spectrum with zero numerical tolerance:
 
 Both checks passing means the predicted spectrum IS the spectrum.
 
-Both checks take one symmetric square and one strip pass, for every k.
-A^2 is formed once, as the symmetric product A A^T on one buffer (SYRK,
-see intmatrix), in float32: the 0/1 adjacency and its square are exact
-there up to n = 2^24 - 1.  tr(A^m) is a sum over column strips, and
-strips of A and A^2 give every moment up to k = 4 (_moments).  The
-factors A - lambda_j I are polynomials in A, so they commute and may be
-grouped: the first pair's F = A^2 - (a + b) A + ab I is formed from A^2
-without a product, and every other factor is applied to column strips
-built from columns of F and A (_certificate).  The product P(A) is
-symmetric, so its first nonzero entry in row-major order lies on or
-above the diagonal, and the upper rows of each strip find it
-(_strip_residual): the same residual entry as the sequential product,
-with half the multiplications of a full final product and temporaries of
-n x STRIP entries.  With k = 1, or one eigenvalue, F is P itself.
+Both checks read one column of A, through a checked transitive group.
+GL(v, q) permutes the k-subspaces transitively and preserves trivial
+intersection (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), and
+vertex_automorphisms turns generators of it into vertex permutations.
+Nothing is taken on trust: certify_spectrum checks that each sigma is a
+permutation with A[sigma, sigma] = A, and that together they carry vertex
+0 to every vertex.  Such a sigma, as a permutation matrix S, commutes with
+A, hence with every polynomial in A, so P(A) e_sigma(i) = S P(A) e_i and
+(A^m)_ii = (A^m)_sigma(i)sigma(i); with transitivity:
+
+  * P(A) = 0 iff P(A) e_0 = 0, and tr(A^m) = n (A^m)_00;
+  * P(A) is symmetric, so when it is not zero its row 0 is not zero, and
+    its row-major first nonzero entry is (0, j, P(A)[j, 0]) for the first
+    nonzero j of P(A) e_0: the entry the sequential product reports.
+
+The certificate is the Krylov column A^m e_0, m = 0..max(k, number of
+eigenvalues): its entries 0 give the moments, and P(A) e_0 is its
+combination with the coefficients of prod_j (x - lambda_j).  A^m e_0 runs
+in intmatrix._dtype((n |A|)^m) and P(A) e_0 in
+_dtype(prod_j (n |A| + |lambda_j|)), which bound every entry and partial
+sum; A is widened a block of rows at a time, so no widened n x n copy
+exists.
 
 The vertex list is one read-only (n, k, v) int64 array of RREF bases,
 built pivot-set by pivot-set: one numpy block per choice of pivot
@@ -205,6 +213,50 @@ def build_adjacency(bases: np.ndarray, ctx: FieldCtx) -> IntMatrix:
     return IntMatrix(adjacency.view(np.uint8))
 
 
+def vertex_automorphisms(bases: np.ndarray, ctx: FieldCtx) -> list[np.ndarray]:
+    """One vertex permutation per generator of a subgroup of GL(v, q) that contains SL(v, q).
+
+    The generators are the cyclic shift of coordinates, the swap of
+    coordinates 0 and 1, and the transvections x_1 += c x_0 for c = p^i,
+    i < e (the field elements x^i, an additive basis of GF(q) over GF(p)).
+    Each acts on the projective points through FieldCtx element ops, each
+    image renormalised to a leading 1, and a vertex goes where its sorted
+    point codes go: sigma[i] is the vertex whose sorted codes are the
+    image's.  An image that is no vertex raises InvariantError.
+    certify_spectrum checks what it relies on (that each sigma preserves
+    A, and that they are transitive), so nothing here is taken on trust.
+    """
+    n, _, v = bases.shape
+    if v < 2:  # a single vertex
+        return []
+    vectors = _rref_bases(ctx.q, v, 1)[:, 0].tolist()  # every projective point, with a leading 1
+    weights = ctx.q ** np.arange(v)  # a code reads the coordinates base q, as in _point_codes
+    codes = np.array(vectors) @ weights
+    order = np.argsort(codes)
+    keys = np.sort(_point_codes(ctx, bases), axis=1)
+    slots = order[np.searchsorted(codes, keys, sorter=order)]  # each vertex's points, as indices into vectors
+
+    def point(y):  # y scaled to a leading 1
+        scale = ctx.inv(next(t for t in y if t))
+        return [ctx.mul(scale, t) for t in y]
+
+    generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[1], x[0], *x[2:]]]
+    generators += [lambda x, c=ctx.p**i: [x[0], ctx.add(x[1], ctx.mul(c, x[0])), *x[2:]] for i in range(ctx.e)]
+    images = []
+    for g in generators:
+        moved = np.array([point(g(x)) for x in vectors]) @ weights
+        images.append(np.sort(moved[slots], axis=1))
+    _, ids = np.unique(np.concatenate([keys, *images]), axis=0, return_inverse=True)
+    ids = ids.reshape(len(images) + 1, n)
+    vertex = np.full(ids.max() + 1, -1)
+    vertex[ids[0]] = np.arange(n)
+    perms = vertex[ids[1:]]
+    for g, sigma in enumerate(perms):
+        if (sigma < 0).any():
+            raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
+    return list(perms)
+
+
 # ----------------------------------------------------------------------
 # certification
 
@@ -276,135 +328,61 @@ def _solve_moment_system(eigenvalues: list[int], moments: list[int]) -> list[int
     return solution
 
 
-# Rows or columns that a strip of the certificate spans: its temporaries
-# are n x STRIP, small beside an n x n operand.
-STRIP = 256
+def _check_automorphisms(adjacency: IntMatrix, automorphisms) -> None:
+    """Raise InvariantError unless every sigma is a permutation of range(n) with
+    A[sigma, sigma] = A, and the sigmas together carry vertex 0 to every vertex.
 
-
-def _first_nonzero(array: np.ndarray) -> tuple[int, int, int] | None:
-    """Position and value of the first nonzero entry of a 2-D array in row-major order."""
-    # one bool mask; argmax finds its first True, or 0 if there is none
-    nonzero = array != 0
-    i, j = divmod(int(np.argmax(nonzero)), array.shape[1])
-    if not nonzero[i, j]:
-        return None
-    return i, j, int(array[i, j])
-
-
-def _moments(adjacency: IntMatrix, square: IntMatrix, k: int) -> list[int]:
-    """tr(A^m) for m = 0..k: n, the diagonal's sum, then sums over column strips B.
-
-    For m >= 2, tr(A^m) is the sum over B of <A^ceil(m/2) E_B, A^floor(m/2) E_B>_F,
-    and A^p E_B is the transpose of the rows B of A^p (A is symmetric): rows of
-    A and A^2, then, for k >= 5, rows of A^(p-1) times A.  With |A^p| = max_abs
-    up to p = 2, n |A| |A^(p-1)| above, m runs in _dtype(r n |X| |Y|), r = min(STRIP, n).
+    A is compared a block of rows at a time; the orbit of vertex 0 grows
+    breadth-first, each vertex entering the frontier once.
     """
-    n = adjacency.n
-    a, a2 = adjacency.to_array(), square.to_array()
-    tops = [max(adjacency.max_abs, 1), max(square.max_abs, 1)]  # |A^p| for p = 1, 2, ...
-    while len(tops) < (k + 1) // 2:
-        tops.append(n * tops[0] * tops[-1])
-    dtypes = {m: _dtype(min(STRIP, n) * n * tops[(m - 1) // 2] * tops[m // 2 - 1]) for m in range(2, k + 1)}
-    wide = _dtype(tops[-1])
-    a_wide = _cast(a, wide) if len(tops) > 2 else None
-    moments = [n, int(_cast(a.diagonal(), object).sum())][: k + 1] + [0] * (k - 1)
-    for j0 in range(0, n, STRIP):
-        strips = [a[j0 : j0 + STRIP], a2[j0 : j0 + STRIP]]
-        while len(strips) < len(tops):
-            strips.append(_cast(strips[-1], wide) @ a_wide)
-        for m, dtype in dtypes.items():
-            moments[m] += int(np.vdot(_cast(strips[(m - 1) // 2], dtype), _cast(strips[m // 2 - 1], dtype)))
-    return moments
+    n, a = adjacency.n, adjacency.to_array()
+    rows = -(-n // 64)
+    perms = []
+    for g, sigma in enumerate(automorphisms):
+        sigma = np.asarray(sigma)
+        if sigma.shape != (n,) or sigma.dtype.kind not in "iu" or not np.array_equal(np.sort(sigma), np.arange(n)):
+            raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
+        for r in range(0, n, rows):
+            moved = np.argwhere(np.take(a[sigma[r : r + rows]], sigma, axis=1) != a[r : r + rows])
+            if len(moved):
+                i, j = r + int(moved[0][0]), int(moved[0][1])
+                raise InvariantError(f"automorphism {g} does not preserve the adjacency matrix: "
+                                     f"A[{sigma[i]}, {sigma[j]}] != A[{i}, {j}]")
+        perms.append(sigma)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        images = np.concatenate([frontier[:0], *(sigma[frontier] for sigma in perms)])
+        frontier = np.unique(images[~reached[images]])
+        reached[frontier] = True
+    if not reached.all():
+        raise InvariantError(f"the automorphisms carry vertex 0 to {int(reached.sum())} of {n} vertices, not to all")
 
 
-def _certificate(adjacency: IntMatrix, eigenvalues: list[int], k: int):
-    """The moments tr(A^m), m = 0..k, and the residual: the row-major first
-    nonzero (i, j, value) of prod_j (A - lambda_j I), or None.
-
-    The eigenvalues, sorted by |lambda|, are paired smallest with largest.
-    Each factor is a triple (f, d, e) = f A^2 + d A + e I: A^2 - s A + p I
-    for a pair, A - lam I for the one left over when the count is odd.
-    Only the first, F, is formed as a matrix, in the strip pass's dtype;
-    every later one is f F + d A + e I.
-    """
-    n, a_max = adjacency.n, max(adjacency.max_abs, 1)
-    square = adjacency @ adjacency
-    moments = _moments(adjacency, square, k)
-    by_size = sorted(eigenvalues, key=abs)
-    half = len(by_size) // 2
-    factors = [(1, -(a + b), a * b) for a, b in zip(by_size[:half], by_size[::-1])]
-    factors += [(0, 1, -by_size[half])] if len(by_size) % 2 else []
-    (f0, d0, e0), *later = factors
-    rest = [(f, d - f * d0, e - f * e0) for f, d, e in later]  # f0 = 1 whenever there are later factors
-    # every entry formed is at most the last step's bound: |F| alone, or F[:j1] @ X
-    # with |X| <= f|F| + |d||A| + |e| for G_r, times f n|F| + |d| n|A| + |e| for
-    # each further G; |A| <= |A^2| for symmetric A, so A is exact in it too
-    f_max = bound = f0 * square.max_abs + abs(d0) * a_max + abs(e0)
-    if rest:
-        *middle, (f, d, e) = rest
-        x_max = f * f_max + abs(d) * a_max + abs(e)
-        for f_, d_, e_ in middle:
-            x_max *= f_ * n * f_max + abs(d_) * n * a_max + abs(e_)
-        bound = n * f_max * x_max
-    dtype = _dtype(bound)
-    # F in place, A^2 widened a row at a time: F peaks beside A^2 alone,
-    # and the strips run beside F alone
-    factor = _cast(adjacency.to_array(), dtype, copy=True)
-    factor *= d0
-    for r in range(n if f0 else 0):  # no name keeps a view of A^2 past del
-        factor[r] += _cast(square.to_array()[r], dtype)
-    factor.flat[:: n + 1] += e0
-    del square
-    return moments, _strip_residual(adjacency, factor, rest, dtype)
+def _krylov(adjacency: IntMatrix, steps: int) -> list[np.ndarray]:
+    """A^m e_0 for m = 0..steps, each in _dtype((n |A|)^m), which bounds its
+    entries and partial sums; A is widened a block of rows at a time."""
+    n, a = adjacency.n, adjacency.to_array()
+    top, rows = n * max(adjacency.max_abs, 1), -(-n // 64)
+    column = [(np.arange(n) == 0).astype(_dtype(1))]  # e_0
+    for m in range(1, steps + 1):
+        dtype = _dtype(top**m)
+        x = _cast(column[-1], dtype)
+        column.append(np.concatenate([_cast(a[r : r + rows], dtype) @ x for r in range(0, n, rows)]))
+    return column
 
 
-def _strip_residual(adjacency: IntMatrix, factor: np.ndarray, rest: list[tuple[int, int, int]], dtype):
-    """Row-major first nonzero (i, j, value) of P = F G_1 ... G_r, or None.
-
-    factor is F in dtype, and rest holds G_1 .. G_r, r >= 0, as (f, d, e)
-    with G = f F + d A + e I; dtype is exact for every entry formed.  P is
-    symmetric, so its first nonzero (i, j) in row-major order has i <= j,
-    and for the column strip B = j0..j1-1 the rows 0..j1-1 of P[:, B]
-    suffice; once one is found in row i, later strips need only the rows
-    above it.  With r = 0 the strip is read from F; otherwise it is
-    F[:j1] (G_1 ... G_r E_B), where G_r E_B is built from columns of F and
-    A, and G_1 .. G_(r-1) (five or more eigenvalues) are applied in turn.
-    """
-    n = len(factor)
-    a = adjacency.to_array()
-    middle = rest[:-1]
-    a_wide = _cast(a, dtype) if middle else None
-    best = None
-    for j0 in range(0, n, STRIP):
-        j1 = min(j0 + STRIP, n)
-        rows = j1 if best is None else min(j1, best[0])
-        if rows == 0:
-            break
-        strip = factor[:rows, j0:j1]
-        if rest:
-            f, d, e = rest[-1]
-            x = _cast(a[:, j0:j1], dtype, copy=True)
-            x *= d
-            if f:
-                x += factor[:, j0:j1]
-            x[range(j0, j1), range(j1 - j0)] += e
-            for f_, d_, e_ in middle:
-                x = f_ * (factor @ x) + d_ * (a_wide @ x) + e_ * x
-            strip = factor[:rows] @ x
-        found = _first_nonzero(strip)
-        if found is not None:
-            best = (found[0], j0 + found[1], found[2])
-    return best
-
-
-def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable) -> CertificationResult:
+def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable, automorphisms) -> CertificationResult:
     """Certify that predicted is exactly the spectrum of the adjacency matrix.
 
     Requires a symmetric matrix and an evaluated prediction with distinct
-    eigenvalues and positive multiplicities.  Runs the annihilating
-    product and the moment checks in exact integer arithmetic; a mismatch
-    is reported as data, with the offending moment or a nonzero residual
-    entry.
+    eigenvalues and positive multiplicities (ValueError otherwise), and
+    vertex permutations (integer arrays, as vertex_automorphisms returns)
+    that preserve A and act transitively: InvariantError otherwise.  Runs
+    the annihilating product and the moment checks on column 0 in exact
+    integer arithmetic; a mismatch is reported as data, with the
+    offending moment or a nonzero residual entry.
     """
     if predicted.q is None:
         raise ValueError("predicted spectrum must be evaluated at a concrete q")
@@ -417,10 +395,19 @@ def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable) -> Certific
     if any(m <= 0 for m in multiplicities):
         raise ValueError(f"predicted multiplicities must be positive, got {multiplicities}")
 
-    n = adjacency.n
-    k = predicted.k
+    _check_automorphisms(adjacency, automorphisms)
 
-    moments, residual = _certificate(adjacency, eigenvalues, k)
+    n, k = adjacency.n, predicted.k
+    column = _krylov(adjacency, max(k, len(eigenvalues)))
+    moments = [n * int(x[0]) for x in column[: k + 1]]
+    coeffs, bound = [1], 1  # of prod_j (x - lambda_j), lowest degree first; prod_j (n|A| + |lambda_j|)
+    for lam in eigenvalues:
+        coeffs = [shifted - lam * c for shifted, c in zip([0, *coeffs], [*coeffs, 0])]
+        bound *= n * max(adjacency.max_abs, 1) + abs(lam)
+    dtype = _dtype(bound)
+    product = sum(c * _cast(x, dtype) for c, x in zip(coeffs, column))  # P(A) e_0
+    nonzero = np.flatnonzero(product)
+    residual = (0, int(nonzero[0]), int(product[nonzero[0]])) if nonzero.size else None
     expected = [sum(mult * lam**m for lam, mult in zip(eigenvalues, multiplicities)) for m in range(k + 1)]
     offending = [(m, e, a) for m, (e, a) in enumerate(zip(expected, moments)) if e != a]
 

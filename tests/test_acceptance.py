@@ -15,7 +15,7 @@ from qkneser.cli import main
 from qkneser.gf import field_of_order
 from qkneser.identities import IDENTITY_IDS, GridBounds, run_grid
 from qkneser.laurent import ZERO
-from qkneser.oracle import build_adjacency, certify_spectrum, enumerate_subspaces
+from qkneser.oracle import build_adjacency, certify_spectrum, enumerate_subspaces, vertex_automorphisms
 from qkneser.qbinom import gauss
 from qkneser.spectrum import (
     SpectrumEntry,
@@ -30,6 +30,8 @@ ORACLE_CASES = [(4, 2, 2), (5, 2, 2), (6, 2, 2), (4, 2, 3), (5, 2, 3), (4, 2, 4)
 COUNTING_CASES = ORACLE_CASES + [(2, 1, 9), (3, 1, 9)]  # q = 9 exercises the GF(3^2) path
 FORM_GRID = [(v, k) for k in range(1, 5) for v in range(2 * k, 11)]
 
+pytestmark = pytest.mark.usefixtures("no_matrix_products")  # the certificate forms no matrix product
+
 
 def report(criterion: str, ok: bool) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
@@ -42,7 +44,7 @@ def graphs():
     for v, k, q in COUNTING_CASES:
         ctx = field_of_order(q)
         subspaces = enumerate_subspaces(ctx, v, k)
-        built[(v, k, q)] = (subspaces, build_adjacency(subspaces, ctx))
+        built[(v, k, q)] = (subspaces, build_adjacency(subspaces, ctx), vertex_automorphisms(subspaces, ctx))
     return built
 
 
@@ -86,13 +88,13 @@ def test_criterion_3_symbolic_spectral_sums():
 def test_criterion_4_oracle_certification(graphs):
     ok = True
     for v, k, q in ORACLE_CASES:
-        _, adjacency = graphs[(v, k, q)]
-        result = certify_spectrum(adjacency, spectrum_table(v, k, q))
+        _, adjacency, automorphisms = graphs[(v, k, q)]
+        result = certify_spectrum(adjacency, spectrum_table(v, k, q), automorphisms)
         ok = ok and result.certified
         assert result.certified, (v, k, q, result.offending_moments, result.residual_entry)
     # spot-check the documented facts for qK(4,2) at q=2
-    _, adjacency = graphs[(4, 2, 2)]
-    result = certify_spectrum(adjacency, spectrum_table(4, 2, 2))
+    _, adjacency, automorphisms = graphs[(4, 2, 2)]
+    result = certify_spectrum(adjacency, spectrum_table(4, 2, 2), automorphisms)
     assert result.vertex_count == 35
     assert result.predicted_eigenvalues == [16, -4, 2]
     assert result.predicted_multiplicities == [1, 14, 20]
@@ -103,7 +105,7 @@ def test_criterion_4_oracle_certification(graphs):
 def test_criterion_5_subspace_counting(graphs):
     ok = True
     for v, k, q in COUNTING_CASES:
-        subspaces, _ = graphs[(v, k, q)]
+        subspaces, *_ = graphs[(v, k, q)]
         formula = gauss(v, k).evaluate(q)
         ok = ok and len(subspaces) == formula
         assert len(subspaces) == formula, (v, k, q)
@@ -120,24 +122,25 @@ def _tweaked(table, index, d_eig=0, d_mult=0):
     return SpectrumTable(v=table.v, k=table.k, q=table.q, entries=tuple(entries))
 
 
-def _detected(adjacency, bad_table) -> bool:
+def _detected(graph, bad_table) -> bool:
     # a perturbed prediction must either fail certification or be rejected
     # outright (e.g. a multiplicity perturbed down to zero)
+    _, adjacency, automorphisms = graph
     try:
-        return not certify_spectrum(adjacency, bad_table).certified
+        return not certify_spectrum(adjacency, bad_table, automorphisms).certified
     except ValueError:
         return True
 
 
 def test_criterion_6_negative_controls(graphs):
-    _, adjacency = graphs[(4, 2, 2)]
+    graph = graphs[(4, 2, 2)]
     table = spectrum_table(4, 2, 2)
     ok = True
     # every eigenvalue and multiplicity perturbation, both directions, must fail
     for j in range(table.k + 1):
         for delta in (1, -1):
-            assert _detected(adjacency, _tweaked(table, j, d_eig=delta)), (j, delta)
-            assert _detected(adjacency, _tweaked(table, j, d_mult=delta)), (j, delta)
+            assert _detected(graph, _tweaked(table, j, d_eig=delta)), (j, delta)
+            assert _detected(graph, _tweaked(table, j, d_mult=delta)), (j, delta)
     # every identity must fail under an exponent off by one in its RHS
     small = GridBounds(n_min=-3, n_max=4, i_min=0, i_max=3, mat_max=4)
     for identity in IDENTITY_IDS:

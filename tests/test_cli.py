@@ -18,6 +18,8 @@ from qkneser import cli, oracle, qbinom, spectrum
 from qkneser.cli import main
 from qkneser.oracle import predicted_vertex_count
 
+pytestmark = pytest.mark.usefixtures("no_matrix_products")  # the certificate forms no matrix product
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -491,11 +493,23 @@ def test_verify_spectrum_dump_into_a_file_exits_2(capsys, tmp_path):
 
 
 def test_verify_spectrum_dump_onto_a_directory_name_exits_2(capsys, tmp_path):
+    # refused before enumeration, as a dump directory that cannot be made is
     (tmp_path / "adjacency.txt").mkdir()
     code, out, err = run(capsys, "verify", "spectrum", "3", "1", "2", "--dump", str(tmp_path))
-    assert code == 2 and "certified: yes" in out
-    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "adjacency.txt exists and is not a regular file" in err
+    assert err.count("\n") == 1
     assert (tmp_path / "adjacency.txt").is_dir()
+
+
+@pytest.mark.parametrize("name", ["vertices.txt", "adjacency.txt", "certification.json"])
+def test_verify_spectrum_dump_refusal_writes_no_dump_file(capsys, tmp_path, name):
+    # once vertices.txt and adjacency.txt were written before
+    # certification.json failed; now no dump file is written at all
+    (tmp_path / name).mkdir()
+    code, out, err = run(capsys, "verify", "spectrum", "3", "1", "2", "--dump", str(tmp_path))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == [name]
 
 
 def test_count_subspaces(capsys):

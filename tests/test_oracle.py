@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkneser import intmatrix, oracle
+from qkneser import cli, intmatrix, oracle
 from qkneser.cli import main
 from qkneser.gf import field_of_order, make_field
 from qkneser.intmatrix import IntMatrix
@@ -27,9 +27,12 @@ from qkneser.oracle import (
     gf_rank,
     intersection_dim,
     predicted_vertex_count,
+    vertex_automorphisms,
 )
 from qkneser.qbinom import gauss
 from qkneser.spectrum import SpectrumEntry, SpectrumTable, spectrum_table
+
+pytestmark = pytest.mark.usefixtures("no_matrix_products")  # the certificate forms no matrix product
 
 
 def pivots_of(basis):
@@ -225,6 +228,12 @@ def adjacency_of(ctx, v, k):
     return build_adjacency(enumerate_subspaces(ctx, v, k), ctx)
 
 
+def graph_of(ctx, v, k):
+    # the adjacency matrix and the generators' vertex permutations
+    subs = enumerate_subspaces(ctx, v, k)
+    return build_adjacency(subs, ctx), vertex_automorphisms(subs, ctx)
+
+
 def test_adjacency_rejects_an_empty_vertex_list():
     with pytest.raises(ValueError, match="empty"):
         build_adjacency(np.zeros((0, 1, 2), dtype=np.int64), make_field(2, 1))
@@ -284,13 +293,15 @@ def test_point_codes_are_the_canonical_points(v, k, q):
             assert gf_rank(ctx, [*s.tolist(), vec]) == k  # the point lies in s
 
 
-def test_dropped_point_is_caught(monkeypatch):
+def test_dropped_point_is_caught(monkeypatch, capsys):
     # negative control for the incidence product: vertex 0 loses one of its
     # points (replaced by a repeat of another), so it looks adjacent to the
-    # lines through that point
+    # lines through that point; the honest generators then no longer preserve
+    # A, and the CLI reports that as a verification failure
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 4, 2)
     honest = oracle._point_codes
+    automorphisms = vertex_automorphisms(subs, ctx)
 
     def lossy(ctx, bases):
         codes = honest(ctx, bases)
@@ -300,7 +311,68 @@ def test_dropped_point_is_caught(monkeypatch):
     monkeypatch.setattr(oracle, "_point_codes", lossy)
     adjacency = build_adjacency(subs, ctx)
     assert rank_route_mismatch(ctx, subs, adjacency) is not None
-    assert not certify_spectrum(adjacency, spectrum_table(4, 2, 2)).certified
+    with pytest.raises(InvariantError, match="does not preserve the adjacency matrix"):
+        certify_spectrum(adjacency, spectrum_table(4, 2, 2), automorphisms)
+    monkeypatch.setattr(cli, "vertex_automorphisms", lambda bases, ctx: automorphisms)
+    assert_verification_failure(capsys, "4", "2", "2")
+
+
+def assert_verification_failure(capsys, *argv):
+    # exit 1 with one error line, no traceback and no report
+    assert main(["verify", "spectrum", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def _swap_vertices_0_and_1(subs, ctx):
+    sigma = np.arange(len(subs))
+    sigma[[0, 1]] = 1, 0
+    return [sigma]
+
+
+@pytest.mark.parametrize("q,bad,message", [
+    pytest.param(2, lambda subs, ctx: [np.zeros(len(subs), dtype=np.int64)], "is not a permutation",
+                 id="not-a-permutation"),
+    pytest.param(2, _swap_vertices_0_and_1, "does not preserve the adjacency matrix", id="swap-two-vertices"),
+    pytest.param(2, lambda subs, ctx: vertex_automorphisms(subs, ctx)[:2], "to 6 of 35 vertices",
+                 id="coordinate-permutations-alone"),
+    # only c = 1: S_4 and SL(4, 2) carry span(e_0, e_1) only to the 35 planes defined over GF(2)
+    pytest.param(4, lambda subs, ctx: vertex_automorphisms(subs, ctx)[:3], "to 35 of 357 vertices",
+                 id="gf4-without-the-transvection-by-x"),
+])
+def test_unchecked_automorphisms_are_refused(monkeypatch, capsys, q, bad, message):
+    ctx = field_of_order(q)
+    subs = enumerate_subspaces(ctx, 4, 2)
+    with pytest.raises(InvariantError, match=message):
+        certify_spectrum(build_adjacency(subs, ctx), spectrum_table(4, 2, q), bad(subs, ctx))
+    monkeypatch.setattr(cli, "vertex_automorphisms", bad)
+    assert_verification_failure(capsys, "4", "2", str(q))
+
+
+def test_an_image_that_is_no_vertex_is_refused():
+    # without vertex 0, some generator maps a vertex onto the missing one
+    ctx = make_field(2, 1)
+    subs = enumerate_subspaces(ctx, 4, 2)
+    with pytest.raises(InvariantError, match="to a point set that is no vertex"):
+        vertex_automorphisms(subs[1:], ctx)
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (3, 1, 4), (4, 2, 4), (3, 2, 9), (5, 2, 3)])
+def test_automorphisms_are_the_generators_action(v, k, q):
+    # sigma[i] spans the image of basis i under the generator, applied to the
+    # rows by field arithmetic and compared by rank, with no point codes
+    ctx = field_of_order(q)
+    subs = enumerate_subspaces(ctx, v, k)
+    generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[1], x[0], *x[2:]]]
+    generators += [lambda x, c=ctx.p**i: [x[0], ctx.add(x[1], ctx.mul(c, x[0])), *x[2:]] for i in range(ctx.e)]
+    automorphisms = vertex_automorphisms(subs, ctx)
+    assert len(automorphisms) == len(generators)
+    for g, sigma in zip(generators, automorphisms):
+        assert sorted(sigma.tolist()) == list(range(len(subs)))
+        for basis, image in zip(subs.tolist(), sigma.tolist()):
+            assert gf_rank(ctx, [*map(g, basis), *subs[image].tolist()]) == k
 
 
 def test_regularity_matches_predicted_degree():
@@ -312,9 +384,8 @@ def test_regularity_matches_predicted_degree():
 
 
 def test_certify_qk_4_2_2():
-    ctx = make_field(2, 1)
-    adjacency = adjacency_of(ctx, 4, 2)
-    result = certify_spectrum(adjacency, spectrum_table(4, 2, 2))
+    adjacency, automorphisms = graph_of(make_field(2, 1), 4, 2)
+    result = certify_spectrum(adjacency, spectrum_table(4, 2, 2), automorphisms)
     assert result.certified
     assert result.annihilation_ok and result.moments_ok
     assert result.moments == [35, 0, 560]
@@ -324,9 +395,8 @@ def test_certify_qk_4_2_2():
 
 
 def test_certify_triangle():
-    ctx = make_field(2, 1)
-    adjacency = adjacency_of(ctx, 2, 1)
-    result = certify_spectrum(adjacency, spectrum_table(2, 1, 2))
+    adjacency, automorphisms = graph_of(make_field(2, 1), 2, 1)
+    result = certify_spectrum(adjacency, spectrum_table(2, 1, 2), automorphisms)
     assert result.certified
     assert result.predicted_eigenvalues == [2, -1]
     assert result.predicted_multiplicities == [1, 2]
@@ -335,9 +405,8 @@ def test_certify_triangle():
 @pytest.mark.parametrize("v,k,q", [(2, 1, 3), (2, 1, 4), (2, 1, 5), (5, 2, 2), (4, 2, 3)])
 def test_certify_more_cases(v, k, q):
     # qK(2,1) is complete on q+1 vertices: distinct lines of a plane meet trivially
-    ctx = field_of_order(q)
-    adjacency = adjacency_of(ctx, v, k)
-    result = certify_spectrum(adjacency, spectrum_table(v, k, q))
+    adjacency, automorphisms = graph_of(field_of_order(q), v, k)
+    result = certify_spectrum(adjacency, spectrum_table(v, k, q), automorphisms)
     assert result.certified
     assert sum(result.certified_multiplicities) == result.vertex_count
 
@@ -353,20 +422,18 @@ def _tweaked(table, j, d_eig=0, d_mult=0):
 
 
 def test_certify_detects_wrong_multiplicity():
-    ctx = make_field(2, 1)
-    adjacency = adjacency_of(ctx, 4, 2)
+    adjacency, automorphisms = graph_of(make_field(2, 1), 4, 2)
     wrong = _tweaked(spectrum_table(4, 2, 2), j=1, d_mult=-1)  # 13 instead of 14
-    result = certify_spectrum(adjacency, wrong)
+    result = certify_spectrum(adjacency, wrong, automorphisms)
     assert not result.moments_ok
     assert not result.certified
     assert any(m == 1 and expected == 4 for m, expected, _ in result.offending_moments)
 
 
 def test_certify_detects_wrong_eigenvalue():
-    ctx = make_field(2, 1)
-    adjacency = adjacency_of(ctx, 4, 2)
+    adjacency, automorphisms = graph_of(make_field(2, 1), 4, 2)
     wrong = _tweaked(spectrum_table(4, 2, 2), j=2, d_eig=1)  # 3 instead of 2
-    result = certify_spectrum(adjacency, wrong)
+    result = certify_spectrum(adjacency, wrong, automorphisms)
     assert not result.annihilation_ok
     assert result.residual_entry is not None
     assert not result.certified
@@ -374,7 +441,7 @@ def test_certify_detects_wrong_eigenvalue():
 
 @pytest.fixture(scope="module")
 def qk_6_3_2():
-    return adjacency_of(make_field(2, 1), 6, 3)
+    return graph_of(make_field(2, 1), 6, 3)
 
 
 def _perturbations(table):
@@ -386,8 +453,9 @@ def _perturbations(table):
 
 
 def test_certify_qk_6_3_2(qk_6_3_2):
-    # k = 3: four eigenvalues, so two quadratic factors and no linear one
-    result = certify_spectrum(qk_6_3_2, spectrum_table(6, 3, 2))
+    # k = 3: four eigenvalues
+    adjacency, automorphisms = qk_6_3_2
+    result = certify_spectrum(adjacency, spectrum_table(6, 3, 2), automorphisms)
     assert result.certified
     assert result.vertex_count == 1395 and result.degree == 512
     assert result.predicted_eigenvalues == [512, -64, 16, -8]
@@ -396,12 +464,13 @@ def test_certify_qk_6_3_2(qk_6_3_2):
 
 
 def test_certify_qk_6_3_2_negative_controls(qk_6_3_2):
+    adjacency, automorphisms = qk_6_3_2
     for label, wrong in _perturbations(spectrum_table(6, 3, 2)):
         if 0 in wrong.multiplicities():
             with pytest.raises(ValueError, match="must be positive"):  # the eigenvalue 512 has multiplicity 1
-                certify_spectrum(qk_6_3_2, wrong)
+                certify_spectrum(adjacency, wrong, automorphisms)
             continue
-        result = certify_spectrum(qk_6_3_2, wrong)
+        result = certify_spectrum(adjacency, wrong, automorphisms)
         assert not result.certified, label
         if label.startswith("eigenvalue"):
             assert not result.annihilation_ok and result.residual_entry is not None, label
@@ -411,8 +480,8 @@ def test_certify_qk_6_3_2_negative_controls(qk_6_3_2):
 
 def sequential_first_nonzero(adjacency, eigenvalues):
     # row-major first nonzero entry of prod_j (A - lambda_j I), formed row by
-    # row in plain numpy object arrays (Python ints), independent of IntMatrix:
-    # row i of the product is e_i (A - lambda_1 I) (A - lambda_2 I) ...
+    # row in plain numpy object arrays (Python ints), independent of IntMatrix
+    # and of any symmetry: row i of the product is e_i (A - lambda_1 I) (A - lambda_2 I) ...
     a = adjacency.astype(np.int64).astype(object)
     for i in range(len(a)):
         row = np.zeros(len(a), dtype=object)
@@ -428,76 +497,46 @@ def sequential_first_nonzero(adjacency, eigenvalues):
 def naive_traces(adjacency, k):
     # tr(A^m) for m = 0..k from powers of A in plain numpy object arrays
     a = np.array([[int(x) for x in row] for row in adjacency.tolist()], dtype=object)
-    power, traces = np.identity(len(a), dtype=np.int64).astype(object), []
-    for _ in range(k + 1):
+    power, traces = a, [len(a)]
+    for m in range(1, k + 1):
         traces.append(int(power.trace()))
-        power = power.dot(a)
+        power = power.dot(a) if m < k else None
     return traces
-
-
-def test_first_nonzero_is_row_major():
-    rows = np.zeros((4, 4), dtype=object)
-    assert oracle._first_nonzero(rows) is None
-    rows[3, 3] = -7
-    assert oracle._first_nonzero(rows) == (3, 3, -7)
-    rows[2, 0], rows[1, 3] = 5, 2**70  # a big entry, as in object strips
-    assert oracle._first_nonzero(rows) == (1, 3, 2**70)
-    assert oracle._first_nonzero(rows.astype(float)[2:]) == (0, 0, 5)
 
 
 @pytest.mark.parametrize("eigenvalues", [[2, -1], [-1, 2], [2, 1], [3, -1], [0, 5], [2], [-1], [7]])
 def test_pair_of_linear_factors_is_one_quadratic_factor(eigenvalues):
-    # k = 1 and a single eigenvalue: F = A^2 - (a + b) A + ab I, or A - lam I,
-    # is the whole product; the triangle's eigenvalues are 2 and -1
+    # k = 1 and a single eigenvalue: P(A) e_0 combines A e_0 and e_0 with the
+    # coefficients of (x - a)(x - b), or of x - lam; the triangle's
+    # eigenvalues are 2 and -1, and the rotation is its automorphism
     triangle = IntMatrix(np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
     table = SpectrumTable(v=3, k=len(eigenvalues) - 1, q=2,
                           entries=tuple(SpectrumEntry(j, lam, 1) for j, lam in enumerate(eigenvalues)))
     expected = sequential_first_nonzero(triangle.to_array(), eigenvalues)
-    assert certify_spectrum(triangle, table).residual_entry == expected
+    assert certify_spectrum(triangle, table, [np.array([1, 2, 0])]).residual_entry == expected
     assert (expected is None) == (sorted(eigenvalues) == [-1, 2])
 
 
-@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (5, 2, 2)])
-def test_residual_entry_matches_the_sequential_product(monkeypatch, v, k, q):
-    # the grouped factors multiply to the same P(A) as prod_j (A - lambda_j I)
-    # in the given order, so a wrong prediction reports the same entry, and
-    # the strip-wise moments are the traces of A^m, in one strip or in strips
-    # of 8 columns (n = 35, 130, 155: the last is narrower)
-    adjacency = adjacency_of(field_of_order(q), v, k)
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (5, 2, 2), (2, 1, 3), (3, 1, 4), (4, 2, 4)])
+def test_residual_entry_matches_the_sequential_product(v, k, q):
+    # every honest and +-1 table of the cases with n <= 400: the column
+    # certificate reports the moments and the residual entry that the
+    # symmetry-free references give (a multiplicity of 0 is refused instead)
+    adjacency, automorphisms = graph_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     traces = naive_traces(adjacency.to_array(), k)
-    for strip in (oracle.STRIP, 8):
-        monkeypatch.setattr(oracle, "STRIP", strip)
-        for e in table.entries:
-            for d in (-1, 1):
-                wrong = _tweaked(table, e.j, d_eig=d)
-                expected = sequential_first_nonzero(adjacency.to_array(), [int(lam) for lam in wrong.eigenvalues()])
-                assert expected is not None
-                result = certify_spectrum(adjacency, wrong)
-                assert result.residual_entry == expected, (strip, e.j, d)
-                assert result.moments == traces, (strip, e.j, d)
-
-
-@pytest.mark.parametrize("v,k,q,products", [(3, 1, 2, 2), (2, 1, 5, 2), (4, 2, 2, 2), (4, 2, 3, 2), (6, 3, 2, 2)])
-def test_certification_product_count(monkeypatch, qk_6_3_2, v, k, q, products):
-    # A^2 as one symmetric product A A^T, then one strip pass, for every k:
-    # with k = 1 it reads the strips of F instead of forming a product
-    adjacency = qk_6_3_2 if (v, k, q) == (6, 3, 2) else adjacency_of(field_of_order(q), v, k)
-    calls = []
-    real_matmul, real_strips = IntMatrix.__matmul__, oracle._strip_residual
-
-    def counted(self, other):
-        calls.append(other is self)
-        return real_matmul(self, other)
-
-    def counted_strips(*args):
-        calls.append("strips")
-        return real_strips(*args)
-
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
-    monkeypatch.setattr(oracle, "_strip_residual", counted_strips)
-    assert certify_spectrum(adjacency, spectrum_table(v, k, q)).certified
-    assert calls == [True] + ["strips"] * (products - 1)
+    references = {}  # by eigenvalues: the honest and multiplicity tables share one zero product
+    for label, wrong in [("honest", table), *_perturbations(table)]:
+        if 0 in wrong.multiplicities():
+            continue
+        eigenvalues = tuple(int(lam) for lam in wrong.eigenvalues())
+        if eigenvalues not in references:
+            references[eigenvalues] = sequential_first_nonzero(adjacency.to_array(), eigenvalues)
+        expected = references[eigenvalues]
+        assert (expected is None) == label.startswith(("honest", "multiplicity")), label
+        result = certify_spectrum(adjacency, wrong, automorphisms)
+        assert result.residual_entry == expected, label
+        assert result.moments == traces, label
 
 
 def hypercube(d):
@@ -507,6 +546,11 @@ def hypercube(d):
     return IntMatrix(((xor & (xor - 1)) == 0).astype(np.int64) - np.eye(2**d, dtype=np.int64))
 
 
+def hypercube_automorphisms(d):
+    # x -> x XOR 2^i, one per coordinate: transitive on Q_d
+    return [np.arange(2**d) ^ (1 << i) for i in range(d)]
+
+
 def hypercube_table(d):
     # the spectrum of Q_d: d - 2j with multiplicity C(d, j), j = 0 .. d
     entries = tuple(SpectrumEntry(j, d - 2 * j, comb(d, j)) for j in range(d + 1))
@@ -514,22 +558,20 @@ def hypercube_table(d):
 
 
 @pytest.mark.parametrize("d", range(7))
-def test_certify_hypercube_through_every_factor_count(monkeypatch, d):
-    # d + 1 eigenvalues: one linear factor (d = 0), one quadratic (d = 1),
-    # and from d = 4 on, factors between the first and the last of each strip;
-    # from d = 5 on the moments apply A to each strip, here in strips of 12
-    # columns, so that n = 32 and 64 end in a narrower one
-    if d >= 5:
-        monkeypatch.setattr(oracle, "STRIP", 12)
-    adjacency = hypercube(d)
-    result = certify_spectrum(adjacency, hypercube_table(d))
+def test_certify_hypercube_through_every_factor_count(d):
+    # d + 1 eigenvalues, so P has degree 1 (d = 0) up to 7, and the moments
+    # reach A^6 e_0; every honest and +-1 table matches the references
+    adjacency, automorphisms = hypercube(d), hypercube_automorphisms(d)
+    traces = naive_traces(adjacency.to_array(), d)
+    result = certify_spectrum(adjacency, hypercube_table(d), automorphisms)
     assert result.certified and result.certified_multiplicities == [e.multiplicity for e in hypercube_table(d).entries]
-    assert result.moments == naive_traces(adjacency.to_array(), d)
+    assert result.moments == traces
     for label, wrong in _perturbations(hypercube_table(d)):
         if 0 in wrong.multiplicities():
             continue
-        result = certify_spectrum(adjacency, wrong)
+        result = certify_spectrum(adjacency, wrong, automorphisms)
         assert not result.certified, label
+        assert result.moments == traces, label
         if label.startswith("eigenvalue"):
             assert result.residual_entry == sequential_first_nonzero(
                 adjacency.to_array(), [int(lam) for lam in wrong.eigenvalues()]), label
@@ -537,24 +579,26 @@ def test_certify_hypercube_through_every_factor_count(monkeypatch, d):
             assert not result.moments_ok, label
 
 
-@pytest.mark.parametrize("lam,dtype", [(2**5, np.float32), (2**12, np.float64), (2**22, np.int64), (2**40, object)])
-def test_strip_pass_is_exact_in_every_dtype(monkeypatch, lam, dtype):
-    # a wrong eigenvalue of Q_4 sets the a-priori bound of the strip pass,
-    # and with it the one dtype F and every strip are formed in: with later
-    # factors, with none (k = 1, F is the product), and for one eigenvalue
-    # (F = A - big I); big = lam^2 isqrt(lam) + 1 lands the last two in the
-    # same dtype, and is odd, so a narrower float would round F[0, 0]
+@pytest.fixture
+def dtypes(monkeypatch):
+    # the dtype of every _dtype decision in oracle, in call order
     chosen = []
-    real = oracle._strip_residual
-    monkeypatch.setattr(oracle, "_strip_residual", lambda a, f, rest, dt: chosen.append(dt) or real(a, f, rest, dt))
+    monkeypatch.setattr(oracle, "_dtype", lambda bound: chosen.append(intmatrix._dtype(bound)) or chosen[-1])
+    return chosen
+
+
+@pytest.mark.parametrize("lam,dtype", [(2**5, np.float32), (2**12, np.float64), (2**22, np.int64), (2**40, object)])
+def test_column_pass_is_exact_in_every_dtype(dtypes, lam, dtype):
+    # wrong eigenvalues +-lam of Q_4 set the a-priori bound of P(A) e_0,
+    # 6400 (16 + lam)^2, and with it the dtype it is formed in, the last
+    # decision; the Krylov column stays float32 (16^5 < 2^24)
     adjacency = hypercube(4)
-    big = lam**2 * isqrt(lam) + 1
-    for eigenvalues in ([4, lam, 0, -2, -4], [big, 1], [big]):
-        table = SpectrumTable(v=4, k=len(eigenvalues) - 1, q=2,
-                              entries=tuple(SpectrumEntry(j, x, 1) for j, x in enumerate(eigenvalues)))
-        expected = sequential_first_nonzero(adjacency.to_array(), eigenvalues)
-        assert certify_spectrum(adjacency, table).residual_entry == expected, eigenvalues
-    assert chosen == [dtype] * 3
+    eigenvalues = [4, lam, 0, -lam, -4]
+    table = SpectrumTable(v=4, k=4, q=2, entries=tuple(SpectrumEntry(j, x, 1) for j, x in enumerate(eigenvalues)))
+    result = certify_spectrum(adjacency, table, hypercube_automorphisms(4))
+    assert result.residual_entry == sequential_first_nonzero(adjacency.to_array(), eigenvalues)
+    assert result.moments == naive_traces(adjacency.to_array(), 4)
+    assert dtypes[-1] is dtype and set(dtypes[:-1]) == {np.float32}
 
 
 @pytest.mark.parametrize("k,top,dtype", [
@@ -564,102 +608,54 @@ def test_strip_pass_is_exact_in_every_dtype(monkeypatch, lam, dtype):
     (5, 2**8, np.float64), (5, 2**10, np.int64), (5, 2**12, object),
     (6, 2**8, np.int64), (6, 2**9, object),
 ])
-def test_moments_are_exact_in_every_dtype(monkeypatch, k, top, dtype):
-    # a symmetric 3 x 3 matrix with top on the diagonal: the bound
-    # r n |A^ceil(k/2)| |A^floor(k/2)| of tr(A^k) lands in dtype, on either
-    # side of a tier boundary, and k >= 5 forms A^3 strips; the traces are
-    # compared with naive ones
-    rng = random.Random(k)
-    upper = [[top if i == j else rng.randint(-top, top) for j in range(3)] for i in range(3)]
-    rows = np.array([[upper[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)], dtype=object)
-    adjacency = IntMatrix(rows)
-    chosen = []
-    monkeypatch.setattr(oracle, "_dtype", lambda bound: chosen.append(intmatrix._dtype(bound)) or chosen[-1])
-    assert oracle._moments(adjacency, adjacency @ adjacency, k) == naive_traces(rows, k)
-    assert chosen[k - 2] is dtype  # the dtypes of m = 2..k come first
+def test_moments_are_exact_in_every_dtype(dtypes, k, top, dtype):
+    # a circulant symmetric 3 x 3 matrix with top on the diagonal, so the
+    # rotation is an automorphism: the bound (3 top)^k of A^k e_0 lands in
+    # dtype, on either side of a tier boundary, and the moments n (A^m)_00
+    # are compared with naive traces
+    off = random.Random(k).randint(-top, top)
+    rows = np.array([[top if i == j else off for j in range(3)] for i in range(3)], dtype=object)
+    table = SpectrumTable(v=3, k=k, q=2, entries=tuple(SpectrumEntry(j, j, 1) for j in range(k + 1)))
+    assert certify_spectrum(IntMatrix(rows), table, [np.array([1, 2, 0])]).moments == naive_traces(rows, k)
+    assert dtypes[k] is dtype  # decision 0 is for e_0, decision m for A^m e_0
 
 
-def _disjoint_union(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = np.zeros((n, n), dtype=np.int64)
-    start = 0
-    for block in blocks:
-        out[start : start + len(block), start : start + len(block)] = block
-        start += len(block)
-    return out
-
-
-def _graph(n, edges):
-    out = np.zeros((n, n), dtype=np.int64)
-    for i, j in edges:
-        out[i, j] = out[j, i] = 1
-    return out
-
-
-@pytest.mark.parametrize("rows,eigenvalues", [
-    # Q_4 then K_5: P(A) vanishes on Q_4, so the residual is in row 16, in
-    # the third strip, which is 5 columns wide
-    (_disjoint_union(hypercube(4).to_array().astype(np.int64), np.ones((5, 5), dtype=np.int64) - np.eye(5, dtype=np.int64)),
-     [4, 2, 0, -2, -4]),
-    # row 3 has a nonzero in the first strip and row 0 only in the third,
-    # so the third strip, run on rows 0..2 alone, finds the earlier row
-    (_graph(22, [(0, 20), (20, 21), (3, 4), (3, 5)]), [1, -1, 7]),
-    # rows 0..6 are isolated and P(0) = 0: the residual is on the diagonal
-    # in row 7, the last row of the first strip
-    (_graph(12, [(7, 8), (8, 9)]), [0, 1, 2]),
-    # one eigenvalue, 0, so P = A is read from F: the second strip finds
-    # (3, 9), and the third, run on rows 0..2 alone, must not report (5, 20)
-    (_graph(22, [(3, 9), (5, 20)]), [0]),
-])
-def test_residual_entry_across_strips(monkeypatch, rows, eigenvalues):
-    monkeypatch.setattr(oracle, "STRIP", 8)
-    n = len(rows)
-    assert n % 8
-    table = SpectrumTable(v=n, k=len(eigenvalues) - 1, q=2,
-                          entries=tuple(SpectrumEntry(j, lam, 1) for j, lam in enumerate(eigenvalues)))
-    expected = sequential_first_nonzero(rows, eigenvalues)
-    assert expected is not None and max(expected[:2]) >= 7
-    assert certify_spectrum(IntMatrix(rows), table).residual_entry == expected
-
-
-@pytest.mark.parametrize("v,k,q,bytes_per_entry", [(6, 3, 2, 14), (4, 2, 5, 14), (3, 1, 31, 9)])
-def test_certification_memory_per_entry(v, k, q, bytes_per_entry):
-    # A^2 in float32 (4 n^2 bytes) beside the first factor F, built in the
-    # strip pass's dtype (8 n^2), then strips of n x STRIP beside F once
-    # A^2 is gone: the dense route took 32 n^2.  With k = 1, F is float32
-    # and the strips are read from it (8 n^2)
-    adjacency = adjacency_of(field_of_order(q), v, k)
+@pytest.mark.parametrize("v,k,q", [(6, 3, 2), (4, 2, 5), (3, 1, 31)])
+def test_certification_memory_per_entry(v, k, q):
+    # beside the stored float32 A: the symmetry check's n x n bool, then
+    # blocks of n/64 rows, so at most 3 bytes per entry; the strip
+    # certificate took 14, and the dense route 32
+    adjacency, automorphisms = graph_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        assert certify_spectrum(adjacency, table).certified
+        assert certify_spectrum(adjacency, table, automorphisms).certified
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= bytes_per_entry * adjacency.n**2
+    assert peak <= 3 * adjacency.n**2
 
 
 def test_certify_rejects_degenerate_predictions():
-    ctx = make_field(2, 1)
-    adjacency = adjacency_of(ctx, 2, 1)
+    adjacency, automorphisms = graph_of(make_field(2, 1), 2, 1)
     table = spectrum_table(2, 1, 2)
     repeated = SpectrumTable(v=2, k=1, q=2, entries=(
         SpectrumEntry(0, 2, 1), SpectrumEntry(1, 2, 2)))
     with pytest.raises(ValueError):
-        certify_spectrum(adjacency, repeated)
+        certify_spectrum(adjacency, repeated, automorphisms)
     with pytest.raises(ValueError):
-        certify_spectrum(adjacency, spectrum_table(2, 1))  # symbolic table
+        certify_spectrum(adjacency, spectrum_table(2, 1), automorphisms)  # symbolic table
     lopsided = IntMatrix(np.array([[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
-        certify_spectrum(lopsided, table)
+        certify_spectrum(lopsided, table, [np.array([1, 0])])
 
 
 def test_dump_files(tmp_path):
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 2, 1)
     adjacency = build_adjacency(subs, ctx)
-    result = certify_spectrum(adjacency, spectrum_table(2, 1, 2))
+    result = certify_spectrum(adjacency, spectrum_table(2, 1, 2), vertex_automorphisms(subs, ctx))
 
     vertex_path = tmp_path / "vertices.txt"
     dump_vertices(subs, vertex_path)
