@@ -18,8 +18,10 @@ from .intmatrix import IntMatrix
 from .laurent import ONE, Q, ZERO, InvariantError, LaurentPoly
 from .oracle import (
     DEFAULT_VERTEX_BUDGET,
+    Automorphism,
     BudgetExceededError,
     CertificationResult,
+    Incidence,
     build_adjacency,
     certify_spectrum,
     check_vertex_budget,
@@ -42,6 +44,7 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Automorphism",
     "BudgetExceededError",
     "CertificationResult",
     "DEFAULT_VERTEX_BUDGET",
@@ -49,6 +52,7 @@ __all__ = [
     "GridBounds",
     "IDENTITY_IDS",
     "IdentityReport",
+    "Incidence",
     "IntMatrix",
     "InvariantError",
     "LaurentPoly",

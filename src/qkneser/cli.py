@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from math import log10
@@ -29,8 +30,9 @@ from pathlib import Path
 from .gf import factor_prime_power, field_of_order
 from .identities import IDENTITY_IDS, GridBounds, run_grid
 from .laurent import InvariantError
-from .oracle import (
+from .oracle import (  # build_adjacency, the dense reference, is not called here; bench/tracer.py wraps it by name
     DEFAULT_VERTEX_BUDGET,
+    Incidence,
     build_adjacency,
     certify_spectrum,
     check_vertex_budget,
@@ -203,8 +205,8 @@ def cmd_verify_spectrum(args: argparse.Namespace) -> int:
             if (args.dump / name).exists() and not (args.dump / name).is_file():
                 raise OSError(f"{args.dump / name} exists and is not a regular file")
     bases = enumerate_subspaces(ctx, args.v, args.k, budget=args.budget)
-    adjacency = build_adjacency(bases, ctx)
-    result = certify_spectrum(adjacency, predicted, vertex_automorphisms(bases, ctx))
+    graph = Incidence(bases, ctx)
+    result = certify_spectrum(graph, predicted, vertex_automorphisms(graph))
 
     print(f"qK({args.v},{args.k}) over GF({args.q}): {result.vertex_count} vertices, degree {result.degree}")
     print(f"predicted spectrum: " + ", ".join(
@@ -220,11 +222,25 @@ def cmd_verify_spectrum(args: argparse.Namespace) -> int:
     print(f"certified: {'yes' if result.certified else 'NO'}")
 
     if args.dump is not None:
-        dump_vertices(bases, args.dump / "vertices.txt")
-        dump_adjacency(adjacency, args.dump / "adjacency.txt")
-        dump_certification(result, args.dump / "certification.json")
+        _dump(args.dump, {"vertices.txt": lambda path: dump_vertices(bases, path),
+                          "adjacency.txt": lambda path: dump_adjacency(graph.adjacency_strips(), path),
+                          "certification.json": lambda path: dump_certification(result, path)})
         print(f"dumped vertices.txt, adjacency.txt, certification.json to {args.dump}")
     return 0 if result.certified else 1
+
+
+def _dump(directory: Path, writers: dict) -> None:
+    # every file is written under a temporary name first and renamed once
+    # all are written, so a failure (exit 2) leaves no partial dump behind
+    temporary = {name: directory / f".{name}.tmp" for name in writers}
+    try:
+        for name, write in writers.items():
+            write(temporary[name])
+        for name, path in temporary.items():
+            os.replace(path, directory / name)
+    finally:
+        for path in temporary.values():
+            path.unlink(missing_ok=True)
 
 
 def cmd_count_subspaces(args: argparse.Namespace) -> int:

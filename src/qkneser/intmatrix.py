@@ -27,9 +27,13 @@ its square stay float32 up to n = 2**24 - 1, half the bytes of float64.
 
 A @ A, for a symmetric A, is formed as A A^T on one buffer, which numpy
 hands to the symmetric rank-k update (SYRK): half the multiplications of
-a general product.  The certificate in oracle forms no matrix product:
-it applies A to a single vector, under the same rule, widening A a block
-of rows at a time through _dtype and _cast.
+a general product.
+
+The certificate in oracle never touches IntMatrix: it applies the
+factored operator of qK(v, k) to one vector at a time, under the same
+rule, through _dtype and _cast.  IntMatrix is the dense reference that
+oracle.build_adjacency returns and the tests compare the certificate
+against.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 This module builds qK(v, k) from scratch: it enumerates every
 k-dimensional subspace of F_q^v as a canonical reduced-row-echelon basis,
-forms the trivial-intersection adjacency matrix as one product of the
-vertex x projective-point incidence matrix with its transpose, and
-certifies a predicted spectrum with zero numerical tolerance:
+lists the projective points (and, for 1 < j < k, the j-subspaces) of each
+vertex, and certifies a predicted spectrum of the trivial-intersection
+adjacency matrix A = [N N^T == 0] (N the vertex x point incidence, the
+diagonal zeroed) with zero numerical tolerance:
 
   * annihilation: the exact integer product P(A) = prod_j (A - lambda_j I)
     must be the zero matrix; since A is symmetric (hence diagonalizable) this
@@ -18,12 +19,28 @@ Both checks passing means the predicted spectrum IS the spectrum.
 Both checks read one column of A, through a checked transitive group.
 GL(v, q) permutes the k-subspaces transitively and preserves trivial
 intersection (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), and
-vertex_automorphisms turns generators of it into vertex permutations.
-Nothing is taken on trust: certify_spectrum checks that each sigma is a
-permutation with A[sigma, sigma] = A, and that together they carry vertex
-0 to every vertex.  Such a sigma, as a permutation matrix S, commutes with
-A, hence with every polynomial in A, so P(A) e_sigma(i) = S P(A) e_i and
-(A^m)_ii = (A^m)_sigma(i)sigma(i); with transitivity:
+vertex_automorphisms turns generators of it into permutations of the
+points (tau), of the j-subspaces (tau_j) and of the vertices (sigma).
+Nothing is taken on trust: certify_spectrum checks that each is a
+permutation, that the points and j-subspaces of sigma x are tau and tau_j
+of those of x for every vertex x, and that the sigmas together carry
+vertex 0 to every vertex.  Then sigma, as a permutation matrix S,
+preserves N, hence A, and every W_j^T W_j, where W_j is the j-subspace x
+vertex incidence.
+
+The certificate never forms A.  It applies the factored operator
+
+    Op = sum_{j=0..k} (-1)^j q^C(j,2) W_j^T W_j        (W_0 = 1^T, W_1 = N^T, W_k = I)
+
+to one vector at a time: (W_j^T W_j)[x, y] counts the j-subspaces of
+x meet y, and sum_j (-1)^j q^C(j,2) [d j]_q = prod_{i<d} (1 - q^i) is 1
+for d = 0 and 0 otherwise (Andrews, The Theory of Partitions, Thm 3.3 at
+z = 1).  The proof does not rest on that identity: certify_spectrum checks
+that Op e_0 is the brute-force column (the vertices that share no point
+with vertex 0).  Op and A are both sigma-invariant, and a matrix M with
+M[sigma x, sigma y] = M[x, y] for a transitive group is fixed by its
+column 0, so Op = A.  A commutes with S, hence so does every polynomial in
+A: P(A) e_sigma(i) = S P(A) e_i and (A^m)_ii = (A^m)_sigma(i)sigma(i), so
 
   * P(A) = 0 iff P(A) e_0 = 0, and tr(A^m) = n (A^m)_00;
   * P(A) is symmetric, so when it is not zero its row 0 is not zero, and
@@ -32,11 +49,14 @@ A, hence with every polynomial in A, so P(A) e_sigma(i) = S P(A) e_i and
 
 The certificate is the Krylov column A^m e_0, m = 0..max(k, number of
 eigenvalues): its entries 0 give the moments, and P(A) e_0 is its
-combination with the coefficients of prod_j (x - lambda_j).  A^m e_0 runs
-in intmatrix._dtype((n |A|)^m) and P(A) e_0 in
-_dtype(prod_j (n |A| + |lambda_j|)), which bound every entry and partial
-sum; A is widened a block of rows at a time, so no widened n x n copy
-exists.
+combination with the coefficients of prod_j (x - lambda_j).  Each step
+runs in intmatrix._dtype of an a-priori bound: A^m e_0 >= 0 and A is
+regular of degree d (it is vertex-transitive), so ||A^(m-1) e_0||_1 =
+d^(m-1), and every term and partial sum of Op A^(m-1) e_0 is at most
+prod_{i<k} (1 + q^i) d^(m-1); P(A) e_0 runs in
+_dtype(prod_j (n + |lambda_j|)).  Beside the incidence, whose size is
+n sum_j [k j]_q ids, the certificate keeps a few vectors of length n:
+no n x n array.  Only --dump forms A, a strip of rows at a time.
 
 The vertex list is one read-only (n, k, v) int64 array of RREF bases,
 built pivot-set by pivot-set: one numpy block per choice of pivot
@@ -189,52 +209,131 @@ def _point_codes(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     return vectors.reshape(n, len(maps), v * ctx.e) @ ctx.p ** np.arange(v * ctx.e)
 
 
+class Incidence:
+    """qK(v, k) as the subspaces of its vertices, the form the certificate reads.
+
+    points holds the codes of the projective points of F_q^v (as
+    _point_codes writes them) in increasing order; a point's id is its
+    index there.  flats[0] is the (n, [k 1]_q) array of the point ids of
+    each vertex, and flats[j - 1], for 1 < j < k, the (n, [k j]_q) array of
+    the ids of its j-subspaces; every row is sorted.  keys[j - 1][i] is
+    the sorted row of the point ids of j-subspace i (so keys[0][i] = [i]).
+
+    A j-subspace of a vertex is the span of its RREF rows combined with
+    the coefficients of a j-subspace U of F_q^k, so its points are the
+    vertex's points at U's point slots (the positions of U's points among
+    the coefficient vectors of _point_codes): no elimination is needed.
+    """
+
+    __slots__ = ("ctx", "v", "k", "points", "flats", "keys")
+
+    def __init__(self, bases: np.ndarray, ctx: FieldCtx):
+        n, k, v = bases.shape
+        if n == 0:
+            raise ValueError("empty vertex list")
+        q = ctx.q
+        points = np.sort(_rref_bases(q, v, 1)[:, 0] @ q ** np.arange(v))
+        slots = np.searchsorted(points, _point_codes(ctx, bases))  # point ids, one column per coefficient vector
+        coefficients = _rref_bases(q, k, 1)[:, 0] @ q ** np.arange(k)
+        order = np.argsort(coefficients)
+        flats, keys = [np.sort(slots, axis=1)], [np.arange(len(points))[:, None]]
+        for j in range(2, k):
+            members = order[np.searchsorted(coefficients, _point_codes(ctx, _rref_bases(q, k, j)), sorter=order)]
+            ids, distinct = _ids(np.sort(slots[:, members], axis=2).reshape(-1, members.shape[1]))
+            flats.append(np.sort(ids.reshape(n, -1), axis=1))
+            keys.append(distinct)
+        self.ctx, self.v, self.k, self.points = ctx, v, k, points
+        self.flats, self.keys = tuple(flats), tuple(keys)
+
+    @property
+    def n(self) -> int:
+        return len(self.flats[0])
+
+    def adjacency_strips(self):
+        """A = [N N^T == 0] with a zero diagonal, as consecutive bool strips of rows.
+
+        N is the 0/1 vertex x point incidence matrix, an n x [v 1]_q array
+        in _dtype([k 1]_q): an entry of N N^T counts shared points, at most
+        [k 1]_q.  Each strip has about 2^22 entries.
+        """
+        n, width = self.flats[0].shape
+        incidence = np.zeros((n, len(self.points)), dtype=_dtype(width))
+        incidence[np.arange(n).repeat(width), self.flats[0].ravel()] = 1
+        rows = max(1, 2**22 // n)
+        for r in range(0, n, rows):
+            strip = incidence[r : r + rows] @ incidence.T == 0
+            strip[np.arange(len(strip)), r + np.arange(len(strip))] = False
+            yield strip
+
+
+def _ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's index among the distinct rows of a 2-D int array, and those rows in lexicographic order.
+
+    A lexsort and a comparison of neighbours: a 1-D np.unique would import
+    numpy.ma (numpy >= 2), which costs more than the sort.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(fresh) - 1
+    return ids, ordered[fresh]
+
+
+def _lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of each row of queries among the distinct rows of table, or -1 where it is none of them."""
+    ids, distinct = _ids(np.concatenate([table, queries]))
+    index = np.full(len(distinct), -1)
+    index[ids[: len(table)]] = np.arange(len(table))
+    return index[ids[len(table) :]]
+
+
 def build_adjacency(bases: np.ndarray, ctx: FieldCtx) -> IntMatrix:
     """Adjacency matrix: 1 where two subspaces intersect trivially.
 
     Symmetric 0/1 with a zero diagonal (loops excluded).  Two subspaces
     meet trivially iff they share no projective point of PG(v-1, q)
     (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), so with N the
-    0/1 vertex x point incidence matrix, A = [N N^T == 0] off the diagonal.
-    The tests assert that this agrees with intersection_dim == 0.
+    0/1 vertex x point incidence matrix, A = [N N^T == 0] off the diagonal:
+    the strips of Incidence.adjacency_strips, which --dump writes.  The
+    tests assert that this agrees with intersection_dim == 0, and use it
+    as the dense reference of the certificate, which never forms it.
     """
-    n = len(bases)
-    if n == 0:
-        raise ValueError("empty vertex list")
-    codes = _point_codes(ctx, bases)
-    points, columns = np.unique(codes, return_inverse=True)
-    # an entry of N N^T counts shared points, at most [k 1]_q: exact in _dtype of that
-    incidence = np.zeros((n, len(points)), dtype=_dtype(codes.shape[1]))
-    incidence[np.arange(n).repeat(codes.shape[1]), columns.ravel()] = 1
-    shared = incidence @ incidence.T
-    adjacency = shared == 0
-    del shared
-    np.fill_diagonal(adjacency, False)
-    return IntMatrix(adjacency.view(np.uint8))
+    strips = Incidence(bases, ctx).adjacency_strips()
+    return IntMatrix(np.concatenate(list(strips)).view(np.uint8))
 
 
-def vertex_automorphisms(bases: np.ndarray, ctx: FieldCtx) -> list[np.ndarray]:
-    """One vertex permutation per generator of a subgroup of GL(v, q) that contains SL(v, q).
+class Automorphism:
+    """One generator's action: vertices is the vertex permutation sigma, and
+    flats[i] the permutation of the ids of Incidence.flats[i] (flats[0] = tau
+    on the points)."""
+
+    __slots__ = ("vertices", "flats")
+
+    def __init__(self, vertices: np.ndarray, flats: tuple[np.ndarray, ...]):
+        self.vertices, self.flats = vertices, flats
+
+
+def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
+    """One Automorphism per generator of a subgroup of GL(v, q) that contains SL(v, q).
 
     The generators are the cyclic shift of coordinates, the swap of
     coordinates 0 and 1, and the transvections x_1 += c x_0 for c = p^i,
     i < e (the field elements x^i, an additive basis of GF(q) over GF(p)).
     Each acts on the projective points through FieldCtx element ops, each
-    image renormalised to a leading 1, and a vertex goes where its sorted
-    point codes go: sigma[i] is the vertex whose sorted codes are the
-    image's.  An image that is no vertex raises InvariantError.
-    certify_spectrum checks what it relies on (that each sigma preserves
-    A, and that they are transitive), so nothing here is taken on trust.
+    image renormalised to a leading 1; a j-subspace goes where its sorted
+    point ids go, and so does a vertex.  An image that is no vertex raises
+    InvariantError.  certify_spectrum checks what it relies on (that each
+    map is a permutation carrying the subspaces of every vertex x to those
+    of sigma x, and that the sigmas are transitive), so nothing here is
+    taken on trust.
     """
-    n, _, v = bases.shape
-    if v < 2:  # a single vertex
+    ctx, q, v = graph.ctx, graph.ctx.q, graph.v
+    if graph.n == 1:  # nothing to carry anywhere
         return []
-    vectors = _rref_bases(ctx.q, v, 1)[:, 0].tolist()  # every projective point, with a leading 1
-    weights = ctx.q ** np.arange(v)  # a code reads the coordinates base q, as in _point_codes
-    codes = np.array(vectors) @ weights
-    order = np.argsort(codes)
-    keys = np.sort(_point_codes(ctx, bases), axis=1)
-    slots = order[np.searchsorted(codes, keys, sorter=order)]  # each vertex's points, as indices into vectors
+    weights = q ** np.arange(v)  # a code reads the coordinates base q
+    vectors = (graph.points[:, None] // weights % q).tolist()
 
     def point(y):  # y scaled to a leading 1
         scale = ctx.inv(next(t for t in y if t))
@@ -242,19 +341,15 @@ def vertex_automorphisms(bases: np.ndarray, ctx: FieldCtx) -> list[np.ndarray]:
 
     generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[1], x[0], *x[2:]]]
     generators += [lambda x, c=ctx.p**i: [x[0], ctx.add(x[1], ctx.mul(c, x[0])), *x[2:]] for i in range(ctx.e)]
-    images = []
-    for g in generators:
-        moved = np.array([point(g(x)) for x in vectors]) @ weights
-        images.append(np.sort(moved[slots], axis=1))
-    _, ids = np.unique(np.concatenate([keys, *images]), axis=0, return_inverse=True)
-    ids = ids.reshape(len(images) + 1, n)
-    vertex = np.full(ids.max() + 1, -1)
-    vertex[ids[0]] = np.arange(n)
-    perms = vertex[ids[1:]]
-    for g, sigma in enumerate(perms):
+    automorphisms = []
+    for g, generator in enumerate(generators):
+        tau = np.searchsorted(graph.points, np.array([point(generator(x)) for x in vectors]) @ weights)
+        sigma = _lookup(graph.flats[0], np.sort(tau[graph.flats[0]], axis=1))
         if (sigma < 0).any():
             raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
-    return list(perms)
+        flats = tuple(_lookup(key, np.sort(tau[key], axis=1)) for key in graph.keys)
+        automorphisms.append(Automorphism(sigma, flats))
+    return automorphisms
 
 
 # ----------------------------------------------------------------------
@@ -328,92 +423,116 @@ def _solve_moment_system(eigenvalues: list[int], moments: list[int]) -> list[int
     return solution
 
 
-def _check_automorphisms(adjacency: IntMatrix, automorphisms) -> None:
-    """Raise InvariantError unless every sigma is a permutation of range(n) with
-    A[sigma, sigma] = A, and the sigmas together carry vertex 0 to every vertex.
-
-    A is compared a block of rows at a time; the orbit of vertex 0 grows
-    breadth-first, each vertex entering the frontier once.
-    """
-    n, a = adjacency.n, adjacency.to_array()
-    rows = -(-n // 64)
-    perms = []
-    for g, sigma in enumerate(automorphisms):
-        sigma = np.asarray(sigma)
-        if sigma.shape != (n,) or sigma.dtype.kind not in "iu" or not np.array_equal(np.sort(sigma), np.arange(n)):
-            raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
-        for r in range(0, n, rows):
-            moved = np.argwhere(np.take(a[sigma[r : r + rows]], sigma, axis=1) != a[r : r + rows])
-            if len(moved):
-                i, j = r + int(moved[0][0]), int(moved[0][1])
-                raise InvariantError(f"automorphism {g} does not preserve the adjacency matrix: "
-                                     f"A[{sigma[i]}, {sigma[j]}] != A[{i}, {j}]")
-        perms.append(sigma)
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        images = np.concatenate([frontier[:0], *(sigma[frontier] for sigma in perms)])
-        frontier = np.unique(images[~reached[images]])
-        reached[frontier] = True
-    if not reached.all():
-        raise InvariantError(f"the automorphisms carry vertex 0 to {int(reached.sum())} of {n} vertices, not to all")
-
-
-def _krylov(adjacency: IntMatrix, steps: int) -> list[np.ndarray]:
-    """A^m e_0 for m = 0..steps, each in _dtype((n |A|)^m), which bounds its
-    entries and partial sums; A is widened a block of rows at a time."""
-    n, a = adjacency.n, adjacency.to_array()
-    top, rows = n * max(adjacency.max_abs, 1), -(-n // 64)
-    column = [(np.arange(n) == 0).astype(_dtype(1))]  # e_0
-    for m in range(1, steps + 1):
-        dtype = _dtype(top**m)
-        x = _cast(column[-1], dtype)
-        column.append(np.concatenate([_cast(a[r : r + rows], dtype) @ x for r in range(0, n, rows)]))
-    return column
-
-
-def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable, automorphisms) -> CertificationResult:
-    """Certify that predicted is exactly the spectrum of the adjacency matrix.
-
-    Requires a symmetric matrix and an evaluated prediction with distinct
-    eigenvalues and positive multiplicities (ValueError otherwise), and
-    vertex permutations (integer arrays, as vertex_automorphisms returns)
-    that preserve A and act transitively: InvariantError otherwise.  Runs
-    the annihilating product and the moment checks on column 0 in exact
-    integer arithmetic; a mismatch is reported as data, with the
-    offending moment or a nonzero residual entry.
-    """
+def _prediction(predicted: SpectrumTable) -> tuple[list[int], list[int]]:
+    """The eigenvalues and multiplicities of an evaluated prediction; ValueError unless distinct and positive."""
     if predicted.q is None:
         raise ValueError("predicted spectrum must be evaluated at a concrete q")
-    if not adjacency.is_symmetric():
-        raise ValueError("adjacency matrix must be symmetric")
     eigenvalues = [int(e) for e in predicted.eigenvalues()]
     multiplicities = [int(m) for m in predicted.multiplicities()]
     if len(set(eigenvalues)) != len(eigenvalues):
         raise ValueError(f"predicted eigenvalues must be distinct, got {eigenvalues}")
     if any(m <= 0 for m in multiplicities):
         raise ValueError(f"predicted multiplicities must be positive, got {multiplicities}")
+    return eigenvalues, multiplicities
 
-    _check_automorphisms(adjacency, automorphisms)
 
-    n, k = adjacency.n, predicted.k
-    column = _krylov(adjacency, max(k, len(eigenvalues)))
+def _is_permutation(perm, size: int) -> bool:
+    perm = np.asarray(perm)
+    return perm.shape == (size,) and perm.dtype.kind in "iu" and np.array_equal(np.sort(perm), np.arange(size))
+
+
+def _check_automorphisms(graph: Incidence, automorphisms) -> None:
+    """Raise InvariantError unless every automorphism is a family of permutations, sigma of
+    the vertices and one of each kind of flat, that carries the j-subspaces of every vertex x
+    to those of sigma x, and the sigmas together carry vertex 0 to every vertex.
+
+    The orbit of vertex 0 grows breadth-first, each vertex entering the frontier once.
+    """
+    n, perms = graph.n, []
+    for g, automorphism in enumerate(automorphisms):
+        sigma = np.asarray(automorphism.vertices)
+        if not _is_permutation(sigma, n):
+            raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
+        if len(automorphism.flats) != len(graph.flats):
+            raise InvariantError(f"automorphism {g} acts on {len(automorphism.flats)} kinds of subspace, "
+                                 f"not on {len(graph.flats)}")
+        for j, (table, key, tau) in enumerate(zip(graph.flats, graph.keys, automorphism.flats), start=1):
+            if not _is_permutation(tau, len(key)):
+                raise InvariantError(f"automorphism {g} is not a permutation of the {len(key)} {j}-subspaces")
+            moved = (np.sort(np.asarray(tau)[table], axis=1) != table[sigma]).any(axis=1)
+            if moved.any():
+                x = int(np.argmax(moved))
+                raise InvariantError(f"automorphism {g} does not carry the {j}-subspaces of vertex {x} "
+                                     f"to those of vertex {sigma[x]}")
+        perms.append(sigma)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        fresh = np.zeros(n, dtype=bool)
+        for sigma in perms:
+            fresh[sigma[frontier]] = True
+        fresh &= ~reached
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
+    if not reached.all():
+        raise InvariantError(f"the automorphisms carry vertex 0 to {int(reached.sum())} of {n} vertices, not to all")
+
+
+def _coefficient(q: int, j: int) -> int:
+    """(-1)^j q^C(j, 2), the weight of the j-subspaces in the inclusion factorisation of A."""
+    return (-1) ** j * q ** (j * (j - 1) // 2)
+
+
+def _apply(graph: Incidence, x: np.ndarray, dtype) -> np.ndarray:
+    """Op x in dtype, for Op = sum_{j=0..k} (-1)^j q^C(j,2) W_j^T W_j.
+
+    W_j is the j-subspace x vertex incidence: W_0 the all-ones row, W_1 =
+    N^T and W_k = I.  W_j x is a scatter-add of x onto the ids of
+    graph.flats[j - 1], and W_j^T y a gather of y and a row sum.  With
+    w_j = [k j]_q the width of that table (w_0 = w_k = 1), every term and
+    partial sum is at most sum_j q^C(j,2) w_j ||x||_1 in absolute value, so
+    this is exact in _dtype of that bound.
+    """
+    q, k = graph.ctx.q, graph.k
+    x = _cast(x, dtype)
+    result = np.full(len(x), x.sum(), dtype=dtype)
+    for j, (table, key) in enumerate(zip(graph.flats[: k - 1], graph.keys), start=1):
+        sums = np.zeros(len(key), dtype=dtype)
+        np.add.at(sums, table, x[:, None])
+        result += _coefficient(q, j) * sums[table].sum(axis=1)
+    result += _coefficient(q, k) * x
+    return result
+
+
+def _krylov(apply, column: list[np.ndarray], bounds: list[int]) -> list[np.ndarray]:
+    """column extended by one apply(x, _dtype(bound)) of its last vector per bound, in order."""
+    for bound in bounds:
+        column.append(apply(column[-1], _dtype(bound)))
+    return column
+
+
+def _column_certificate(predicted: SpectrumTable, column: list[np.ndarray], top: int,
+                        degree: int | None) -> CertificationResult:
+    """The certificate read off the Krylov column A^m e_0, m = 0..max(k, number of eigenvalues).
+
+    The moments are n (A^m e_0)_0, and P(A) e_0 is the column's combination
+    with the coefficients of prod_j (x - lambda_j), formed in
+    _dtype(prod_j (top + |lambda_j|)); top must bound |A^m e_0| by top^m.
+    """
+    eigenvalues, multiplicities = _prediction(predicted)
+    n, k = len(column[0]), predicted.k
     moments = [n * int(x[0]) for x in column[: k + 1]]
-    coeffs, bound = [1], 1  # of prod_j (x - lambda_j), lowest degree first; prod_j (n|A| + |lambda_j|)
+    coeffs, bound = [1], 1  # of prod_j (x - lambda_j), lowest degree first; prod_j (top + |lambda_j|)
     for lam in eigenvalues:
         coeffs = [shifted - lam * c for shifted, c in zip([0, *coeffs], [*coeffs, 0])]
-        bound *= n * max(adjacency.max_abs, 1) + abs(lam)
+        bound *= top + abs(lam)
     dtype = _dtype(bound)
     product = sum(c * _cast(x, dtype) for c, x in zip(coeffs, column))  # P(A) e_0
     nonzero = np.flatnonzero(product)
     residual = (0, int(nonzero[0]), int(product[nonzero[0]])) if nonzero.size else None
     expected = [sum(mult * lam**m for lam, mult in zip(eigenvalues, multiplicities)) for m in range(k + 1)]
     offending = [(m, e, a) for m, (e, a) in enumerate(zip(expected, moments)) if e != a]
-
-    row_sums = adjacency.row_sums()
-    degree = row_sums[0] if len(set(row_sums)) == 1 else None
-
     return CertificationResult(
         v=predicted.v,
         k=k,
@@ -432,6 +551,45 @@ def certify_spectrum(adjacency: IntMatrix, predicted: SpectrumTable, automorphis
     )
 
 
+def certify_spectrum(graph: Incidence, predicted: SpectrumTable, automorphisms) -> CertificationResult:
+    """Certify that predicted is exactly the spectrum of qK(v, k), given as its Incidence.
+
+    Requires an evaluated prediction with distinct eigenvalues and positive
+    multiplicities (ValueError otherwise), and Automorphisms (as
+    vertex_automorphisms returns them) that carry the subspaces of every
+    vertex to those of its image and act transitively, and a factored
+    operator whose column 0 is the brute-force column: InvariantError
+    otherwise.  Runs the annihilating product and the moment checks on
+    column 0 in exact integer arithmetic; a mismatch is reported as data,
+    with the offending moment or a nonzero residual entry.
+    """
+    eigenvalues, _ = _prediction(predicted)  # refused before any work
+    _check_automorphisms(graph, automorphisms)
+    n, q, k = graph.n, graph.ctx.q, graph.k
+    shared = np.zeros(len(graph.points), dtype=bool)
+    shared[graph.flats[0][0]] = True
+    column = ~shared[graph.flats[0]].any(axis=1)  # A e_0: the vertices that share no point with vertex 0
+    column[0] = False  # no loops, also for k = 0, whose zero subspace meets itself trivially
+    degree = int(column.sum())
+    widths = [1, *(table.shape[1] for table in graph.flats[: k - 1]), 1]
+    growth = sum(abs(_coefficient(q, j)) * w for j, w in enumerate(widths))  # prod_{i<k} (1 + q^i)
+
+    def apply(x, dtype):
+        return _apply(graph, x, dtype)
+
+    start = (np.arange(n) == 0).astype(_dtype(1))  # e_0
+    krylov = _krylov(apply, [start], [growth])
+    mismatch = np.flatnonzero(krylov[1] != column)
+    if mismatch.size:
+        i = int(mismatch[0])
+        raise InvariantError(f"the factored operator's column 0 has {int(krylov[1][i])} at vertex {i}, "
+                             f"the brute-force column {int(column[i])}")
+    # Op = A now, so A^m e_0 >= 0 and ||A^m e_0||_1 = degree^m: A is regular, being vertex-transitive
+    steps = max(predicted.k, len(eigenvalues))
+    krylov = _krylov(apply, krylov, [growth * degree ** (m - 1) for m in range(2, steps + 1)])
+    return _column_certificate(predicted, krylov, n, degree)
+
+
 # ----------------------------------------------------------------------
 # serialization
 
@@ -442,18 +600,20 @@ def dump_vertices(bases: np.ndarray, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def dump_adjacency(matrix: IntMatrix, path: str | Path) -> None:
-    """One 0/1 row per line, space-separated; other entries raise ValueError."""
-    entries = matrix.to_array()
-    if matrix.max_abs > 1 or entries.min() < 0:
-        raise ValueError("adjacency dump needs 0/1 entries")
-    # row i is bytes 2n*i .. 2n*(i+1): a digit at every even column, a
-    # space after it, and a newline in place of the last space
-    text = np.full((matrix.n, 2 * matrix.n), ord(" "), dtype=np.uint8)
-    text[:, ::2] = entries
-    text[:, ::2] += ord("0")
-    text[:, -1] = ord("\n")
-    Path(path).write_bytes(text)
+def dump_adjacency(strips, path: str | Path) -> None:
+    """One 0/1 row per line, space-separated, from consecutive strips of rows (2-D arrays,
+    as Incidence.adjacency_strips yields them); other entries raise ValueError."""
+    with open(path, "wb") as out:
+        for strip in strips:
+            if strip.size and (strip.max() > 1 or strip.min() < 0):
+                raise ValueError("adjacency dump needs 0/1 entries")
+            # row i is bytes 2n*i .. 2n*(i+1): a digit at every even column, a
+            # space after it, and a newline in place of the last space
+            text = np.full((len(strip), 2 * strip.shape[1]), ord(" "), dtype=np.uint8)
+            text[:, ::2] = strip
+            text[:, ::2] += ord("0")
+            text[:, -1] = ord("\n")
+            out.write(text.tobytes())
 
 
 def dump_certification(result: CertificationResult, path: str | Path) -> None:

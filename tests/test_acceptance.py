@@ -15,7 +15,7 @@ from qkneser.cli import main
 from qkneser.gf import field_of_order
 from qkneser.identities import IDENTITY_IDS, GridBounds, run_grid
 from qkneser.laurent import ZERO
-from qkneser.oracle import build_adjacency, certify_spectrum, enumerate_subspaces, vertex_automorphisms
+from qkneser.oracle import Incidence, certify_spectrum, enumerate_subspaces, vertex_automorphisms
 from qkneser.qbinom import gauss
 from qkneser.spectrum import (
     SpectrumEntry,
@@ -44,7 +44,8 @@ def graphs():
     for v, k, q in COUNTING_CASES:
         ctx = field_of_order(q)
         subspaces = enumerate_subspaces(ctx, v, k)
-        built[(v, k, q)] = (subspaces, build_adjacency(subspaces, ctx), vertex_automorphisms(subspaces, ctx))
+        graph = Incidence(subspaces, ctx)
+        built[(v, k, q)] = (subspaces, graph, vertex_automorphisms(graph))
     return built
 
 
@@ -88,13 +89,13 @@ def test_criterion_3_symbolic_spectral_sums():
 def test_criterion_4_oracle_certification(graphs):
     ok = True
     for v, k, q in ORACLE_CASES:
-        _, adjacency, automorphisms = graphs[(v, k, q)]
-        result = certify_spectrum(adjacency, spectrum_table(v, k, q), automorphisms)
+        _, graph, automorphisms = graphs[(v, k, q)]
+        result = certify_spectrum(graph, spectrum_table(v, k, q), automorphisms)
         ok = ok and result.certified
         assert result.certified, (v, k, q, result.offending_moments, result.residual_entry)
     # spot-check the documented facts for qK(4,2) at q=2
-    _, adjacency, automorphisms = graphs[(4, 2, 2)]
-    result = certify_spectrum(adjacency, spectrum_table(4, 2, 2), automorphisms)
+    _, graph, automorphisms = graphs[(4, 2, 2)]
+    result = certify_spectrum(graph, spectrum_table(4, 2, 2), automorphisms)
     assert result.vertex_count == 35
     assert result.predicted_eigenvalues == [16, -4, 2]
     assert result.predicted_multiplicities == [1, 14, 20]
@@ -125,9 +126,9 @@ def _tweaked(table, index, d_eig=0, d_mult=0):
 def _detected(graph, bad_table) -> bool:
     # a perturbed prediction must either fail certification or be rejected
     # outright (e.g. a multiplicity perturbed down to zero)
-    _, adjacency, automorphisms = graph
+    _, incidence, automorphisms = graph
     try:
-        return not certify_spectrum(adjacency, bad_table, automorphisms).certified
+        return not certify_spectrum(incidence, bad_table, automorphisms).certified
     except ValueError:
         return True
 

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from unittest import mock
@@ -510,6 +512,41 @@ def test_verify_spectrum_dump_refusal_writes_no_dump_file(capsys, tmp_path, name
     code, out, err = run(capsys, "verify", "spectrum", "3", "1", "2", "--dump", str(tmp_path))
     assert (code, out) == (2, "") and err.count("\n") == 1
     assert [path.name for path in tmp_path.iterdir()] == [name]
+
+
+def test_a_failed_dump_leaves_no_dump_file(capsys, monkeypatch, tmp_path):
+    # an OSError while adjacency.txt is written, after vertices.txt: every
+    # file is written under a temporary name and renamed only when all three
+    # are, so none of the three names and no temporary file is left
+    def disk_full(strips, path):
+        with open(path, "wb") as out:
+            out.write(b"0 1")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "dump_adjacency", disk_full)
+    code, out, err = run(capsys, "verify", "spectrum", "4", "2", "2", "--dump", str(tmp_path))
+    assert code == 2 and "certified: yes" in out and "dumped" not in out
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_certify_commands_do_not_import_numpy_ma():
+    # a 1-D np.unique imports numpy.ma (numpy >= 2) the first time it runs,
+    # 10-30 ms of a certify command; if import qkneser leaves it unloaded,
+    # the certify commands must too (on numpy 1.x this holds vacuously)
+    script = (
+        "import sys, tempfile\n"
+        "import qkneser\n"
+        "from qkneser import cli\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "with tempfile.TemporaryDirectory() as d:\n"
+        "    for argv in (['verify', 'spectrum', '4', '2', '5'], ['verify', 'spectrum', '6', '3', '2', '--dump', d]):\n"
+        "        if cli.main(argv) != 0 or not before and 'numpy.ma' in sys.modules:\n"
+        "            sys.exit(f'{argv} loaded numpy.ma')\n"
+    )
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert child.returncode == 0, child.stderr
 
 
 def test_count_subspaces(capsys):

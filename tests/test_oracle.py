@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from qkneser import cli, intmatrix, oracle
 from qkneser.cli import main
 from qkneser.gf import field_of_order, make_field
-from qkneser.intmatrix import IntMatrix
 from qkneser.laurent import InvariantError
 from qkneser.oracle import (
+    Automorphism,
     BudgetExceededError,
+    Incidence,
     build_adjacency,
     certify_spectrum,
     check_vertex_budget,
@@ -229,9 +230,9 @@ def adjacency_of(ctx, v, k):
 
 
 def graph_of(ctx, v, k):
-    # the adjacency matrix and the generators' vertex permutations
-    subs = enumerate_subspaces(ctx, v, k)
-    return build_adjacency(subs, ctx), vertex_automorphisms(subs, ctx)
+    # the incidence and the generators' actions on it
+    graph = Incidence(enumerate_subspaces(ctx, v, k), ctx)
+    return graph, vertex_automorphisms(graph)
 
 
 def test_adjacency_rejects_an_empty_vertex_list():
@@ -294,14 +295,15 @@ def test_point_codes_are_the_canonical_points(v, k, q):
 
 
 def test_dropped_point_is_caught(monkeypatch, capsys):
-    # negative control for the incidence product: vertex 0 loses one of its
-    # points (replaced by a repeat of another), so it looks adjacent to the
-    # lines through that point; the honest generators then no longer preserve
-    # A, and the CLI reports that as a verification failure
+    # negative control for the incidence: vertex 0 loses one of its points
+    # (replaced by a repeat of another), so it looks adjacent to the lines
+    # through that point; the honest generators then no longer carry the
+    # points of every vertex to those of its image, and the CLI reports that
+    # as a verification failure
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 4, 2)
     honest = oracle._point_codes
-    automorphisms = vertex_automorphisms(subs, ctx)
+    automorphisms = vertex_automorphisms(Incidence(subs, ctx))
 
     def lossy(ctx, bases):
         codes = honest(ctx, bases)
@@ -309,11 +311,10 @@ def test_dropped_point_is_caught(monkeypatch, capsys):
         return codes
 
     monkeypatch.setattr(oracle, "_point_codes", lossy)
-    adjacency = build_adjacency(subs, ctx)
-    assert rank_route_mismatch(ctx, subs, adjacency) is not None
-    with pytest.raises(InvariantError, match="does not preserve the adjacency matrix"):
-        certify_spectrum(adjacency, spectrum_table(4, 2, 2), automorphisms)
-    monkeypatch.setattr(cli, "vertex_automorphisms", lambda bases, ctx: automorphisms)
+    assert rank_route_mismatch(ctx, subs, build_adjacency(subs, ctx)) is not None
+    with pytest.raises(InvariantError, match="does not carry the 1-subspaces of vertex"):
+        certify_spectrum(Incidence(subs, ctx), spectrum_table(4, 2, 2), automorphisms)
+    monkeypatch.setattr(cli, "vertex_automorphisms", lambda graph: automorphisms)
     assert_verification_failure(capsys, "4", "2", "2")
 
 
@@ -326,29 +327,70 @@ def assert_verification_failure(capsys, *argv):
     assert "Traceback" not in captured.err
 
 
-def _swap_vertices_0_and_1(subs, ctx):
-    sigma = np.arange(len(subs))
+def _not_a_permutation(graph):
+    return [Automorphism(np.zeros(graph.n, dtype=np.int64), vertex_automorphisms(graph)[0].flats)]
+
+
+def _swap_vertices_0_and_1(graph):
+    # sigma swaps two vertices and fixes everything else
+    sigma = np.arange(graph.n)
     sigma[[0, 1]] = 1, 0
-    return [sigma]
+    return [Automorphism(sigma, tuple(np.arange(len(key)) for key in graph.keys))]
 
 
-@pytest.mark.parametrize("q,bad,message", [
-    pytest.param(2, lambda subs, ctx: [np.zeros(len(subs), dtype=np.int64)], "is not a permutation",
-                 id="not-a-permutation"),
-    pytest.param(2, _swap_vertices_0_and_1, "does not preserve the adjacency matrix", id="swap-two-vertices"),
-    pytest.param(2, lambda subs, ctx: vertex_automorphisms(subs, ctx)[:2], "to 6 of 35 vertices",
+def _swap_two_lines_of_vertex_0(graph):
+    # tau_2 composed with the swap of two lines of vertex 0: vertex 0 keeps
+    # its lines, but a plane through one of them and not the other does not
+    first, *rest = vertex_automorphisms(graph)
+    lines = graph.flats[1][0][:2]
+    swap = np.arange(len(graph.keys[1]))
+    swap[lines] = lines[::-1]
+    return [Automorphism(first.vertices, (first.flats[0], first.flats[1][swap])), *rest]
+
+
+@pytest.mark.parametrize("v,k,q,bad,message", [
+    pytest.param(4, 2, 2, _not_a_permutation, "is not a permutation", id="not-a-permutation"),
+    pytest.param(4, 2, 2, _swap_vertices_0_and_1, "does not carry the 1-subspaces of vertex 0 to those of vertex 1",
+                 id="swap-two-vertices"),
+    pytest.param(4, 2, 2, lambda graph: vertex_automorphisms(graph)[:2], "to 6 of 35 vertices",
                  id="coordinate-permutations-alone"),
     # only c = 1: S_4 and SL(4, 2) carry span(e_0, e_1) only to the 35 planes defined over GF(2)
-    pytest.param(4, lambda subs, ctx: vertex_automorphisms(subs, ctx)[:3], "to 35 of 357 vertices",
+    pytest.param(4, 2, 4, lambda graph: vertex_automorphisms(graph)[:3], "to 35 of 357 vertices",
                  id="gf4-without-the-transvection-by-x"),
+    pytest.param(6, 3, 2, _swap_two_lines_of_vertex_0, "does not carry the 2-subspaces of vertex",
+                 id="tau2-swaps-two-lines-of-a-vertex"),
 ])
-def test_unchecked_automorphisms_are_refused(monkeypatch, capsys, q, bad, message):
-    ctx = field_of_order(q)
-    subs = enumerate_subspaces(ctx, 4, 2)
+def test_unchecked_automorphisms_are_refused(monkeypatch, capsys, v, k, q, bad, message):
+    graph = Incidence(enumerate_subspaces(field_of_order(q), v, k), field_of_order(q))
     with pytest.raises(InvariantError, match=message):
-        certify_spectrum(build_adjacency(subs, ctx), spectrum_table(4, 2, q), bad(subs, ctx))
+        certify_spectrum(graph, spectrum_table(v, k, q), bad(graph))
     monkeypatch.setattr(cli, "vertex_automorphisms", bad)
-    assert_verification_failure(capsys, "4", "2", str(q))
+    assert_verification_failure(capsys, str(v), str(k), str(q))
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (6, 3, 2), (4, 2, 3)])
+def test_a_wrong_operator_coefficient_is_refused(monkeypatch, capsys, v, k, q):
+    # q^C(2,2) + 1 in place of q: for k = 2 the weight of I, for k = 3 that
+    # of the lines; Op e_0 is then not the brute-force column
+    honest = oracle._coefficient
+    monkeypatch.setattr(oracle, "_coefficient", lambda q, j: honest(q, j) + (j == 2))
+    graph, automorphisms = graph_of(field_of_order(q), v, k)
+    with pytest.raises(InvariantError, match="the factored operator's column 0 has"):
+        certify_spectrum(graph, spectrum_table(v, k, q), automorphisms)
+    assert_verification_failure(capsys, str(v), str(k), str(q))
+
+
+def test_the_single_vertex_of_qk_v_0_is_not_certified_with_a_loop():
+    # for k = 0 the zero subspace meets itself trivially, and the factored
+    # operator counts that as a loop; A = [0] has none, so Op e_0 is not the
+    # brute-force column and no spectrum of qK(3,0) is certified, the wrong
+    # eigenvalue 1 included
+    ctx = make_field(2, 1)
+    graph = Incidence(enumerate_subspaces(ctx, 3, 0), ctx)
+    for lam in (0, 1):
+        table = SpectrumTable(v=3, k=0, q=2, entries=(SpectrumEntry(0, lam, 1),))
+        with pytest.raises(InvariantError, match="column 0 has [1-9][0-9]* at vertex 0, the brute-force column 0"):
+            certify_spectrum(graph, table, vertex_automorphisms(graph))
 
 
 def test_an_image_that_is_no_vertex_is_refused():
@@ -356,23 +398,47 @@ def test_an_image_that_is_no_vertex_is_refused():
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 4, 2)
     with pytest.raises(InvariantError, match="to a point set that is no vertex"):
-        vertex_automorphisms(subs[1:], ctx)
+        vertex_automorphisms(Incidence(subs[1:], ctx))
 
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (3, 1, 4), (4, 2, 4), (3, 2, 9), (5, 2, 3)])
 def test_automorphisms_are_the_generators_action(v, k, q):
-    # sigma[i] spans the image of basis i under the generator, applied to the
-    # rows by field arithmetic and compared by rank, with no point codes
+    # sigma[i] spans the image of basis i under the generator, and tau[p] the
+    # image of point p, applied by field arithmetic and compared by rank
     ctx = field_of_order(q)
     subs = enumerate_subspaces(ctx, v, k)
+    graph = Incidence(subs, ctx)
+    points = [[code // q**t % q for t in range(v)] for code in graph.points.tolist()]
     generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[1], x[0], *x[2:]]]
     generators += [lambda x, c=ctx.p**i: [x[0], ctx.add(x[1], ctx.mul(c, x[0])), *x[2:]] for i in range(ctx.e)]
-    automorphisms = vertex_automorphisms(subs, ctx)
+    automorphisms = vertex_automorphisms(graph)
     assert len(automorphisms) == len(generators)
-    for g, sigma in zip(generators, automorphisms):
+    for g, automorphism in zip(generators, automorphisms):
+        sigma, tau = automorphism.vertices, automorphism.flats[0]
         assert sorted(sigma.tolist()) == list(range(len(subs)))
         for basis, image in zip(subs.tolist(), sigma.tolist()):
             assert gf_rank(ctx, [*map(g, basis), *subs[image].tolist()]) == k
+        for point, image in zip(points, tau.tolist()):
+            assert gf_rank(ctx, [g(point), points[image]]) == 1
+
+
+@pytest.mark.parametrize("v,k,q", [(5, 3, 2), (6, 4, 2), (5, 3, 3)])
+def test_incidence_lists_the_subspaces_of_each_vertex(v, k, q):
+    # flats[j - 1][x] are [k j]_q distinct ids, and the points of each are
+    # [j 1]_q points of vertex x that span a j-subspace, by rank
+    ctx = field_of_order(q)
+    subs = enumerate_subspaces(ctx, v, k)
+    graph = Incidence(subs, ctx)
+    points = [[code // q**t % q for t in range(v)] for code in graph.points.tolist()]
+    assert len(graph.flats) == k - 1
+    for j, (table, key) in enumerate(zip(graph.flats, graph.keys), start=1):
+        assert table.shape == (len(subs), int(gauss(k, j).evaluate(q)))
+        assert key.shape == (int(gauss(v, j).evaluate(q)), int(gauss(j, 1).evaluate(q)))
+        for basis, ids in zip(subs.tolist()[::7], table.tolist()[::7]):
+            assert ids == sorted(set(ids))
+            for members in key[ids].tolist():
+                assert gf_rank(ctx, [points[p] for p in members]) == j
+                assert gf_rank(ctx, [*basis, *(points[p] for p in members)]) == k
 
 
 def test_regularity_matches_predicted_degree():
@@ -507,13 +573,14 @@ def naive_traces(adjacency, k):
 @pytest.mark.parametrize("eigenvalues", [[2, -1], [-1, 2], [2, 1], [3, -1], [0, 5], [2], [-1], [7]])
 def test_pair_of_linear_factors_is_one_quadratic_factor(eigenvalues):
     # k = 1 and a single eigenvalue: P(A) e_0 combines A e_0 and e_0 with the
-    # coefficients of (x - a)(x - b), or of x - lam; the triangle's
-    # eigenvalues are 2 and -1, and the rotation is its automorphism
-    triangle = IntMatrix(np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
-    table = SpectrumTable(v=3, k=len(eigenvalues) - 1, q=2,
+    # coefficients of (x - a)(x - b), or of x - lam; qK(2,1) over GF(2) is
+    # the triangle, with eigenvalues 2 and -1
+    ctx = make_field(2, 1)
+    graph, automorphisms = graph_of(ctx, 2, 1)
+    table = SpectrumTable(v=2, k=len(eigenvalues) - 1, q=2,
                           entries=tuple(SpectrumEntry(j, lam, 1) for j, lam in enumerate(eigenvalues)))
-    expected = sequential_first_nonzero(triangle.to_array(), eigenvalues)
-    assert certify_spectrum(triangle, table, [np.array([1, 2, 0])]).residual_entry == expected
+    expected = sequential_first_nonzero(adjacency_of(ctx, 2, 1).to_array(), eigenvalues)
+    assert certify_spectrum(graph, table, automorphisms).residual_entry == expected
     assert (expected is None) == (sorted(eigenvalues) == [-1, 2])
 
 
@@ -522,7 +589,8 @@ def test_residual_entry_matches_the_sequential_product(v, k, q):
     # every honest and +-1 table of the cases with n <= 400: the column
     # certificate reports the moments and the residual entry that the
     # symmetry-free references give (a multiplicity of 0 is refused instead)
-    adjacency, automorphisms = graph_of(field_of_order(q), v, k)
+    graph, automorphisms = graph_of(field_of_order(q), v, k)
+    adjacency = adjacency_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     traces = naive_traces(adjacency.to_array(), k)
     references = {}  # by eigenvalues: the honest and multiplicity tables share one zero product
@@ -534,7 +602,7 @@ def test_residual_entry_matches_the_sequential_product(v, k, q):
             references[eigenvalues] = sequential_first_nonzero(adjacency.to_array(), eigenvalues)
         expected = references[eigenvalues]
         assert (expected is None) == label.startswith(("honest", "multiplicity")), label
-        result = certify_spectrum(adjacency, wrong, automorphisms)
+        result = certify_spectrum(graph, wrong, automorphisms)
         assert result.residual_entry == expected, label
         assert result.moments == traces, label
 
@@ -543,12 +611,16 @@ def hypercube(d):
     # Q_d: vertices 0 .. 2^d - 1, adjacent when they differ in one bit
     vertices = np.arange(2**d)
     xor = vertices[:, None] ^ vertices[None, :]
-    return IntMatrix(((xor & (xor - 1)) == 0).astype(np.int64) - np.eye(2**d, dtype=np.int64))
+    return ((xor & (xor - 1)) == 0).astype(np.int64) - np.eye(2**d, dtype=np.int64)
 
 
-def hypercube_automorphisms(d):
-    # x -> x XOR 2^i, one per coordinate: transitive on Q_d
-    return [np.arange(2**d) ^ (1 << i) for i in range(d)]
+def krylov_column(adjacency, steps):
+    # e_0, A e_0, ..., A^steps e_0 in plain numpy object arrays (Python ints)
+    a = np.array(adjacency.tolist(), dtype=object)
+    column = [np.array([1] + [0] * (len(a) - 1), dtype=object)]
+    for _ in range(steps):
+        column.append(a.dot(column[-1]))
+    return column
 
 
 def hypercube_table(d):
@@ -559,22 +631,25 @@ def hypercube_table(d):
 
 @pytest.mark.parametrize("d", range(7))
 def test_certify_hypercube_through_every_factor_count(d):
-    # d + 1 eigenvalues, so P has degree 1 (d = 0) up to 7, and the moments
-    # reach A^6 e_0; every honest and +-1 table matches the references
-    adjacency, automorphisms = hypercube(d), hypercube_automorphisms(d)
-    traces = naive_traces(adjacency.to_array(), d)
-    result = certify_spectrum(adjacency, hypercube_table(d), automorphisms)
+    # the column helper on the Krylov column of Q_d (vertex-transitive, so
+    # its column 0 certifies it): d + 1 eigenvalues, so P has degree 1
+    # (d = 0) up to 7, and the moments reach A^6 e_0; every honest and +-1
+    # table matches the references
+    adjacency = hypercube(d)
+    column = krylov_column(adjacency, d + 1)
+    traces = naive_traces(adjacency, d)
+    result = oracle._column_certificate(hypercube_table(d), column, 2**d, d)
     assert result.certified and result.certified_multiplicities == [e.multiplicity for e in hypercube_table(d).entries]
     assert result.moments == traces
     for label, wrong in _perturbations(hypercube_table(d)):
         if 0 in wrong.multiplicities():
             continue
-        result = certify_spectrum(adjacency, wrong, automorphisms)
+        result = oracle._column_certificate(wrong, column, 2**d, d)
         assert not result.certified, label
         assert result.moments == traces, label
         if label.startswith("eigenvalue"):
             assert result.residual_entry == sequential_first_nonzero(
-                adjacency.to_array(), [int(lam) for lam in wrong.eigenvalues()]), label
+                adjacency, [int(lam) for lam in wrong.eigenvalues()]), label
         else:
             assert not result.moments_ok, label
 
@@ -590,15 +665,15 @@ def dtypes(monkeypatch):
 @pytest.mark.parametrize("lam,dtype", [(2**5, np.float32), (2**12, np.float64), (2**22, np.int64), (2**40, object)])
 def test_column_pass_is_exact_in_every_dtype(dtypes, lam, dtype):
     # wrong eigenvalues +-lam of Q_4 set the a-priori bound of P(A) e_0,
-    # 6400 (16 + lam)^2, and with it the dtype it is formed in, the last
-    # decision; the Krylov column stays float32 (16^5 < 2^24)
+    # 6400 (16 + lam)^2, and with it the dtype the column helper forms it
+    # in, its one decision
     adjacency = hypercube(4)
     eigenvalues = [4, lam, 0, -lam, -4]
     table = SpectrumTable(v=4, k=4, q=2, entries=tuple(SpectrumEntry(j, x, 1) for j, x in enumerate(eigenvalues)))
-    result = certify_spectrum(adjacency, table, hypercube_automorphisms(4))
-    assert result.residual_entry == sequential_first_nonzero(adjacency.to_array(), eigenvalues)
-    assert result.moments == naive_traces(adjacency.to_array(), 4)
-    assert dtypes[-1] is dtype and set(dtypes[:-1]) == {np.float32}
+    result = oracle._column_certificate(table, krylov_column(adjacency, 5), 16, 4)
+    assert result.residual_entry == sequential_first_nonzero(adjacency, eigenvalues)
+    assert result.moments == naive_traces(adjacency, 4)
+    assert dtypes == [dtype]
 
 
 @pytest.mark.parametrize("k,top,dtype", [
@@ -609,32 +684,71 @@ def test_column_pass_is_exact_in_every_dtype(dtypes, lam, dtype):
     (6, 2**8, np.int64), (6, 2**9, object),
 ])
 def test_moments_are_exact_in_every_dtype(dtypes, k, top, dtype):
-    # a circulant symmetric 3 x 3 matrix with top on the diagonal, so the
-    # rotation is an automorphism: the bound (3 top)^k of A^k e_0 lands in
-    # dtype, on either side of a tier boundary, and the moments n (A^m)_00
+    # the Krylov chain on a circulant symmetric 3 x 3 matrix with top on the
+    # diagonal (vertex-transitive under the rotation): step m runs in
+    # _dtype((3 top)^m), the bound of A^m e_0, and the bound of A^k e_0 lands
+    # in dtype, on either side of a tier boundary; the moments n (A^m)_00
     # are compared with naive traces
     off = random.Random(k).randint(-top, top)
     rows = np.array([[top if i == j else off for j in range(3)] for i in range(3)], dtype=object)
     table = SpectrumTable(v=3, k=k, q=2, entries=tuple(SpectrumEntry(j, j, 1) for j in range(k + 1)))
-    assert certify_spectrum(IntMatrix(rows), table, [np.array([1, 2, 0])]).moments == naive_traces(rows, k)
-    assert dtypes[k] is dtype  # decision 0 is for e_0, decision m for A^m e_0
+
+    def apply(x, dtype):
+        return intmatrix._cast(rows, dtype) @ intmatrix._cast(x, dtype)
+
+    column = oracle._krylov(apply, [np.array([1, 0, 0], dtype=object)], [(3 * top) ** m for m in range(1, k + 2)])
+    assert oracle._column_certificate(table, column, 3 * top, None).moments == naive_traces(rows, k)
+    assert dtypes[k - 1] is dtype  # decision m - 1 is for A^m e_0
+    assert [x.dtype for x in column[1:]] == [np.dtype(t) for t in dtypes[: k + 1]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, object])
+def test_operator_is_exact_in_every_dtype(dtype):
+    # Op x for x = A^2 e_0 of qK(6,3,2), whose bound 30 * 512^2 is below
+    # 2^24, formed in each dtype: the dense product in Python ints
+    graph, _ = graph_of(make_field(2, 1), 6, 3)
+    column = krylov_column(adjacency_of(make_field(2, 1), 6, 3).to_array(), 3)
+    result = oracle._apply(graph, column[2], dtype)
+    assert result.dtype == np.dtype(dtype)
+    assert result.astype(object).tolist() == column[3].tolist()
+
+
+def incidence_entries(v, k, q):
+    # n sum_j [k j]_q: the ids the incidence and the operator hold
+    return int(gauss(v, k).evaluate(q)) * sum(int(gauss(k, j).evaluate(q)) for j in range(k + 1))
 
 
 @pytest.mark.parametrize("v,k,q", [(6, 3, 2), (4, 2, 5), (3, 1, 31)])
 def test_certification_memory_per_entry(v, k, q):
-    # beside the stored float32 A: the symmetry check's n x n bool, then
-    # blocks of n/64 rows, so at most 3 bytes per entry; the strip
-    # certificate took 14, and the dense route 32
-    adjacency, automorphisms = graph_of(field_of_order(q), v, k)
+    # the certificate holds a few vectors and gathers of the incidence: at
+    # most 32 bytes per id of the incidence (about 16 measured), far below
+    # the n^2 entries of A (3 bytes per entry of A when it read A, 14 for the
+    # strip certificate)
+    graph, automorphisms = graph_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        assert certify_spectrum(adjacency, table, automorphisms).certified
+        assert certify_spectrum(graph, table, automorphisms).certified
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * adjacency.n**2
+    assert peak <= 32 * incidence_entries(v, k, q) < graph.n**2
+
+
+def test_certification_memory_is_linear_through_the_cli(capsys):
+    # verify spectrum 7 3 2, enumeration included: at most 128 bytes per id
+    # of the incidence (about 61 measured), 24 MB for its 11811 vertices,
+    # where A alone has n^2 = 139 million entries (the dense certificate
+    # peaked at 700 MB)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "spectrum", "7", "3", "2", "--budget", "12000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "certified: yes" in capsys.readouterr().out
+    assert peak <= 128 * incidence_entries(7, 3, 2) < 11811**2 // 5
 
 
 def test_certify_rejects_degenerate_predictions():
@@ -646,23 +760,20 @@ def test_certify_rejects_degenerate_predictions():
         certify_spectrum(adjacency, repeated, automorphisms)
     with pytest.raises(ValueError):
         certify_spectrum(adjacency, spectrum_table(2, 1), automorphisms)  # symbolic table
-    lopsided = IntMatrix(np.array([[0, 1], [0, 0]]))
-    with pytest.raises(ValueError):
-        certify_spectrum(lopsided, table, [np.array([1, 0])])
 
 
 def test_dump_files(tmp_path):
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 2, 1)
-    adjacency = build_adjacency(subs, ctx)
-    result = certify_spectrum(adjacency, spectrum_table(2, 1, 2), vertex_automorphisms(subs, ctx))
+    graph = Incidence(subs, ctx)
+    result = certify_spectrum(graph, spectrum_table(2, 1, 2), vertex_automorphisms(graph))
 
     vertex_path = tmp_path / "vertices.txt"
     dump_vertices(subs, vertex_path)
     assert vertex_path.read_text() == "1 0\n1 1\n0 1\n"
 
     adjacency_path = tmp_path / "adjacency.txt"
-    dump_adjacency(adjacency, adjacency_path)
+    dump_adjacency(graph.adjacency_strips(), adjacency_path)
     assert adjacency_path.read_text() == "0 1 1\n1 0 1\n1 1 0\n"
 
     import json
@@ -677,13 +788,28 @@ def test_dump_files(tmp_path):
 @pytest.mark.parametrize("rows", [[[0, 2], [2, 0]], [[0, -1], [-1, 0]], [[0, 10**30], [10**30, 0]]])
 def test_dump_adjacency_rejects_entries_other_than_0_and_1(tmp_path, rows):
     with pytest.raises(ValueError):
-        dump_adjacency(IntMatrix(np.array(rows, dtype=object)), tmp_path / "adjacency.txt")
+        dump_adjacency([np.array(rows, dtype=object)], tmp_path / "adjacency.txt")
 
 
 def test_dump_adjacency_single_vertex(tmp_path):
+    # qK(3,0): the zero subspace alone
     path = tmp_path / "adjacency.txt"
-    dump_adjacency(IntMatrix(np.array([[0]])), path)
+    dump_adjacency(Incidence(enumerate_subspaces(make_field(2, 1), 3, 0), make_field(2, 1)).adjacency_strips(), path)
     assert path.read_bytes() == b"0\n"
+
+
+def test_adjacency_strips_zero_their_own_stretch_of_the_diagonal():
+    # qK(5,2) over GF(4), 5797 vertices, comes in strips of 723 rows: each
+    # zeroes its own diagonal entries and no other, so every row sum is the
+    # degree q^4 [3 2]_q = 5376 (a wrong offset would zero an edge instead)
+    graph = Incidence(enumerate_subspaces(field_of_order(4), 5, 2, budget=6000), field_of_order(4))
+    starts, sums = [0], []
+    for strip in graph.adjacency_strips():
+        rows = np.arange(len(strip))
+        assert not strip[rows, starts[-1] + rows].any()
+        sums += strip.sum(axis=1).tolist()
+        starts.append(starts[-1] + len(strip))
+    assert len(starts) > 2 and set(sums) == {5376} and len(sums) == 5797
 
 
 def test_extension_field_vertices_serialize_with_element_encodings():
