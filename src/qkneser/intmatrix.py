@@ -25,10 +25,6 @@ holds Python floats).  Every matrix, results included, is stored in the
 narrowest exact dtype for its own entries, so a 0/1 adjacency matrix and
 its square stay float32 up to n = 2**24 - 1, half the bytes of float64.
 
-A @ A, for a symmetric A, is formed as A A^T on one buffer, which numpy
-hands to the symmetric rank-k update (SYRK): half the multiplications of
-a general product.
-
 The certificate in oracle never touches IntMatrix: it applies the
 factored operator of qK(v, k) to one vector at a time, under the same
 rule, through _dtype and _cast.  IntMatrix is the dense reference that
@@ -66,7 +62,7 @@ def _cast(array: np.ndarray, dtype) -> np.ndarray:
 class IntMatrix:
     """Immutable dense square matrix of exact integers."""
 
-    __slots__ = ("_a", "n", "max_abs", "_symmetric")
+    __slots__ = ("_a", "n", "max_abs")
 
     def __init__(self, array: np.ndarray):
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
@@ -86,7 +82,6 @@ class IntMatrix:
         self.n = int(array.shape[0])
         self.max_abs = max(int(array.max(initial=0)), -int(array.min(initial=0)))
         self._a = _cast(array, _dtype(self.max_abs))
-        self._symmetric = None
 
     def to_array(self) -> np.ndarray:
         """The entries as a read-only numpy view: float32, float64, int64 or object, the narrowest exact."""
@@ -99,10 +94,8 @@ class IntMatrix:
         return _cast(sums, object).tolist()
 
     def is_symmetric(self) -> bool:
-        """Whether the matrix equals its transpose; decided once, since the entries never change."""
-        if self._symmetric is None:
-            self._symmetric = bool((self._a == self._a.T).all())
-        return self._symmetric
+        """Whether the matrix equals its transpose."""
+        return bool((self._a == self._a.T).all())
 
     def __repr__(self) -> str:
         return f"IntMatrix(n={self.n}, max_abs={self.max_abs})"
@@ -113,7 +106,4 @@ class IntMatrix:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         dtype = _dtype(self.n * max(self.max_abs, 1) * max(other.max_abs, 1))
-        left = _cast(self._a, dtype)
-        # A A = A A^T for symmetric A: the transpose of the same buffer is SYRK's pattern
-        right = left.T if other is self and self.is_symmetric() else _cast(other._a, dtype)
-        return IntMatrix._exact(left @ right)
+        return IntMatrix._exact(_cast(self._a, dtype) @ _cast(other._a, dtype))

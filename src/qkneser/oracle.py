@@ -2,10 +2,10 @@
 
 This module builds qK(v, k) from scratch: it enumerates every
 k-dimensional subspace of F_q^v as a canonical reduced-row-echelon basis,
-lists the projective points (and, for 1 < j < k, the j-subspaces) of each
-vertex, and certifies a predicted spectrum of the trivial-intersection
-adjacency matrix A = [N N^T == 0] (N the vertex x point incidence, the
-diagonal zeroed) with zero numerical tolerance:
+lists the j-subspaces of each vertex at every level j = 0..k (the zero
+subspace, the points, ..., the vertex itself), and certifies a predicted
+spectrum of the adjacency matrix A (x ~ y iff x != y share no point, as
+Incidence.adjacency_columns computes it) with zero numerical tolerance:
 
   * annihilation: the exact integer product P(A) = prod_j (A - lambda_j I)
     must be the zero matrix; since A is symmetric (hence diagonalizable) this
@@ -19,28 +19,28 @@ Both checks passing means the predicted spectrum IS the spectrum.
 Both checks read one column of A, through a checked transitive group.
 GL(v, q) permutes the k-subspaces transitively and preserves trivial
 intersection (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), and
-vertex_automorphisms turns generators of it into permutations of the
-points (tau), of the j-subspaces (tau_j) and of the vertices (sigma).
-Nothing is taken on trust: certify_spectrum checks that each is a
-permutation, that the points and j-subspaces of sigma x are tau and tau_j
-of those of x for every vertex x, and that the sigmas together carry
-vertex 0 to every vertex.  Then sigma, as a permutation matrix S,
-preserves N, hence A, and every W_j^T W_j, where W_j is the j-subspace x
-vertex incidence.
+vertex_automorphisms turns generators of it into permutations tau_j of
+the j-subspaces at each level and sigma of the vertices.  Nothing is taken
+on trust: certify_spectrum checks that each is a permutation, that the
+j-subspaces of sigma x are tau_j of those of x at every level, for every
+vertex x, and that the sigmas together carry vertex 0 to every vertex.
+Then sigma, as a permutation matrix S, preserves every W_j, the j-subspace
+x vertex incidence, hence A (read off W_1) and every W_j^T W_j.
 
 The certificate never forms A.  It applies the factored operator
 
-    Op = sum_{j=0..k} (-1)^j q^C(j,2) W_j^T W_j        (W_0 = 1^T, W_1 = N^T, W_k = I)
+    Op = sum_{j=0..k} (-1)^j q^C(j,2) W_j^T W_j
 
-to one vector at a time: (W_j^T W_j)[x, y] counts the j-subspaces of
-x meet y, and sum_j (-1)^j q^C(j,2) [d j]_q = prod_{i<d} (1 - q^i) is 1
-for d = 0 and 0 otherwise (Andrews, The Theory of Partitions, Thm 3.3 at
-z = 1).  The proof does not rest on that identity: certify_spectrum checks
-that Op e_0 is the brute-force column (the vertices that share no point
-with vertex 0).  Op and A are both sigma-invariant, and a matrix M with
-M[sigma x, sigma y] = M[x, y] for a transitive group is fixed by its
-column 0, so Op = A.  A commutes with S, hence so does every polynomial in
-A: P(A) e_sigma(i) = S P(A) e_i and (A^m)_ii = (A^m)_sigma(i)sigma(i), so
+to one vector at a time, one term per level: (W_j^T W_j)[x, y] counts
+the j-subspaces of x meet y, and sum_j (-1)^j q^C(j,2) [d j]_q =
+prod_{i<d} (1 - q^i) is 1 for d = 0 and 0 otherwise (Andrews, The Theory
+of Partitions, Thm 3.3 at z = 1).  The proof does not rest on that
+identity: certify_spectrum checks that Op e_0 is the brute-force column
+(the vertices that share no point with vertex 0).  Op and A are both
+sigma-invariant, and a matrix M with M[sigma x, sigma y] = M[x, y] for a
+transitive group is fixed by its column 0, so Op = A.  A commutes with S,
+hence so does every polynomial in A: P(A) e_sigma(i) = S P(A) e_i and
+(A^m)_ii = (A^m)_sigma(i)sigma(i), so
 
   * P(A) = 0 iff P(A) e_0 = 0, and tr(A^m) = n (A^m)_00;
   * P(A) is symmetric, so when it is not zero its row 0 is not zero, and
@@ -214,10 +214,11 @@ class Incidence:
 
     points holds the codes of the projective points of F_q^v (as
     _point_codes writes them) in increasing order; a point's id is its
-    index there.  flats[0] is the (n, [k 1]_q) array of the point ids of
-    each vertex, and flats[j - 1], for 1 < j < k, the (n, [k j]_q) array of
-    the ids of its j-subspaces; every row is sorted.  keys[j - 1][i] is
-    the sorted row of the point ids of j-subspace i (so keys[0][i] = [i]).
+    index there.  For each level j = 0..k, flats[j] is the (n, [k j]_q)
+    array of the ids of the j-subspaces of each vertex, every row sorted,
+    and keys[j][i] the sorted row of the point ids of j-subspace i.  Level 0
+    is the zero subspace (one id, no points), level 1 the points (keys[1][i]
+    = [i]), and level k the vertex itself.
 
     A j-subspace of a vertex is the span of its RREF rows combined with
     the coefficients of a j-subspace U of F_q^k, so its points are the
@@ -236,8 +237,11 @@ class Incidence:
         slots = np.searchsorted(points, _point_codes(ctx, bases))  # point ids, one column per coefficient vector
         coefficients = _rref_bases(q, k, 1)[:, 0] @ q ** np.arange(k)
         order = np.argsort(coefficients)
-        flats, keys = [np.sort(slots, axis=1)], [np.arange(len(points))[:, None]]
-        for j in range(2, k):
+        flats, keys = [np.zeros((n, 1), dtype=np.intp)], [np.zeros((1, 0), dtype=np.intp)]
+        if k:
+            flats.append(np.sort(slots, axis=1))
+            keys.append(np.arange(len(points))[:, None])
+        for j in range(2, k + 1):
             members = order[np.searchsorted(coefficients, _point_codes(ctx, _rref_bases(q, k, j)), sorter=order)]
             ids, distinct = _ids(np.sort(slots[:, members], axis=2).reshape(-1, members.shape[1]))
             flats.append(np.sort(ids.reshape(n, -1), axis=1))
@@ -249,21 +253,24 @@ class Incidence:
     def n(self) -> int:
         return len(self.flats[0])
 
-    def adjacency_strips(self):
-        """A = [N N^T == 0] with a zero diagonal, as consecutive bool strips of rows.
+    def adjacency_columns(self, start: int, stop: int) -> np.ndarray:
+        """Columns start..stop-1 of A as an (n, stop - start) bool array: y is adjacent to x
+        iff they share no point and y != x (the zero subspace of k = 0 shares none with itself)."""
+        slots = self.keys[-1][self.flats[-1][:, 0]]  # the point ids of each vertex
+        block = np.arange(stop - start)
+        free = np.ones((len(self.points), len(block)), dtype=bool)  # free[p, c]: p is no point of start + c
+        free[slots[start:stop].T, block] = False
+        columns = np.ones((self.n, len(block)), dtype=bool)
+        for slot in slots.T:
+            columns &= free[slot]
+        columns[start + block, block] = False
+        return columns
 
-        N is the 0/1 vertex x point incidence matrix, an n x [v 1]_q array
-        in _dtype([k 1]_q): an entry of N N^T counts shared points, at most
-        [k 1]_q.  Each strip has about 2^22 entries.
-        """
-        n, width = self.flats[0].shape
-        incidence = np.zeros((n, len(self.points)), dtype=_dtype(width))
-        incidence[np.arange(n).repeat(width), self.flats[0].ravel()] = 1
-        rows = max(1, 2**22 // n)
-        for r in range(0, n, rows):
-            strip = incidence[r : r + rows] @ incidence.T == 0
-            strip[np.arange(len(strip)), r + np.arange(len(strip))] = False
-            yield strip
+    def adjacency_strips(self):
+        """A as consecutive C-contiguous bool strips of rows, about 2^22 entries each: A is symmetric."""
+        rows = max(1, 2**22 // self.n)
+        for r in range(0, self.n, rows):
+            yield np.ascontiguousarray(self.adjacency_columns(r, min(r + rows, self.n)).T)
 
 
 def _ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +279,7 @@ def _ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A lexsort and a comparison of neighbours: a 1-D np.unique would import
     numpy.ma (numpy >= 2), which costs more than the sort.
     """
-    order = np.lexsort(rows.T[::-1])
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))  # rows of width 0 are all equal
     ordered = rows[order]
     fresh = np.ones(len(rows), dtype=bool)
     fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -292,27 +299,25 @@ def _lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def build_adjacency(bases: np.ndarray, ctx: FieldCtx) -> IntMatrix:
     """Adjacency matrix: 1 where two subspaces intersect trivially.
 
-    Symmetric 0/1 with a zero diagonal (loops excluded).  Two subspaces
-    meet trivially iff they share no projective point of PG(v-1, q)
-    (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), so with N the
-    0/1 vertex x point incidence matrix, A = [N N^T == 0] off the diagonal:
-    the strips of Incidence.adjacency_strips, which --dump writes.  The
-    tests assert that this agrees with intersection_dim == 0, and use it
-    as the dense reference of the certificate, which never forms it.
+    Symmetric 0/1 with a zero diagonal: the strips of
+    Incidence.adjacency_strips, which --dump writes.  Two subspaces meet
+    trivially iff they share no projective point of PG(v-1, q)
+    (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3).  The tests
+    assert that this agrees with intersection_dim == 0, and use it as the
+    dense reference of the certificate, which never forms it.
     """
     strips = Incidence(bases, ctx).adjacency_strips()
     return IntMatrix(np.concatenate(list(strips)).view(np.uint8))
 
 
+@dataclass(eq=False)  # compared by identity: == on arrays is elementwise
 class Automorphism:
     """One generator's action: vertices is the vertex permutation sigma, and
-    flats[i] the permutation of the ids of Incidence.flats[i] (flats[0] = tau
-    on the points)."""
+    flats[j] the permutation tau_j of the ids of Incidence.flats[j], for each
+    level j = 0..k (flats[1] = tau on the points)."""
 
-    __slots__ = ("vertices", "flats")
-
-    def __init__(self, vertices: np.ndarray, flats: tuple[np.ndarray, ...]):
-        self.vertices, self.flats = vertices, flats
+    vertices: np.ndarray
+    flats: tuple[np.ndarray, ...]
 
 
 def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
@@ -323,11 +328,11 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
     i < e (the field elements x^i, an additive basis of GF(q) over GF(p)).
     Each acts on the projective points through FieldCtx element ops, each
     image renormalised to a leading 1; a j-subspace goes where its sorted
-    point ids go, and so does a vertex.  An image that is no vertex raises
-    InvariantError.  certify_spectrum checks what it relies on (that each
-    map is a permutation carrying the subspaces of every vertex x to those
-    of sigma x, and that the sigmas are transitive), so nothing here is
-    taken on trust.
+    point ids go, and a vertex where it goes as a k-subspace.  An image
+    that is no vertex raises InvariantError.  certify_spectrum checks what
+    it relies on (that each map is a permutation carrying the subspaces of
+    every vertex x to those of sigma x, and that the sigmas are
+    transitive), so nothing here is taken on trust.
     """
     ctx, q, v = graph.ctx, graph.ctx.q, graph.v
     if graph.n == 1:  # nothing to carry anywhere
@@ -341,13 +346,16 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
 
     generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[1], x[0], *x[2:]]]
     generators += [lambda x, c=ctx.p**i: [x[0], ctx.add(x[1], ctx.mul(c, x[0])), *x[2:]] for i in range(ctx.e)]
+    itself = graph.flats[-1][:, 0]  # each vertex's id as a k-subspace
+    vertex = np.full(len(graph.keys[-1]) + 1, -1)  # the vertex of each such id; the id -1 (no key) reads -1
+    vertex[itself] = np.arange(graph.n)
     automorphisms = []
     for g, generator in enumerate(generators):
         tau = np.searchsorted(graph.points, np.array([point(generator(x)) for x in vectors]) @ weights)
-        sigma = _lookup(graph.flats[0], np.sort(tau[graph.flats[0]], axis=1))
+        flats = tuple(_lookup(key, np.sort(tau[key], axis=1)) for key in graph.keys)
+        sigma = vertex[flats[-1][itself]]
         if (sigma < 0).any():
             raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
-        flats = tuple(_lookup(key, np.sort(tau[key], axis=1)) for key in graph.keys)
         automorphisms.append(Automorphism(sigma, flats))
     return automorphisms
 
@@ -442,9 +450,9 @@ def _is_permutation(perm, size: int) -> bool:
 
 
 def _check_automorphisms(graph: Incidence, automorphisms) -> None:
-    """Raise InvariantError unless every automorphism is a family of permutations, sigma of
-    the vertices and one of each kind of flat, that carries the j-subspaces of every vertex x
-    to those of sigma x, and the sigmas together carry vertex 0 to every vertex.
+    """Raise InvariantError unless every automorphism is a family of permutations, sigma of the
+    vertices and tau_j of the j-subspaces at each level j = 0..k, that carries the j-subspaces of
+    every vertex x to those of sigma x, and the sigmas together carry vertex 0 to every vertex.
 
     The orbit of vertex 0 grows breadth-first, each vertex entering the frontier once.
     """
@@ -454,9 +462,9 @@ def _check_automorphisms(graph: Incidence, automorphisms) -> None:
         if not _is_permutation(sigma, n):
             raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
         if len(automorphism.flats) != len(graph.flats):
-            raise InvariantError(f"automorphism {g} acts on {len(automorphism.flats)} kinds of subspace, "
-                                 f"not on {len(graph.flats)}")
-        for j, (table, key, tau) in enumerate(zip(graph.flats, graph.keys, automorphism.flats), start=1):
+            raise InvariantError(f"automorphism {g} acts on {len(automorphism.flats)} levels of subspace, "
+                                 f"not on the {len(graph.flats)} levels 0..{graph.k}")
+        for j, (table, key, tau) in enumerate(zip(graph.flats, graph.keys, automorphism.flats)):
             if not _is_permutation(tau, len(key)):
                 raise InvariantError(f"automorphism {g} is not a permutation of the {len(key)} {j}-subspaces")
             moved = (np.sort(np.asarray(tau)[table], axis=1) != table[sigma]).any(axis=1)
@@ -487,21 +495,18 @@ def _coefficient(q: int, j: int) -> int:
 def _apply(graph: Incidence, x: np.ndarray, dtype) -> np.ndarray:
     """Op x in dtype, for Op = sum_{j=0..k} (-1)^j q^C(j,2) W_j^T W_j.
 
-    W_j is the j-subspace x vertex incidence: W_0 the all-ones row, W_1 =
-    N^T and W_k = I.  W_j x is a scatter-add of x onto the ids of
-    graph.flats[j - 1], and W_j^T y a gather of y and a row sum.  With
-    w_j = [k j]_q the width of that table (w_0 = w_k = 1), every term and
-    partial sum is at most sum_j q^C(j,2) w_j ||x||_1 in absolute value, so
-    this is exact in _dtype of that bound.
+    W_j is the j-subspace x vertex incidence.  W_j x is a scatter-add of x
+    onto the ids of graph.flats[j], and W_j^T y a gather of y and a row sum.
+    With w_j = [k j]_q the width of that table, every term and partial sum
+    is at most sum_j q^C(j,2) w_j ||x||_1 in absolute value, so this is
+    exact in _dtype of that bound.
     """
-    q, k = graph.ctx.q, graph.k
     x = _cast(x, dtype)
-    result = np.full(len(x), x.sum(), dtype=dtype)
-    for j, (table, key) in enumerate(zip(graph.flats[: k - 1], graph.keys), start=1):
+    result = np.zeros(len(x), dtype=dtype)
+    for j, (table, key) in enumerate(zip(graph.flats, graph.keys)):
         sums = np.zeros(len(key), dtype=dtype)
         np.add.at(sums, table, x[:, None])
-        result += _coefficient(q, j) * sums[table].sum(axis=1)
-    result += _coefficient(q, k) * x
+        result += _coefficient(graph.ctx.q, j) * sums[table].sum(axis=1)
     return result
 
 
@@ -565,19 +570,14 @@ def certify_spectrum(graph: Incidence, predicted: SpectrumTable, automorphisms) 
     """
     eigenvalues, _ = _prediction(predicted)  # refused before any work
     _check_automorphisms(graph, automorphisms)
-    n, q, k = graph.n, graph.ctx.q, graph.k
-    shared = np.zeros(len(graph.points), dtype=bool)
-    shared[graph.flats[0][0]] = True
-    column = ~shared[graph.flats[0]].any(axis=1)  # A e_0: the vertices that share no point with vertex 0
-    column[0] = False  # no loops, also for k = 0, whose zero subspace meets itself trivially
+    column = graph.adjacency_columns(0, 1)[:, 0]  # A e_0, a block of one column
     degree = int(column.sum())
-    widths = [1, *(table.shape[1] for table in graph.flats[: k - 1]), 1]
-    growth = sum(abs(_coefficient(q, j)) * w for j, w in enumerate(widths))  # prod_{i<k} (1 + q^i)
+    growth = sum(abs(_coefficient(graph.ctx.q, j)) * table.shape[1] for j, table in enumerate(graph.flats))
 
     def apply(x, dtype):
         return _apply(graph, x, dtype)
 
-    start = (np.arange(n) == 0).astype(_dtype(1))  # e_0
+    start = (np.arange(graph.n) == 0).astype(_dtype(1))  # e_0
     krylov = _krylov(apply, [start], [growth])
     mismatch = np.flatnonzero(krylov[1] != column)
     if mismatch.size:
@@ -587,7 +587,7 @@ def certify_spectrum(graph: Incidence, predicted: SpectrumTable, automorphisms) 
     # Op = A now, so A^m e_0 >= 0 and ||A^m e_0||_1 = degree^m: A is regular, being vertex-transitive
     steps = max(predicted.k, len(eigenvalues))
     krylov = _krylov(apply, krylov, [growth * degree ** (m - 1) for m in range(2, steps + 1)])
-    return _column_certificate(predicted, krylov, n, degree)
+    return _column_certificate(predicted, krylov, graph.n, degree)
 
 
 # ----------------------------------------------------------------------

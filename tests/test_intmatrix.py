@@ -134,7 +134,7 @@ def test_matmul_matches_naive_product(magnitude):
         a_rows = random_rows(rng, n, magnitude)
         b_rows = random_rows(rng, n, magnitude)
         assert entries(mat(a_rows) @ mat(b_rows)) == naive_product(a_rows, b_rows)
-        # a matrix times itself: A A^T on one buffer when A is symmetric, and A A otherwise
+        # a matrix times itself, symmetric or not
         for rows in (a_rows, random_symmetric_rows(rng, n, magnitude)):
             square = mat(rows)
             assert entries(square @ square) == naive_product(rows, rows)

@@ -342,10 +342,15 @@ def _swap_two_lines_of_vertex_0(graph):
     # tau_2 composed with the swap of two lines of vertex 0: vertex 0 keeps
     # its lines, but a plane through one of them and not the other does not
     first, *rest = vertex_automorphisms(graph)
-    lines = graph.flats[1][0][:2]
-    swap = np.arange(len(graph.keys[1]))
+    lines = graph.flats[2][0][:2]
+    swap = np.arange(len(graph.keys[2]))
     swap[lines] = lines[::-1]
-    return [Automorphism(first.vertices, (first.flats[0], first.flats[1][swap])), *rest]
+    return [Automorphism(first.vertices, (*first.flats[:2], first.flats[2][swap], *first.flats[3:])), *rest]
+
+
+def _drop_the_last_level(graph):
+    # the honest generators without their action on the vertices themselves
+    return [Automorphism(a.vertices, a.flats[:-1]) for a in vertex_automorphisms(graph)]
 
 
 @pytest.mark.parametrize("v,k,q,bad,message", [
@@ -359,6 +364,8 @@ def _swap_two_lines_of_vertex_0(graph):
                  id="gf4-without-the-transvection-by-x"),
     pytest.param(6, 3, 2, _swap_two_lines_of_vertex_0, "does not carry the 2-subspaces of vertex",
                  id="tau2-swaps-two-lines-of-a-vertex"),
+    pytest.param(4, 2, 2, _drop_the_last_level, "acts on 2 levels of subspace, not on the 3 levels 0..2",
+                 id="one-level-dropped"),
 ])
 def test_unchecked_automorphisms_are_refused(monkeypatch, capsys, v, k, q, bad, message):
     graph = Incidence(enumerate_subspaces(field_of_order(q), v, k), field_of_order(q))
@@ -414,7 +421,7 @@ def test_automorphisms_are_the_generators_action(v, k, q):
     automorphisms = vertex_automorphisms(graph)
     assert len(automorphisms) == len(generators)
     for g, automorphism in zip(generators, automorphisms):
-        sigma, tau = automorphism.vertices, automorphism.flats[0]
+        sigma, tau = automorphism.vertices, automorphism.flats[1]
         assert sorted(sigma.tolist()) == list(range(len(subs)))
         for basis, image in zip(subs.tolist(), sigma.tolist()):
             assert gf_rank(ctx, [*map(g, basis), *subs[image].tolist()]) == k
@@ -424,14 +431,15 @@ def test_automorphisms_are_the_generators_action(v, k, q):
 
 @pytest.mark.parametrize("v,k,q", [(5, 3, 2), (6, 4, 2), (5, 3, 3)])
 def test_incidence_lists_the_subspaces_of_each_vertex(v, k, q):
-    # flats[j - 1][x] are [k j]_q distinct ids, and the points of each are
-    # [j 1]_q points of vertex x that span a j-subspace, by rank
+    # flats[j][x] are [k j]_q distinct ids, and the points of each are
+    # [j 1]_q points of vertex x that span a j-subspace, by rank, for every
+    # level j = 0..k: the zero subspace, the points, ..., the vertex itself
     ctx = field_of_order(q)
     subs = enumerate_subspaces(ctx, v, k)
     graph = Incidence(subs, ctx)
     points = [[code // q**t % q for t in range(v)] for code in graph.points.tolist()]
-    assert len(graph.flats) == k - 1
-    for j, (table, key) in enumerate(zip(graph.flats, graph.keys), start=1):
+    assert len(graph.flats) == len(graph.keys) == k + 1
+    for j, (table, key) in enumerate(zip(graph.flats, graph.keys)):
         assert table.shape == (len(subs), int(gauss(k, j).evaluate(q)))
         assert key.shape == (int(gauss(v, j).evaluate(q)), int(gauss(j, 1).evaluate(q)))
         for basis, ids in zip(subs.tolist()[::7], table.tolist()[::7]):
@@ -711,6 +719,20 @@ def test_operator_is_exact_in_every_dtype(dtype):
     result = oracle._apply(graph, column[2], dtype)
     assert result.dtype == np.dtype(dtype)
     assert result.astype(object).tolist() == column[3].tolist()
+
+
+@pytest.mark.parametrize("v,k,q", [(3, 1, 4), (4, 2, 3), (6, 3, 2), (6, 4, 2)])
+def test_operator_columns_are_the_dense_adjacency(v, k, q):
+    # Op e_x against column x of build_adjacency, the dense reference, for
+    # k = 1..4, every level's term included; qK(6,4) over GF(2) is the null
+    # graph, so its five terms cancel to 0 at every vertex
+    ctx = field_of_order(q)
+    graph, _ = graph_of(ctx, v, k)
+    adjacency = adjacency_of(ctx, v, k).to_array()
+    for x in range(0, graph.n, max(1, graph.n // 7)):
+        result = oracle._apply(graph, np.arange(graph.n) == x, np.int64)
+        assert result.tolist() == adjacency[:, x].astype(np.int64).tolist()
+    assert (v >= 2 * k) == adjacency.any()
 
 
 def incidence_entries(v, k, q):
