@@ -5,7 +5,7 @@ k-dimensional subspace of F_q^v as a canonical reduced-row-echelon basis,
 lists the j-subspaces of each vertex at every level j = 0..k (the zero
 subspace, the points, ..., the vertex itself), and certifies a predicted
 spectrum of the adjacency matrix A (x ~ y iff x != y share no point, as
-Incidence.adjacency_columns computes it) with zero numerical tolerance:
+Incidence.adjacency_rows computes it) with zero numerical tolerance:
 
   * annihilation: the exact integer product P(A) = prod_j (A - lambda_j I)
     must be the zero matrix; since A is symmetric (hence diagonalizable) this
@@ -24,6 +24,8 @@ the j-subspaces at each level and sigma of the vertices.  Nothing is taken
 on trust: certify_spectrum checks that each is a permutation, that the
 j-subspaces of sigma x are tau_j of those of x at every level, for every
 vertex x, and that the sigmas together carry vertex 0 to every vertex.
+The j-subspaces are numbered by a prefix of their sorted point ids
+(_key), and a wrong number could only make one of these checks fail.
 Then sigma, as a permutation matrix S, preserves every W_j, the j-subspace
 x vertex incidence, hence A (read off W_1) and every W_j^T W_j.
 
@@ -205,7 +207,8 @@ def _point_codes(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     n, k, v = bases.shape
     maps = ctx.mul_maps(_rref_bases(ctx.q, k, 1)[:, 0])
     # vectors[s, c, t] = sum_r maps[c, r] @ digits[s, r, t] over GF(p)
-    vectors = np.einsum("crab,srtb->scta", maps, ctx.digits(bases)) % ctx.p
+    vectors = np.einsum("crab,srtb->scta", maps, ctx.digits(bases))
+    vectors %= ctx.p
     return vectors.reshape(n, len(maps), v * ctx.e) @ ctx.p ** np.arange(v * ctx.e)
 
 
@@ -213,17 +216,21 @@ class Incidence:
     """qK(v, k) as the subspaces of its vertices, the form the certificate reads.
 
     points holds the codes of the projective points of F_q^v (as
-    _point_codes writes them) in increasing order; a point's id is its
-    index there.  For each level j = 0..k, flats[j] is the (n, [k j]_q)
-    array of the ids of the j-subspaces of each vertex, every row sorted,
-    and keys[j][i] the sorted row of the point ids of j-subspace i.  Level 0
-    is the zero subspace (one id, no points), level 1 the points (keys[1][i]
-    = [i]), and level k the vertex itself.
+    _point_codes writes them) in the order of enumerate_subspaces(ctx, v,
+    1); a point's id is its index there.  For each level j = 0..k, flats[j]
+    is the (n, [k j]_q) array of the ids of the j-subspaces of each vertex,
+    every row sorted, and keys[j][i] the sorted row of the point ids of
+    j-subspace i.  Level 0 is the zero subspace (one id, no points), level 1
+    the points (keys[1][i] = [i]), and level k the vertex itself, keyed by
+    its index: flats[k] is range(n) as a column and keys[k] each vertex's
+    point ids (the array flats[1] when k >= 2; for k = 1 vertex x of the
+    full enumeration is point x).
 
     A j-subspace of a vertex is the span of its RREF rows combined with
     the coefficients of a j-subspace U of F_q^k, so its points are the
     vertex's points at U's point slots (the positions of U's points among
     the coefficient vectors of _point_codes): no elimination is needed.
+    The levels 1 < j < k are numbered by _ids on the _key of each row.
     """
 
     __slots__ = ("ctx", "v", "k", "points", "flats", "keys")
@@ -233,19 +240,27 @@ class Incidence:
         if n == 0:
             raise ValueError("empty vertex list")
         q = ctx.q
-        points = np.sort(_rref_bases(q, v, 1)[:, 0] @ q ** np.arange(v))
-        slots = np.searchsorted(points, _point_codes(ctx, bases))  # point ids, one column per coefficient vector
+        points = _rref_bases(q, v, 1)[:, 0] @ q ** np.arange(v)
         coefficients = _rref_bases(q, k, 1)[:, 0] @ q ** np.arange(k)
-        order = np.argsort(coefficients)
+        slots = _point_ids(points, _point_codes(ctx, bases))  # one column per coefficient vector
+        rows = np.sort(slots, axis=1)  # the point ids of each vertex
         flats, keys = [np.zeros((n, 1), dtype=np.intp)], [np.zeros((1, 0), dtype=np.intp)]
-        if k:
-            flats.append(np.sort(slots, axis=1))
+        if k > 1:
+            flats.append(rows)
             keys.append(np.arange(len(points))[:, None])
-        for j in range(2, k + 1):
-            members = order[np.searchsorted(coefficients, _point_codes(ctx, _rref_bases(q, k, j)), sorter=order)]
-            ids, distinct = _ids(np.sort(slots[:, members], axis=2).reshape(-1, members.shape[1]))
-            flats.append(np.sort(ids.reshape(n, -1), axis=1))
-            keys.append(distinct)
+        for j in range(2, k):
+            members = _point_ids(coefficients, _point_codes(ctx, _rref_bases(q, k, j)))
+            subspaces = slots[:, members].reshape(-1, members.shape[1])  # a fresh array: sorted in place
+            subspaces.sort(axis=1)
+            ids, first = _ids(_key(subspaces, q, len(points)))
+            ids = ids.reshape(n, -1)
+            ids.sort(axis=1)
+            flats.append(ids)
+            keys.append(subspaces[first])
+            del subspaces  # before the next level's
+        if k:
+            flats.append(np.arange(n)[:, None])
+            keys.append(rows)
         self.ctx, self.v, self.k, self.points = ctx, v, k, points
         self.flats, self.keys = tuple(flats), tuple(keys)
 
@@ -253,45 +268,84 @@ class Incidence:
     def n(self) -> int:
         return len(self.flats[0])
 
-    def adjacency_columns(self, start: int, stop: int) -> np.ndarray:
-        """Columns start..stop-1 of A as an (n, stop - start) bool array: y is adjacent to x
-        iff they share no point and y != x (the zero subspace of k = 0 shares none with itself)."""
-        slots = self.keys[-1][self.flats[-1][:, 0]]  # the point ids of each vertex
+    def adjacency_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1 of A as a C-contiguous (stop - start, n) bool array: x is adjacent
+        to y iff they share no point and x != y (the zero subspace of k = 0 shares none with itself).
+
+        Bit b of packed[p] says that point p is no point of vertex start + b,
+        so the AND of packed at y's point ids holds A[start + b, y] at bit b:
+        a byte per eight entries of column y, unpacked by shifts into rows.
+        """
+        slots = self.keys[-1]  # the point ids of each vertex
         block = np.arange(stop - start)
-        free = np.ones((len(self.points), len(block)), dtype=bool)  # free[p, c]: p is no point of start + c
+        free = np.ones((len(self.points), len(block)), dtype=bool)  # free[p, b]: p is no point of start + b
         free[slots[start:stop].T, block] = False
-        columns = np.ones((self.n, len(block)), dtype=bool)
+        packed = np.packbits(free, axis=1)
+        columns = np.full((self.n, packed.shape[1]), 0xFF, dtype=np.uint8)
         for slot in slots.T:
-            columns &= free[slot]
-        columns[start + block, block] = False
-        return columns
+            columns &= packed[slot]
+        shifts = np.arange(7, -1, -1, dtype=np.uint8)[:, None]  # packbits puts entry 8c + i at bit 7 - i of byte c
+        bits = np.empty((packed.shape[1], 8, self.n), dtype=np.uint8)  # bits[c, i, y] = A[start + 8c + i, y]
+        np.right_shift(np.ascontiguousarray(columns.T)[:, None, :], shifts, out=bits)
+        bits &= 1
+        rows = bits.reshape(-1, self.n)[: len(block)].view(bool)
+        rows[block, start + block] = False
+        return rows
 
     def adjacency_strips(self):
-        """A as consecutive C-contiguous bool strips of rows, about 2^22 entries each: A is symmetric."""
+        """A as consecutive C-contiguous bool strips of rows, about 2^22 entries each."""
         rows = max(1, 2**22 // self.n)
         for r in range(0, self.n, rows):
-            yield np.ascontiguousarray(self.adjacency_columns(r, min(r + rows, self.n)).T)
+            yield self.adjacency_rows(r, min(r + rows, self.n))
 
 
-def _ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's index among the distinct rows of a 2-D int array, and those rows in lexicographic order.
+def _point_ids(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The index of each code in points, an array of distinct codes that holds every one of them."""
+    order = np.argsort(points)
+    return order[np.searchsorted(points, codes, sorter=order)]
 
-    A lexsort and a comparison of neighbours: a 1-D np.unique would import
-    numpy.ma (numpy >= 2), which costs more than the sort.
+
+def _key(rows: np.ndarray, q: int, base: int) -> np.ndarray:
+    """Sorted rows of w ids below base, as a (words, len(rows)) int64 array of their first ceil(w/q) ids.
+
+    For the point ids of j-subspaces, w = [j 1]_q = q [j-1 1]_q + 1, and two
+    distinct j-subspaces share at most [j-1 1]_q points, so those first ids
+    tell them apart.  They are read base `base`, first id most significant,
+    63 // bits of them to a word, so words compare as the prefixes do,
+    lexicographically.  That is one word unless the prefix is long (the
+    vertices of qK(8,4) q=2 take two).  Rows of width 0 all get the key 0.
     """
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))  # rows of width 0 are all equal
-    ordered = rows[order]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
+    count = -(-rows.shape[1] // q)
+    per = 63 // max(1, (base - 1).bit_length())
+    words = np.zeros((max(1, -(-count // per)), len(rows)), dtype=np.int64)
+    for i in range(count):
+        words[i // per] *= base
+        words[i // per] += rows[:, i]
+    return words
+
+
+def _ids(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's index among the distinct columns of words (as _key writes them), in
+    lexicographic order (words[0] first), and for each distinct column one column equal to it.
+
+    An argsort (a lexsort for several words) and a comparison of
+    neighbours: a 1-D np.unique would import numpy.ma (numpy >= 2), which
+    costs more than the sort.
+    """
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+    ordered = words[:, order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    ids = np.empty(len(order), dtype=np.int64)
     ids[order] = np.cumsum(fresh) - 1
-    return ids, ordered[fresh]
+    return ids, order[fresh]
 
 
-def _lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The index of each row of queries among the distinct rows of table, or -1 where it is none of them."""
-    ids, distinct = _ids(np.concatenate([table, queries]))
-    index = np.full(len(distinct), -1)
+def _lookup(table: np.ndarray, queries: np.ndarray, q: int, base: int) -> np.ndarray:
+    """The index of each row of queries among the rows of table, or -1 where it is none of them;
+    both hold the sorted point ids (below base) of subspaces of one dimension, told apart by _key."""
+    ids, first = _ids(np.concatenate([_key(table, q, base), _key(queries, q, base)], axis=1))
+    index = np.full(len(first), -1)
     index[ids[: len(table)]] = np.arange(len(table))
     return index[ids[len(table) :]]
 
@@ -328,11 +382,12 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
     i < e (the field elements x^i, an additive basis of GF(q) over GF(p)).
     Each acts on the projective points through FieldCtx element ops, each
     image renormalised to a leading 1; a j-subspace goes where its sorted
-    point ids go, and a vertex where it goes as a k-subspace.  An image
-    that is no vertex raises InvariantError.  certify_spectrum checks what
-    it relies on (that each map is a permutation carrying the subspaces of
-    every vertex x to those of sigma x, and that the sigmas are
-    transitive), so nothing here is taken on trust.
+    point ids go (found by _lookup), and sigma is tau_k, since level k is
+    keyed by the vertex.  An image that is no vertex raises
+    InvariantError.  certify_spectrum checks what it relies on (that each
+    map is a permutation carrying the subspaces of every vertex x to those
+    of sigma x, and that the sigmas are transitive), so nothing here is
+    taken on trust.
     """
     ctx, q, v = graph.ctx, graph.ctx.q, graph.v
     if graph.n == 1:  # nothing to carry anywhere
@@ -346,14 +401,11 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
 
     generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[1], x[0], *x[2:]]]
     generators += [lambda x, c=ctx.p**i: [x[0], ctx.add(x[1], ctx.mul(c, x[0])), *x[2:]] for i in range(ctx.e)]
-    itself = graph.flats[-1][:, 0]  # each vertex's id as a k-subspace
-    vertex = np.full(len(graph.keys[-1]) + 1, -1)  # the vertex of each such id; the id -1 (no key) reads -1
-    vertex[itself] = np.arange(graph.n)
     automorphisms = []
     for g, generator in enumerate(generators):
-        tau = np.searchsorted(graph.points, np.array([point(generator(x)) for x in vectors]) @ weights)
-        flats = tuple(_lookup(key, np.sort(tau[key], axis=1)) for key in graph.keys)
-        sigma = vertex[flats[-1][itself]]
+        tau = _point_ids(graph.points, np.array([point(generator(x)) for x in vectors]) @ weights)
+        flats = tuple(_lookup(key, np.sort(tau[key], axis=1), q, len(graph.points)) for key in graph.keys)
+        sigma = flats[-1]  # level k is keyed by the vertex
         if (sigma < 0).any():
             raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
         automorphisms.append(Automorphism(sigma, flats))
@@ -570,7 +622,7 @@ def certify_spectrum(graph: Incidence, predicted: SpectrumTable, automorphisms) 
     """
     eigenvalues, _ = _prediction(predicted)  # refused before any work
     _check_automorphisms(graph, automorphisms)
-    column = graph.adjacency_columns(0, 1)[:, 0]  # A e_0, a block of one column
+    column = graph.adjacency_rows(0, 1)[0]  # A e_0, row 0 of a block of one: A is symmetric
     degree = int(column.sum())
     growth = sum(abs(_coefficient(graph.ctx.q, j)) * table.shape[1] for j, table in enumerate(graph.flats))
 
@@ -595,25 +647,36 @@ def certify_spectrum(graph: Incidence, predicted: SpectrumTable, automorphisms) 
 
 
 def dump_vertices(bases: np.ndarray, path: str | Path) -> None:
-    """One RREF basis per line: entry encodings, row-major, space-separated."""
-    lines = [" ".join(map(str, basis)) for basis in bases.reshape(len(bases), -1).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One RREF basis per line: entry encodings, row-major, space-separated.
+
+    Each entry is looked up in a table of str(0..max) as NUL-padded bytes
+    and followed by a space; the last space of a line is a NUL, a newline
+    column follows, and the buffer is written without its NULs.
+    """
+    flat = bases.reshape(len(bases), -1)
+    table = np.array([str(e) for e in range(int(flat.max(initial=0)) + 1)], dtype="S")
+    cells = np.zeros((*flat.shape, table.itemsize + 1), dtype=np.uint8)
+    cells[..., :-1] = table[flat].view(np.uint8).reshape(*flat.shape, table.itemsize)
+    cells[:, :-1, -1] = ord(" ")
+    text = np.concatenate([cells.reshape(len(flat), -1), np.full((len(flat), 1), ord("\n"), dtype=np.uint8)], axis=1)
+    Path(path).write_bytes(text[text != 0])
 
 
 def dump_adjacency(strips, path: str | Path) -> None:
     """One 0/1 row per line, space-separated, from consecutive strips of rows (2-D arrays,
-    as Incidence.adjacency_strips yields them); other entries raise ValueError."""
+    as Incidence.adjacency_strips yields them); other entries raise ValueError.
+
+    An entry e is the little-endian uint16 0x2030 + e, the bytes "0 " or
+    "1 ", and the last of a row is XORed to "0\\n" or "1\\n": each strip's
+    text is one array, written as it is.
+    """
     with open(path, "wb") as out:
         for strip in strips:
             if strip.size and (strip.max() > 1 or strip.min() < 0):
                 raise ValueError("adjacency dump needs 0/1 entries")
-            # row i is bytes 2n*i .. 2n*(i+1): a digit at every even column, a
-            # space after it, and a newline in place of the last space
-            text = np.full((len(strip), 2 * strip.shape[1]), ord(" "), dtype=np.uint8)
-            text[:, ::2] = strip
-            text[:, ::2] += ord("0")
-            text[:, -1] = ord("\n")
-            out.write(text.tobytes())
+            text = np.add(strip, 0x2030, dtype="<u2", casting="unsafe", order="C")
+            text[:, -1] ^= 0x2030 ^ 0x0A30
+            out.write(text)
 
 
 def dump_certification(result: CertificationResult, path: str | Path) -> None:

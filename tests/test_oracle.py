@@ -834,6 +834,52 @@ def test_adjacency_strips_zero_their_own_stretch_of_the_diagonal():
     assert len(starts) > 2 and set(sums) == {5376} and len(sums) == 5797
 
 
+@pytest.mark.parametrize("v,k,q,start,stop", [
+    (3, 0, 2, 0, 1), (3, 1, 4, 5, 18), (4, 2, 3, 100, 130), (5, 2, 2, 150, 155), (6, 3, 2, 700, 713),
+    (6, 4, 2, 640, 651),
+])
+def test_adjacency_rows_are_the_rank_route(v, k, q, start, stop):
+    # rows start..stop-1 of A against intersection_dim == 0 for k = 0..4, in
+    # blocks of 1, 5, 11, 13 and 30 rows (no multiple of 8) that cross the
+    # diagonal; qK(6,4) over GF(2) is the null graph
+    ctx = field_of_order(q)
+    subs = enumerate_subspaces(ctx, v, k)
+    rows = Incidence(subs, ctx).adjacency_rows(start, stop)
+    assert rows.dtype == bool and rows.flags.c_contiguous and rows.shape == (stop - start, len(subs))
+    expected = [[x != y and intersection_dim(ctx, subs[x], subs[y]) == 0 for y in range(len(subs))]
+                for x in range(start, stop)]
+    assert rows.tolist() == expected
+
+
+@pytest.mark.parametrize("base", [63, 2**21, 2**40])
+def test_lookup_finds_subspaces_by_keys_of_one_or_more_words(base):
+    # qK(6,3) over GF(2): a line is told apart by its first 2 point ids and
+    # a plane by its first 4; read base 63 they fit one word each, base 2^21
+    # the planes take 2 words and base 2^40 one word per id
+    ctx = make_field(2, 1)
+    graph = Incidence(enumerate_subspaces(ctx, 6, 3), ctx)
+    lines, planes = graph.keys[2], graph.keys[3]
+    shuffle = np.random.default_rng(0).permutation(len(lines))
+    assert oracle._lookup(lines, lines[shuffle], 2, base).tolist() == shuffle.tolist()
+    assert oracle._lookup(planes[1:], planes, 2, base).tolist() == [-1, *range(len(planes) - 1)]
+
+
+def test_dump_vertices_of_the_zero_subspace(tmp_path):
+    path = tmp_path / "vertices.txt"
+    dump_vertices(enumerate_subspaces(make_field(2, 1), 3, 0), path)
+    assert path.read_bytes() == b"\n"
+
+
+@pytest.mark.parametrize("v,k,q", [(3, 2, 11), (3, 1, 16), (4, 2, 11), (2, 1, 16)])
+def test_dump_vertices_is_the_joined_entries(tmp_path, v, k, q):
+    # entries of one and two digits, against a join of Python strings
+    subs = enumerate_subspaces(field_of_order(q), v, k, budget=20000)
+    path = tmp_path / "vertices.txt"
+    dump_vertices(subs, path)
+    rows = subs.reshape(len(subs), -1).tolist()
+    assert path.read_bytes() == "".join(" ".join(map(str, row)) + "\n" for row in rows).encode()
+
+
 def test_extension_field_vertices_serialize_with_element_encodings():
     ctx = make_field(2, 2)  # GF(4): encodings 0..3 appear literally
     subs = enumerate_subspaces(ctx, 2, 1)
