@@ -287,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # before Python 3.12 a "--" after "--" is a positional's value [], unconverted
+            parser.error("a positional argument got '--', not a value")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -25,9 +25,9 @@ holds Python floats).  Every matrix, results included, is stored in the
 narrowest exact dtype for its own entries, so a 0/1 adjacency matrix and
 its square stay float32 up to n = 2**24 - 1, half the bytes of float64.
 
-The certificate in oracle never touches IntMatrix: it applies the
-factored operator of qK(v, k) to one vector at a time, under the same
-rule, through _dtype and _cast.  IntMatrix is the dense reference that
+The certificate in oracle never touches IntMatrix or this rule: it
+computes in Python ints on the quotient matrix of an equitable
+partition, a few rows.  IntMatrix is the dense reference that
 oracle.build_adjacency returns and the tests compare the certificate
 against.
 """

@@ -2,8 +2,7 @@
 
 This module builds qK(v, k) from scratch: it enumerates every
 k-dimensional subspace of F_q^v as a canonical reduced-row-echelon basis,
-lists the j-subspaces of each vertex at every level j = 0..k (the zero
-subspace, the points, ..., the vertex itself), and certifies a predicted
+lists the projective points of each vertex, and certifies a predicted
 spectrum of the adjacency matrix A (x ~ y iff x != y share no point, as
 Incidence.adjacency_rows computes it) with zero numerical tolerance:
 
@@ -16,49 +15,36 @@ Incidence.adjacency_rows computes it) with zero numerical tolerance:
 
 Both checks passing means the predicted spectrum IS the spectrum.
 
-Both checks read one column of A, through a checked transitive group.
-GL(v, q) permutes the k-subspaces transitively and preserves trivial
-intersection (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), and
-vertex_automorphisms turns generators of it into permutations tau_j of
-the j-subspaces at each level and sigma of the vertices.  Nothing is taken
-on trust: certify_spectrum checks that each is a permutation, that the
-j-subspaces of sigma x are tau_j of those of x at every level, for every
-vertex x, and that the sigmas together carry vertex 0 to every vertex.
-The j-subspaces are numbered by a prefix of their sorted point ids
-(_key), and a wrong number could only make one of these checks fail.
-Then sigma, as a permutation matrix S, preserves every W_j, the j-subspace
-x vertex incidence, hence A (read off W_1) and every W_j^T W_j.
-
-The certificate never forms A.  It applies the factored operator
-
-    Op = sum_{j=0..k} (-1)^j q^C(j,2) W_j^T W_j
-
-to one vector at a time, one term per level: (W_j^T W_j)[x, y] counts
-the j-subspaces of x meet y, and sum_j (-1)^j q^C(j,2) [d j]_q =
-prod_{i<d} (1 - q^i) is 1 for d = 0 and 0 otherwise (Andrews, The Theory
-of Partitions, Thm 3.3 at z = 1).  The proof does not rest on that
-identity: certify_spectrum checks that Op e_0 is the brute-force column
-(the vertices that share no point with vertex 0).  Op and A are both
-sigma-invariant, and a matrix M with M[sigma x, sigma y] = M[x, y] for a
-transitive group is fixed by its column 0, so Op = A.  A commutes with S,
-hence so does every polynomial in A: P(A) e_sigma(i) = S P(A) e_i and
-(A^m)_ii = (A^m)_sigma(i)sigma(i), so
+Both checks read one column of A, through checked automorphisms.  GL(v, q)
+permutes the k-subspaces transitively and preserves trivial intersection
+(Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), and
+vertex_automorphisms turns generators of it into permutations tau of the
+points and sigma of the vertices.  Nothing is taken on trust:
+certify_spectrum checks that each is a permutation, that the points of
+sigma x are tau of those of x for every vertex x (so sigma preserves A),
+and that the sigmas together carry vertex 0 to every vertex.  A commutes
+with each sigma as a permutation matrix S, hence so does every polynomial
+in A: P(A) e_sigma(i) = S P(A) e_i and (A^m)_ii = (A^m)_sigma(i)sigma(i), so
 
   * P(A) = 0 iff P(A) e_0 = 0, and tr(A^m) = n (A^m)_00;
   * P(A) is symmetric, so when it is not zero its row 0 is not zero, and
     its row-major first nonzero entry is (0, j, P(A)[j, 0]) for the first
     nonzero j of P(A) e_0: the entry the sequential product reports.
 
-The certificate is the Krylov column A^m e_0, m = 0..max(k, number of
-eigenvalues): its entries 0 give the moments, and P(A) e_0 is its
-combination with the coefficients of prod_j (x - lambda_j).  Each step
-runs in intmatrix._dtype of an a-priori bound: A^m e_0 >= 0 and A is
-regular of degree d (it is vertex-transitive), so ||A^(m-1) e_0||_1 =
-d^(m-1), and every term and partial sum of Op A^(m-1) e_0 is at most
-prod_{i<k} (1 + q^i) d^(m-1); P(A) e_0 runs in
-_dtype(prod_j (n + |lambda_j|)).  Beside the incidence, whose size is
-n sum_j [k j]_q ids, the certificate keeps a few vectors of length n:
-no n x n array.  Only --dump forms A, a strip of rows at a time.
+The column is read through a quotient (Godsil-Royle, Algebraic Graph
+Theory, ch. 9; Brouwer-Haemers, Spectra of Graphs, ch. 2).  The checked
+sigmas that fix vertex 0 generate a group H of automorphisms; its orbits
+form an equitable partition, and vertex 0 is an orbit of its own, O_0.
+With B[O][O'] = |N(u) & O'| for the smallest u in O (the same for every u
+in O, since H preserves A and O'), A lift(y) = lift(B y) for every vector
+y on the r orbits, lift(y) being y[O] at each vertex of O.  So A^m e_0 is
+the lift of B^m e_O0, the moments are n (B^m)_O0O0, and P(A) e_0 is the
+lift of P(B) e_O0: its first nonzero entry is at the smallest vertex of
+the first orbit (orbits are numbered by their smallest vertex) where
+P(B) e_O0 is nonzero.  B takes r rows of A, and the Krylov column
+B^m e_O0, m = 0..max(k, number of eigenvalues), is r Python ints a step:
+no n x n array and no bound.  A smaller H only makes r larger; nothing
+assumes r = k + 1.  Only --dump forms A, a strip of rows at a time.
 
 The vertex list is one read-only (n, k, v) int64 array of RREF bases,
 built pivot-set by pivot-set: one numpy block per choice of pivot
@@ -81,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf import FieldCtx
-from .intmatrix import IntMatrix, _cast, _dtype
+from .intmatrix import IntMatrix
 from .laurent import InvariantError
 from .qbinom import gauss_eval_product
 from .spectrum import SpectrumTable
@@ -213,60 +199,29 @@ def _point_codes(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
 
 
 class Incidence:
-    """qK(v, k) as the subspaces of its vertices, the form the certificate reads.
+    """qK(v, k) as the projective points of its vertices, the form the certificate reads.
 
     points holds the codes of the projective points of F_q^v (as
     _point_codes writes them) in the order of enumerate_subspaces(ctx, v,
-    1); a point's id is its index there.  For each level j = 0..k, flats[j]
-    is the (n, [k j]_q) array of the ids of the j-subspaces of each vertex,
-    every row sorted, and keys[j][i] the sorted row of the point ids of
-    j-subspace i.  Level 0 is the zero subspace (one id, no points), level 1
-    the points (keys[1][i] = [i]), and level k the vertex itself, keyed by
-    its index: flats[k] is range(n) as a column and keys[k] each vertex's
-    point ids (the array flats[1] when k >= 2; for k = 1 vertex x of the
-    full enumeration is point x).
-
-    A j-subspace of a vertex is the span of its RREF rows combined with
-    the coefficients of a j-subspace U of F_q^k, so its points are the
-    vertex's points at U's point slots (the positions of U's points among
-    the coefficient vectors of _point_codes): no elimination is needed.
-    The levels 1 < j < k are numbered by _ids on the _key of each row.
+    1); a point's id is its index there.  members is the (n, [k 1]_q) array
+    of the point ids of each vertex, every row sorted (for k = 1 vertex x of
+    the full enumeration is point x).
     """
 
-    __slots__ = ("ctx", "v", "k", "points", "flats", "keys")
+    __slots__ = ("ctx", "v", "k", "points", "members")
 
     def __init__(self, bases: np.ndarray, ctx: FieldCtx):
         n, k, v = bases.shape
         if n == 0:
             raise ValueError("empty vertex list")
-        q = ctx.q
-        points = _rref_bases(q, v, 1)[:, 0] @ q ** np.arange(v)
-        coefficients = _rref_bases(q, k, 1)[:, 0] @ q ** np.arange(k)
-        slots = _point_ids(points, _point_codes(ctx, bases))  # one column per coefficient vector
-        rows = np.sort(slots, axis=1)  # the point ids of each vertex
-        flats, keys = [np.zeros((n, 1), dtype=np.intp)], [np.zeros((1, 0), dtype=np.intp)]
-        if k > 1:
-            flats.append(rows)
-            keys.append(np.arange(len(points))[:, None])
-        for j in range(2, k):
-            members = _point_ids(coefficients, _point_codes(ctx, _rref_bases(q, k, j)))
-            subspaces = slots[:, members].reshape(-1, members.shape[1])  # a fresh array: sorted in place
-            subspaces.sort(axis=1)
-            ids, first = _ids(_key(subspaces, q, len(points)))
-            ids = ids.reshape(n, -1)
-            ids.sort(axis=1)
-            flats.append(ids)
-            keys.append(subspaces[first])
-            del subspaces  # before the next level's
-        if k:
-            flats.append(np.arange(n)[:, None])
-            keys.append(rows)
-        self.ctx, self.v, self.k, self.points = ctx, v, k, points
-        self.flats, self.keys = tuple(flats), tuple(keys)
+        self.ctx, self.v, self.k = ctx, v, k
+        self.points = _rref_bases(ctx.q, v, 1)[:, 0] @ ctx.q ** np.arange(v)
+        self.members = _point_ids(self.points, _point_codes(ctx, bases))
+        self.members.sort(axis=1)
 
     @property
     def n(self) -> int:
-        return len(self.flats[0])
+        return len(self.members)
 
     def adjacency_rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start..stop-1 of A as a C-contiguous (stop - start, n) bool array: x is adjacent
@@ -276,17 +231,17 @@ class Incidence:
         so the AND of packed at y's point ids holds A[start + b, y] at bit b:
         a byte per eight entries of column y, unpacked by shifts into rows.
         """
-        slots = self.keys[-1]  # the point ids of each vertex
         block = np.arange(stop - start)
         free = np.ones((len(self.points), len(block)), dtype=bool)  # free[p, b]: p is no point of start + b
-        free[slots[start:stop].T, block] = False
+        free[self.members[start:stop].T, block] = False
         packed = np.packbits(free, axis=1)
         columns = np.full((self.n, packed.shape[1]), 0xFF, dtype=np.uint8)
-        for slot in slots.T:
+        for slot in self.members.T:
             columns &= packed[slot]
-        shifts = np.arange(7, -1, -1, dtype=np.uint8)[:, None]  # packbits puts entry 8c + i at bit 7 - i of byte c
+        by_byte = np.ascontiguousarray(columns.T)  # by_byte[c, y]: byte c of column y
         bits = np.empty((packed.shape[1], 8, self.n), dtype=np.uint8)  # bits[c, i, y] = A[start + 8c + i, y]
-        np.right_shift(np.ascontiguousarray(columns.T)[:, None, :], shifts, out=bits)
+        for i in range(8):  # packbits puts entry 8c + i at bit 7 - i of byte c
+            np.right_shift(by_byte, 7 - i, out=bits[:, i])
         bits &= 1
         rows = bits.reshape(-1, self.n)[: len(block)].view(bool)
         rows[block, start + block] = False
@@ -300,7 +255,12 @@ class Incidence:
 
 
 def _point_ids(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The index of each code in points, an array of distinct codes that holds every one of them."""
+    """The index of each code in points, an array of distinct nonnegative codes that holds every one
+    of them: read off a table indexed by code when that is no larger than codes, else a sorted search."""
+    if points.max() < codes.size:
+        table = np.zeros(int(points.max()) + 1, dtype=np.intp)
+        table[points] = np.arange(len(points))
+        return table[codes]
     order = np.argsort(points)
     return order[np.searchsorted(points, codes, sorter=order)]
 
@@ -324,28 +284,22 @@ def _key(rows: np.ndarray, q: int, base: int) -> np.ndarray:
     return words
 
 
-def _ids(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's index among the distinct columns of words (as _key writes them), in
-    lexicographic order (words[0] first), and for each distinct column one column equal to it.
+def _lookup(table: np.ndarray, queries: np.ndarray, q: int, base: int) -> np.ndarray:
+    """The index of each row of queries among the rows of table, or -1 where it is none of them;
+    both hold the sorted point ids (below base) of subspaces of one dimension, told apart by _key.
 
-    An argsort (a lexsort for several words) and a comparison of
-    neighbours: a 1-D np.unique would import numpy.ma (numpy >= 2), which
-    costs more than the sort.
+    The keys of both are sorted together (an argsort, a lexsort for several
+    words) and numbered by a comparison of neighbours: a 1-D np.unique would
+    import numpy.ma (numpy >= 2), which costs more than the sort.
     """
+    words = np.concatenate([_key(table, q, base), _key(queries, q, base)], axis=1)
     order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
     ordered = words[:, order]
     fresh = np.ones(len(order), dtype=bool)
     fresh[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     ids = np.empty(len(order), dtype=np.int64)
     ids[order] = np.cumsum(fresh) - 1
-    return ids, order[fresh]
-
-
-def _lookup(table: np.ndarray, queries: np.ndarray, q: int, base: int) -> np.ndarray:
-    """The index of each row of queries among the rows of table, or -1 where it is none of them;
-    both hold the sorted point ids (below base) of subspaces of one dimension, told apart by _key."""
-    ids, first = _ids(np.concatenate([_key(table, q, base), _key(queries, q, base)], axis=1))
-    index = np.full(len(first), -1)
+    index = np.full(int(fresh.sum()), -1)
     index[ids[: len(table)]] = np.arange(len(table))
     return index[ids[len(table) :]]
 
@@ -367,48 +321,70 @@ def build_adjacency(bases: np.ndarray, ctx: FieldCtx) -> IntMatrix:
 @dataclass(eq=False)  # compared by identity: == on arrays is elementwise
 class Automorphism:
     """One generator's action: vertices is the vertex permutation sigma, and
-    flats[j] the permutation tau_j of the ids of Incidence.flats[j], for each
-    level j = 0..k (flats[1] = tau on the points)."""
+    points the permutation tau of the ids of Incidence.points."""
 
     vertices: np.ndarray
-    flats: tuple[np.ndarray, ...]
+    points: np.ndarray
 
 
 def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
-    """One Automorphism per generator of a subgroup of GL(v, q) that contains SL(v, q).
+    """One Automorphism per generator of a subgroup of GL(v, q), for 0 < k < v.
 
-    The generators are the cyclic shift of coordinates, the swap of
-    coordinates 0 and 1, and the transvections x_1 += c x_0 for c = p^i,
-    i < e (the field elements x^i, an additive basis of GF(q) over GF(p)).
-    Each acts on the projective points through FieldCtx element ops, each
-    image renormalised to a leading 1; a j-subspace goes where its sorted
-    point ids go (found by _lookup), and sigma is tau_k, since level k is
-    keyed by the vertex.  An image that is no vertex raises
-    InvariantError.  certify_spectrum checks what it relies on (that each
-    map is a permutation carrying the subspaces of every vertex x to those
-    of sigma x, and that the sigmas are transitive), so nothing here is
-    taken on trust.
+    Vertex 0 is span(e_0..e_{k-1}).  The first generator, the cyclic shift
+    of coordinates, moves it; the others fix it, acting on the blocks of
+    coordinates 0..k-1 and k..v-1 together: the shift within each block,
+    the swap of the first two coordinates of each (when a block has at
+    least 3 coordinates), and for each c = p^i, i < e (the field elements
+    x^i, an additive basis of GF(q) over GF(p)), the transvection
+    x_{lo+1} += c x_lo at the start lo of each block of at least 2
+    coordinates, then x_0 += c x_k.  Each acts on the projective points
+    through FieldCtx element ops, each image rescaled to a leading 1, and a
+    vertex goes where its sorted point ids go (found by _lookup); an image
+    that is no vertex raises InvariantError.  certify_spectrum checks what
+    it relies on (that each map is a permutation carrying the points of
+    every vertex x to those of sigma x, and that the sigmas are
+    transitive), so nothing here is taken on trust.
     """
-    ctx, q, v = graph.ctx, graph.ctx.q, graph.v
+    ctx, q, v, k = graph.ctx, graph.ctx.q, graph.v, graph.k
     if graph.n == 1:  # nothing to carry anywhere
         return []
     weights = q ** np.arange(v)  # a code reads the coordinates base q
     vectors = (graph.points[:, None] // weights % q).tolist()
+    inverses = [0, *(ctx.inv(a) for a in range(1, q))]
+    starts = [lo for lo, size in ((0, k), (k, v - k)) if size >= 2]  # blocks with a swap and a transvection
 
     def point(y):  # y scaled to a leading 1
-        scale = ctx.inv(next(t for t in y if t))
-        return [ctx.mul(scale, t) for t in y]
+        scale = inverses[next(t for t in y if t)]
+        return y if scale == 1 else [ctx.mul(scale, t) for t in y]
 
-    generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[1], x[0], *x[2:]]]
-    generators += [lambda x, c=ctx.p**i: [x[0], ctx.add(x[1], ctx.mul(c, x[0])), *x[2:]] for i in range(ctx.e)]
-    automorphisms = []
+    def swap(x):
+        y = list(x)
+        for lo in starts:
+            y[lo], y[lo + 1] = y[lo + 1], y[lo]
+        return y
+
+    def transvection(x, c):
+        y = list(x)
+        for lo in starts:
+            y[lo + 1] = ctx.add(y[lo + 1], ctx.mul(c, y[lo]))
+        return y
+
+    generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[k - 1], *x[: k - 1], x[-1], *x[k:-1]]]
+    if max(k, v - k) >= 3:
+        generators.append(swap)
+    for c in (ctx.p**i for i in range(ctx.e)):
+        if starts:
+            generators.append(lambda x, c=c: transvection(x, c))
+        generators.append(lambda x, c=c: [ctx.add(x[0], ctx.mul(c, x[k])), *x[1:]])
+    members, automorphisms = graph.members, []
     for g, generator in enumerate(generators):
         tau = _point_ids(graph.points, np.array([point(generator(x)) for x in vectors]) @ weights)
-        flats = tuple(_lookup(key, np.sort(tau[key], axis=1), q, len(graph.points)) for key in graph.keys)
-        sigma = flats[-1]  # level k is keyed by the vertex
+        image = tau[members]
+        image.sort(axis=1)
+        sigma = _lookup(members, image, q, len(graph.points))
         if (sigma < 0).any():
             raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
-        automorphisms.append(Automorphism(sigma, flats))
+        automorphisms.append(Automorphism(sigma, tau))
     return automorphisms
 
 
@@ -501,93 +477,86 @@ def _is_permutation(perm, size: int) -> bool:
     return perm.shape == (size,) and perm.dtype.kind in "iu" and np.array_equal(np.sort(perm), np.arange(size))
 
 
-def _check_automorphisms(graph: Incidence, automorphisms) -> None:
-    """Raise InvariantError unless every automorphism is a family of permutations, sigma of the
-    vertices and tau_j of the j-subspaces at each level j = 0..k, that carries the j-subspaces of
-    every vertex x to those of sigma x, and the sigmas together carry vertex 0 to every vertex.
-
-    The orbit of vertex 0 grows breadth-first, each vertex entering the frontier once.
-    """
+def _check_automorphisms(graph: Incidence, automorphisms) -> list[np.ndarray]:
+    """The sigmas of the automorphisms; InvariantError unless each is a pair of permutations, sigma of
+    the vertices and tau of the points, that carries the points of every vertex x to those of sigma x,
+    and the sigmas together carry vertex 0 to every vertex."""
     n, perms = graph.n, []
     for g, automorphism in enumerate(automorphisms):
-        sigma = np.asarray(automorphism.vertices)
+        sigma, tau = np.asarray(automorphism.vertices), np.asarray(automorphism.points)
         if not _is_permutation(sigma, n):
             raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
-        if len(automorphism.flats) != len(graph.flats):
-            raise InvariantError(f"automorphism {g} acts on {len(automorphism.flats)} levels of subspace, "
-                                 f"not on the {len(graph.flats)} levels 0..{graph.k}")
-        for j, (table, key, tau) in enumerate(zip(graph.flats, graph.keys, automorphism.flats)):
-            if not _is_permutation(tau, len(key)):
-                raise InvariantError(f"automorphism {g} is not a permutation of the {len(key)} {j}-subspaces")
-            moved = (np.sort(np.asarray(tau)[table], axis=1) != table[sigma]).any(axis=1)
-            if moved.any():
-                x = int(np.argmax(moved))
-                raise InvariantError(f"automorphism {g} does not carry the {j}-subspaces of vertex {x} "
-                                     f"to those of vertex {sigma[x]}")
+        if not _is_permutation(tau, len(graph.points)):
+            raise InvariantError(f"automorphism {g} is not a permutation of the {len(graph.points)} 1-subspaces")
+        image = tau[graph.members]
+        image.sort(axis=1)
+        moved = (image != graph.members[sigma]).any(axis=1)
+        if moved.any():
+            x = int(np.argmax(moved))
+            raise InvariantError(f"automorphism {g} does not carry the 1-subspaces of vertex {x} "
+                                 f"to those of vertex {sigma[x]}")
         perms.append(sigma)
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        fresh = np.zeros(n, dtype=bool)
-        for sigma in perms:
-            fresh[sigma[frontier]] = True
-        fresh &= ~reached
-        reached |= fresh
-        frontier = np.flatnonzero(fresh)
-    if not reached.all():
-        raise InvariantError(f"the automorphisms carry vertex 0 to {int(reached.sum())} of {n} vertices, not to all")
+    orbit, _ = _orbits(perms, n)
+    if orbit.any():
+        raise InvariantError(f"the automorphisms carry vertex 0 to {int((orbit == 0).sum())} of {n} vertices, "
+                             f"not to all")
+    return perms
 
 
-def _coefficient(q: int, j: int) -> int:
-    """(-1)^j q^C(j, 2), the weight of the j-subspaces in the inclusion factorisation of A."""
-    return (-1) ** j * q ** (j * (j - 1) // 2)
+def _orbits(perms, n: int) -> tuple[np.ndarray, list[int]]:
+    """The orbits on range(n) of the group the permutations generate: each vertex's orbit and each
+    orbit's smallest vertex, the orbits numbered in the order of those.
 
-
-def _apply(graph: Incidence, x: np.ndarray, dtype) -> np.ndarray:
-    """Op x in dtype, for Op = sum_{j=0..k} (-1)^j q^C(j,2) W_j^T W_j.
-
-    W_j is the j-subspace x vertex incidence.  W_j x is a scatter-add of x
-    onto the ids of graph.flats[j], and W_j^T y a gather of y and a row sum.
-    With w_j = [k j]_q the width of that table, every term and partial sum
-    is at most sum_j q^C(j,2) w_j ||x||_1 in absolute value, so this is
-    exact in _dtype of that bound.
+    Each orbit grows breadth-first from its smallest vertex, each vertex
+    entering the frontier once (a finite group's orbit is the set of images
+    under words in the generators).
     """
-    x = _cast(x, dtype)
-    result = np.zeros(len(x), dtype=dtype)
-    for j, (table, key) in enumerate(zip(graph.flats, graph.keys)):
-        sums = np.zeros(len(key), dtype=dtype)
-        np.add.at(sums, table, x[:, None])
-        result += _coefficient(graph.ctx.q, j) * sums[table].sum(axis=1)
-    return result
+    orbit, smallest, start = np.full(n, -1, dtype=np.intp), [], 0
+    while orbit[start] < 0:  # start is the smallest vertex in no orbit yet
+        orbit[start] = len(smallest)
+        frontier = np.array([start])
+        while frontier.size:
+            fresh = np.zeros(n, dtype=bool)
+            for sigma in perms:
+                fresh[sigma[frontier]] = True
+            fresh &= orbit < 0
+            orbit[fresh] = len(smallest)
+            frontier = np.flatnonzero(fresh)
+        smallest.append(start)
+        start = int(np.argmax(orbit < 0))  # 0, in an orbit, once every vertex is
+    return orbit, smallest
 
 
-def _krylov(apply, column: list[np.ndarray], bounds: list[int]) -> list[np.ndarray]:
-    """column extended by one apply(x, _dtype(bound)) of its last vector per bound, in order."""
-    for bound in bounds:
-        column.append(apply(column[-1], _dtype(bound)))
-    return column
+def _quotient(graph: Incidence, sigmas) -> tuple[np.ndarray, list[int], list[list[int]]]:
+    """The orbits of the sigmas that fix vertex 0 (as _orbits numbers them), and the quotient
+    B[O][O'] = |N(u) & O'| for the smallest vertex u of O, read off row u of A."""
+    orbit, smallest = _orbits([sigma for sigma in sigmas if sigma[0] == 0], graph.n)
+    counts = [np.bincount(orbit[graph.adjacency_rows(u, u + 1)[0]], minlength=len(smallest)) for u in smallest]
+    return orbit, smallest, [row.tolist() for row in counts]
 
 
-def _column_certificate(predicted: SpectrumTable, column: list[np.ndarray], top: int,
-                        degree: int | None) -> CertificationResult:
-    """The certificate read off the Krylov column A^m e_0, m = 0..max(k, number of eigenvalues).
+def _column_certificate(predicted: SpectrumTable, quotient: list[list[int]], n: int,
+                        smallest: list[int]) -> CertificationResult:
+    """The certificate read off the Krylov column B^m e_O0, m = 0..max(k, number of eigenvalues), of
+    the quotient B of a graph on n vertices; smallest holds each orbit's smallest vertex, O_0 = {0}
+    first (B = A and a single vertex per orbit when smallest is range(n)).
 
-    The moments are n (A^m e_0)_0, and P(A) e_0 is the column's combination
-    with the coefficients of prod_j (x - lambda_j), formed in
-    _dtype(prod_j (top + |lambda_j|)); top must bound |A^m e_0| by top^m.
+    The moments are n (B^m e_O0)_O0, the degree is the sum of row O_0, and
+    P(B) e_O0 is the column's combination with the coefficients of
+    prod_j (x - lambda_j): all in Python ints.
     """
     eigenvalues, multiplicities = _prediction(predicted)
-    n, k = len(column[0]), predicted.k
-    moments = [n * int(x[0]) for x in column[: k + 1]]
-    coeffs, bound = [1], 1  # of prod_j (x - lambda_j), lowest degree first; prod_j (top + |lambda_j|)
+    k = predicted.k
+    column = [[int(o == 0) for o in range(len(smallest))]]  # e_O0
+    for _ in range(max(k, len(eigenvalues))):
+        column.append([sum(b * x for b, x in zip(row, column[-1])) for row in quotient])
+    moments = [n * x[0] for x in column[: k + 1]]
+    coeffs = [1]  # of prod_j (x - lambda_j), lowest degree first
     for lam in eigenvalues:
         coeffs = [shifted - lam * c for shifted, c in zip([0, *coeffs], [*coeffs, 0])]
-        bound *= top + abs(lam)
-    dtype = _dtype(bound)
-    product = sum(c * _cast(x, dtype) for c, x in zip(coeffs, column))  # P(A) e_0
-    nonzero = np.flatnonzero(product)
-    residual = (0, int(nonzero[0]), int(product[nonzero[0]])) if nonzero.size else None
+    product = [sum(c * x[o] for c, x in zip(coeffs, column)) for o in range(len(smallest))]  # P(B) e_O0
+    nonzero = next((o for o, value in enumerate(product) if value), None)
+    residual = None if nonzero is None else (0, smallest[nonzero], product[nonzero])
     expected = [sum(mult * lam**m for lam, mult in zip(eigenvalues, multiplicities)) for m in range(k + 1)]
     offending = [(m, e, a) for m, (e, a) in enumerate(zip(expected, moments)) if e != a]
     return CertificationResult(
@@ -595,7 +564,7 @@ def _column_certificate(predicted: SpectrumTable, column: list[np.ndarray], top:
         k=k,
         q=predicted.q,
         vertex_count=n,
-        degree=degree,
+        degree=sum(quotient[0]),
         annihilation_ok=residual is None,
         moments_ok=not offending,
         moments=moments,
@@ -613,33 +582,16 @@ def certify_spectrum(graph: Incidence, predicted: SpectrumTable, automorphisms) 
 
     Requires an evaluated prediction with distinct eigenvalues and positive
     multiplicities (ValueError otherwise), and Automorphisms (as
-    vertex_automorphisms returns them) that carry the subspaces of every
-    vertex to those of its image and act transitively, and a factored
-    operator whose column 0 is the brute-force column: InvariantError
-    otherwise.  Runs the annihilating product and the moment checks on
-    column 0 in exact integer arithmetic; a mismatch is reported as data,
-    with the offending moment or a nonzero residual entry.
+    vertex_automorphisms returns them) that carry the points of every
+    vertex to those of its image and act transitively (InvariantError
+    otherwise).  Runs the annihilating product and the moment checks on
+    column 0, through the quotient on the orbits of the automorphisms that
+    fix vertex 0, in exact integer arithmetic; a mismatch is reported as
+    data, with the offending moment or a nonzero residual entry.
     """
-    eigenvalues, _ = _prediction(predicted)  # refused before any work
-    _check_automorphisms(graph, automorphisms)
-    column = graph.adjacency_rows(0, 1)[0]  # A e_0, row 0 of a block of one: A is symmetric
-    degree = int(column.sum())
-    growth = sum(abs(_coefficient(graph.ctx.q, j)) * table.shape[1] for j, table in enumerate(graph.flats))
-
-    def apply(x, dtype):
-        return _apply(graph, x, dtype)
-
-    start = (np.arange(graph.n) == 0).astype(_dtype(1))  # e_0
-    krylov = _krylov(apply, [start], [growth])
-    mismatch = np.flatnonzero(krylov[1] != column)
-    if mismatch.size:
-        i = int(mismatch[0])
-        raise InvariantError(f"the factored operator's column 0 has {int(krylov[1][i])} at vertex {i}, "
-                             f"the brute-force column {int(column[i])}")
-    # Op = A now, so A^m e_0 >= 0 and ||A^m e_0||_1 = degree^m: A is regular, being vertex-transitive
-    steps = max(predicted.k, len(eigenvalues))
-    krylov = _krylov(apply, krylov, [growth * degree ** (m - 1) for m in range(2, steps + 1)])
-    return _column_certificate(predicted, krylov, graph.n, degree)
+    _prediction(predicted)  # refused before any work
+    _, smallest, quotient = _quotient(graph, _check_automorphisms(graph, automorphisms))
+    return _column_certificate(predicted, quotient, graph.n, smallest)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ from qkneser.intmatrix import IntMatrix
 
 @pytest.fixture
 def no_matrix_products(monkeypatch):
-    # IntMatrix.__matmul__ raises: the certificate applies the factored
-    # operator to a single vector and forms no n x n product
+    # IntMatrix.__matmul__ raises: the certificate reads a few rows of A
+    # and forms no n x n product
     def refuse(self, other):
         raise AssertionError("the certificate formed a matrix product")
 

@@ -696,6 +696,7 @@ def test_a_large_prime_order_is_factored_at_once(capsys):
 @example(argv=["verify", "spectrum", "4", "2", "6"])
 @example(argv=["verify", "spectrum", "4", "2", "3", "--budget", "10"])
 @example(argv=["count-subspaces", "2", "3", "2"])
+@example(argv=["gauss", "-3", "--", "--"])  # Python 3.11 passed the second "--" on as i = []
 def test_exit_contract_holds_for_random_argv(argv):
     # 0 = ok, 1 = a real verification failure, 2 = usage or resource error.
     # The honest code has no verification failure to report, so any exit 1

@@ -328,44 +328,47 @@ def assert_verification_failure(capsys, *argv):
 
 
 def _not_a_permutation(graph):
-    return [Automorphism(np.zeros(graph.n, dtype=np.int64), vertex_automorphisms(graph)[0].flats)]
+    return [Automorphism(np.zeros(graph.n, dtype=np.int64), vertex_automorphisms(graph)[0].points)]
 
 
 def _swap_vertices_0_and_1(graph):
     # sigma swaps two vertices and fixes everything else
     sigma = np.arange(graph.n)
     sigma[[0, 1]] = 1, 0
-    return [Automorphism(sigma, tuple(np.arange(len(key)) for key in graph.keys))]
+    return [Automorphism(sigma, np.arange(len(graph.points)))]
 
 
-def _swap_two_lines_of_vertex_0(graph):
-    # tau_2 composed with the swap of two lines of vertex 0: vertex 0 keeps
-    # its lines, but a plane through one of them and not the other does not
+def _fixes_vertex_0_and_swaps_two_others(graph):
+    # the honest generators and one more that fixes vertex 0 and swaps
+    # vertices 1 and 2: it would join them in one orbit of the quotient
+    sigma = np.arange(graph.n)
+    sigma[[1, 2]] = 2, 1
+    return [*vertex_automorphisms(graph), Automorphism(sigma, np.arange(len(graph.points)))]
+
+
+def _tau_of_the_wrong_length(graph):
+    # the honest generators, the first one's tau short of its last point
     first, *rest = vertex_automorphisms(graph)
-    lines = graph.flats[2][0][:2]
-    swap = np.arange(len(graph.keys[2]))
-    swap[lines] = lines[::-1]
-    return [Automorphism(first.vertices, (*first.flats[:2], first.flats[2][swap], *first.flats[3:])), *rest]
-
-
-def _drop_the_last_level(graph):
-    # the honest generators without their action on the vertices themselves
-    return [Automorphism(a.vertices, a.flats[:-1]) for a in vertex_automorphisms(graph)]
+    return [Automorphism(first.vertices, first.points[:-1]), *rest]
 
 
 @pytest.mark.parametrize("v,k,q,bad,message", [
     pytest.param(4, 2, 2, _not_a_permutation, "is not a permutation", id="not-a-permutation"),
     pytest.param(4, 2, 2, _swap_vertices_0_and_1, "does not carry the 1-subspaces of vertex 0 to those of vertex 1",
                  id="swap-two-vertices"),
-    pytest.param(4, 2, 2, lambda graph: vertex_automorphisms(graph)[:2], "to 6 of 35 vertices",
+    # the cyclic shift and the shift within each block of 2 coordinates:
+    # the dihedral group of the square 0123 carries span(e_0, e_1) to its 4 edges
+    pytest.param(4, 2, 2, lambda graph: vertex_automorphisms(graph)[:2], "to 4 of 35 vertices",
                  id="coordinate-permutations-alone"),
-    # only c = 1: S_4 and SL(4, 2) carry span(e_0, e_1) only to the 35 planes defined over GF(2)
-    pytest.param(4, 2, 4, lambda graph: vertex_automorphisms(graph)[:3], "to 35 of 357 vertices",
+    # only c = 1: coordinate permutations and transvections over GF(2) carry
+    # span(e_0, e_1) only to the 35 planes defined over GF(2)
+    pytest.param(4, 2, 4, lambda graph: vertex_automorphisms(graph)[:4], "to 35 of 357 vertices",
                  id="gf4-without-the-transvection-by-x"),
-    pytest.param(6, 3, 2, _swap_two_lines_of_vertex_0, "does not carry the 2-subspaces of vertex",
-                 id="tau2-swaps-two-lines-of-a-vertex"),
-    pytest.param(4, 2, 2, _drop_the_last_level, "acts on 2 levels of subspace, not on the 3 levels 0..2",
-                 id="one-level-dropped"),
+    pytest.param(6, 3, 2, _fixes_vertex_0_and_swaps_two_others,
+                 "automorphism 5 does not carry the 1-subspaces of vertex 1 to those of vertex 2",
+                 id="fixes-vertex-0-and-swaps-two-others"),
+    pytest.param(4, 2, 2, _tau_of_the_wrong_length, "automorphism 0 is not a permutation of the 15 1-subspaces",
+                 id="tau-of-the-wrong-length"),
 ])
 def test_unchecked_automorphisms_are_refused(monkeypatch, capsys, v, k, q, bad, message):
     graph = Incidence(enumerate_subspaces(field_of_order(q), v, k), field_of_order(q))
@@ -375,29 +378,16 @@ def test_unchecked_automorphisms_are_refused(monkeypatch, capsys, v, k, q, bad, 
     assert_verification_failure(capsys, str(v), str(k), str(q))
 
 
-@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (6, 3, 2), (4, 2, 3)])
-def test_a_wrong_operator_coefficient_is_refused(monkeypatch, capsys, v, k, q):
-    # q^C(2,2) + 1 in place of q: for k = 2 the weight of I, for k = 3 that
-    # of the lines; Op e_0 is then not the brute-force column
-    honest = oracle._coefficient
-    monkeypatch.setattr(oracle, "_coefficient", lambda q, j: honest(q, j) + (j == 2))
-    graph, automorphisms = graph_of(field_of_order(q), v, k)
-    with pytest.raises(InvariantError, match="the factored operator's column 0 has"):
-        certify_spectrum(graph, spectrum_table(v, k, q), automorphisms)
-    assert_verification_failure(capsys, str(v), str(k), str(q))
-
-
-def test_the_single_vertex_of_qk_v_0_is_not_certified_with_a_loop():
-    # for k = 0 the zero subspace meets itself trivially, and the factored
-    # operator counts that as a loop; A = [0] has none, so Op e_0 is not the
-    # brute-force column and no spectrum of qK(3,0) is certified, the wrong
-    # eigenvalue 1 included
+def test_the_single_vertex_of_qk_v_0_is_certified_with_eigenvalue_0():
+    # qK(3,0) is the zero subspace alone, and A = [0] (no loop): the
+    # eigenvalue 0 is certified, and 1 leaves the residual A - I = [-1]
     ctx = make_field(2, 1)
     graph = Incidence(enumerate_subspaces(ctx, 3, 0), ctx)
-    for lam in (0, 1):
-        table = SpectrumTable(v=3, k=0, q=2, entries=(SpectrumEntry(0, lam, 1),))
-        with pytest.raises(InvariantError, match="column 0 has [1-9][0-9]* at vertex 0, the brute-force column 0"):
-            certify_spectrum(graph, table, vertex_automorphisms(graph))
+    results = [certify_spectrum(graph, SpectrumTable(v=3, k=0, q=2, entries=(SpectrumEntry(0, lam, 1),)),
+                                vertex_automorphisms(graph)) for lam in (0, 1)]
+    assert results[0].certified and results[0].moments == [1] and results[0].degree == 0
+    assert not results[1].certified and results[1].residual_entry == (0, 0, -1)
+    assert results[1].moments_ok  # tr(A^0) = 1 whatever the eigenvalue
 
 
 def test_an_image_that_is_no_vertex_is_refused():
@@ -416,12 +406,36 @@ def test_automorphisms_are_the_generators_action(v, k, q):
     subs = enumerate_subspaces(ctx, v, k)
     graph = Incidence(subs, ctx)
     points = [[code // q**t % q for t in range(v)] for code in graph.points.tolist()]
-    generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[1], x[0], *x[2:]]]
-    generators += [lambda x, c=ctx.p**i: [x[0], ctx.add(x[1], ctx.mul(c, x[0])), *x[2:]] for i in range(ctx.e)]
+    blocks = [range(k), range(k, v)]  # each generator but the shift acts on both at once
+
+    def within(x, action):
+        y = list(x)
+        for block in blocks:
+            if len(block) >= 2:
+                action(y, block)
+        return y
+
+    def shift(y, block):
+        y[block[0] : block[-1] + 1] = [y[block[-1]], *y[block[0] : block[-1]]]
+
+    def swap(y, block):
+        y[block[0]], y[block[1]] = y[block[1]], y[block[0]]
+
+    def transvection(c):
+        def action(y, block):
+            y[block[1]] = ctx.add(y[block[1]], ctx.mul(c, y[block[0]]))
+        return action
+
+    generators = [lambda x: [x[-1], *x[:-1]], lambda x: within(x, shift)]
+    generators += [lambda x: within(x, swap)] if max(k, v - k) >= 3 else []
+    for c in [ctx.p**i for i in range(ctx.e)]:
+        generators += [lambda x, c=c: within(x, transvection(c))] if max(k, v - k) >= 2 else []
+        generators += [lambda x, c=c: [ctx.add(x[0], ctx.mul(c, x[k])), *x[1:]]]
     automorphisms = vertex_automorphisms(graph)
     assert len(automorphisms) == len(generators)
+    assert [int(a.vertices[0]) == 0 for a in automorphisms] == [False] + [True] * (len(generators) - 1)
     for g, automorphism in zip(generators, automorphisms):
-        sigma, tau = automorphism.vertices, automorphism.flats[1]
+        sigma, tau = automorphism.vertices, automorphism.points
         assert sorted(sigma.tolist()) == list(range(len(subs)))
         for basis, image in zip(subs.tolist(), sigma.tolist()):
             assert gf_rank(ctx, [*map(g, basis), *subs[image].tolist()]) == k
@@ -429,24 +443,21 @@ def test_automorphisms_are_the_generators_action(v, k, q):
             assert gf_rank(ctx, [g(point), points[image]]) == 1
 
 
-@pytest.mark.parametrize("v,k,q", [(5, 3, 2), (6, 4, 2), (5, 3, 3)])
+@pytest.mark.parametrize("v,k,q", [(5, 3, 2), (6, 4, 2), (5, 3, 3), (4, 0, 3)])
 def test_incidence_lists_the_subspaces_of_each_vertex(v, k, q):
-    # flats[j][x] are [k j]_q distinct ids, and the points of each are
-    # [j 1]_q points of vertex x that span a j-subspace, by rank, for every
-    # level j = 0..k: the zero subspace, the points, ..., the vertex itself
+    # members[x] are the [k 1]_q distinct 1-subspaces of vertex x, sorted:
+    # each lies in x and together they span it, by rank
     ctx = field_of_order(q)
     subs = enumerate_subspaces(ctx, v, k)
     graph = Incidence(subs, ctx)
     points = [[code // q**t % q for t in range(v)] for code in graph.points.tolist()]
-    assert len(graph.flats) == len(graph.keys) == k + 1
-    for j, (table, key) in enumerate(zip(graph.flats, graph.keys)):
-        assert table.shape == (len(subs), int(gauss(k, j).evaluate(q)))
-        assert key.shape == (int(gauss(v, j).evaluate(q)), int(gauss(j, 1).evaluate(q)))
-        for basis, ids in zip(subs.tolist()[::7], table.tolist()[::7]):
-            assert ids == sorted(set(ids))
-            for members in key[ids].tolist():
-                assert gf_rank(ctx, [points[p] for p in members]) == j
-                assert gf_rank(ctx, [*basis, *(points[p] for p in members)]) == k
+    assert len(points) == int(gauss(v, 1).evaluate(q))
+    assert graph.members.shape == (len(subs), int(gauss(k, 1).evaluate(q)))
+    for basis, ids in zip(subs.tolist()[::7], graph.members.tolist()[::7]):
+        assert ids == sorted(set(ids))
+        assert gf_rank(ctx, [points[p] for p in ids]) == k
+        for p in ids:
+            assert gf_rank(ctx, [*basis, points[p]]) == k
 
 
 def test_regularity_matches_predicted_degree():
@@ -639,20 +650,19 @@ def hypercube_table(d):
 
 @pytest.mark.parametrize("d", range(7))
 def test_certify_hypercube_through_every_factor_count(d):
-    # the column helper on the Krylov column of Q_d (vertex-transitive, so
-    # its column 0 certifies it): d + 1 eigenvalues, so P has degree 1
-    # (d = 0) up to 7, and the moments reach A^6 e_0; every honest and +-1
-    # table matches the references
+    # the column helper on Q_d with B = A, one vertex per orbit (Q_d is
+    # vertex-transitive, so its column 0 certifies it): d + 1 eigenvalues,
+    # so P has degree 1 (d = 0) up to 7, and the moments reach A^6 e_0;
+    # every honest and +-1 table matches the references
     adjacency = hypercube(d)
-    column = krylov_column(adjacency, d + 1)
     traces = naive_traces(adjacency, d)
-    result = oracle._column_certificate(hypercube_table(d), column, 2**d, d)
+    result = oracle._column_certificate(hypercube_table(d), adjacency.tolist(), 2**d, range(2**d))
     assert result.certified and result.certified_multiplicities == [e.multiplicity for e in hypercube_table(d).entries]
-    assert result.moments == traces
+    assert result.moments == traces and result.degree == d
     for label, wrong in _perturbations(hypercube_table(d)):
         if 0 in wrong.multiplicities():
             continue
-        result = oracle._column_certificate(wrong, column, 2**d, d)
+        result = oracle._column_certificate(wrong, adjacency.tolist(), 2**d, range(2**d))
         assert not result.certified, label
         assert result.moments == traces, label
         if label.startswith("eigenvalue"):
@@ -662,26 +672,20 @@ def test_certify_hypercube_through_every_factor_count(d):
             assert not result.moments_ok, label
 
 
-@pytest.fixture
-def dtypes(monkeypatch):
-    # the dtype of every _dtype decision in oracle, in call order
-    chosen = []
-    monkeypatch.setattr(oracle, "_dtype", lambda bound: chosen.append(intmatrix._dtype(bound)) or chosen[-1])
-    return chosen
-
-
 @pytest.mark.parametrize("lam,dtype", [(2**5, np.float32), (2**12, np.float64), (2**22, np.int64), (2**40, object)])
-def test_column_pass_is_exact_in_every_dtype(dtypes, lam, dtype):
-    # wrong eigenvalues +-lam of Q_4 set the a-priori bound of P(A) e_0,
-    # 6400 (16 + lam)^2, and with it the dtype the column helper forms it
-    # in, its one decision
+def test_column_pass_is_exact_in_every_dtype(lam, dtype):
+    # wrong eigenvalues +-lam of Q_4: P(A) e_0, bounded by 6400 (16 + lam)^2,
+    # needs the numpy dtype named (object: beyond int64) to be exact, and
+    # the column helper's Python ints give the symmetry-free reference's
+    # residual at each of those sizes
     adjacency = hypercube(4)
     eigenvalues = [4, lam, 0, -lam, -4]
     table = SpectrumTable(v=4, k=4, q=2, entries=tuple(SpectrumEntry(j, x, 1) for j, x in enumerate(eigenvalues)))
-    result = oracle._column_certificate(table, krylov_column(adjacency, 5), 16, 4)
+    result = oracle._column_certificate(table, adjacency.tolist(), 16, range(16))
     assert result.residual_entry == sequential_first_nonzero(adjacency, eigenvalues)
+    assert type(result.residual_entry[2]) is int
     assert result.moments == naive_traces(adjacency, 4)
-    assert dtypes == [dtype]
+    assert intmatrix._dtype(6400 * (16 + lam) ** 2) is dtype
 
 
 @pytest.mark.parametrize("k,top,dtype", [
@@ -689,63 +693,89 @@ def test_column_pass_is_exact_in_every_dtype(dtypes, lam, dtype):
     (3, 2**6, np.float32), (3, 2**12, np.float64), (3, 2**17, np.int64), (3, 2**20, object),
     (4, 2**4, np.float32), (4, 2**5, np.float64), (4, 2**13, np.int64), (4, 2**15, object),
     (5, 2**8, np.float64), (5, 2**10, np.int64), (5, 2**12, object),
-    (6, 2**8, np.int64), (6, 2**9, object),
+    (6, 2**8, np.int64), (6, 2**9, object), (6, 2**40, object),
 ])
-def test_moments_are_exact_in_every_dtype(dtypes, k, top, dtype):
-    # the Krylov chain on a circulant symmetric 3 x 3 matrix with top on the
-    # diagonal (vertex-transitive under the rotation): step m runs in
-    # _dtype((3 top)^m), the bound of A^m e_0, and the bound of A^k e_0 lands
-    # in dtype, on either side of a tier boundary; the moments n (A^m)_00
-    # are compared with naive traces
+def test_moments_are_exact_in_every_dtype(k, top, dtype):
+    # the column helper on a circulant symmetric 3 x 3 matrix with top on
+    # the diagonal (vertex-transitive under the rotation, whose stabiliser
+    # of 0 is trivial: B = A), entries up to 2^40; A^k e_0, bounded by
+    # (3 top)^k, needs the numpy dtype named to be exact, on either side of
+    # a tier boundary; the moments n (A^m)_00 are compared with naive traces
     off = random.Random(k).randint(-top, top)
-    rows = np.array([[top if i == j else off for j in range(3)] for i in range(3)], dtype=object)
+    rows = [[top if i == j else off for j in range(3)] for i in range(3)]
     table = SpectrumTable(v=3, k=k, q=2, entries=tuple(SpectrumEntry(j, j, 1) for j in range(k + 1)))
+    result = oracle._column_certificate(table, rows, 3, range(3))
+    assert result.moments == naive_traces(np.array(rows, dtype=object), k)
+    assert all(type(moment) is int for moment in result.moments)
+    assert intmatrix._dtype((3 * top) ** k) is dtype
 
-    def apply(x, dtype):
-        return intmatrix._cast(rows, dtype) @ intmatrix._cast(x, dtype)
 
-    column = oracle._krylov(apply, [np.array([1, 0, 0], dtype=object)], [(3 * top) ** m for m in range(1, k + 2)])
-    assert oracle._column_certificate(table, column, 3 * top, None).moments == naive_traces(rows, k)
-    assert dtypes[k - 1] is dtype  # decision m - 1 is for A^m e_0
-    assert [x.dtype for x in column[1:]] == [np.dtype(t) for t in dtypes[: k + 1]]
+def lift(vector, orbit):
+    # the vertex vector that is vector[O] on each orbit O
+    return np.array(vector, dtype=object)[orbit]
+
+
+def quotient_of(ctx, v, k):
+    # the incidence, and the orbits and quotient of its checked generators
+    graph, automorphisms = graph_of(ctx, v, k)
+    return graph, oracle._quotient(graph, oracle._check_automorphisms(graph, automorphisms))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, object])
 def test_operator_is_exact_in_every_dtype(dtype):
-    # Op x for x = A^2 e_0 of qK(6,3,2), whose bound 30 * 512^2 is below
-    # 2^24, formed in each dtype: the dense product in Python ints
-    graph, _ = graph_of(make_field(2, 1), 6, 3)
-    column = krylov_column(adjacency_of(make_field(2, 1), 6, 3).to_array(), 3)
-    result = oracle._apply(graph, column[2], dtype)
-    assert result.dtype == np.dtype(dtype)
-    assert result.astype(object).tolist() == column[3].tolist()
+    # B y for y on the orbits of qK(6,3,2), its entries sized so that the
+    # bound 512 max|y| of A lift(y) needs the numpy dtype named to be exact:
+    # lift(B y) is the dense product in Python ints
+    scale = {np.float32: 1, np.float64: 2**24 // 512, np.int64: 2**53 // 512, object: 2**63 // 512}[dtype]
+    graph, (orbit, smallest, quotient) = quotient_of(make_field(2, 1), 6, 3)
+    y = [scale + o for o in range(len(smallest))]
+    assert intmatrix._dtype(512 * max(y)) is dtype
+    adjacency = adjacency_of(make_field(2, 1), 6, 3).to_array().astype(np.int64).astype(object)
+    product = [sum(b * x for b, x in zip(row, y)) for row in quotient]
+    assert lift(product, orbit).tolist() == adjacency.dot(lift(y, orbit)).tolist()
 
 
 @pytest.mark.parametrize("v,k,q", [(3, 1, 4), (4, 2, 3), (6, 3, 2), (6, 4, 2)])
 def test_operator_columns_are_the_dense_adjacency(v, k, q):
-    # Op e_x against column x of build_adjacency, the dense reference, for
-    # k = 1..4, every level's term included; qK(6,4) over GF(2) is the null
-    # graph, so its five terms cancel to 0 at every vertex
+    # the quotient against build_adjacency, the dense reference, for
+    # k = 1..4: B e_O lifts to A 1_O, the sum of A's columns over orbit O,
+    # and B^m e_O0 to A^m e_0 for m = 0..k+1; qK(6,4) over GF(2) is the null
+    # graph, so B is 0
     ctx = field_of_order(q)
-    graph, _ = graph_of(ctx, v, k)
-    adjacency = adjacency_of(ctx, v, k).to_array()
-    for x in range(0, graph.n, max(1, graph.n // 7)):
-        result = oracle._apply(graph, np.arange(graph.n) == x, np.int64)
-        assert result.tolist() == adjacency[:, x].astype(np.int64).tolist()
+    graph, (orbit, smallest, quotient) = quotient_of(ctx, v, k)
+    adjacency = adjacency_of(ctx, v, k).to_array().astype(np.int64).astype(object)
+    assert smallest[0] == 0 and (orbit == 0).sum() == 1  # O_0 = {0}
+    for o in range(len(smallest)):
+        assert lift([row[o] for row in quotient], orbit).tolist() == adjacency.dot(orbit == o).tolist()
+    y = [int(o == 0) for o in range(len(smallest))]
+    for column in krylov_column(adjacency, k + 1):
+        assert lift(y, orbit).tolist() == column.tolist()
+        y = [sum(b * x for b, x in zip(row, y)) for row in quotient]
     assert (v >= 2 * k) == adjacency.any()
 
 
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (3, 1, 4), (5, 2, 3), (6, 3, 2), (4, 2, 4)])
+def test_quotient_is_the_same_from_every_vertex_of_an_orbit(v, k, q):
+    # the partition is equitable: row u of A meets each orbit as often for
+    # every u of an orbit, not only for the smallest one, which B is read from
+    graph, (orbit, smallest, quotient) = quotient_of(field_of_order(q), v, k)
+    assert len(smallest) > 1 and smallest == sorted(smallest)
+    for u in range(graph.n):
+        assert np.bincount(orbit[graph.adjacency_rows(u, u + 1)[0]], minlength=len(smallest)).tolist() == \
+            quotient[orbit[u]], u
+
+
 def incidence_entries(v, k, q):
-    # n sum_j [k j]_q: the ids the incidence and the operator hold
-    return int(gauss(v, k).evaluate(q)) * sum(int(gauss(k, j).evaluate(q)) for j in range(k + 1))
+    # n [k 1]_q: the ids the incidence holds, the points of each vertex
+    return int(gauss(v, k).evaluate(q)) * int(gauss(k, 1).evaluate(q))
 
 
 @pytest.mark.parametrize("v,k,q", [(6, 3, 2), (4, 2, 5), (3, 1, 31)])
 def test_certification_memory_per_entry(v, k, q):
-    # the certificate holds a few vectors and gathers of the incidence: at
-    # most 32 bytes per id of the incidence (about 16 measured), far below
-    # the n^2 entries of A (3 bytes per entry of A when it read A, 14 for the
-    # strip certificate)
+    # the certificate holds a gather of the incidence, the orbits and a row
+    # of A at a time: at most 32 bytes per id of the incidence (about 17
+    # measured for k >= 2, 26 for k = 1), far below the n^2 entries of A
+    # (3 bytes per entry of A when it read A, 14 for the strip certificate)
     graph, automorphisms = graph_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     tracemalloc.start()
@@ -760,9 +790,9 @@ def test_certification_memory_per_entry(v, k, q):
 
 def test_certification_memory_is_linear_through_the_cli(capsys):
     # verify spectrum 7 3 2, enumeration included: at most 128 bytes per id
-    # of the incidence (about 61 measured), 24 MB for its 11811 vertices,
-    # where A alone has n^2 = 139 million entries (the dense certificate
-    # peaked at 700 MB)
+    # of the incidence (about 107 measured, most of it the point codes),
+    # 10.6 MB for its 11811 vertices, where A alone has n^2 = 139 million
+    # entries (the dense certificate peaked at 700 MB)
     tracemalloc.start()
     try:
         assert main(["verify", "spectrum", "7", "3", "2", "--budget", "12000"]) == 0
@@ -853,12 +883,13 @@ def test_adjacency_rows_are_the_rank_route(v, k, q, start, stop):
 
 @pytest.mark.parametrize("base", [63, 2**21, 2**40])
 def test_lookup_finds_subspaces_by_keys_of_one_or_more_words(base):
-    # qK(6,3) over GF(2): a line is told apart by its first 2 point ids and
-    # a plane by its first 4; read base 63 they fit one word each, base 2^21
-    # the planes take 2 words and base 2^40 one word per id
+    # the vertices of qK(6,2) and qK(6,3) over GF(2): a line is told apart
+    # by its first 2 point ids and a plane by its first 4; read base 63 they
+    # fit one word each, base 2^21 the planes take 2 words and base 2^40 one
+    # word per id
     ctx = make_field(2, 1)
-    graph = Incidence(enumerate_subspaces(ctx, 6, 3), ctx)
-    lines, planes = graph.keys[2], graph.keys[3]
+    lines = Incidence(enumerate_subspaces(ctx, 6, 2), ctx).members
+    planes = Incidence(enumerate_subspaces(ctx, 6, 3), ctx).members
     shuffle = np.random.default_rng(0).permutation(len(lines))
     assert oracle._lookup(lines, lines[shuffle], 2, base).tolist() == shuffle.tolist()
     assert oracle._lookup(planes[1:], planes, 2, base).tolist() == [-1, *range(len(planes) - 1)]
