@@ -46,7 +46,11 @@ from .qbinom import gauss, gauss_eval_product
 from .spectrum import delsarte_eigenvalue, spectrum_table
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the CLI.  Every subcommand is registered with its name and help; given argv,
+    only the subcommands that argv names get their arguments and nested subcommands, as argparse
+    enters no other (nor shows its usage, help or errors).  Without argv, the whole tree."""
+    named = (lambda name: True) if argv is None else set(argv).__contains__
     parser = argparse.ArgumentParser(
         prog="qkneser",
         description="Exact Gaussian binomials and q-Kneser graph spectra, with brute-force certification.",
@@ -54,50 +58,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gauss = sub.add_parser("gauss", help="Gaussian binomial [n choose i]_q")
-    p_gauss.add_argument("n", type=int, help="top index (any integer)")
-    p_gauss.add_argument("i", type=int, help="lower index (nonnegative)")
-    p_gauss.add_argument("--q", type=int, default=None, metavar="Q",
-                         help="evaluate exactly at integer Q >= 2 instead of printing the polynomial")
-    p_gauss.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p_gauss.set_defaults(handler=cmd_gauss)
+    if named("gauss"):
+        p_gauss.add_argument("n", type=int, help="top index (any integer)")
+        p_gauss.add_argument("i", type=int, help="lower index (nonnegative)")
+        p_gauss.add_argument("--q", type=int, default=None, metavar="Q",
+                             help="evaluate exactly at integer Q >= 2 instead of printing the polynomial")
+        p_gauss.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p_gauss.set_defaults(handler=cmd_gauss)
 
     p_eig = sub.add_parser("eigenvalues", help="spectrum of qK(v,k): eigenvalues and multiplicities")
-    p_eig.add_argument("v", type=int, help="ambient dimension (v >= 2k)")
-    p_eig.add_argument("k", type=int, help="subspace dimension (k >= 1)")
-    p_eig.add_argument("--q", type=int, default=None, metavar="Q",
-                       help="evaluate at prime power Q instead of printing polynomials")
-    p_eig.add_argument("--form", choices=("simple", "delsarte", "both"), default="simple",
-                       help="closed form, alternating-sum form, or both side by side")
-    p_eig.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p_eig.set_defaults(handler=cmd_eigenvalues)
+    if named("eigenvalues"):
+        p_eig.add_argument("v", type=int, help="ambient dimension (v >= 2k)")
+        p_eig.add_argument("k", type=int, help="subspace dimension (k >= 1)")
+        p_eig.add_argument("--q", type=int, default=None, metavar="Q",
+                           help="evaluate at prime power Q instead of printing polynomials")
+        p_eig.add_argument("--form", choices=("simple", "delsarte", "both"), default="simple",
+                           help="closed form, alternating-sum form, or both side by side")
+        p_eig.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p_eig.set_defaults(handler=cmd_eigenvalues)
 
     p_verify = sub.add_parser("verify", help="verification suites")
-    verify_sub = p_verify.add_subparsers(dest="what", required=True)
+    if named("verify"):
+        verify_sub = p_verify.add_subparsers(dest="what", required=True)
 
-    p_ident = verify_sub.add_parser("identities", help="check all six identity grids exactly")
-    p_ident.add_argument("--max", type=int, default=10, metavar="N",
-                         help="grid size: n in [-N, N], i and a in [0, N], m,a,t <= N (default 10)")
-    p_ident.add_argument("--format", choices=("table", "json"), default="table")
-    p_ident.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
-    p_ident.set_defaults(handler=cmd_verify_identities)
+        p_ident = verify_sub.add_parser("identities", help="check all six identity grids exactly")
+        if named("identities"):
+            p_ident.add_argument("--max", type=int, default=10, metavar="N",
+                                 help="grid size: n in [-N, N], i and a in [0, N], m,a,t <= N (default 10)")
+            p_ident.add_argument("--format", choices=("table", "json"), default="table")
+            p_ident.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
+            p_ident.set_defaults(handler=cmd_verify_identities)
 
-    p_spec = verify_sub.add_parser("spectrum", help="certify the predicted spectrum by brute force")
-    p_spec.add_argument("v", type=int)
-    p_spec.add_argument("k", type=int)
-    p_spec.add_argument("q", type=int, help="prime power field order")
-    p_spec.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET, metavar="B",
-                        help=f"vertex budget (default {DEFAULT_VERTEX_BUDGET})")
-    p_spec.add_argument("--dump", metavar="DIR", type=Path, default=None,
-                        help="write vertices.txt, adjacency.txt, certification.json to DIR")
-    p_spec.set_defaults(handler=cmd_verify_spectrum)
+        p_spec = verify_sub.add_parser("spectrum", help="certify the predicted spectrum by brute force")
+        if named("spectrum"):
+            p_spec.add_argument("v", type=int)
+            p_spec.add_argument("k", type=int)
+            p_spec.add_argument("q", type=int, help="prime power field order")
+            p_spec.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET, metavar="B",
+                                help=f"vertex budget (default {DEFAULT_VERTEX_BUDGET})")
+            p_spec.add_argument("--dump", metavar="DIR", type=Path, default=None,
+                                help="write vertices.txt, adjacency.txt, certification.json to DIR")
+            p_spec.set_defaults(handler=cmd_verify_spectrum)
 
     p_count = sub.add_parser("count-subspaces", help="enumerate k-subspaces and compare with the formula")
-    p_count.add_argument("v", type=int)
-    p_count.add_argument("k", type=int)
-    p_count.add_argument("q", type=int, help="prime power field order")
-    p_count.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET, metavar="B",
-                         help=f"vertex budget (default {DEFAULT_VERTEX_BUDGET})")
-    p_count.set_defaults(handler=cmd_count_subspaces)
+    if named("count-subspaces"):
+        p_count.add_argument("v", type=int)
+        p_count.add_argument("k", type=int)
+        p_count.add_argument("q", type=int, help="prime power field order")
+        p_count.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET, metavar="B",
+                             help=f"vertex budget (default {DEFAULT_VERTEX_BUDGET})")
+        p_count.set_defaults(handler=cmd_count_subspaces)
 
     return parser
 
@@ -284,7 +294,8 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)  # read twice: by build_parser and by the parse
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if [] in vars(args).values():  # before Python 3.12 a "--" after "--" is a positional's value [], unconverted

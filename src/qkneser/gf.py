@@ -12,19 +12,15 @@ Field elements are canonical integers in [0, q): the base-p digits of the
 integer are the residue-polynomial coefficients, constant term in the
 least significant digit.  This encoding is what appears in every
 serialized matrix.  add, neg, mul and inv act on single elements through
-the polynomial routines below, for every q.  For whole arrays there is
-the linear-map view: multiplication by a constant c is GF(p)-linear on
-base-p digits, an e x e matrix whose column i holds the digits of c*x^i,
-and mul_maps returns these matrices for an array of constants.  Contexts
-are immutable and all arithmetic is pure.
+the polynomial routines below, for every q; the array arithmetic of the
+brute-force oracle (oracle._FieldArrays) builds its tables from them.
+Contexts are immutable and all arithmetic is pure, on Python ints only.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator
-
-import numpy as np
 
 MAX_EXTENSION_DEGREE = 4
 
@@ -198,10 +194,6 @@ class FieldCtx:
             value = value * self.p + c % self.p
         return value
 
-    def digits(self, a: np.ndarray) -> np.ndarray:
-        """decode over an integer array: its base-p digits on a new last axis."""
-        return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.e) % self.p
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -244,18 +236,6 @@ class FieldCtx:
             base = self.mul(base, base)
             n >>= 1
         return result
-
-    def mul_maps(self, c: np.ndarray) -> np.ndarray:
-        """The matrices of b -> c*b on base-p digits, shape c.shape + (e, e).
-
-        digits(c*b) = mul_maps(c) @ digits(b) mod p.  The map is linear in
-        c as well, so every map is a combination of the maps of x^0 ..
-        x^(e-1), whose columns come from e^2 calls of mul.
-        """
-        e, p = self.e, self.p
-        # basis[j] is the map of x^j: column i holds digits(x^j * x^i), and x^i encodes to p^i
-        basis = np.array([[self.decode(self.mul(p**j, p**i)) for i in range(e)] for j in range(e)]).transpose(0, 2, 1)
-        return np.tensordot(self.digits(c), basis, axes=1) % p
 
     # -- identity and rendering
 

@@ -59,6 +59,7 @@ budget before any other work, is the defining product gauss_eval_product.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -175,27 +176,99 @@ def intersection_dim(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> int:
     return 2 * len(a) - gf_rank(ctx, [*a.tolist(), *b.tolist()])
 
 
+class _FieldArrays:
+    """GF(q) arithmetic on int64 arrays of element encodings, built from the scalar ops of a FieldCtx.
+
+    antilog[i] is g^i for a generator g of the multiplicative group: the
+    first element whose powers, taken by successive ctx.mul, run through
+    all q - 1 nonzero elements before they return to 1.  log inverts it
+    (log[0] is unused) and inverse[a] = g^(-log a) for a != 0, inverse[0]
+    = 0.  Prime fields add and multiply by % p; otherwise mul adds logs,
+    0 times anything being 0, and add works digit by digit base p (XOR
+    when p = 2).  No table has more than q entries.
+    """
+
+    __slots__ = ("p", "e", "q", "log", "antilog", "inverse")
+
+    def __init__(self, ctx: FieldCtx):
+        self.p, self.e, self.q = ctx.p, ctx.e, ctx.q
+        for g in range(1, ctx.q):
+            powers = [1]
+            while len(powers) < ctx.q - 1 and (power := ctx.mul(powers[-1], g)) != 1:
+                powers.append(power)
+            if len(powers) == ctx.q - 1:
+                break
+        self.antilog = np.array(powers, dtype=np.int64)
+        self.log = np.zeros(ctx.q, dtype=np.int64)
+        self.log[self.antilog] = np.arange(ctx.q - 1)
+        self.inverse = np.zeros(ctx.q, dtype=np.int64)
+        self.inverse[self.antilog] = self.antilog[-np.arange(ctx.q - 1) % (ctx.q - 1)]
+        for table in (self.antilog, self.log, self.inverse):  # shared through _field_arrays
+            table.flags.writeable = False
+
+    def add(self, a, b):
+        if self.e == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        # digit i of a + b is (a // p^i + b // p^i) mod p: the higher digits are multiples of p
+        return sum((a // self.p**i + b // self.p**i) % self.p * self.p**i for i in range(self.e))
+
+    def mul(self, a, b):
+        if self.e == 1:
+            return a * b % self.p
+        return np.where((a == 0) | (b == 0), 0, self.antilog[(self.log[a] + self.log[b]) % (self.q - 1)])
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The matrix product a @ b over GF(q) of a 2-D a and a stack of matrices b, shape
+        b.shape[:-2] + (len(a), b.shape[-1]).
+
+        A prime field takes the integer product mod p.  Its sums of v terms
+        below p^2 overflow int64 only when v p^2 >= 2^63, and F_q^v then
+        has more than 2^30 points, far more than fit in memory.  Otherwise
+        row r of b is multiplied once by each distinct entry of column r
+        of a, and those multiples are gathered and added.
+        """
+        if self.e == 1:
+            product = np.matmul(a, b)
+            return np.remainder(product, self.p, out=product)
+        total = np.matmul(a[:, :0], b[..., :0, :])  # zeros of the product's shape
+        for r in range(a.shape[1]):
+            values = np.flatnonzero(np.bincount(a[:, r], minlength=self.q))
+            multiples = self.mul(values[:, None], b[..., r, None, :])
+            total = self.add(total, multiples[..., np.searchsorted(values, a[:, r]), :])
+        return total
+
+
+@functools.lru_cache(maxsize=8)
+def _field_arrays(ctx: FieldCtx) -> _FieldArrays:
+    """The _FieldArrays of ctx, built once per field."""
+    return _FieldArrays(ctx)
+
+
 def _point_codes(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     """The projective points of each vertex, as an (n, [k 1]_q) int64 array.
 
     The points of a subspace are the combinations of its RREF rows whose
     first nonzero coefficient is 1.  That coefficient is also the
     vector's first nonzero coordinate, so equal points of different
-    subspaces get equal codes: the vector's (v, e) array of base-p digits,
-    flattened and read base p (the coordinates read base q).  All
-    vertices share the coefficient list, and multiplying by a coefficient
-    is a linear map on digits (FieldCtx.mul_maps), so every vector is one
-    contraction.  The coefficient vectors are the RREF bases of the
-    1-subspaces of F_q^k, in enumeration order.  Codes are below
+    subspaces get equal codes: the vector's coordinates read base q,
+    coordinate 0 least significant.  The coefficient vectors are the RREF
+    bases of the 1-subspaces of F_q^k, in enumeration order, and every
+    vertex's combinations are formed at once with the _FieldArrays ops, a
+    block of vertices at a time (at most 2^18, and about 2^16 vector
+    entries), so no (n, [k 1]_q, v) array is built.  Codes are below
     q^v, which fits int64 whenever the result fits in memory: q^v <= n^2
     for 1 <= k < v, and q^v <= [v 1]_q^2 for k = v >= 2.
     """
     n, k, v = bases.shape
-    maps = ctx.mul_maps(_rref_bases(ctx.q, k, 1)[:, 0])
-    # vectors[s, c, t] = sum_r maps[c, r] @ digits[s, r, t] over GF(p)
-    vectors = np.einsum("crab,srtb->scta", maps, ctx.digits(bases))
-    vectors %= ctx.p
-    return vectors.reshape(n, len(maps), v * ctx.e) @ ctx.p ** np.arange(v * ctx.e)
+    field, coefficients = _field_arrays(ctx), _rref_bases(ctx.q, k, 1)[:, 0]
+    weights = ctx.q ** np.arange(v)
+    codes = np.empty((n, len(coefficients)), dtype=np.int64)
+    step = min(2**18, max(1, 2**16 // max(1, codes.shape[1] * v)))
+    for start in range(0, n, step):
+        codes[start : start + step] = field.dot(coefficients, bases[start : start + step]) @ weights
+    return codes
 
 
 class Incidence:
@@ -255,53 +328,79 @@ class Incidence:
 
 
 def _point_ids(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The index of each code in points, an array of distinct nonnegative codes that holds every one
-    of them: read off a table indexed by code when that is no larger than codes, else a sorted search."""
+    """The index of each nonnegative code in points, an array of distinct nonnegative codes, or -1
+    where it is none of them: read off a table indexed by code when that is no larger than codes
+    (its last slot, -1, stands for every code above the points), else a sorted search."""
     if points.max() < codes.size:
-        table = np.zeros(int(points.max()) + 1, dtype=np.intp)
+        table = np.full(int(points.max()) + 2, -1, dtype=np.intp)
         table[points] = np.arange(len(points))
-        return table[codes]
+        return table[np.minimum(codes, len(table) - 1)]
     order = np.argsort(points)
-    return order[np.searchsorted(points, codes, sorter=order)]
+    at = order[np.searchsorted(points, codes, sorter=order).clip(max=len(points) - 1)]
+    return np.where(points[at] == codes, at, -1)
 
 
-def _key(rows: np.ndarray, q: int, base: int) -> np.ndarray:
-    """Sorted rows of w ids below base, as a (words, len(rows)) int64 array of their first ceil(w/q) ids.
+def _key(rows: np.ndarray, q: int, base: int, n: int) -> list[tuple[np.ndarray, int]]:
+    """Sorted rows of w ids below base, keyed for _lookup in a table of n rows: a list of int64
+    words of their first ceil(w/q) ids, each with its scale, base to the number of ids it holds.
 
     For the point ids of j-subspaces, w = [j 1]_q = q [j-1 1]_q + 1, and two
     distinct j-subspaces share at most [j-1 1]_q points, so those first ids
-    tell them apart.  They are read base `base`, first id most significant,
-    63 // bits of them to a word, so words compare as the prefixes do,
-    lexicographically.  That is one word unless the prefix is long (the
-    vertices of qK(8,4) q=2 take two).  Rows of width 0 all get the key 0.
+    tell them apart.  They are read base `base`, first id most significant.
+    The first word holds as many as fit in 63 bits, each later one as many
+    as leave room beside them for a rank below n.  That is one word unless
+    the prefix is long (the vertices of qK(8,4) q=2 take two).  Rows of
+    width 0 all get the one word 0.
     """
     count = -(-rows.shape[1] // q)
-    per = 63 // max(1, (base - 1).bit_length())
-    words = np.zeros((max(1, -(-count // per)), len(rows)), dtype=np.int64)
-    for i in range(count):
-        words[i // per] *= base
-        words[i // per] += rows[:, i]
-    return words
+    bits = max(1, (base - 1).bit_length())
+    later = (63 - max(1, (n - 1).bit_length())) // bits
+    sizes = [min(count, 63 // bits)]
+    while sum(sizes) < count:
+        if later < 1:
+            raise ValueError(f"ids below {base} in a table of {n} rows do not fit int64 keys")
+        sizes.append(min(count - sum(sizes), later))
+    starts = np.cumsum([0, *sizes])
+    return [(rows[:, lo:hi] @ base ** np.arange(hi - lo - 1, -1, -1), base ** int(hi - lo))
+            for lo, hi in zip(starts, starts[1:])]
 
 
-def _lookup(table: np.ndarray, queries: np.ndarray, q: int, base: int) -> np.ndarray:
-    """The index of each row of queries among the rows of table, or -1 where it is none of them;
-    both hold the sorted point ids (below base) of subspaces of one dimension, told apart by _key.
+def _lookup(table: np.ndarray, q: int, base: int):
+    """A function from queries to the index of each of their rows among the rows of table, or -1
+    where it is none of them; both hold the sorted point ids (below base) of subspaces of one
+    dimension, told apart by _key.
 
-    The keys of both are sorted together (an argsort, a lexsort for several
-    words) and numbered by a comparison of neighbours: a 1-D np.unique would
-    import numpy.ma (numpy >= 2), which costs more than the sort.
+    The key is read a word at a time: level 0 is the first word, and level
+    i the rank of the row's level i-1 value among the table's distinct
+    ones, times the scale of word i, plus word i.  So a level is one int64
+    below 2^63, and two rows share it iff they share their first i + 1
+    words.  The table's distinct values of each level are sorted once;
+    each call finds its queries' values level by level with
+    np.searchsorted and tests equality, so no query is sorted.  (Viewed as
+    one structured element, several int64 words compare through numpy's
+    generic field-by-field routine, and np.searchsorted ran about 30 times
+    slower on them than on int64.)
     """
-    words = np.concatenate([_key(table, q, base), _key(queries, q, base)], axis=1)
-    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
-    ordered = words[:, order]
-    fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.cumsum(fresh) - 1
-    index = np.full(int(fresh.sum()), -1)
-    index[ids[: len(table)]] = np.arange(len(table))
-    return index[ids[len(table) :]]
+    levels, ranks = [], None
+    for word, scale in _key(table, q, base, len(table)):
+        value = word if ranks is None else ranks * scale + word
+        ordered = np.sort(value)
+        fresh = np.ones(len(ordered), dtype=bool)  # not np.unique, which imports numpy.ma (numpy >= 2)
+        fresh[1:] = ordered[1:] != ordered[:-1]
+        levels.append(ordered[fresh])
+        ranks = np.searchsorted(levels[-1], value)
+    index = np.full(len(levels[-1]), -1)
+    index[ranks] = np.arange(len(table))
+
+    def find(queries: np.ndarray) -> np.ndarray:
+        found, ranks = np.ones(len(queries), dtype=bool), None
+        for distinct, (word, scale) in zip(levels, _key(queries, q, base, len(table))):
+            value = word if ranks is None else ranks * scale + word
+            ranks = np.searchsorted(distinct, value).clip(max=len(distinct) - 1)
+            found &= distinct[ranks] == value
+        return np.where(found, index[ranks], -1)
+
+    return find
 
 
 def build_adjacency(bases: np.ndarray, ctx: FieldCtx) -> IntMatrix:
@@ -337,51 +436,57 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
     least 3 coordinates), and for each c = p^i, i < e (the field elements
     x^i, an additive basis of GF(q) over GF(p)), the transvection
     x_{lo+1} += c x_lo at the start lo of each block of at least 2
-    coordinates, then x_0 += c x_k.  Each acts on the projective points
-    through FieldCtx element ops, each image rescaled to a leading 1, and a
-    vertex goes where its sorted point ids go (found by _lookup); an image
-    that is no vertex raises InvariantError.  certify_spectrum checks what
-    it relies on (that each map is a permutation carrying the points of
-    every vertex x to those of sigma x, and that the sigmas are
+    coordinates, then x_0 += c x_k.  When v = 2k >= 4 the shift of
+    coordinates 0..k-1 alone comes last: acting on both blocks at once,
+    the others keep the stabiliser's orbits finer than the k + 1 of
+    intersection dimension.  Each generator is a v x v matrix, a column
+    permutation of the identity or transvections, and all of them are
+    applied together to the coordinates of a block of points (about 2^16
+    image entries) with the _FieldArrays ops; each image is rescaled to a
+    leading 1 through the inverse table, and a vertex goes where its
+    sorted point ids go (found by _lookup).  An image that is no vertex raises InvariantError, and a
+    point whose image is no point gets the id -1.  certify_spectrum checks
+    what it relies on (that each map is a permutation carrying the points
+    of every vertex x to those of sigma x, and that the sigmas are
     transitive), so nothing here is taken on trust.
     """
     ctx, q, v, k = graph.ctx, graph.ctx.q, graph.v, graph.k
     if graph.n == 1:  # nothing to carry anywhere
         return []
+    field = _field_arrays(ctx)
     weights = q ** np.arange(v)  # a code reads the coordinates base q
-    vectors = (graph.points[:, None] // weights % q).tolist()
-    inverses = [0, *(ctx.inv(a) for a in range(1, q))]
+    vectors = graph.points[:, None] // weights % q
     starts = [lo for lo, size in ((0, k), (k, v - k)) if size >= 2]  # blocks with a swap and a transvection
-
-    def point(y):  # y scaled to a leading 1
-        scale = inverses[next(t for t in y if t)]
-        return y if scale == 1 else [ctx.mul(scale, t) for t in y]
-
-    def swap(x):
-        y = list(x)
-        for lo in starts:
-            y[lo], y[lo + 1] = y[lo + 1], y[lo]
-        return y
-
-    def transvection(x, c):
-        y = list(x)
-        for lo in starts:
-            y[lo + 1] = ctx.add(y[lo + 1], ctx.mul(c, y[lo]))
-        return y
-
-    generators = [lambda x: [x[-1], *x[:-1]], lambda x: [x[k - 1], *x[: k - 1], x[-1], *x[k:-1]]]
+    swap = np.arange(v)
+    for lo in starts:
+        swap[[lo, lo + 1]] = lo + 1, lo
+    # generator matrices g, a point x going to x g: column permutations of the identity, and
+    # transvections, the identity with c at (source, target) for y_target = x_target + c x_source
+    eye = np.eye(v, dtype=np.int64)
+    generators = [eye[:, np.roll(np.arange(v), 1)], eye[:, [k - 1, *range(k - 1), v - 1, *range(k, v - 1)]]]
     if max(k, v - k) >= 3:
-        generators.append(swap)
+        generators.append(eye[:, swap])
     for c in (ctx.p**i for i in range(ctx.e)):
-        if starts:
-            generators.append(lambda x, c=c: transvection(x, c))
-        generators.append(lambda x, c=c: [ctx.add(x[0], ctx.mul(c, x[k])), *x[1:]])
+        for pairs in ([(lo, lo + 1) for lo in starts], [(k, 0)]):
+            if pairs:
+                transvection = eye.copy()
+                transvection[tuple(zip(*pairs))] = c
+                generators.append(transvection)
+    if v == 2 * k >= 4:
+        generators.append(eye[:, [k - 1, *range(k - 1), *range(k, v)]])
+    codes = np.empty((len(generators), len(vectors)), dtype=np.int64)
+    step = max(1, 2**16 // (len(generators) * v))  # points whose images are formed together
+    for start in range(0, len(vectors), step):
+        images = field.dot(vectors[start : start + step], np.array(generators))  # (generator, point, coordinate)
+        leads = np.take_along_axis(images, (images != 0).argmax(axis=2)[..., None], axis=2)
+        codes[:, start : start + step] = field.mul(field.inverse[leads], images) @ weights
+    taus = _point_ids(graph.points, codes)
     members, automorphisms = graph.members, []
-    for g, generator in enumerate(generators):
-        tau = _point_ids(graph.points, np.array([point(generator(x)) for x in vectors]) @ weights)
+    find = _lookup(members, q, len(graph.points))
+    for g, tau in enumerate(taus):
         image = tau[members]
         image.sort(axis=1)
-        sigma = _lookup(members, image, q, len(graph.points))
+        sigma = find(image)
         if (sigma < 0).any():
             raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
         automorphisms.append(Automorphism(sigma, tau))

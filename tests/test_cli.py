@@ -601,6 +601,49 @@ def test_usage_error_exit_2(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+def _parse(parser, argv, capsys):
+    # the exit code (None when parsing succeeds), stdout, stderr and the namespace
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["gauss", "-h"], ["eigenvalues", "--help"], ["verify", "-h"], ["verify", "identities", "-h"],
+    ["verify", "spectrum", "-h"], ["count-subspaces", "-h"],  # help at every level
+    ["gauss"], ["gauss", "4"], ["verify"], ["verify", "spectrum", "4", "2"], ["count-subspaces", "4"],  # missing
+    ["nonsense"], ["verify", "spectra", "4", "2", "2"], ["eigenvalues", "4", "2", "--form", "closed"],  # unknown
+    ["gauss", "4", "2", "--q", "x"], ["verify", "identities", "--max", "1e3"],  # invalid values
+    ["gauss", "4", "2", "extra"], ["verify", "spectrum", "4", "2", "2", "--bogus"], ["--bogus"],  # unrecognized
+    ["gauss", "4", "2", "--format", "json"], ["verify", "spectrum", "4", "2", "5", "--dump", "out"],  # well formed
+    ["count-subspaces", "4", "2", "2", "--budget", "9"], ["verify", "identities", "--sabotage"],
+])
+def test_the_parser_for_argv_parses_as_the_whole_tree(capsys, argv):
+    # build_parser(argv) leaves out the arguments of the subcommands argv
+    # does not name; its help, usage, errors and namespace are the whole
+    # tree's, byte for byte
+    assert _parse(cli.build_parser(argv), argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+
+
+def test_the_parser_for_argv_builds_only_the_subcommands_it_names():
+    # every name is registered, but only verify spectrum has its arguments
+    # (-h alone elsewhere)
+    whole = _subparsers(cli.build_parser())
+    scoped = _subparsers(cli.build_parser(["verify", "spectrum", "4", "2", "5"]))
+    assert list(scoped) == list(whole) == ["gauss", "eigenvalues", "verify", "count-subspaces"]
+    assert [len(scoped[name]._actions) for name in ("gauss", "eigenvalues", "count-subspaces")] == [1, 1, 1]
+    verify = _subparsers(scoped["verify"])
+    assert len(verify["identities"]._actions) == 1
+    assert len(verify["spectrum"]._actions) == len(_subparsers(whole["verify"])["spectrum"]._actions) == 6
+
+
 def test_verify_spectrum_pentagon_like_case(capsys):
     code, out, _ = run(capsys, "verify", "spectrum", "2", "1", "3")
     assert code == 0

@@ -1,11 +1,13 @@
 """Finite field construction and arithmetic, exhaustively at small orders."""
 
+import functools
 import hashlib
 import time
 
 import numpy as np
 import pytest
 
+from qkneser import oracle
 from qkneser.gf import PRIME_TEST_LIMIT, factor_prime_power, field_of_order, is_prime, make_field
 
 
@@ -193,19 +195,22 @@ def test_context_equality():
     assert field_of_order(9) == make_field(3, 2)
 
 
-@pytest.mark.parametrize("q", [2, 5, 4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169, 289])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169, 289, 1999])
 def test_tables_match_raw_arithmetic(q):
-    # the table of multiplication maps of all q elements against mul, which
-    # runs the polynomial routines: for every c and b, the map of c applied
-    # to digits(b) gives digits(c*b); 289 lies past the old q <= 256 cutoff
+    # the oracle's array ops (% p, or log and antilog tables and digit-wise
+    # addition) against add, mul and inv, which run the polynomial routines,
+    # on every pair of elements; 289 lies past the old q <= 256 cutoff, and
+    # GF(1999) has 4 million pairs
     ctx = field_of_order(q)
-    elements = np.arange(q)
-    digits = ctx.digits(elements)
-    assert digits.tolist() == [list(ctx.decode(b)) for b in range(q)]
-    maps = ctx.mul_maps(elements)
-    # column i of the map of c holds the digits of c * x^i, and x^i encodes to p^i
-    columns = ctx.digits([[ctx.mul(c, ctx.p**i) for i in range(ctx.e)] for c in range(q)])
-    assert np.array_equal(maps, columns.transpose(0, 2, 1))
-    images = np.einsum("cab,nb->cna", maps, digits) % ctx.p
-    expected = ctx.digits([[ctx.mul(c, b) for b in range(q)] for c in range(q)])
-    assert np.array_equal(images, expected)
+    field = oracle._FieldArrays(ctx)
+    assert all(len(table) <= q for table in (field.log, field.antilog, field.inverse))
+    a, b = np.divmod(np.arange(q * q), q)
+    assert field.add(a, b).tolist() == list(map(ctx.add, a.tolist(), b.tolist()))
+    assert field.mul(a, b).tolist() == list(map(ctx.mul, a.tolist(), b.tolist()))
+    assert field.inverse.tolist() == [0, *map(ctx.inv, range(1, q))]
+    # the matrix product of a 2-D factor and a stack of 3
+    rng = np.random.default_rng(q)
+    x, y = rng.integers(q, size=(2, 4)), rng.integers(q, size=(3, 4, 5)).tolist()
+    expected = [[[functools.reduce(ctx.add, [ctx.mul(row[r], matrix[r][j]) for r in range(4)]) for j in range(5)]
+                 for row in x.tolist()] for matrix in y]
+    assert field.dot(x, np.array(y)).tolist() == expected

@@ -318,6 +318,17 @@ def test_dropped_point_is_caught(monkeypatch, capsys):
     assert_verification_failure(capsys, "4", "2", "2")
 
 
+def test_a_wrong_inverse_table_is_caught(monkeypatch, capsys):
+    # negative control for the rescaling of the generators' images: with the
+    # identity as the inverse table of GF(5), a point whose image leads with
+    # 2 is multiplied by 2 rather than 3, so the image is no point and the
+    # CLI reports a verification failure
+    wrong = oracle._FieldArrays(field_of_order(5))
+    wrong.inverse = np.arange(5)
+    monkeypatch.setattr(oracle, "_field_arrays", lambda ctx: wrong)
+    assert assert_verification_failure(capsys, "4", "2", "5").endswith(" to a point set that is no vertex\n")
+
+
 def assert_verification_failure(capsys, *argv):
     # exit 1 with one error line, no traceback and no report
     assert main(["verify", "spectrum", *argv]) == 1
@@ -325,6 +336,7 @@ def assert_verification_failure(capsys, *argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 def _not_a_permutation(graph):
@@ -364,8 +376,9 @@ def _tau_of_the_wrong_length(graph):
     # span(e_0, e_1) only to the 35 planes defined over GF(2)
     pytest.param(4, 2, 4, lambda graph: vertex_automorphisms(graph)[:4], "to 35 of 357 vertices",
                  id="gf4-without-the-transvection-by-x"),
+    # qK(6,3) has v = 2k, so its honest generators are six, the last the shift of coordinates 0..2 alone
     pytest.param(6, 3, 2, _fixes_vertex_0_and_swaps_two_others,
-                 "automorphism 5 does not carry the 1-subspaces of vertex 1 to those of vertex 2",
+                 "automorphism 6 does not carry the 1-subspaces of vertex 1 to those of vertex 2",
                  id="fixes-vertex-0-and-swaps-two-others"),
     pytest.param(4, 2, 2, _tau_of_the_wrong_length, "automorphism 0 is not a permutation of the 15 1-subspaces",
                  id="tau-of-the-wrong-length"),
@@ -431,6 +444,7 @@ def test_automorphisms_are_the_generators_action(v, k, q):
     for c in [ctx.p**i for i in range(ctx.e)]:
         generators += [lambda x, c=c: within(x, transvection(c))] if max(k, v - k) >= 2 else []
         generators += [lambda x, c=c: [ctx.add(x[0], ctx.mul(c, x[k])), *x[1:]]]
+    generators += [lambda x: [x[k - 1], *x[: k - 1], *x[k:]]] if v == 2 * k >= 4 else []  # block 0's shift alone
     automorphisms = vertex_automorphisms(graph)
     assert len(automorphisms) == len(generators)
     assert [int(a.vertices[0]) == 0 for a in automorphisms] == [False] + [True] * (len(generators) - 1)
@@ -765,6 +779,19 @@ def test_quotient_is_the_same_from_every_vertex_of_an_orbit(v, k, q):
             quotient[orbit[u]], u
 
 
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (4, 2, 4), (6, 3, 2), (8, 4, 2), (5, 2, 3), (7, 3, 2)])
+def test_the_stabiliser_of_vertex_0_has_k_plus_1_orbits(v, k, q):
+    # its elements keep dim(x & vertex 0), which takes the k + 1 values
+    # 0..k for v >= 2k, so k + 1 orbits are as few as there can be; when
+    # v = 2k the generators that act on both blocks at once leave more
+    # (4 on qK(4,2) and 9 on qK(8,4) q=2) until block 0's shift alone joins them
+    ctx = field_of_order(q)
+    graph = Incidence(enumerate_subspaces(ctx, v, k, budget=210000), ctx)
+    automorphisms = vertex_automorphisms(graph)
+    _, smallest = oracle._orbits([a.vertices for a in automorphisms if a.vertices[0] == 0], graph.n)
+    assert len(smallest) == k + 1
+
+
 def incidence_entries(v, k, q):
     # n [k 1]_q: the ids the incidence holds, the points of each vertex
     return int(gauss(v, k).evaluate(q)) * int(gauss(k, 1).evaluate(q))
@@ -890,9 +917,13 @@ def test_lookup_finds_subspaces_by_keys_of_one_or_more_words(base):
     ctx = make_field(2, 1)
     lines = Incidence(enumerate_subspaces(ctx, 6, 2), ctx).members
     planes = Incidence(enumerate_subspaces(ctx, 6, 3), ctx).members
+    assert len(oracle._key(planes, 2, base, len(planes))) == {63: 1, 2**21: 2, 2**40: 4}[base]
     shuffle = np.random.default_rng(0).permutation(len(lines))
-    assert oracle._lookup(lines, lines[shuffle], 2, base).tolist() == shuffle.tolist()
-    assert oracle._lookup(planes[1:], planes, 2, base).tolist() == [-1, *range(len(planes) - 1)]
+    assert oracle._lookup(lines, 2, base)(lines[shuffle]).tolist() == shuffle.tolist()  # shuffled queries
+    assert oracle._lookup(lines[shuffle], 2, base)(lines).tolist() == np.argsort(shuffle).tolist()  # shuffled table
+    find = oracle._lookup(planes[1:], 2, base)
+    assert find(planes).tolist() == [-1, *range(len(planes) - 1)]  # a missing row
+    assert find(planes[:0]).tolist() == []
 
 
 def test_dump_vertices_of_the_zero_subspace(tmp_path):

@@ -37,11 +37,11 @@ def _top_level_imports(path):
 
 
 def test_the_symbolic_core_imports_no_numpy():
-    # The symbolic modules compute on Python integers and bytes only; with
-    # numpy out of their own imports, a symbolic command can later be made
-    # to run without loading it (spectrum still reaches it through gf).
+    # The symbolic modules and the field arithmetic compute on Python
+    # integers and bytes only; with numpy out of their own imports, a
+    # symbolic command can later be made to run without loading it.
     assert "numpy" in _top_level_imports(SOURCE_DIR / "intmatrix.py")  # the scan finds a numpy import
-    core = ("laurent", "qbinom", "identities", "spectrum")
+    core = ("laurent", "qbinom", "identities", "spectrum", "gf")
     assert [name for name in core if "numpy" in _top_level_imports(SOURCE_DIR / f"{name}.py")] == []
 
 
