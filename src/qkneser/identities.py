@@ -23,10 +23,14 @@ exceptions.
 pascal is the recurrence gauss runs for n >= i >= 1 and lemma1 the
 reflection it takes for n < 0, so the symbolic comparison alone would be
 circular for both; their cross-checks route both sides through the
-product-formula oracle at q0 in {2, 3, 5}.  lemma2 to corollary1 share
-one pair of sides (qbinom.alternating_sum on the left), and both
-eigenvalue forms (spectrum.py) are theorem2's sides, so its grid checks
-what `eigenvalues` prints.  corollary1's cross-check against theorem2
+product-formula oracle at q0 in {2, 3, 5}.  The oracle gives each value
+as a pair (N, e) for N / q0^e (qbinom._eval_product), and the checks
+compare integers: both sides times one power of q0, high enough to clear
+every denominator.  Only a mismatch is rendered, as the Fraction of each
+side.  lemma2 to corollary1 share one pair of sides
+(qbinom.alternating_sum on the left), and both eigenvalue forms
+(spectrum.py) are theorem2's sides, so its grid checks what
+`eigenvalues` prints.  corollary1's cross-check against theorem2
 at t = a-m catches a mis-wired substitution, not an independent route.
 """
 
@@ -38,7 +42,7 @@ from itertools import product
 from typing import Callable, Iterator, Optional
 
 from .laurent import LaurentPoly
-from .qbinom import alternating_sum, gauss, gauss_eval_product
+from .qbinom import _eval_product, alternating_sum, gauss
 
 _ORACLE_POINTS = (2, 3, 5)
 
@@ -147,27 +151,42 @@ def corollary1_sides(m: int, a: int) -> Sides:
 
 def _pascal_oracle_mismatch(params: tuple[int, ...], lhs: LaurentPoly, rhs: LaurentPoly) -> Mismatch:
     # gauss runs this very recurrence, so the symbolic comparison is a
-    # tautology; the defining product at sampled points is not.
+    # tautology; the defining product at sampled points is not.  Both sides
+    # are taken times q0^top, integers since top is at least every e.
     n, i = params
     for q0 in _ORACLE_POINTS:
-        left = gauss_eval_product(n, i, q0)
-        right = gauss_eval_product(n - 1, i - 1, q0) + q0**i * gauss_eval_product(n - 1, i, q0)
+        left, e = _eval_product(n, i, q0)
+        low, e_low = _eval_product(n - 1, i - 1, q0)
+        high, e_high = _eval_product(n - 1, i, q0)
+        top = max(e, e_low, e_high)
+        left *= q0 ** (top - e)
+        right = low * q0 ** (top - e_low) + high * q0 ** (i + top - e_high)
         if left != right:
-            return f"at q0={q0}: {left}", f"at q0={q0}: {right}"
+            return _rendered(q0, left, top), _rendered(q0, right, top)
     return None
 
 
 def _lemma1_oracle_mismatch(params: tuple[int, ...], lhs: LaurentPoly, rhs: LaurentPoly) -> Mismatch:
     # Both sides through the defining product at sampled points, which is
-    # independent of the Laurent-ring computation path.
+    # independent of the Laurent-ring computation path; both are taken
+    # times q0^top, with top chosen to leave every exponent nonnegative.
     n, i = params
+    shift = n * i - i * (i - 1) // 2
+    sign = -1 if i % 2 else 1
     for q0 in _ORACLE_POINTS:
-        left = gauss_eval_product(n, i, q0)
-        scale = Fraction(q0) ** (n * i - i * (i - 1) // 2)
-        right = (-1) ** i * scale * gauss_eval_product(i - 1 - n, i, q0)
+        left, e = _eval_product(n, i, q0)
+        reflected, e_reflected = _eval_product(i - 1 - n, i, q0)
+        top = max(e, e_reflected - shift)
+        left *= q0 ** (top - e)
+        right = sign * reflected * q0 ** (shift + top - e_reflected)
         if left != right:
-            return f"at q0={q0}: {left}", f"at q0={q0}: {right}"
+            return _rendered(q0, left, top), _rendered(q0, right, top)
     return None
+
+
+def _rendered(q0: int, scaled: int, top: int) -> str:
+    # a side, held as scaled = value * q0^top, as the Fraction it stands for
+    return f"at q0={q0}: {Fraction(scaled, q0**top)}"
 
 
 def _corollary1_theorem2_mismatch(params: tuple[int, ...], lhs: LaurentPoly, rhs: LaurentPoly) -> Mismatch:

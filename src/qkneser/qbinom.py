@@ -40,13 +40,16 @@ cell carries C(c+r, c), the sum of its parents', as its norm (laurent.py).
 
 gauss_eval_product evaluates the defining product
 prod_{j=0}^{i-1} (q0^(n-j) - 1)/(q0^(i-j) - 1) exactly at a concrete
-integer point, collecting the numerator and the denominator as integers
-and dividing once; its results are memoized by (n, i, q0), after its
-arguments are checked.  It shares no code with gauss and serves as its
-independent oracle in the test suite and in the pascal and lemma1
-cross-checks of identities.py.  alternating_sum is the one alternating
-q-binomial sum of the package: theorem 2's left side, behind both
-eigenvalue forms (spectrum.py) and four identities (identities.py).
+integer point, as the Fraction N / q0^e of _eval_product.  That one
+function, memoized by (n, i, q0), computes in integers: a factor with a
+negative top n-j is (1 - q0^(j-n)) / q0^(j-n), whose power of q0 goes to
+e, and the numerator it collects must divide exactly by the denominator,
+or it raises InvariantError.  It shares no code with gauss and serves as
+its independent oracle in the test suite and, as (N, e) pairs compared
+without fractions, in the pascal and lemma1 cross-checks of
+identities.py.  alternating_sum is the one alternating q-binomial sum
+of the package: theorem 2's left side, behind both eigenvalue forms
+(spectrum.py) and four identities (identities.py).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .laurent import ONE, ZERO, LaurentPoly, _slot_bytes, sum_of_products
+from .laurent import ONE, ZERO, InvariantError, LaurentPoly, _slot_bytes, sum_of_products
 
 
 # Largest memo, in estimated bytes, that one call of gauss may build.
@@ -185,26 +188,45 @@ def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:
     """The defining product for [n choose i]_q evaluated exactly at q = q0.
 
     The empty product (i = 0) is 1.  Requires i >= 0 and q0 >= 2; the
-    result is an exact rational, an integer whenever n >= i.  Results are
-    memoized by (n, i, q0), after the arguments are checked.
+    result is an exact rational, an integer whenever n >= 0.  It is
+    _eval_product's (N, e) as N / q0^e, after the arguments are checked.
     """
     if isinstance(i, bool) or not isinstance(i, int) or i < 0:
         raise ValueError(f"lower index must be a nonnegative int, got {i!r}")
     if isinstance(q0, bool) or not isinstance(q0, int) or q0 < 2:
         raise ValueError(f"evaluation point must be an int >= 2, got {q0!r}")
-    return _eval_product(n, i, q0)
+    numerator, e = _eval_product(n, i, q0)
+    return Fraction(numerator, q0**e)
 
 
 @lru_cache(maxsize=None)
-def _eval_product(n: int, i: int, q0: int) -> Fraction:
+def _eval_product(n: int, i: int, q0: int) -> tuple[int, int]:
+    """The defining product at q0 as (N, e), its value N / q0^e, memoized by (n, i, q0).
+
+    For n < 0 every top n - j is negative and e is the sum of the j - n;
+    for n >= 0, e = 0, and a product with a zero factor, 0 <= n < i, is
+    (0, 0).  Raises InvariantError when N does not come out an integer.
+    """
+    num, den, e = _product_terms(n, i, q0)
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InvariantError(f"the defining product of [{n} {i}]_q at q={q0} is not an integer over {q0}^{e}")
+    return quotient, e
+
+
+def _product_terms(n: int, i: int, q0: int) -> tuple[int, int, int]:
+    # The product as num / (den q0^e).  Its denominators q0^(i-j) - 1 run
+    # over q0^m - 1, m = 1..i.  For n >= i its tops n-j are m = n-i+1..n;
+    # for n < 0 every top is negative and q0^(n-j) - 1 = -(q0^m - 1) / q0^m
+    # with m = j-n = -n..i-1-n, whose powers of q0 make e = C(i,2) - ni.
+    if 0 <= n < i:
+        return 0, 1, 0  # the factor j = n is q0^0 - 1 = 0
+    low, sign, e = (n - i + 1, 1, 0) if n >= 0 else (-n, (-1) ** i, i * (i - 1) // 2 - n * i)
     num = den = 1
-    for j in range(i):
-        top = n - j
-        if top >= 0:
-            num *= q0**top - 1
-        else:
-            # q0^top - 1 = (1 - q0^-top) / q0^-top
-            num *= 1 - q0**-top
-            den *= q0**-top
-        den *= q0 ** (i - j) - 1
-    return Fraction(num, den)
+    top, bottom = q0**low, q0
+    for _ in range(i):
+        num *= top - 1
+        den *= bottom - 1
+        top *= q0
+        bottom *= q0
+    return sign * num, den, e

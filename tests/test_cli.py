@@ -549,6 +549,27 @@ def test_certify_commands_do_not_import_numpy_ma():
     assert child.returncode == 0, child.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_an_inexact_oracle_product_fails_verify_identities(flags):
+    # the product oracle's exact division is guarded by an if, not an
+    # assert: a point whose product leaves a remainder fails the sweep with
+    # exit 1 and the InvariantError's text, and no traceback, also under -O
+    script = (
+        "import sys\n"
+        "from qkneser import cli, qbinom\n"
+        "terms = qbinom._product_terms\n"
+        "def inexact(n, i, q0):\n"
+        "    num, den, e = terms(n, i, q0)\n"
+        "    return num + ((n, i, q0) == (3, 2, 2)), den, e\n"
+        "qbinom._product_terms = inexact\n"
+        "sys.exit(cli.main(['verify', 'identities', '--max', '3']))\n"
+    )
+    child = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == "error: the defining product of [3 2]_q at q=2 is not an integer over 2^0\n"
+
+
 def test_count_subspaces(capsys):
     code, out, _ = run(capsys, "count-subspaces", "4", "2", "2")
     assert (code, out) == (0, "35 = 35\n")

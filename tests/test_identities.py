@@ -15,7 +15,7 @@ from qkneser.identities import (
     theorem2_sides,
 )
 from qkneser.laurent import ONE, ZERO, LaurentPoly
-from qkneser.qbinom import gauss, gauss_eval_product
+from qkneser.qbinom import _eval_product, gauss
 
 
 def test_pascal_instances():
@@ -164,13 +164,15 @@ def test_failure_entries_carry_renderings():
 
 
 def _off_by_one_product(n, i, q0):
-    return gauss_eval_product(n, i, q0) + 1
+    numerator, e = _eval_product(n, i, q0)
+    return numerator + q0**e, e  # N / q0^e + 1
 
 
 def _index_scaled_product(n, i, q0):
     # Wrong by a factor that depends on i alone: lemma1 relates two values
     # with the same i, so only pascal's route (i against i-1) can see it.
-    return 2**i * gauss_eval_product(n, i, q0)
+    numerator, e = _eval_product(n, i, q0)
+    return 2**i * numerator, e
 
 
 def _off_by_one_theorem2(m, a, t):
@@ -178,10 +180,12 @@ def _off_by_one_theorem2(m, a, t):
     return lhs + ONE, rhs
 
 
+# The two oracle cases break _eval_product, the (N, e) pairs that
+# identities reads; their ids name the oracle by its public entry point.
 @pytest.mark.parametrize("targets, attr, wrong", [
-    pytest.param({"lemma1", "pascal"}, "gauss_eval_product", _off_by_one_product,
+    pytest.param({"lemma1", "pascal"}, "_eval_product", _off_by_one_product,
                  id="lemma1-gauss_eval_product-_off_by_one_product"),
-    pytest.param({"pascal"}, "gauss_eval_product", _index_scaled_product,
+    pytest.param({"pascal"}, "_eval_product", _index_scaled_product,
                  id="pascal-gauss_eval_product-_index_scaled_product"),
     pytest.param({"corollary1"}, "theorem2_sides", _off_by_one_theorem2,
                  id="corollary1-theorem2_sides-_off_by_one_theorem2"),
@@ -199,3 +203,15 @@ def test_cross_checks_catch_a_wrong_independent_route(monkeypatch, targets, attr
         assert not check(target, *params)
         # sabotage skips the cross-checks, so the broken route changes nothing there
         assert run_grid(target, small, sabotage=True).failures == sabotaged[target]
+
+
+def test_an_oracle_mismatch_renders_each_side_as_a_fraction(monkeypatch):
+    # The cross-checks compare integers scaled by a power of q0 and build
+    # the Fractions only on a mismatch; each expected entry is the one that
+    # cross-checks computing in Fractions report under the same oracle.
+    monkeypatch.setattr(identities, "_eval_product", _off_by_one_product)
+    small = GridBounds(n_min=-3, n_max=4, i_min=0, i_max=3)
+    assert run_grid("pascal", small).failures[0] == ((-3, 1), "at q0=2: 1/8", "at q0=2: 17/8")
+    assert run_grid("lemma1", small).failures[0] == ((-3, 1), "at q0=2: 1/8", "at q0=2: -1")
+    monkeypatch.setattr(identities, "_eval_product", _index_scaled_product)
+    assert run_grid("pascal", small).failures[0] == ((-3, 1), "at q0=2: -7/4", "at q0=2: -11/4")

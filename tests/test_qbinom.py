@@ -63,7 +63,9 @@ def test_product_oracle_rejects_bad_point():
 
 def test_product_oracle_computes_each_point_once(monkeypatch):
     # the pascal and lemma1 cross-checks of `verify identities --max 18`
-    # ask for 10212 products at 2625 distinct (n, i, q0)
+    # read 10212 products at 2625 distinct (n, i, q0), from the memo of
+    # _eval_product that gauss_eval_product reads too
+    assert identities._eval_product is qbinom._eval_product
     computed = []
     product = qbinom._eval_product.__wrapped__
 
@@ -71,22 +73,42 @@ def test_product_oracle_computes_each_point_once(monkeypatch):
         computed.append((n, i, q0))
         return product(n, i, q0)
 
-    monkeypatch.setattr(qbinom, "_eval_product", lru_cache(maxsize=None)(spy))
+    memo = lru_cache(maxsize=None)(spy)
     asked = []
-    monkeypatch.setattr(identities, "gauss_eval_product", lambda *args: asked.append(args) or gauss_eval_product(*args))
+    monkeypatch.setattr(identities, "_eval_product", lambda *args: asked.append(args) or memo(*args))
     bounds = identities.GridBounds(n_min=-18, n_max=18, i_min=0, i_max=18, mat_max=18)
     assert identities.run_grid("pascal", bounds).passed and identities.run_grid("lemma1", bounds).passed
     assert len(asked) == 10212
     assert len(computed) == len(set(computed)) == len(set(asked)) == 2625
 
 
+def _fraction_product(n, i, q0):
+    # the defining product as the oracle once computed it, in Fractions
+    num = den = 1
+    for j in range(i):
+        top = n - j
+        if top >= 0:
+            num *= q0**top - 1
+        else:
+            num *= 1 - q0**-top
+            den *= q0**-top
+        den *= q0 ** (i - j) - 1
+    return Fraction(num, den)
+
+
 def test_oracle_agreement_full_grid():
-    # the symbolic computation and the defining product must agree everywhere
-    for n in range(-8, 13):
-        for i in range(0, 9):
+    # the symbolic computation, the defining product in Fractions and the
+    # oracle's (N, e) must agree everywhere; N / q0^e has e the sum of
+    # j - n over the factors with a negative top n - j, none when n >= 0
+    for n in range(-30, 31):
+        for i in range(0, 13):
             poly = gauss(n, i)
-            for q0 in (2, 3, 4, 5):
-                assert poly.evaluate(q0) == gauss_eval_product(n, i, q0), (n, i, q0)
+            for q0 in (2, 3, 4, 5, 7, 9):
+                reference = _fraction_product(n, i, q0)
+                numerator, e = qbinom._eval_product(n, i, q0)
+                assert Fraction(numerator, q0**e) == reference, (n, i, q0)
+                assert e == (0 if n >= 0 else sum(j - n for j in range(i))), (n, i, q0)
+                assert gauss_eval_product(n, i, q0) == reference == poly.evaluate(q0), (n, i, q0)
 
 
 def test_symmetry():
