@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success/certified, 1 verification failure, 2 usage or
 resource error (a MemoryError, an OSError such as an unusable --dump
-directory, or a value too long to print).  Output ordering is
+directory or too little disk for the dump, or a value too long to print).  Output ordering is
 deterministic everywhere so that csv/json outputs can be golden-file
 tested.
 """
@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
 from fractions import Fraction
 from math import log10
@@ -206,14 +207,20 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_spectrum(args: argparse.Namespace) -> int:
-    check_vertex_budget(args.v, args.k, args.q, args.budget)
+    n = check_vertex_budget(args.v, args.k, args.q, args.budget)
     ctx = field_of_order(args.q)
     predicted = spectrum_table(args.v, args.k, args.q)
-    if args.dump is not None:  # an unusable directory or dump name is an OSError (exit 2) before any enumeration
-        args.dump.mkdir(parents=True, exist_ok=True)
+    if args.dump is not None:  # an unusable directory or dump name, or too little disk, is an OSError (exit 2)
+        args.dump.mkdir(parents=True, exist_ok=True)  # before any enumeration
+        free = shutil.disk_usage(args.dump).free  # plus the size of the dump files that the dump replaces
         for name in ("vertices.txt", "adjacency.txt", "certification.json"):
-            if (args.dump / name).exists() and not (args.dump / name).is_file():
+            if (args.dump / name).is_file():
+                free += (args.dump / name).stat().st_size
+            elif (args.dump / name).exists():
                 raise OSError(f"{args.dump / name} exists and is not a regular file")
+        if 2 * n * n > free:  # two bytes per entry of A
+            raise OSError(f"adjacency.txt of {n} vertices needs {2 * n * n} bytes, {args.dump} has {free} "
+                          f"free (counting the dump files it would replace)")
     bases = enumerate_subspaces(ctx, args.v, args.k, budget=args.budget)
     graph = Incidence(bases, ctx)
     result = certify_spectrum(graph, predicted, vertex_automorphisms(graph))

@@ -4,7 +4,7 @@ This module builds qK(v, k) from scratch: it enumerates every
 k-dimensional subspace of F_q^v as a canonical reduced-row-echelon basis,
 lists the projective points of each vertex, and certifies a predicted
 spectrum of the adjacency matrix A (x ~ y iff x != y share no point, as
-Incidence.adjacency_rows computes it) with zero numerical tolerance:
+_packed_adjacency computes it) with zero numerical tolerance:
 
   * annihilation: the exact integer product P(A) = prod_j (A - lambda_j I)
     must be the zero matrix; since A is symmetric (hence diagonalizable) this
@@ -44,7 +44,10 @@ the first orbit (orbits are numbered by their smallest vertex) where
 P(B) e_O0 is nonzero.  B takes r rows of A, and the Krylov column
 B^m e_O0, m = 0..max(k, number of eigenvalues), is r Python ints a step:
 no n x n array and no bound.  A smaller H only makes r larger; nothing
-assumes r = k + 1.  Only --dump forms A, a strip of rows at a time.
+assumes r = k + 1, and each row comes from a free-point table of one
+column.  Only --dump forms A: it builds the free-point table of every
+column once, points * ceil(n / 8) bytes, and unpacks a strip of about
+2^18 entries of rows at a time.
 
 The vertex list is one read-only (n, k, v) int64 array of RREF bases,
 built pivot-set by pivot-set: one numpy block per choice of pivot
@@ -74,6 +77,7 @@ from .qbinom import gauss_eval_product
 from .spectrum import SpectrumTable
 
 DEFAULT_VERTEX_BUDGET = 2000
+_STRIP_ENTRIES = 2**18  # entries of A per strip of Incidence.adjacency_strips
 
 
 class BudgetExceededError(ValueError):
@@ -300,31 +304,58 @@ class Incidence:
         """Rows start..stop-1 of A as a C-contiguous (stop - start, n) bool array: x is adjacent
         to y iff they share no point and x != y (the zero subspace of k = 0 shares none with itself).
 
-        Bit b of packed[p] says that point p is no point of vertex start + b,
-        so the AND of packed at y's point ids holds A[start + b, y] at bit b:
-        a byte per eight entries of column y, unpacked by shifts into rows.
+        A is symmetric, so these are its columns start..stop-1: every
+        vertex's row of _packed_adjacency against the free-point table of
+        those columns, unpacked and transposed.
         """
-        block = np.arange(stop - start)
-        free = np.ones((len(self.points), len(block)), dtype=bool)  # free[p, b]: p is no point of start + b
-        free[self.members[start:stop].T, block] = False
-        packed = np.packbits(free, axis=1)
-        columns = np.full((self.n, packed.shape[1]), 0xFF, dtype=np.uint8)
-        for slot in self.members.T:
-            columns &= packed[slot]
-        by_byte = np.ascontiguousarray(columns.T)  # by_byte[c, y]: byte c of column y
-        bits = np.empty((packed.shape[1], 8, self.n), dtype=np.uint8)  # bits[c, i, y] = A[start + 8c + i, y]
-        for i in range(8):  # packbits puts entry 8c + i at bit 7 - i of byte c
-            np.right_shift(by_byte, 7 - i, out=bits[:, i])
-        bits &= 1
-        rows = bits.reshape(-1, self.n)[: len(block)].view(bool)
-        rows[block, start + block] = False
-        return rows
+        packed = _packed_adjacency(self._free_points(start, stop), self.members)
+        return np.ascontiguousarray(np.unpackbits(packed, axis=1, count=stop - start).T).view(bool)
 
     def adjacency_strips(self):
-        """A as consecutive C-contiguous bool strips of rows, about 2^22 entries each."""
-        rows = max(1, 2**22 // self.n)
-        for r in range(0, self.n, rows):
-            yield self.adjacency_rows(r, min(r + rows, self.n))
+        """A as consecutive C-contiguous bool strips of rows, about 2^18 entries each.
+
+        Each strip is _packed_adjacency of its rows against the free-point
+        table of every column, built once (points * ceil(n / 8) bytes),
+        unpacked along the columns.
+        """
+        free = self._free_points(0, self.n)
+        rows = max(1, _STRIP_ENTRIES // self.n)
+        for start in range(0, self.n, rows):
+            yield np.unpackbits(_packed_adjacency(free, self.members[start : start + rows]), axis=1,
+                                count=self.n).view(bool)
+
+    def _free_points(self, start: int, stop: int) -> np.ndarray:
+        """The free-point table of columns start..stop-1: a (points, ceil((stop - start) / 8)) uint8
+        array, packed as np.packbits packs along its last axis, whose bit b of row p says that point
+        p is no point of vertex start + b.
+
+        The bits are cleared in place, one bit position of the bytes at a
+        time, so no fancy-indexed AND names a byte twice; no unpacked
+        (points, stop - start) array is formed.
+        """
+        table = np.full((len(self.points), -(-(stop - start) // 8)), 0xFF, dtype=np.uint8)
+        for i in range(8):  # entry 8c + i is bit 7 - i of byte c
+            members = self.members[start + i : stop : 8]
+            table[members, np.arange(len(members))[:, None]] &= np.uint8(0xFF ^ 0x80 >> i)
+        return table
+
+
+def _packed_adjacency(free: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The rows of A of the vertices whose sorted point ids are the rows of members, packed as the
+    free-point table free (Incidence._free_points) of a block of columns is: the AND of free's rows
+    at each vertex's point ids.  This is A's one definition.
+
+    Bit b of the AND is set iff column b's vertex contains none of the
+    vertex's points, i.e. the two share no projective point and so meet
+    trivially (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3).  A
+    vertex's own points clear its own bit, so the diagonal is zero for
+    k >= 1; the zero subspace, the one vertex of k = 0, has no points and
+    gets a zero row.
+    """
+    rows = np.full((len(members), free.shape[1]), 0xFF if members.shape[1] else 0, dtype=np.uint8)
+    for slot in members.T:
+        rows &= free[slot]
+    return rows
 
 
 def _point_ids(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -721,7 +752,8 @@ def dump_vertices(bases: np.ndarray, path: str | Path) -> None:
 
 def dump_adjacency(strips, path: str | Path) -> None:
     """One 0/1 row per line, space-separated, from consecutive strips of rows (2-D arrays,
-    as Incidence.adjacency_strips yields them); other entries raise ValueError.
+    as Incidence.adjacency_strips yields them); other entries raise ValueError (bool strips
+    hold no others and are not scanned).
 
     An entry e is the little-endian uint16 0x2030 + e, the bytes "0 " or
     "1 ", and the last of a row is XORed to "0\\n" or "1\\n": each strip's
@@ -729,7 +761,7 @@ def dump_adjacency(strips, path: str | Path) -> None:
     """
     with open(path, "wb") as out:
         for strip in strips:
-            if strip.size and (strip.max() > 1 or strip.min() < 0):
+            if strip.dtype != bool and strip.size and (strip.max() > 1 or strip.min() < 0):
                 raise ValueError("adjacency dump needs 0/1 entries")
             text = np.add(strip, 0x2030, dtype="<u2", casting="unsafe", order="C")
             text[:, -1] ^= 0x2030 ^ 0x0A30

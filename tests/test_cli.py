@@ -1,5 +1,6 @@
 """CLI contract: the five commands, exit codes, and round-trippable output."""
 
+import collections
 import contextlib
 import csv
 import hashlib
@@ -528,6 +529,42 @@ def test_a_failed_dump_leaves_no_dump_file(capsys, monkeypatch, tmp_path):
     assert code == 2 and "certified: yes" in out and "dumped" not in out
     assert err == "error: [Errno 28] No space left on device\n"
     assert list(tmp_path.iterdir()) == []
+
+
+DiskUsage = collections.namedtuple("DiskUsage", "total used free")  # as shutil.disk_usage returns it
+
+
+def dump_disk(monkeypatch, free):
+    # shutil.disk_usage reporting free bytes, and the calls to enumerate_subspaces
+    calls, enumerate_subspaces = [], cli.enumerate_subspaces
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return enumerate_subspaces(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_subspaces", recording)
+    monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: DiskUsage(free, 0, free))
+    return calls
+
+
+def test_verify_spectrum_refuses_a_dump_the_disk_cannot_hold(capsys, monkeypatch, tmp_path):
+    # qK(4,2) over GF(2) has 35 vertices, so adjacency.txt takes 2 * 35^2 =
+    # 2450 bytes: one byte less is refused before enumeration, with no file
+    calls = dump_disk(monkeypatch, 2449)
+    code, out, err = run(capsys, "verify", "spectrum", "4", "2", "2", "--dump", str(tmp_path / "dump"))
+    assert (code, out, calls) == (2, "", [])
+    assert err == (f"error: adjacency.txt of 35 vertices needs 2450 bytes, {tmp_path / 'dump'} has 2449 free "
+                   f"(counting the dump files it would replace)\n")
+    assert list((tmp_path / "dump").iterdir()) == []
+
+
+def test_verify_spectrum_counts_the_dump_files_it_replaces_as_free(capsys, monkeypatch, tmp_path):
+    # 2400 free bytes and an earlier adjacency.txt of 50 make the 2450 needed
+    calls = dump_disk(monkeypatch, 2400)
+    (tmp_path / "adjacency.txt").write_bytes(b"0" * 50)
+    code, out, err = run(capsys, "verify", "spectrum", "4", "2", "2", "--dump", str(tmp_path))
+    assert (code, err, len(calls)) == (0, "", 1) and "certified: yes" in out
+    assert (tmp_path / "adjacency.txt").stat().st_size == 2450
 
 
 def test_certify_commands_do_not_import_numpy_ma():

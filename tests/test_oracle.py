@@ -1,5 +1,6 @@
 """Brute-force oracle: enumeration, intersections, adjacency, certification."""
 
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -878,7 +879,7 @@ def test_dump_adjacency_single_vertex(tmp_path):
 
 
 def test_adjacency_strips_zero_their_own_stretch_of_the_diagonal():
-    # qK(5,2) over GF(4), 5797 vertices, comes in strips of 723 rows: each
+    # qK(5,2) over GF(4), 5797 vertices, comes in strips of 2^18 // 5797 = 45 rows: each
     # zeroes its own diagonal entries and no other, so every row sum is the
     # degree q^4 [3 2]_q = 5376 (a wrong offset would zero an edge instead)
     graph = Incidence(enumerate_subspaces(field_of_order(4), 5, 2, budget=6000), field_of_order(4))
@@ -889,6 +890,57 @@ def test_adjacency_strips_zero_their_own_stretch_of_the_diagonal():
         sums += strip.sum(axis=1).tolist()
         starts.append(starts[-1] + len(strip))
     assert len(starts) > 2 and set(sums) == {5376} and len(sums) == 5797
+
+
+@pytest.mark.parametrize("v,k,q", [(3, 0, 2), (3, 1, 4), (4, 2, 3), (5, 3, 2)])
+def test_dump_adjacency_is_the_rank_route(monkeypatch, tmp_path, v, k, q):
+    # adjacency.txt against intersection_dim == 0 for k = 0..3 and n = 1, 21,
+    # 130 and 155 (no multiple of 8), in one strip, in strips of a single
+    # row and in strips of 13 rows (the last one shorter unless 13 divides n)
+    ctx = field_of_order(q)
+    subs = enumerate_subspaces(ctx, v, k)
+    n = len(subs)
+    meet = {(x, y): intersection_dim(ctx, subs[x], subs[y]) for x in range(n) for y in range(x + 1, n)}
+    expected = "".join(" ".join("1" if meet.get((min(x, y), max(x, y))) == 0 else "0" for y in range(n)) + "\n"
+                       for x in range(n))
+    graph, path = Incidence(subs, ctx), tmp_path / "adjacency.txt"
+    for entries, rows in ((oracle._STRIP_ENTRIES, n), (1, 1), (13 * n, 13)):
+        monkeypatch.setattr(oracle, "_STRIP_ENTRIES", entries)
+        assert [len(strip) for strip in graph.adjacency_strips()] == [min(rows, n - r) for r in range(0, n, rows)]
+        dump_adjacency(graph.adjacency_strips(), path)
+        assert path.read_text() == expected, entries
+
+
+@pytest.mark.parametrize("v,k,q", [(5, 2, 4), (7, 3, 2)])
+def test_dump_adjacency_memory_is_the_table_and_a_few_strips(v, k, q):
+    # the dump holds the free-point table of every column, points * ceil(n / 8)
+    # bytes (247 KB for qK(5,2) over GF(4), 187 KB for qK(7,3) over GF(2)),
+    # and a few strips of 2^18 entries: about 1.5 MiB traced, where strips of
+    # 2^22 entries, unpacked from bits packed along the rows, peaked at 20 MiB
+    ctx = field_of_order(q)
+    graph = Incidence(enumerate_subspaces(ctx, v, k, budget=12000), ctx)
+    tracemalloc.start()
+    try:
+        dump_adjacency(graph.adjacency_strips(), os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
+def test_certify_reads_free_point_tables_of_one_column(capsys, monkeypatch):
+    # without --dump no table of every column is built: the certificate reads
+    # single rows of A, each from the free-point table of one column
+    widths, free_points = [], Incidence._free_points
+
+    def recording(graph, start, stop):
+        widths.append(stop - start)
+        return free_points(graph, start, stop)
+
+    monkeypatch.setattr(Incidence, "_free_points", recording)
+    assert main(["verify", "spectrum", "5", "2", "4", "--budget", "6000"]) == 0
+    assert "certified: yes" in capsys.readouterr().out
+    assert widths and set(widths) == {1}
 
 
 @pytest.mark.parametrize("v,k,q,start,stop", [
