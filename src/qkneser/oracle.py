@@ -371,65 +371,34 @@ def _point_ids(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.where(points[at] == codes, at, -1)
 
 
-def _key(rows: np.ndarray, q: int, base: int, n: int) -> list[tuple[np.ndarray, int]]:
-    """Sorted rows of w ids below base, keyed for _lookup in a table of n rows: a list of int64
-    words of their first ceil(w/q) ids, each with its scale, base to the number of ids it holds.
-
-    For the point ids of j-subspaces, w = [j 1]_q = q [j-1 1]_q + 1, and two
-    distinct j-subspaces share at most [j-1 1]_q points, so those first ids
-    tell them apart.  They are read base `base`, first id most significant.
-    The first word holds as many as fit in 63 bits, each later one as many
-    as leave room beside them for a rank below n.  That is one word unless
-    the prefix is long (the vertices of qK(8,4) q=2 take two).  Rows of
-    width 0 all get the one word 0.
-    """
-    count = -(-rows.shape[1] // q)
-    bits = max(1, (base - 1).bit_length())
-    later = (63 - max(1, (n - 1).bit_length())) // bits
-    sizes = [min(count, 63 // bits)]
-    while sum(sizes) < count:
-        if later < 1:
-            raise ValueError(f"ids below {base} in a table of {n} rows do not fit int64 keys")
-        sizes.append(min(count - sum(sizes), later))
-    starts = np.cumsum([0, *sizes])
-    return [(rows[:, lo:hi] @ base ** np.arange(hi - lo - 1, -1, -1), base ** int(hi - lo))
-            for lo, hi in zip(starts, starts[1:])]
-
-
-def _lookup(table: np.ndarray, q: int, base: int):
+def _lookup(table: np.ndarray, q: int, k: int, base: int):
     """A function from queries to the index of each of their rows among the rows of table, or -1
-    where it is none of them; both hold the sorted point ids (below base) of subspaces of one
-    dimension, told apart by _key.
+    where it is none of them; both hold the sorted point ids (below base) of k-subspaces over GF(q).
 
-    The key is read a word at a time: level 0 is the first word, and level
-    i the rank of the row's level i-1 value among the table's distinct
-    ones, times the scale of word i, plus word i.  So a level is one int64
-    below 2^63, and two rows share it iff they share their first i + 1
-    words.  The table's distinct values of each level are sorted once;
-    each call finds its queries' values level by level with
-    np.searchsorted and tests equality, so no query is sorted.  (Viewed as
-    one structured element, several int64 words compare through numpy's
-    generic field-by-field routine, and np.searchsorted ran about 30 times
-    slower on them than on int64.)
+    A row is keyed by its ids at the positions s_i = [k 1]_q - [k-i 1]_q,
+    i < k, read base `base` into one int64, first id most significant.
+    Point ids run in order of pivot column, so the points of a k-subspace
+    whose pivot is p_i, RREF row i plus combinations of the rows below it,
+    are its q^(k-1-i) ids from position s_i on, and the least of them is
+    row i itself, the one zero at every later pivot.  So the key reads the
+    RREF rows, which name the subspace.  The table's keys are sorted once;
+    each call finds its queries' keys with one np.searchsorted.
+    ValueError, before any query, when base^k > 2^63 and keys could
+    overflow int64.  For v >= 2k, [v 1]_q^k <= [v k]_q^2, so that takes
+    over 3 * 10^9 vertices; only v < 2k reaches it, as qK(9,8) q=2 does.
     """
-    levels, ranks = [], None
-    for word, scale in _key(table, q, base, len(table)):
-        value = word if ranks is None else ranks * scale + word
-        ordered = np.sort(value)
-        fresh = np.ones(len(ordered), dtype=bool)  # not np.unique, which imports numpy.ma (numpy >= 2)
-        fresh[1:] = ordered[1:] != ordered[:-1]
-        levels.append(ordered[fresh])
-        ranks = np.searchsorted(levels[-1], value)
-    index = np.full(len(levels[-1]), -1)
-    index[ranks] = np.arange(len(table))
+    if base**k > 2**63:
+        raise ValueError(f"keys of {k} point ids below {base} do not fit int64")
+    positions = [(q**k - q ** (k - i)) // (q - 1) for i in range(k)]
+    weights = base ** np.arange(k - 1, -1, -1)
+    keys = table[:, positions] @ weights
+    order = np.argsort(keys)
+    ordered = keys[order]
 
     def find(queries: np.ndarray) -> np.ndarray:
-        found, ranks = np.ones(len(queries), dtype=bool), None
-        for distinct, (word, scale) in zip(levels, _key(queries, q, base, len(table))):
-            value = word if ranks is None else ranks * scale + word
-            ranks = np.searchsorted(distinct, value).clip(max=len(distinct) - 1)
-            found &= distinct[ranks] == value
-        return np.where(found, index[ranks], -1)
+        value = queries[:, positions] @ weights
+        at = np.searchsorted(ordered, value).clip(max=len(ordered) - 1)
+        return np.where(ordered[at] == value, order[at], -1)
 
     return find
 
@@ -475,15 +444,20 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
     applied together to the coordinates of a block of points (about 2^16
     image entries) with the _FieldArrays ops; each image is rescaled to a
     leading 1 through the inverse table, and a vertex goes where its
-    sorted point ids go (found by _lookup).  An image that is no vertex raises InvariantError, and a
-    point whose image is no point gets the id -1.  certify_spectrum checks
-    what it relies on (that each map is a permutation carrying the points
-    of every vertex x to those of sigma x, and that the sigmas are
-    transitive), so nothing here is taken on trust.
+    sorted point ids go: to the vertex whose RREF rows, read off the ids
+    at k fixed sorted positions as one int64 key (_lookup), are those of
+    the image.  An image that is no vertex raises InvariantError, and a
+    point whose image is no point gets the id -1.  ValueError, before any
+    lookup, when those keys could overflow int64 (only for v < 2k).
+    certify_spectrum checks what it relies on (that each map is a
+    permutation carrying all the points of every vertex x to those of
+    sigma x, and that the sigmas are transitive), so nothing here, the
+    key included, is taken on trust.
     """
     ctx, q, v, k = graph.ctx, graph.ctx.q, graph.v, graph.k
     if graph.n == 1:  # nothing to carry anywhere
         return []
+    find = _lookup(graph.members, q, k, len(graph.points))
     field = _field_arrays(ctx)
     weights = q ** np.arange(v)  # a code reads the coordinates base q
     vectors = graph.points[:, None] // weights % q
@@ -512,10 +486,9 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
         leads = np.take_along_axis(images, (images != 0).argmax(axis=2)[..., None], axis=2)
         codes[:, start : start + step] = field.mul(field.inverse[leads], images) @ weights
     taus = _point_ids(graph.points, codes)
-    members, automorphisms = graph.members, []
-    find = _lookup(members, q, len(graph.points))
+    automorphisms = []
     for g, tau in enumerate(taus):
-        image = tau[members]
+        image = tau[graph.members]
         image.sort(axis=1)
         sigma = find(image)
         if (sigma < 0).any():
@@ -751,9 +724,8 @@ def dump_vertices(bases: np.ndarray, path: str | Path) -> None:
 
 
 def dump_adjacency(strips, path: str | Path) -> None:
-    """One 0/1 row per line, space-separated, from consecutive strips of rows (2-D arrays,
-    as Incidence.adjacency_strips yields them); other entries raise ValueError (bool strips
-    hold no others and are not scanned).
+    """One 0/1 row per line, space-separated, from consecutive bool strips of rows (2-D arrays,
+    as Incidence.adjacency_strips yields them); a strip of any other dtype raises ValueError.
 
     An entry e is the little-endian uint16 0x2030 + e, the bytes "0 " or
     "1 ", and the last of a row is XORed to "0\\n" or "1\\n": each strip's
@@ -761,8 +733,8 @@ def dump_adjacency(strips, path: str | Path) -> None:
     """
     with open(path, "wb") as out:
         for strip in strips:
-            if strip.dtype != bool and strip.size and (strip.max() > 1 or strip.min() < 0):
-                raise ValueError("adjacency dump needs 0/1 entries")
+            if strip.dtype != bool:
+                raise ValueError(f"adjacency dump needs bool strips, got {strip.dtype}")
             text = np.add(strip, 0x2030, dtype="<u2", casting="unsafe", order="C")
             text[:, -1] ^= 0x2030 ^ 0x0A30
             out.write(text)

@@ -960,22 +960,74 @@ def test_adjacency_rows_are_the_rank_route(v, k, q, start, stop):
     assert rows.tolist() == expected
 
 
-@pytest.mark.parametrize("base", [63, 2**21, 2**40])
-def test_lookup_finds_subspaces_by_keys_of_one_or_more_words(base):
-    # the vertices of qK(6,2) and qK(6,3) over GF(2): a line is told apart
-    # by its first 2 point ids and a plane by its first 4; read base 63 they
-    # fit one word each, base 2^21 the planes take 2 words and base 2^40 one
-    # word per id
+@pytest.mark.parametrize("v,k,q", [
+    (4, 1, 3), (3, 1, 8), (4, 2, 2), (6, 3, 3), (4, 2, 4), (4, 2, 9), (7, 3, 2), (6, 4, 2), (3, 2, 9),
+    (5, 4, 3), (6, 3, 4),
+])
+def test_the_sorted_point_ids_at_the_key_positions_are_the_rref_rows(v, k, q):
+    # prime and extension fields, k = 1 (s = [0]), v = 2k and v < 2k: at
+    # s_i = sum of q^(k-1-j) over j < i, every vertex's sorted point ids are
+    # the ids of its RREF rows, which a table indexed by code looks up
+    ctx = field_of_order(q)
+    subs = enumerate_subspaces(ctx, v, k, budget=400000)
+    graph = Incidence(subs, ctx)
+    positions = [sum(q ** (k - 1 - j) for j in range(i)) for i in range(k)]
+    if (v, k, q) == (6, 3, 4):
+        assert positions == [0, 16, 20]
+    ids = np.full(q**v, -1)
+    ids[enumerate_subspaces(ctx, v, 1)[:, 0] @ q ** np.arange(v)] = np.arange(len(graph.points))
+    assert np.array_equal(graph.members[:, positions], ids[subs @ q ** np.arange(v)])
+
+
+@pytest.mark.parametrize("v,k,q", [(6, 2, 2), (6, 3, 2), (4, 2, 4), (5, 3, 3)])
+def test_lookup_finds_subspaces_by_their_rref_rows(v, k, q):
+    ctx = field_of_order(q)
+    graph = Incidence(enumerate_subspaces(ctx, v, k), ctx)
+    members, base = graph.members, len(graph.points)
+    shuffle = np.random.default_rng(0).permutation(len(members))
+    assert oracle._lookup(members, q, k, base)(members[shuffle]).tolist() == shuffle.tolist()  # shuffled queries
+    assert oracle._lookup(members[shuffle], q, k, base)(members).tolist() == np.argsort(shuffle).tolist()
+    find = oracle._lookup(members[1:], q, k, base)
+    assert find(members).tolist() == [-1, *range(len(members) - 1)]  # a missing row
+    assert find(members[:0]).tolist() == []
+
+
+def test_lookup_keys_reach_2_to_the_63_and_no_further():
+    # ids of 511 points, the top key 511^7 - 1 < 2^63 read exactly; with 8
+    # ids, as for the hyperplanes of F_2^9, the keys could overflow and the
+    # library call is refused before any lookup
+    rows = np.full((2, 127), 510)
+    rows[0, 0] = 509
+    assert oracle._lookup(rows, 2, 7, 511)(rows[::-1]).tolist() == [1, 0]
     ctx = make_field(2, 1)
-    lines = Incidence(enumerate_subspaces(ctx, 6, 2), ctx).members
-    planes = Incidence(enumerate_subspaces(ctx, 6, 3), ctx).members
-    assert len(oracle._key(planes, 2, base, len(planes))) == {63: 1, 2**21: 2, 2**40: 4}[base]
-    shuffle = np.random.default_rng(0).permutation(len(lines))
-    assert oracle._lookup(lines, 2, base)(lines[shuffle]).tolist() == shuffle.tolist()  # shuffled queries
-    assert oracle._lookup(lines[shuffle], 2, base)(lines).tolist() == np.argsort(shuffle).tolist()  # shuffled table
-    find = oracle._lookup(planes[1:], 2, base)
-    assert find(planes).tolist() == [-1, *range(len(planes) - 1)]  # a missing row
-    assert find(planes[:0]).tolist() == []
+    graph = Incidence(enumerate_subspaces(ctx, 9, 8), ctx)
+    with pytest.raises(ValueError, match="keys of 8 point ids below 511 do not fit int64"):
+        vertex_automorphisms(graph)
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (5, 2, 3), (4, 2, 4), (6, 3, 2)])
+def test_a_point_set_with_a_vertex_s_key_alone_is_refused(monkeypatch, capsys, v, k, q):
+    # negative control for the key: tau swaps the point at sorted position 1
+    # of vertex 0 (no RREF row of it, since s_1 = q^(k-1) >= 2) with the next
+    # point id, which is no point of vertex 0.  The image agrees with vertex
+    # 0 at the key's positions alone, so _lookup returns vertex 0 for it; the
+    # certificate compares whole rows and refuses it
+    ctx = field_of_order(q)
+    graph = Incidence(enumerate_subspaces(ctx, v, k), ctx)
+    a = int(graph.members[0, 1])
+    tau = np.arange(len(graph.points))
+    tau[[a, a + 1]] = a + 1, a
+    image = np.sort(tau[graph.members[:1]], axis=1)
+    assert a + 1 not in graph.members[0] and image.tolist() != graph.members[:1].tolist()
+    sigma = np.arange(graph.n)
+    sigma[0] = oracle._lookup(graph.members, q, k, len(graph.points))(image)[0]
+    assert sigma[0] == 0
+    bad = [Automorphism(sigma, tau)]
+    message = "automorphism 0 does not carry the 1-subspaces of vertex 0 to those of vertex 0"
+    with pytest.raises(InvariantError, match=message):
+        certify_spectrum(graph, spectrum_table(v, k, q), bad)
+    monkeypatch.setattr(cli, "vertex_automorphisms", lambda graph: bad)
+    assert message in assert_verification_failure(capsys, str(v), str(k), str(q))
 
 
 def test_dump_vertices_of_the_zero_subspace(tmp_path):
