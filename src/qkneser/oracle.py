@@ -41,13 +41,13 @@ y on the r orbits, lift(y) being y[O] at each vertex of O.  So A^m e_0 is
 the lift of B^m e_O0, the moments are n (B^m)_O0O0, and P(A) e_0 is the
 lift of P(B) e_O0: its first nonzero entry is at the smallest vertex of
 the first orbit (orbits are numbered by their smallest vertex) where
-P(B) e_O0 is nonzero.  B takes r rows of A, and the Krylov column
-B^m e_O0, m = 0..max(k, number of eigenvalues), is r Python ints a step:
-no n x n array and no bound.  A smaller H only makes r larger; nothing
-assumes r = k + 1, and each row comes from a free-point table of one
-column.  Only --dump forms A: it builds the free-point table of every
-column once, points * ceil(n / 8) bytes, and unpacks a strip of about
-2^18 entries of rows at a time.
+P(B) e_O0 is nonzero.  B takes r rows of A, all from one free-point
+table of their r columns and one AND pass over every vertex, and the
+Krylov column B^m e_O0, m = 0..max(k, number of eigenvalues), is r
+Python ints a step: no n x n array and no bound.  A smaller H only
+makes r larger; nothing assumes r = k + 1.  Only --dump forms A: it
+builds the free-point table of every column once, points * ceil(n / 8)
+bytes, and unpacks a strip of about 2^18 entries of rows at a time.
 
 The vertex list is one read-only (n, k, v) int64 array of RREF bases,
 built pivot-set by pivot-set: one numpy block per choice of pivot
@@ -188,11 +188,13 @@ class _FieldArrays:
     all q - 1 nonzero elements before they return to 1.  log inverts it
     (log[0] is unused) and inverse[a] = g^(-log a) for a != 0, inverse[0]
     = 0.  Prime fields add and multiply by % p; otherwise mul adds logs,
-    0 times anything being 0, and add works digit by digit base p (XOR
-    when p = 2).  No table has more than q entries.
+    0 times anything being 0, and add is XOR when p = 2, else
+    fold[spread[a] + spread[b]]: spread reads base-p digits base 2p - 1,
+    so the sum never carries, and fold reads it back mod p, base p.  fold
+    has (2p - 1)^e < 2^e q entries, every other table at most q.
     """
 
-    __slots__ = ("p", "e", "q", "log", "antilog", "inverse")
+    __slots__ = ("p", "e", "q", "log", "antilog", "inverse", "spread", "fold")
 
     def __init__(self, ctx: FieldCtx):
         self.p, self.e, self.q = ctx.p, ctx.e, ctx.q
@@ -207,7 +209,10 @@ class _FieldArrays:
         self.log[self.antilog] = np.arange(ctx.q - 1)
         self.inverse = np.zeros(ctx.q, dtype=np.int64)
         self.inverse[self.antilog] = self.antilog[-np.arange(ctx.q - 1) % (ctx.q - 1)]
-        for table in (self.antilog, self.log, self.inverse):  # shared through _field_arrays
+        odd, wide, digits = self.p > 2 and self.e > 1, 2 * self.p - 1, np.arange(self.e)  # empty unless odd
+        self.spread = np.arange(ctx.q * odd)[:, None] // self.p**digits % self.p @ wide**digits
+        self.fold = np.arange(wide**self.e * odd)[:, None] // wide**digits % wide % self.p @ self.p**digits
+        for table in (self.antilog, self.log, self.inverse, self.spread, self.fold):  # shared through _field_arrays
             table.flags.writeable = False
 
     def add(self, a, b):
@@ -215,8 +220,7 @@ class _FieldArrays:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        # digit i of a + b is (a // p^i + b // p^i) mod p: the higher digits are multiples of p
-        return sum((a // self.p**i + b // self.p**i) % self.p * self.p**i for i in range(self.e))
+        return self.fold[self.spread[a] + self.spread[b]]
 
     def mul(self, a, b):
         if self.e == 1:
@@ -300,17 +304,6 @@ class Incidence:
     def n(self) -> int:
         return len(self.members)
 
-    def adjacency_rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop-1 of A as a C-contiguous (stop - start, n) bool array: x is adjacent
-        to y iff they share no point and x != y (the zero subspace of k = 0 shares none with itself).
-
-        A is symmetric, so these are its columns start..stop-1: every
-        vertex's row of _packed_adjacency against the free-point table of
-        those columns, unpacked and transposed.
-        """
-        packed = _packed_adjacency(self._free_points(start, stop), self.members)
-        return np.ascontiguousarray(np.unpackbits(packed, axis=1, count=stop - start).T).view(bool)
-
     def adjacency_strips(self):
         """A as consecutive C-contiguous bool strips of rows, about 2^18 entries each.
 
@@ -318,31 +311,31 @@ class Incidence:
         table of every column, built once (points * ceil(n / 8) bytes),
         unpacked along the columns.
         """
-        free = self._free_points(0, self.n)
+        free = self._free_points(np.arange(self.n))
         rows = max(1, _STRIP_ENTRIES // self.n)
         for start in range(0, self.n, rows):
             yield np.unpackbits(_packed_adjacency(free, self.members[start : start + rows]), axis=1,
                                 count=self.n).view(bool)
 
-    def _free_points(self, start: int, stop: int) -> np.ndarray:
-        """The free-point table of columns start..stop-1: a (points, ceil((stop - start) / 8)) uint8
-        array, packed as np.packbits packs along its last axis, whose bit b of row p says that point
-        p is no point of vertex start + b.
+    def _free_points(self, columns: np.ndarray) -> np.ndarray:
+        """The free-point table of the vertices columns, an int array: a (points, ceil(len(columns) / 8))
+        uint8 array, packed as np.packbits packs along its last axis, whose bit b of row p says that
+        point p is no point of vertex columns[b].
 
         The bits are cleared in place, one bit position of the bytes at a
         time, so no fancy-indexed AND names a byte twice; no unpacked
-        (points, stop - start) array is formed.
+        (points, len(columns)) array is formed.
         """
-        table = np.full((len(self.points), -(-(stop - start) // 8)), 0xFF, dtype=np.uint8)
+        table = np.full((len(self.points), -(-len(columns) // 8)), 0xFF, dtype=np.uint8)
         for i in range(8):  # entry 8c + i is bit 7 - i of byte c
-            members = self.members[start + i : stop : 8]
+            members = self.members[columns[i::8]]
             table[members, np.arange(len(members))[:, None]] &= np.uint8(0xFF ^ 0x80 >> i)
         return table
 
 
 def _packed_adjacency(free: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The rows of A of the vertices whose sorted point ids are the rows of members, packed as the
-    free-point table free (Incidence._free_points) of a block of columns is: the AND of free's rows
+    free-point table free (Incidence._free_points) of some columns is: the AND of free's rows
     at each vertex's point ids.  This is A's one definition.
 
     Bit b of the AND is set iff column b's vertex contains none of the
@@ -436,23 +429,24 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
     least 3 coordinates), and for each c = p^i, i < e (the field elements
     x^i, an additive basis of GF(q) over GF(p)), the transvection
     x_{lo+1} += c x_lo at the start lo of each block of at least 2
-    coordinates, then x_0 += c x_k.  When v = 2k >= 4 the shift of
-    coordinates 0..k-1 alone comes last: acting on both blocks at once,
-    the others keep the stabiliser's orbits finer than the k + 1 of
-    intersection dimension.  Each generator is a v x v matrix, a column
-    permutation of the identity or transvections, and all of them are
-    applied together to the coordinates of a block of points (about 2^16
-    image entries) with the _FieldArrays ops; each image is rescaled to a
-    leading 1 through the inverse table, and a vertex goes where its
-    sorted point ids go: to the vertex whose RREF rows, read off the ids
-    at k fixed sorted positions as one int64 key (_lookup), are those of
-    the image.  An image that is no vertex raises InvariantError, and a
-    point whose image is no point gets the id -1.  ValueError, before any
-    lookup, when those keys could overflow int64 (only for v < 2k).
-    certify_spectrum checks what it relies on (that each map is a
-    permutation carrying all the points of every vertex x to those of
-    sigma x, and that the sigmas are transitive), so nothing here, the
-    key included, is taken on trust.
+    coordinates, then x_0 += c x_k; for p > 2, then x_0 *= 2, so that
+    orbits take O(log p) breadth-first levels, not p.  When v = 2k >= 4
+    the shift of coordinates 0..k-1 alone comes last: acting on both
+    blocks at once, the others keep the stabiliser's orbits finer than the
+    k + 1 of intersection dimension.  Each generator is a v x v matrix, a
+    column permutation of the identity, transvections or the doubling of
+    x_0, and all of them are applied together to the coordinates of a
+    block of points (about 2^16 image entries) with the _FieldArrays ops;
+    each image is rescaled to a leading 1 through the inverse table, and a
+    vertex goes where its sorted point ids go: to the vertex whose RREF
+    rows, read off the ids at k fixed sorted positions as one int64 key
+    (_lookup), are those of the image.  An image that is no vertex raises
+    InvariantError, and a point whose image is no point gets the id -1.
+    ValueError, before any lookup, when those keys could overflow int64
+    (only for v < 2k).  certify_spectrum checks what it relies on (that
+    each map is a permutation carrying all the points of every vertex x to
+    those of sigma x, and that the sigmas are transitive), so nothing
+    here, the key included, is taken on trust.
     """
     ctx, q, v, k = graph.ctx, graph.ctx.q, graph.v, graph.k
     if graph.n == 1:  # nothing to carry anywhere
@@ -477,6 +471,8 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
                 transvection = eye.copy()
                 transvection[tuple(zip(*pairs))] = c
                 generators.append(transvection)
+    if ctx.p > 2:  # x_0 *= 2, with which x_0 += c x_k reaches every multiple of c in O(log p) steps
+        generators.append(np.diag([2, *[1] * (v - 1)]))
     if v == 2 * k >= 4:
         generators.append(eye[:, [k - 1, *range(k - 1), *range(k, v)]])
     codes = np.empty((len(generators), len(vectors)), dtype=np.int64)
@@ -638,9 +634,11 @@ def _orbits(perms, n: int) -> tuple[np.ndarray, list[int]]:
 
 def _quotient(graph: Incidence, sigmas) -> tuple[np.ndarray, list[int], list[list[int]]]:
     """The orbits of the sigmas that fix vertex 0 (as _orbits numbers them), and the quotient
-    B[O][O'] = |N(u) & O'| for the smallest vertex u of O, read off row u of A."""
+    B[O][O'] = |N(u) & O'| for the smallest vertex u of O, read off row u of A (all from one table)."""
     orbit, smallest = _orbits([sigma for sigma in sigmas if sigma[0] == 0], graph.n)
-    counts = [np.bincount(orbit[graph.adjacency_rows(u, u + 1)[0]], minlength=len(smallest)) for u in smallest]
+    packed = _packed_adjacency(graph._free_points(np.array(smallest)), graph.members)
+    rows = np.unpackbits(packed, axis=1, count=len(smallest)).T.view(bool)  # A is symmetric
+    counts = [np.bincount(orbit[row], minlength=len(smallest)) for row in rows]
     return orbit, smallest, [row.tolist() for row in counts]
 
 

@@ -197,13 +197,16 @@ def test_context_equality():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169, 289, 1999])
 def test_tables_match_raw_arithmetic(q):
-    # the oracle's array ops (% p, or log and antilog tables and digit-wise
-    # addition) against add, mul and inv, which run the polynomial routines,
-    # on every pair of elements; 289 lies past the old q <= 256 cutoff, and
-    # GF(1999) has 4 million pairs
+    # the oracle's array ops (% p, or log and antilog tables and XOR or
+    # digits base 2p - 1 that add without a carry) against add, mul and inv,
+    # which run the polynomial routines, on every pair of elements; 289 lies
+    # past the old q <= 256 cutoff, and GF(1999) has 4 million pairs
     ctx = field_of_order(q)
     field = oracle._FieldArrays(ctx)
     assert all(len(table) <= q for table in (field.log, field.antilog, field.inverse))
+    odd_extension = ctx.p > 2 and ctx.e > 1  # the fields that add through spread and fold
+    assert (len(field.spread), len(field.fold)) == ((q, (2 * ctx.p - 1) ** ctx.e) if odd_extension else (0, 0))
+    assert len(field.fold) < 2**ctx.e * q
     a, b = np.divmod(np.arange(q * q), q)
     assert field.add(a, b).tolist() == list(map(ctx.add, a.tolist(), b.tolist()))
     assert field.mul(a, b).tolist() == list(map(ctx.mul, a.tolist(), b.tolist()))

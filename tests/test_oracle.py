@@ -230,6 +230,13 @@ def adjacency_of(ctx, v, k):
     return build_adjacency(enumerate_subspaces(ctx, v, k), ctx)
 
 
+def adjacency_rows(graph, columns):
+    # the columns of A (its rows, A being symmetric) of the vertices columns, as a
+    # (len(columns), n) bool array: every vertex ANDed against one free-point table
+    packed = oracle._packed_adjacency(graph._free_points(columns), graph.members)
+    return np.unpackbits(packed, axis=1, count=len(columns)).T.view(bool)
+
+
 def graph_of(ctx, v, k):
     # the incidence and the generators' actions on it
     graph = Incidence(enumerate_subspaces(ctx, v, k), ctx)
@@ -445,6 +452,7 @@ def test_automorphisms_are_the_generators_action(v, k, q):
     for c in [ctx.p**i for i in range(ctx.e)]:
         generators += [lambda x, c=c: within(x, transvection(c))] if max(k, v - k) >= 2 else []
         generators += [lambda x, c=c: [ctx.add(x[0], ctx.mul(c, x[k])), *x[1:]]]
+    generators += [lambda x: [ctx.mul(2, x[0]), *x[1:]]] if ctx.p > 2 else []
     generators += [lambda x: [x[k - 1], *x[: k - 1], *x[k:]]] if v == 2 * k >= 4 else []  # block 0's shift alone
     automorphisms = vertex_automorphisms(graph)
     assert len(automorphisms) == len(generators)
@@ -775,9 +783,9 @@ def test_quotient_is_the_same_from_every_vertex_of_an_orbit(v, k, q):
     # every u of an orbit, not only for the smallest one, which B is read from
     graph, (orbit, smallest, quotient) = quotient_of(field_of_order(q), v, k)
     assert len(smallest) > 1 and smallest == sorted(smallest)
+    rows = adjacency_rows(graph, np.arange(graph.n))
     for u in range(graph.n):
-        assert np.bincount(orbit[graph.adjacency_rows(u, u + 1)[0]], minlength=len(smallest)).tolist() == \
-            quotient[orbit[u]], u
+        assert np.bincount(orbit[rows[u]], minlength=len(smallest)).tolist() == quotient[orbit[u]], u
 
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (4, 2, 4), (6, 3, 2), (8, 4, 2), (5, 2, 3), (7, 3, 2)])
@@ -928,19 +936,22 @@ def test_dump_adjacency_memory_is_the_table_and_a_few_strips(v, k, q):
     assert peak < 2.5 * 2**20
 
 
-def test_certify_reads_free_point_tables_of_one_column(capsys, monkeypatch):
+def test_certify_reads_one_free_point_table_of_the_orbit_representatives(capsys, monkeypatch):
     # without --dump no table of every column is built: the certificate reads
-    # single rows of A, each from the free-point table of one column
-    widths, free_points = [], Incidence._free_points
+    # the r = k + 1 rows of A it needs from one free-point table of their
+    # columns, the smallest vertex of each orbit, ceil(r / 8) bytes per point
+    tables, free_points = [], Incidence._free_points
 
-    def recording(graph, start, stop):
-        widths.append(stop - start)
-        return free_points(graph, start, stop)
+    def recording(graph, columns):
+        tables.append((columns.tolist(), free_points(graph, columns)))
+        return tables[-1][1]
 
     monkeypatch.setattr(Incidence, "_free_points", recording)
     assert main(["verify", "spectrum", "5", "2", "4", "--budget", "6000"]) == 0
     assert "certified: yes" in capsys.readouterr().out
-    assert widths and set(widths) == {1}
+    [(columns, table)] = tables
+    assert columns[0] == 0 and columns == sorted(columns) and len(columns) == 3
+    assert table.shape == (341, 1) and table.dtype == np.uint8  # the 341 points of PG(4, 4)
 
 
 @pytest.mark.parametrize("v,k,q,start,stop", [
@@ -950,14 +961,30 @@ def test_certify_reads_free_point_tables_of_one_column(capsys, monkeypatch):
 def test_adjacency_rows_are_the_rank_route(v, k, q, start, stop):
     # rows start..stop-1 of A against intersection_dim == 0 for k = 0..4, in
     # blocks of 1, 5, 11, 13 and 30 rows (no multiple of 8) that cross the
-    # diagonal; qK(6,4) over GF(2) is the null graph
+    # diagonal, then as many rows in a shuffled order from anywhere in A;
+    # qK(6,4) over GF(2) is the null graph
     ctx = field_of_order(q)
     subs = enumerate_subspaces(ctx, v, k)
-    rows = Incidence(subs, ctx).adjacency_rows(start, stop)
-    assert rows.dtype == bool and rows.flags.c_contiguous and rows.shape == (stop - start, len(subs))
-    expected = [[x != y and intersection_dim(ctx, subs[x], subs[y]) == 0 for y in range(len(subs))]
-                for x in range(start, stop)]
-    assert rows.tolist() == expected
+    graph = Incidence(subs, ctx)
+    for columns in (np.arange(start, stop), np.random.default_rng(start).permutation(len(subs))[: stop - start]):
+        rows = adjacency_rows(graph, columns)
+        assert rows.dtype == bool and rows.shape == (stop - start, len(subs))
+        expected = [[x != y and intersection_dim(ctx, subs[x], subs[y]) == 0 for y in range(len(subs))]
+                    for x in columns.tolist()]
+        assert rows.tolist() == expected, columns
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (6, 3, 2), (4, 2, 5)])
+def test_a_free_point_table_of_the_wrong_columns_fails_annihilation(capsys, monkeypatch, v, k, q):
+    # negative control for the one table of the quotient's rows: with its
+    # columns reversed, row u of B is read from another orbit's vertex, so
+    # P(B) e_O0 is not zero and the report says so (exit 1, no traceback)
+    free_points = Incidence._free_points
+    monkeypatch.setattr(Incidence, "_free_points", lambda graph, columns: free_points(graph, columns[::-1]))
+    assert main(["verify", "spectrum", str(v), str(k), str(q)]) == 1
+    captured = capsys.readouterr()
+    assert "annihilation: FAIL\n" in captured.out and captured.out.endswith("certified: NO\n")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("v,k,q", [
