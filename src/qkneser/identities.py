@@ -28,9 +28,11 @@ as a pair (N, e) for N / q0^e (qbinom._eval_product), and the checks
 compare integers: both sides times one power of q0, high enough to clear
 every denominator.  Only a mismatch is rendered, as the Fraction of each
 side.  lemma2 to corollary1 share one pair of sides
-(qbinom.alternating_sum on the left), and both eigenvalue forms
-(spectrum.py) are theorem2's sides, so its grid checks what
-`eigenvalues` prints.  corollary1's cross-check against theorem2
+(qbinom.alternating_sum on the left).  Both eigenvalue forms (spectrum.py)
+are theorem2's sides, but the Delsarte form computes the left side by
+another route, qbinom.full_alternating_sum: the grid checks the sum as
+written, and `eigenvalues --form both` checks that route against the
+closed form.  corollary1's cross-check against theorem2
 at t = a-m catches a mis-wired substitution, not an independent route.
 """
 

@@ -47,9 +47,14 @@ e, and the numerator it collects must divide exactly by the denominator,
 or it raises InvariantError.  It shares no code with gauss and serves as
 its independent oracle in the test suite and, as (N, e) pairs compared
 without fractions, in the pascal and lemma1 cross-checks of
-identities.py.  alternating_sum is the one alternating q-binomial sum
-of the package: theorem 2's left side, behind both eigenvalue forms
-(spectrum.py) and four identities (identities.py).
+identities.py.
+
+alternating_sum is theorem 2's left side as written, m + 1 products in one
+sum_of_products, behind four identities (identities.py).
+full_alternating_sum is the same sum run to s = m by Cauchy's q-binomial
+theorem, m shift-and-subtract passes and no product, behind the Delsarte
+eigenvalue form (spectrum.py); the literal sum is its reference in the
+tests.  refuse_oversized prices cells as gauss would, without a fill.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Iterable
 
 from .laurent import ONE, ZERO, InvariantError, LaurentPoly, _slot_bytes, sum_of_products
 
@@ -133,9 +139,7 @@ def _fill(n: int, i: int) -> int:
     # mirrored cells r < c are read as [c+r r], which lies in the same box.
     # All of them are added at the width of [n i], returned: their
     # coefficients are nonnegative and sum to C(c+r, c) <= C(n, i).
-    estimate = _memo_bytes(n, i)
-    if estimate > MEMO_BYTE_LIMIT:
-        raise MemoRefused(n, i, estimate)
+    refuse_oversized(((n, i),))
     _filling.width = width = _slot_bytes(comb(n, i))
     try:
         for col in range(1, i + 1):
@@ -144,6 +148,22 @@ def _fill(n: int, i: int) -> int:
     finally:
         _filling.width = None
     return width
+
+
+def refuse_oversized(cells: Iterable[tuple[int, int]]) -> None:
+    """Raise gauss's MemoRefused for the first cell (n, i) whose memo is estimated above the limit.
+
+    Nothing is computed: a cell is reflected and mirrored as gauss does it,
+    and its canonical fill is priced by _memo_bytes.  A cell that the memo
+    holds lies in the box of the fill that made it, and is priced no higher
+    than that fill, so a cell refused here would have been refused by gauss.
+    """
+    for n, i in cells:
+        top = n if n >= 0 else i - 1 - n
+        if 1 <= i <= top:
+            estimate = _memo_bytes(top, i)
+            if estimate > MEMO_BYTE_LIMIT:
+                raise MemoRefused(n, i, estimate)
 
 
 def _memo_bytes(n: int, i: int) -> int:
@@ -182,6 +202,38 @@ def alternating_sum(m: int, a: int, t: int, top: int) -> LaurentPoly:
     LaurentPoly('q')
     """
     return sum_of_products(((-1) ** s, s * (s - 1) // 2, gauss(m, s), gauss(a - s, t)) for s in range(top + 1))
+
+
+def full_alternating_sum(m: int, a: int, t: int) -> LaurentPoly:
+    """alternating_sum(m, a, t, m), computed by the q-binomial theorem without a product.
+
+    Cauchy's  prod_{i<m} (1 - q^i y) = sum_s (-1)^s q^C(s,2) [m s] y^s,
+    with y the shift E: B_s -> B_(s+1) on B_s = [a-s t], makes the sum
+    (prod_{i<m} (1 - q^i E) B)_0.  Pass i sets B_s -= q^i B_(s+1) for s
+    ascending to m-1-i, in place, on the images of the B_s at the width of
+    alternating_sum's bound sum_s C(m, s) norm(B_s).  Evaluation at
+    2^(8w) is a ring homomorphism, so only the final image has to decode,
+    and the sum's coefficients add up to at most that bound.  The result
+    has alternating_sum's valuation, width, image and norm.
+
+    >>> full_alternating_sum(1, 2, 1)
+    LaurentPoly('q')
+    >>> full_alternating_sum(2, -1, 1) == alternating_sum(2, -1, 1, 2)
+    True
+    """
+    terms = [gauss(a - s, t) for s in range(m + 1)]
+    bound = sum(comb(m, s) * term._norm for s, term in enumerate(terms))
+    if not bound:
+        return ZERO
+    width = _slot_bytes(bound)
+    bits = 8 * width
+    low = min(term._low for term in terms if term._image)
+    images = [term._image_at(width) << bits * (term._low - low) if term._image else 0 for term in terms]
+    for i in range(m):
+        shift = bits * i
+        for s in range(m - i):
+            images[s] -= images[s + 1] << shift
+    return LaurentPoly._from_image(low, width, images[0], bound)
 
 
 def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:

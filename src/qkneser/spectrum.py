@@ -13,8 +13,10 @@ first-class operations on exact Laurent polynomials:
       (-1)^j q^(C(k,2) + C(k-j+1,2)) [v-k-j v-2k]
 
 They are theorem 2's left and right sides (identities.py) at (m, a, t) =
-(k-j, v-2j, v-k-j), times (-1)^j q^((k-j)j + C(j,2)); the closed form reads
-the right side's mirror cell.  Their symbolic equality over a parameter grid
+(k-j, v-2j, v-k-j), times (-1)^j q^((k-j)j + C(j,2)).  The Delsarte form
+runs the left side by the q-binomial theorem (qbinom.full_alternating_sum),
+not as the literal sum that theorem2's grid checks; the closed form reads the
+right side's mirror cell.  Their symbolic equality over a parameter grid
 is the central acceptance test of this package.  The multiplicity of the j-th
 eigenvalue is 1 for j = 0 and [v j] - [v j-1] for j >= 1, an explicit branch.
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from .gf import factor_prime_power
 from .laurent import ONE, LaurentPoly
-from .qbinom import alternating_sum, gauss
+from .qbinom import full_alternating_sum, gauss, refuse_oversized
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def _validate_vkj(v: int, k: int, j: int | None, *, min_k: int) -> None:
 def delsarte_eigenvalue(v: int, k: int, j: int) -> LaurentPoly:
     """The alternating-sum form of the j-th eigenvalue of qK(v, k)."""
     _validate_vkj(v, k, j, min_k=0)
-    result = alternating_sum(k - j, v - 2 * j, v - k - j, k - j).shift((k - j) * j + j * (j - 1) // 2)
+    result = full_alternating_sum(k - j, v - 2 * j, v - k - j).shift((k - j) * j + j * (j - 1) // 2)
     return -result if j % 2 else result
 
 
@@ -108,6 +110,9 @@ def spectrum_table(v: int, k: int, q0: int | None = None) -> SpectrumTable:
     _validate_vkj(v, k, None, min_k=1)
     if q0 is not None:
         factor_prime_power(q0)  # raises for non-prime-powers and q0 < 2
+    # the cells the loop reads, in its order ([v j-1] was read at j-1), are priced before the first
+    # fill, so an oversized one is refused before the smaller ones are filled
+    refuse_oversized(cell for j in range(k + 1) for cell in ((v - k - j, v - 2 * k), (v, j)))
     entries = []
     for j in range(k + 1):
         eig = simple_eigenvalue(v, k, j)

@@ -326,6 +326,22 @@ def test_mirrored_memo_refusal_names_the_cell_asked_for(capsys):
         qbinom.gauss.cache_clear()
 
 
+def test_oversized_spectrum_is_refused_before_any_fill(capsys):
+    # [4000 6], the first cell of the table over the limit, is refused before
+    # [4000 1] to [4000 5] are filled, which would take about 1.3 GB, with the
+    # message and estimate of a refused fill
+    qbinom.gauss.cache_clear()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eigenvalues", "4000", "2000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and qbinom.gauss.cache_info().currsize == 0
+        assert err == ("error: [4000 6]_q needs a q-Pascal memo of about 1794524960 bytes, "
+                       "above the limit of 1073741824\n")
+    finally:
+        qbinom.gauss.cache_clear()
+
+
 def test_huge_field_order_is_refused_up_front(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "eigenvalues", "4", "2", "--q", str(10**4000 + 1))

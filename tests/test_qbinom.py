@@ -7,11 +7,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkneser import identities, qbinom
+from qkneser import identities, laurent, qbinom, spectrum
+from qkneser.cli import main
 from qkneser.laurent import ONE, ZERO, LaurentPoly
-from qkneser.qbinom import gauss, gauss_eval_product
-from qkneser.spectrum import delsarte_eigenvalue, spectrum_table
+from qkneser.qbinom import alternating_sum, full_alternating_sum, gauss, gauss_eval_product
+from qkneser.spectrum import delsarte_eigenvalue, simple_eigenvalue, spectrum_table
 
 
 def test_convention_lower_index_zero():
@@ -221,8 +224,9 @@ def test_spectrum_memo_holds_no_mirrored_cell():
     # mirrors of cells in the box of [60 15].  Computed apart from it they
     # took the peak to 2071877 bytes (Python 3.11).  The canonical memo
     # halves the images, 1.49 to 0.77 MB, but the peak also holds the
-    # results and the operands re-slotted for the sums: 1162055 bytes, 56%.
-    # The first run pays one-time allocations of about 65 kB.
+    # results and the operands re-slotted for the sums: 1199344 bytes, 58%,
+    # with the Delsarte passes run in place (1195044 as m + 1 products).
+    # The first run pays one-time allocations of about 50 kB.
     try:
         _spectrum_memo_peak()
         assert _spectrum_memo_peak() < 0.6 * 2071877
@@ -315,3 +319,86 @@ def test_a_fill_one_byte_narrower_fails_the_memo_check(monkeypatch):
     monkeypatch.setattr(qbinom, "_slot_bytes", lambda bound: max(exact(bound) - 1, 1))
     with pytest.raises((AssertionError, OverflowError)):
         _check_memo_against_reference([(40, 20)])
+
+
+def _internals(poly):
+    return poly._low, poly._width, poly._image, poly._norm
+
+
+def _first_difference(route, cells):
+    # the first (m, a, t) at which route differs from the literal sum in any internal, or None
+    for m, a, t in cells:
+        if _internals(route(m, a, t)) != _internals(alternating_sum(m, a, t, m)):
+            return m, a, t
+    return None
+
+
+_ROUTE_GRID = [(m, a, t) for m in range(22) for a in range(-4, 26) for t in range(14)]
+
+
+def test_full_alternating_sum_is_the_literal_sum():
+    # the q-binomial theorem's m passes give the sum of the m + 1 products in
+    # valuation, width, image and norm, also for negative and vanishing B_s
+    assert len(_ROUTE_GRID) == 9240
+    assert _first_difference(full_alternating_sum, _ROUTE_GRID) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(-12, 60), st.integers(0, 30))
+def test_full_alternating_sum_is_the_literal_sum_to_m_40(m, a, t):
+    assert _first_difference(full_alternating_sum, [(m, a, t)]) is None
+
+
+def _passes(m, a, t, exponent=lambda i: i, passes=lambda m: m, order=lambda stop: range(stop)):
+    # full_alternating_sum's passes, with one knob for each negative control
+    terms = [gauss(a - s, t) for s in range(m + 1)]
+    bound = sum(math.comb(m, s) * term._norm for s, term in enumerate(terms))
+    if not bound:
+        return ZERO
+    width = qbinom._slot_bytes(bound)
+    low = min(term._low for term in terms if term._image)
+    images = [term._image_at(width) << 8 * width * (term._low - low) if term._image else 0 for term in terms]
+    for i in range(passes(m)):
+        for s in order(m - i):
+            images[s] -= images[s + 1] << 8 * width * exponent(i)
+    return LaurentPoly._from_image(low, width, images[0], bound)
+
+
+def _shift_by_q_i_plus_1(m, a, t):
+    return _passes(m, a, t, exponent=lambda i: i + 1)
+
+
+@pytest.mark.parametrize("route", [
+    _shift_by_q_i_plus_1,
+    lambda m, a, t: _passes(m, a, t, passes=lambda m: max(m - 1, 0)),
+    lambda m, a, t: _passes(m, a, t, order=lambda stop: reversed(range(stop))),
+], ids=["pass-i-shifts-by-q^(i+1)", "one-pass-short", "s-descending"])
+def test_a_wrong_pass_fails_the_route_check(route):
+    # negative controls: each fault must be caught by the grid check above,
+    # which the knob-free copy of the passes passes
+    assert _first_difference(_passes, _ROUTE_GRID[::7]) is None
+    assert _first_difference(route, _ROUTE_GRID) is not None
+
+
+def test_a_wrong_pass_makes_the_eigenvalue_forms_disagree(capsys, monkeypatch):
+    # negative control through the CLI: exit 1 with the comparison's message
+    monkeypatch.setattr(spectrum, "full_alternating_sum", _shift_by_q_i_plus_1)
+    assert main(["eigenvalues", "6", "2", "--form", "both"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: eigenvalue forms disagree at j=[0, 1]\n")
+
+
+def test_delsarte_eigenvalue_forms_no_product(monkeypatch):
+    # the Delsarte column is m shift-and-subtract passes: with every sum of
+    # products refused it still computes, and still equals the closed form
+    def refuse(terms):
+        raise AssertionError("a sum of products was formed")
+
+    monkeypatch.setattr(qbinom, "sum_of_products", refuse)
+    monkeypatch.setattr(laurent, "sum_of_products", refuse)
+    for k in range(0, 6):
+        for v in range(2 * k, 15):
+            for j in range(k + 1):
+                assert delsarte_eigenvalue(v, k, j) == simple_eigenvalue(v, k, j), (v, k, j)
+    with pytest.raises(AssertionError, match="sum of products"):
+        alternating_sum(2, 4, 1, 2)

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from qkneser import qbinom, spectrum
 from qkneser.cli import main
 from qkneser.identities import IDENTITIES, theorem2_sides
 from qkneser.laurent import ONE, LaurentPoly
-from qkneser.qbinom import gauss
+from qkneser.qbinom import MemoRefused, gauss
 from qkneser.spectrum import (
     delsarte_eigenvalue,
     multiplicity,
@@ -39,9 +40,10 @@ def test_forms_agree_on_grid():
 
 
 def test_both_forms_are_the_sides_of_theorem2():
-    # The Delsarte form is theorem2's left side by construction; the closed
-    # form reads the mirror cell [v-k-j v-2k], so its match with the right
-    # side [v-k-j k-j] is a check in its own right.
+    # The Delsarte form runs the q-binomial theorem's passes, theorem2's left
+    # side the literal sum of products, so their match checks one route
+    # against the other; the closed form reads the mirror cell [v-k-j v-2k],
+    # so its match with the right side [v-k-j k-j] is a check in its own right.
     theorem2 = IDENTITIES["theorem2"]
     for k in range(1, 6):
         for v in range(2 * k, 15):
@@ -189,3 +191,41 @@ def test_json_schema(capsys):
     symbolic = payload()
     assert symbolic["q"] is None
     assert symbolic["entries"][0]["eigenvalue"] == "q^4"
+
+
+def _first_refusal(v, k):
+    # the refusal of the table and its Delsarte column and the memo's size
+    # then, or None; the memo is left empty
+    gauss.cache_clear()
+    try:
+        spectrum_table(v, k)
+        for j in range(k + 1):
+            delsarte_eigenvalue(v, k, j)
+        return None
+    except MemoRefused as exc:
+        return str(exc), gauss.cache_info().currsize
+    finally:
+        gauss.cache_clear()
+
+
+@pytest.mark.parametrize("limit", [2000, 10**4, 2 * 10**4, 4 * 10**4])
+def test_up_front_pricing_refuses_what_the_fills_would(monkeypatch, limit):
+    # Pricing every cell the table reads refuses exactly where reading them
+    # lazily, fill by fill, is refused, with the same message, but with the
+    # memo still empty: a memo hit is priced no higher than the fill that
+    # made it.  Pricing [v k] alone would not do: [4 1] is priced above
+    # [4 2], its box has one more row.  Some of the lazy refusals come after
+    # fills and some before any.
+    monkeypatch.setattr(qbinom, "MEMO_BYTE_LIMIT", limit)
+    refused = []
+    for v in range(2, 31):
+        for k in range(1, v // 2 + 1):
+            up_front = _first_refusal(v, k)
+            with monkeypatch.context() as lazy:
+                lazy.setattr(spectrum, "refuse_oversized", lambda cells: None)
+                fill_by_fill = _first_refusal(v, k)
+            assert (up_front is None) == (fill_by_fill is None), (v, k)
+            if up_front:
+                assert up_front == (fill_by_fill[0], 0), (v, k)
+                refused.append(fill_by_fill[1] > 0)
+    assert any(refused) and not all(refused)
