@@ -139,7 +139,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
 
 
 def _spectrum_cells(v: int, k: int, q0: int | None, form: str):
-    table = spectrum_table(v, k, q0)
+    table = spectrum_table(v, k, q0, delsarte=form != "simple")
     what = f"qK({v},{k}) at q={q0}"
     rows = []
     for entry in table.entries:

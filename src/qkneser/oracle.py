@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -184,8 +185,8 @@ class _FieldArrays:
     """GF(q) arithmetic on int64 arrays of element encodings, built from the scalar ops of a FieldCtx.
 
     antilog[i] is g^i for a generator g of the multiplicative group: the
-    first element whose powers, taken by successive ctx.mul, run through
-    all q - 1 nonzero elements before they return to 1.  log inverts it
+    first element whose powers run through all q - 1 nonzero elements
+    before they return to 1 (see _antilog).  log inverts it
     (log[0] is unused) and inverse[a] = g^(-log a) for a != 0, inverse[0]
     = 0.  Prime fields add and multiply by % p; otherwise mul adds logs,
     0 times anything being 0, and add is XOR when p = 2, else
@@ -198,13 +199,7 @@ class _FieldArrays:
 
     def __init__(self, ctx: FieldCtx):
         self.p, self.e, self.q = ctx.p, ctx.e, ctx.q
-        for g in range(1, ctx.q):
-            powers = [1]
-            while len(powers) < ctx.q - 1 and (power := ctx.mul(powers[-1], g)) != 1:
-                powers.append(power)
-            if len(powers) == ctx.q - 1:
-                break
-        self.antilog = np.array(powers, dtype=np.int64)
+        self.antilog = _antilog(ctx)
         self.log = np.zeros(ctx.q, dtype=np.int64)
         self.log[self.antilog] = np.arange(ctx.q - 1)
         self.inverse = np.zeros(ctx.q, dtype=np.int64)
@@ -246,6 +241,37 @@ class _FieldArrays:
             multiples = self.mul(values[:, None], b[..., r, None, :])
             total = self.add(total, multiples[..., np.searchsorted(values, a[:, r]), :])
         return total
+
+
+def _antilog(ctx: FieldCtx) -> np.ndarray:
+    """g^0, ..., g^(q-2) for the first g of 1, 2, ... whose powers run through all q - 1 nonzero elements.
+
+    A prime field whose products fit int64 takes the powers of each
+    candidate in blocks of B = ceil(sqrt(q - 1)): g^0..g^(B-1) and the
+    steps g^(Bi) in Python, then every g^(Bi) g^j mod p in one numpy
+    product; a candidate is a generator when 1 does not come back.  Any
+    other field takes successive ctx.mul powers.
+    """
+    q = ctx.q
+    for g in range(1, q):
+        if ctx.e == 1 and (q - 1) ** 2 < 2**63:
+            block = math.isqrt(q - 2) + 1
+            head = [1]
+            for _ in range(block):  # g^0..g^B, the last one the step
+                head.append(head[-1] * g % q)
+            steps = [1]
+            for _ in range(block - 1):
+                steps.append(steps[-1] * head[-1] % q)
+            powers = (np.array(steps)[:, None] * np.array(head[:-1]) % q).ravel()[:q - 1]
+            if not (powers[1:] == 1).any():
+                return powers
+        else:
+            powers = [1]
+            while len(powers) < q - 1 and (power := ctx.mul(powers[-1], g)) != 1:
+                powers.append(power)
+            if len(powers) == q - 1:
+                return np.array(powers, dtype=np.int64)
+    raise InvariantError(f"GF({q}) has no generator of its multiplicative group")
 
 
 @functools.lru_cache(maxsize=8)

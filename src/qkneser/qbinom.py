@@ -13,30 +13,43 @@ gauss(n, i) is defined for every integer n and nonnegative integer i:
     and the monomial factor contributes the negative exponents.
 
 Only the canonical cells [n i] with n >= 2i are computed and kept.  A
-mirrored cell is looked up as its canonical one, before any fill, and
+mirrored cell is looked up as its canonical one, before any sweep, and
 the memo hands out that same object under both keys; a negative top is
 reflected first, so [-5 14] is served from [18 14], which is [18 4].
 
-The recurrence is run bottom-up, not by recursion: a call that misses
-the memo first calls gauss on every canonical cell [c+r c] with
-1 <= c <= r that the recurrence reaches from [n i], columns c ascending
-and rows r ascending within a column.  A mirrored cell r < c of the same
-box is [c+r r], also canonical and in the box; the recurrence meets one
-only on the diagonal, where [2c c] reads its right parent [2c-1 c] as
-[2c-1 c-1].  Each of those calls finds its two cells in the memo or among
-the base cells [r 0] = 1, so no call nests more than two deep.  A call
-whose memo is estimated (by _memo_bytes) above MEMO_BYTE_LIMIT bytes is
-refused with MemoRefused, a ValueError naming the cell asked for, before
+The recurrence runs bottom-up, not by recursion, as one in-place column
+sweep (_sweep).  The canonical cell [c+r c] stands in column c, row r; a
+list holds one column's cells by row, and column c overwrites column
+c-1, rows ascending from the diagonal:
+
+    [2c c]  = [2c-1 c-1] + q^c [2c-1 c-1]     (its right parent, read as its mirror)
+    [c+r c] = [c+r-1 c-1] + q^c [c+r-1 c]     (r > c)
+
+where [c+r-1 c-1] is the row's entry from column c-1 and [c+r-1 c] the
+new entry of the row above; column 0 is [r 0] = 1.  Asked for several
+cells, the sweep runs over the union of their boxes: column c only as
+deep as the deepest cell asked for in columns c and beyond.  The cells
+are priced first, in the order given, as refuse_oversized prices them:
+the first estimated above MEMO_BYTE_LIMIT bytes (by _memo_bytes) is
+refused with MemoRefused, a ValueError naming the cell as asked, before
 any cell is computed.
 
-The cells are added as Kronecker images (see laurent.py), not as
-polynomials: one fill runs at one slot width W = _slot_bytes(C(n, i)),
-and a cell is  [c+r c] = [c+r-1 c-1] + ([c+r-1 c] << 8W*c),  two big-integer
-operations.  This is exact because every cell [c+r c] of the fill has
-nonnegative coefficients summing to C(c+r, c) <= C(n, i) < 2^(8W-1).  A
-cell that an earlier fill left in the memo at another width is
-re-slotted to W, widened or narrowed, which the same bound allows.  Each
-cell carries C(c+r, c), the sum of its parents', as its norm (laurent.py).
+The cells are Kronecker images (see laurent.py), not polynomials: a
+sweep runs at one slot width W = _slot_bytes(C(n, i)) for the largest
+C(n, i) asked for, and a cell is two big-integer operations, a shift by
+8W*c bits and an addition.  This is exact because every cell [c+r c] of
+the sweep has nonnegative coefficients summing to C(c+r, c), at most the
+C(n, i) of an asked cell whose box holds it, < 2^(8W-1).  No cell is
+re-slotted, and each carries C(c+r, c) as its norm (laurent.py).
+
+What gauss's memo keeps.  sweep(cells) puts in it the canonical cells of
+the cells asked for and nothing else; spectrum_table hands it every cell
+it reads, so `eigenvalues` runs one sweep.  A gauss call that misses the
+memo sweeps the box of its own cell and keeps the whole box, the cells
+[c+r c] with 1 <= c <= i and c <= r <= n-i and the base cells [r 0],
+because the identity grids read those neighbours next.  Either way the
+swept values enter the lru_cache through calls of gauss on their cells,
+handed over in _swept, a thread's own, which is empty between sweeps.
 
 gauss_eval_product evaluates the defining product
 prod_{j=0}^{i-1} (q0^(n-j) - 1)/(q0^(i-j) - 1) exactly at a concrete
@@ -54,7 +67,7 @@ sum_of_products, behind four identities (identities.py).
 full_alternating_sum is the same sum run to s = m by Cauchy's q-binomial
 theorem, m shift-and-subtract passes and no product, behind the Delsarte
 eigenvalue form (spectrum.py); the literal sum is its reference in the
-tests.  refuse_oversized prices cells as gauss would, without a fill.
+tests.  refuse_oversized prices cells as gauss would, without a sweep.
 """
 
 from __future__ import annotations
@@ -74,9 +87,16 @@ MEMO_BYTE_LIMIT = 1 << 30
 # Bytes per memo cell beside its coefficients (see _memo_bytes).
 _CELL_BYTES = 256
 
-# The slot width of the fill in progress, so the calls it makes add their
-# images at that width and do not start fills of their own.
-_filling = threading.local()
+
+class _Handoff(threading.local):
+    """Swept cells on their way into gauss's memo, by thread, as (slot width, image)."""
+
+    def __init__(self):
+        self.cells: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+# a call of gauss on a cell held here takes it from here (see _memoize)
+_swept = _Handoff()
 
 
 class MemoRefused(ValueError):
@@ -116,13 +136,14 @@ def gauss(n: int, i: int) -> LaurentPoly:
         return ZERO
     if n < 2 * i:
         return _served_from(n, i, n, n - i)
-    width = getattr(_filling, "width", None) or _fill(n, i)
-    # [n i] = [n-1 i-1] + q^i [n-1 i] on the images, lowest coefficient 1;
-    # on the diagonal n = 2i the right parent [2i-1 i] is read as [2i-1 i-1].
-    # The norm is C(n-1, i-1) + C(n-1, i) = C(n, i), the coefficient sum.
-    left, right = gauss(n - 1, i - 1), gauss(n - 1, min(i, n - 1 - i))
-    image = left._image_at(width) + (right._image_at(width) << 8 * width * i)
-    return LaurentPoly._from_image(0, width, image, left._norm + right._norm)
+    swept = _swept.cells.pop((n, i), None)
+    if swept is None:  # a miss outside a sweep: sweep the box of [n i] and keep all of it
+        box = _sweep(((n, i),), box=True)
+        swept = box.pop((n, i))
+        _memoize(box)
+    # the coefficients of [n i] are nonnegative and sum to C(n, i), its norm
+    width, image = swept
+    return LaurentPoly._from_image(0, width, image, comb(n, i))
 
 
 def _served_from(n: int, i: int, top: int, low: int) -> LaurentPoly:
@@ -133,30 +154,73 @@ def _served_from(n: int, i: int, top: int, low: int) -> LaurentPoly:
         raise MemoRefused(n, i, exc.estimate) from None
 
 
-def _fill(n: int, i: int) -> int:
-    # Every canonical cell [c+r c] below [n i], 1 <= c <= r with c <= i and
-    # r <= n-i, lowest first; the base cells [r 0] = 1 need no fill, and the
-    # mirrored cells r < c are read as [c+r r], which lies in the same box.
-    # All of them are added at the width of [n i], returned: their
-    # coefficients are nonnegative and sum to C(c+r, c) <= C(n, i).
-    refuse_oversized(((n, i),))
-    _filling.width = width = _slot_bytes(comb(n, i))
+def sweep(cells: Iterable[tuple[int, int]]) -> None:
+    """Put [n i] into gauss's memo for every (n, i) of cells, all from one q-Pascal sweep.
+
+    The cells are priced first, in their order, and the first whose memo
+    is estimated above MEMO_BYTE_LIMIT is refused with gauss's MemoRefused
+    before any cell is computed.  Only the canonical cells of those asked
+    for enter the memo, no cell of the boxes swept through; a mirrored or
+    reflected cell enters it under its own key when gauss is called on it.
+    A cell that the memo already holds keeps its value.
+    """
+    _memoize(_sweep(cells))
+
+
+def _memoize(swept: dict[tuple[int, int], tuple[int, int]]) -> None:
+    # each swept cell enters gauss's lru_cache through a call of gauss on
+    # it, which takes its image from _swept; a cell the memo already holds
+    # is a hit, keeps its value and builds no polynomial, and what the hits
+    # leave goes at the end
+    _swept.cells.update(swept)
     try:
-        for col in range(1, i + 1):
-            for r in range(col, n - i + (col < i)):
-                gauss(col + r, col)
+        for n, i in swept:
+            gauss(n, i)
     finally:
-        _filling.width = None
-    return width
+        _swept.cells.clear()
+
+
+def _sweep(cells: Iterable[tuple[int, int]], box: bool = False) -> dict[tuple[int, int], tuple[int, int]]:
+    # The canonical cells of cells as (slot width, image), priced first,
+    # from one in-place column sweep over the union of their boxes at the
+    # width of the largest C(n, i) among them (see the module docstring);
+    # with box=True every cell of the union, the base cells [r 0] = 1
+    # included.
+    cells = tuple(cells)
+    refuse_oversized(cells)
+    asked: dict[int, set[int]] = {}  # rows asked for, by column
+    for n, i in cells:
+        top = n if n >= 0 else i - 1 - n
+        low = min(i, top - i)
+        if low >= 1:  # not zero (top < i) and not 1 (low = 0)
+            asked.setdefault(low, set()).add(top - low)
+    if not asked:
+        return {}
+    width = _slot_bytes(max(comb(c + max(rows), c) for c, rows in asked.items()))
+    last = max(asked)
+    depth = [0] * (last + 2)  # depth[c]: the deepest row asked for in columns c and beyond
+    for c in range(last, 0, -1):
+        depth[c] = max((depth[c + 1], *asked.get(c, ())))
+    column = [1] * (depth[1] + 1)
+    found = {(r, 0): (width, 1) for r in range(1, depth[1] + 1)} if box else {}
+    for c in range(1, last + 1):
+        shift = 8 * width * c
+        column[c] += column[c] << shift
+        for r in range(c + 1, depth[c] + 1):
+            column[r] += column[r - 1] << shift
+        for r in range(c, depth[c] + 1) if box else asked.get(c, ()):
+            found[(c + r, c)] = width, column[r]
+    return found
 
 
 def refuse_oversized(cells: Iterable[tuple[int, int]]) -> None:
     """Raise gauss's MemoRefused for the first cell (n, i) whose memo is estimated above the limit.
 
     Nothing is computed: a cell is reflected and mirrored as gauss does it,
-    and its canonical fill is priced by _memo_bytes.  A cell that the memo
-    holds lies in the box of the fill that made it, and is priced no higher
-    than that fill, so a cell refused here would have been refused by gauss.
+    and the box of its canonical cell is priced by _memo_bytes.  A cell
+    that the memo holds was priced by the sweep that made it, as asked or
+    as a cell of the box of an asked cell, which is priced no lower, so a
+    cell refused here would have been refused by gauss.
     """
     for n, i in cells:
         top = n if n >= 0 else i - 1 - n
@@ -167,16 +231,17 @@ def refuse_oversized(cells: Iterable[tuple[int, int]]) -> None:
 
 
 def _memo_bytes(n: int, i: int) -> int:
-    """Upper estimate of the bytes the memo of [n i] needs, for n >= i >= 1.
+    """Upper estimate of the bytes of the box of [n i] in the memo, for n >= i >= 1.
 
-    The fill that runs is that of the canonical cell, so i is first taken
-    as min(i, n - i).  Its cells [c+r c] with 1 <= c <= i and c <= r <= n-i,
-    i(n - i) - i(i - 1)/2 of them, have c*r + 1 coefficients each, and the
-    n - i base cells [r 0] share the single polynomial 1.  A cell's image
-    holds one W-byte slot per coefficient, with
-    W = _slot_bytes(C(n, i)) <= bits // 8 + 1, since every coefficient is
-    at most C(n, i) <= min(2^n, n^i); CPython stores the image in 30-bit
-    digits of 4 bytes, 16/15 of that.  Each cell also costs its
+    That is what a gauss miss keeps; sweep keeps only the cells asked
+    for, and prices each the same.  The box is that of the canonical
+    cell, so i is first taken as min(i, n - i).  Its cells [c+r c] with
+    1 <= c <= i and c <= r <= n-i, i(n - i) - i(i - 1)/2 of them, have
+    c*r + 1 coefficients each, and the n - i base cells [r 0] share the
+    single polynomial 1.  A cell's image holds one W-byte slot per
+    coefficient, with W = _slot_bytes(C(n, i)) <= bits // 8 + 1, since
+    every coefficient is at most C(n, i) <= min(2^n, n^i); CPython stores
+    the image in 30-bit digits of 4 bytes, 16/15 of that.  Each cell also costs its
     LaurentPoly, the image's int header and the memo entry, under
     _CELL_BYTES (about 180 to 210 bytes, measured with tracemalloc).
     """
@@ -210,11 +275,13 @@ def full_alternating_sum(m: int, a: int, t: int) -> LaurentPoly:
     Cauchy's  prod_{i<m} (1 - q^i y) = sum_s (-1)^s q^C(s,2) [m s] y^s,
     with y the shift E: B_s -> B_(s+1) on B_s = [a-s t], makes the sum
     (prod_{i<m} (1 - q^i E) B)_0.  Pass i sets B_s -= q^i B_(s+1) for s
-    ascending to m-1-i, in place, on the images of the B_s at the width of
-    alternating_sum's bound sum_s C(m, s) norm(B_s).  Evaluation at
+    ascending to m-1-i, in place, on the images of the B_s.  Evaluation at
     2^(8w) is a ring homomorphism, so only the final image has to decode,
-    and the sum's coefficients add up to at most that bound.  The result
-    has alternating_sum's valuation, width, image and norm.
+    and the sum's coefficients add up to at most alternating_sum's bound
+    sum_s C(m, s) norm(B_s).  The passes run at the width of that bound,
+    or at the terms' own width where it is wider (one sweep makes every
+    term at one width), and then only the result is re-slotted: it has
+    alternating_sum's valuation, width, image and norm.
 
     >>> full_alternating_sum(1, 2, 1)
     LaurentPoly('q')
@@ -226,14 +293,16 @@ def full_alternating_sum(m: int, a: int, t: int) -> LaurentPoly:
     if not bound:
         return ZERO
     width = _slot_bytes(bound)
-    bits = 8 * width
+    wide = max(width, *(term._width for term in terms if term._image))
+    bits = 8 * wide
     low = min(term._low for term in terms if term._image)
-    images = [term._image_at(width) << bits * (term._low - low) if term._image else 0 for term in terms]
+    images = [term._image_at(wide) << bits * (term._low - low) if term._image else 0 for term in terms]
     for i in range(m):
         shift = bits * i
         for s in range(m - i):
             images[s] -= images[s + 1] << shift
-    return LaurentPoly._from_image(low, width, images[0], bound)
+    result = LaurentPoly._from_image(low, wide, images[0], bound)
+    return result if wide == width else LaurentPoly._from_image(result._low, width, result._image_at(width), bound)
 
 
 def gauss_eval_product(n: int, i: int, q0: int) -> Fraction:

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import factor_prime_power
-from .laurent import ONE, LaurentPoly
-from .qbinom import full_alternating_sum, gauss, refuse_oversized
+from .laurent import ONE, InvariantError, LaurentPoly
+from .qbinom import full_alternating_sum, gauss, sweep
 
 
 @dataclass(frozen=True)
@@ -100,19 +100,31 @@ def multiplicity(v: int, k: int, j: int) -> LaurentPoly:
     return gauss(v, j) - gauss(v, j - 1)
 
 
-def spectrum_table(v: int, k: int, q0: int | None = None) -> SpectrumTable:
+def spectrum_table(v: int, k: int, q0: int | None = None, *, delsarte: bool = False) -> SpectrumTable:
     """Spectrum of qK(v, k): symbolic, or evaluated at a prime power q0.
 
     Uses the closed eigenvalue form.  Requires v >= 2k >= 2; an evaluated
     table requires q0 to be a prime power (the graph needs an actual
-    field, unlike the purely polynomial identities).
+    field, unlike the purely polynomial identities).  Its eigenvalues
+    are distinct, their absolute values falling with j, and its
+    multiplicities [v j]_q0 - [v j-1]_q0 positive; a table that comes out
+    otherwise raises InvariantError.
+
+    Every Gaussian binomial the table reads goes to one qbinom.sweep
+    before the first is read, in reading order, so an oversized table is
+    refused before any cell is computed, and the memo keeps only those
+    cells.  With delsarte=True the cells that delsarte_eigenvalue(v, k, j)
+    reads for every j join that sweep, after the table's own, for a
+    caller that reads the alternating-sum column next.
     """
     _validate_vkj(v, k, None, min_k=1)
     if q0 is not None:
         factor_prime_power(q0)  # raises for non-prime-powers and q0 < 2
-    # the cells the loop reads, in its order ([v j-1] was read at j-1), are priced before the first
-    # fill, so an oversized one is refused before the smaller ones are filled
-    refuse_oversized(cell for j in range(k + 1) for cell in ((v - k - j, v - 2 * k), (v, j)))
+    # the cells the loop reads, in its order ([v j-1] was read at j-1), then the Delsarte column's
+    cells = [cell for j in range(k + 1) for cell in ((v - k - j, v - 2 * k), (v, j))]
+    if delsarte:
+        cells += [(v - 2 * j - s, v - k - j) for j in range(k + 1) for s in range(k - j + 1)]
+    sweep(cells)
     entries = []
     for j in range(k + 1):
         eig = simple_eigenvalue(v, k, j)
@@ -122,4 +134,8 @@ def spectrum_table(v: int, k: int, q0: int | None = None) -> SpectrumTable:
         else:
             # both are honest polynomials for v >= 2k, so the values are integers
             entries.append(SpectrumEntry(j, eig.evaluate_int(q0), mult.evaluate_int(q0)))
-    return SpectrumTable(v=v, k=k, q=q0, entries=tuple(entries))
+    table = SpectrumTable(v=v, k=k, q=q0, entries=tuple(entries))
+    if q0 is not None and (len(set(table.eigenvalues())) <= k or min(table.multiplicities()) <= 0):
+        raise InvariantError(f"the spectrum of qK({v},{k}) at q={q0} came out with eigenvalues "
+                             f"{table.eigenvalues()} and multiplicities {table.multiplicities()}")
+    return table

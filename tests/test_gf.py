@@ -195,6 +195,22 @@ def test_context_equality():
     assert field_of_order(9) == make_field(3, 2)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 41, 101, 1999, 7919, 100003])
+def test_prime_field_antilog_is_the_walk_of_successive_products(q):
+    # the blocks g^(Bi) g^j mod p against the walk g^0, g^1, ... of ctx.mul,
+    # from the first g whose walk meets every nonzero element before 1
+    ctx = field_of_order(q)
+    for g in range(1, q):
+        walk = [1]
+        while len(walk) < q - 1 and (power := ctx.mul(walk[-1], g)) != 1:
+            walk.append(power)
+        if len(walk) == q - 1:
+            break
+    field = oracle._FieldArrays(ctx)
+    assert field.antilog.dtype == np.int64 and field.antilog.tolist() == walk
+    assert field.log[field.antilog].tolist() == list(range(q - 1))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169, 289, 1999])
 def test_tables_match_raw_arithmetic(q):
     # the oracle's array ops (% p, or log and antilog tables and XOR or

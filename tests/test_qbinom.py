@@ -1,7 +1,10 @@
 """Gaussian binomials against the independent product-formula oracle."""
 
+import json
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -187,22 +190,28 @@ def test_memo_holds_the_cells_of_the_recursion():
 
 def test_a_mirrored_cell_is_its_canonical_cell(monkeypatch):
     # [n i] = [n n-i]: for 2i > n the memo hands out the canonical cell
-    # itself, and no fill ever starts for a mirrored cell, also not for one
+    # itself, and no sweep ever starts for a mirrored cell, also not for one
     # reached through the reflection of a negative top
-    fills = []
-    fill = qbinom._fill
-    monkeypatch.setattr(qbinom, "_fill", lambda n, i: fills.append((n, i)) or fill(n, i))
+    sweeps = []
+    sweep = qbinom._sweep
+
+    def spy(cells, box=False):
+        cells = tuple(cells)
+        sweeps.append((cells, box))
+        return sweep(cells, box)
+
+    monkeypatch.setattr(qbinom, "_sweep", spy)
     gauss.cache_clear()
     try:
         assert gauss(-5, 14) == gauss(18, 4).shift(-5 * 14 - 14 * 13 // 2)  # (-1)^14 = 1
-        assert fills == [(18, 4)] and gauss(18, 14) is gauss(18, 4)
+        assert sweeps == [(((18, 4),), True)] and gauss(18, 14) is gauss(18, 4)
         for n in range(-20, 41):
             for i in range(1, 21):
                 top = n if n >= 0 else i - 1 - n
                 if i <= top < 2 * i:
                     gauss(n, i)
                     assert gauss(top, i) is gauss(top, top - i), (n, i)
-        assert fills and all(n >= 2 * i for n, i in fills)
+        assert sweeps and all(box and len(cells) == 1 and cells[0][0] >= 2 * cells[0][1] for cells, box in sweeps)
     finally:
         gauss.cache_clear()
 
@@ -212,7 +221,7 @@ def _spectrum_memo_peak():
     gauss.cache_clear()
     tracemalloc.start()
     try:
-        for entry in spectrum_table(60, 15).entries:
+        for entry in spectrum_table(60, 15, delsarte=True).entries:
             delsarte_eigenvalue(60, 15, entry.j)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -222,20 +231,163 @@ def _spectrum_memo_peak():
 def test_spectrum_memo_holds_no_mirrored_cell():
     # The closed form reads [45-j 30] and the Delsarte sum [60-2j-s 45-j],
     # mirrors of cells in the box of [60 15].  Computed apart from it they
-    # took the peak to 2071877 bytes (Python 3.11).  The canonical memo
-    # halves the images, 1.49 to 0.77 MB, but the peak also holds the
-    # results and the operands re-slotted for the sums: 1199344 bytes, 58%,
-    # with the Delsarte passes run in place (1195044 as m + 1 products).
-    # The first run pays one-time allocations of about 50 kB.
+    # took the peak to 2071877 bytes (Python 3.11).  The canonical memo of
+    # whole boxes halved the images, 1.49 to 0.77 MB, for a peak of 1199344
+    # bytes, 58%, with the results and the operands re-slotted for the sums.
+    # One sweep at one width that keeps only the cells read, none re-slotted
+    # for the Delsarte passes: 458532 bytes, 22%.  The first run pays
+    # one-time allocations of about 30 kB.
     try:
         _spectrum_memo_peak()
-        assert _spectrum_memo_peak() < 0.6 * 2071877
+        assert _spectrum_memo_peak() < 0.23 * 2071877
         for n in range(61):
             for i in range(n // 2 + 1, n + 1):
                 found, value = _in_memo((n, i))
                 assert not found or value is gauss(n, n - i), (n, i)
     finally:
         gauss.cache_clear()
+
+
+def _spectrum_reads(v, k):
+    # every key the table of qK(v, k) and its Delsarte column call gauss on
+    table = [cell for j in range(k + 1) for cell in ((v - k - j, v - 2 * k), (v, j))]
+    return set(table) | {(v - 2 * j - s, v - k - j) for j in range(k + 1) for s in range(k - j + 1)}
+
+
+def test_spectrum_memo_holds_the_planned_cells_and_no_box():
+    # From a cold memo, the table of qK(60, 15) and its Delsarte column run
+    # one sweep, of the canonical cells of what they read; the memo then
+    # holds those cells and the keys read, mirrored ones included, and no
+    # cell of the boxes swept through, such as [59 15] or [44 15]
+    reads = _spectrum_reads(60, 15)
+    keys = reads | {(n, n - i) for n, i in reads if n < 2 * i <= 2 * n}  # with the mirrored cells read
+    planned = {(n, i) for n, i in keys if 1 <= i <= n - i}
+    swept = []
+    sweep = qbinom._sweep
+
+    def spy(cells, box=False):
+        found = sweep(cells, box)
+        swept.append((box, set(found)))
+        return found
+
+    gauss.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qbinom, "_sweep", spy)
+            spectrum_table(60, 15, delsarte=True)
+            for j in range(16):
+                delsarte_eigenvalue(60, 15, j)
+        assert swept == [(False, planned)] and len(planned) == 149
+        assert gauss.cache_info().currsize == len(keys) == 317
+        assert all(_in_memo(cell)[0] for cell in keys)
+        # [44 15] first: its box does not hold [59 15], and a miss keeps its box
+        assert not {(59, 15), (44, 15)} & keys and not _in_memo((44, 15))[0] and not _in_memo((59, 15))[0]
+    finally:
+        gauss.cache_clear()
+
+
+def test_cache_clear_leaves_no_swept_cell_behind():
+    # the swept images reach the memo only through gauss's lru_cache: once
+    # it is cleared, nothing of the sweep is left, and the next read misses
+    gauss.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        qbinom.sweep(_spectrum_reads(60, 15))
+        held = tracemalloc.get_traced_memory()[0] - before
+        gauss.cache_clear()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held > 200_000 and left < 2_000, (held, left)
+    assert qbinom._swept.cells == {} and gauss.cache_info().currsize == 0
+    assert not _in_memo((60, 15))[0]
+    gauss.cache_clear()
+
+
+def _sweep(cells, box=False, exponent=lambda c: c, short=0):
+    # qbinom._sweep with one knob for each negative control: the power of q
+    # that column c shifts by, and rows left off the last column
+    cells = tuple(cells)
+    qbinom.refuse_oversized(cells)
+    asked = {}
+    for n, i in cells:
+        top = n if n >= 0 else i - 1 - n
+        if min(i, top - i) >= 1:
+            asked.setdefault(min(i, top - i), set()).add(top - min(i, top - i))
+    if not asked:
+        return {}
+    width = qbinom._slot_bytes(max(math.comb(c + max(rows), c) for c, rows in asked.items()))
+    last = max(asked)
+    depth = [0] * (last + 2)
+    for c in range(last, 0, -1):
+        depth[c] = max((depth[c + 1], *asked.get(c, ())))
+    column = [1] * (depth[1] + 1)
+    found = {(r, 0): (width, 1) for r in range(1, depth[1] + 1)} if box else {}
+    for c in range(1, last + 1):
+        shift = 8 * width * exponent(c)
+        for r in range(c, depth[c] + 1 - short * (c == last)):
+            column[r] += column[r - (r > c)] << shift  # the diagonal reads its own row
+        for r in range(c, depth[c] + 1) if box else asked.get(c, ()):
+            found[(c + r, c)] = width, column[r]
+    return found
+
+
+_WRONG = {"pascal", "lemma2", "lemma3", "theorem2", "corollary1"}
+
+
+@pytest.mark.parametrize("sweep, failing, certificate", [
+    (_sweep, set(), "certified: yes\n"),
+    (lambda cells, box=False: _sweep(cells, box, exponent=lambda c: c + 1), _WRONG, "certified: NO\n"),
+    (lambda cells, box=False: _sweep(cells, box, short=1), _WRONG,
+     "error: the spectrum of qK(4,2) at q=2 came out with eigenvalues [16, -4, 2] and multiplicities [1, 14, -8]\n"),
+], ids=["knob-free", "column-c-shifts-by-q^(c+1)", "last-column-one-row-short"])
+def test_a_wrong_sweep_fails_the_identities_and_the_certificate(capsys, monkeypatch, sweep, failing, certificate):
+    # Negative controls through the CLI, beside the knob-free copy, which
+    # passes.  The identities fail where gauss meets its own recurrence or a
+    # sum of its cells; lemma1 does not, as both of its sides read one
+    # canonical cell, and neither do the product-oracle cross-checks, which
+    # run only where the sides agree and read no cell of gauss.  A wrong
+    # prediction fails the certificate, or an impossible one its own guard.
+    monkeypatch.setattr(qbinom, "_sweep", sweep)
+    gauss.cache_clear()
+    try:
+        assert main(["verify", "identities", "--max", "6", "--format", "json"]) == (1 if failing else 0)
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert {report["identity"] for report in reports if not report["passed"]} == failing
+        gauss.cache_clear()
+        assert main(["verify", "spectrum", "4", "2", "2"]) == (1 if failing else 0)
+        assert certificate in "".join(capsys.readouterr())
+    finally:
+        gauss.cache_clear()
+
+
+def test_threads_sharing_the_memo_read_the_values_of_one_thread():
+    # The lru_cache is shared and each thread hands its swept cells over in
+    # its own _swept: threads that sweep and miss the same cells at once,
+    # switching every 10 microseconds, read the values a single thread does.
+    def work():
+        table = spectrum_table(30, 8, delsarte=True)
+        column = [delsarte_eigenvalue(30, 8, j) for j in range(9)]
+        cells = [gauss(n, i) for n in range(-12, 25) for i in range(13)]
+        return table, column, cells
+
+    gauss.cache_clear()
+    expected = work()
+    gauss.cache_clear()
+    results, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(work())) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        gauss.cache_clear()
+    assert results == [expected] * 4
 
 
 def test_oversized_memo_is_refused_before_any_work(monkeypatch):

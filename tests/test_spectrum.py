@@ -198,7 +198,7 @@ def _first_refusal(v, k):
     # then, or None; the memo is left empty
     gauss.cache_clear()
     try:
-        spectrum_table(v, k)
+        spectrum_table(v, k, delsarte=True)
         for j in range(k + 1):
             delsarte_eigenvalue(v, k, j)
         return None
@@ -210,19 +210,20 @@ def _first_refusal(v, k):
 
 @pytest.mark.parametrize("limit", [2000, 10**4, 2 * 10**4, 4 * 10**4])
 def test_up_front_pricing_refuses_what_the_fills_would(monkeypatch, limit):
-    # Pricing every cell the table reads refuses exactly where reading them
-    # lazily, fill by fill, is refused, with the same message, but with the
-    # memo still empty: a memo hit is priced no higher than the fill that
-    # made it.  Pricing [v k] alone would not do: [4 1] is priced above
-    # [4 2], its box has one more row.  Some of the lazy refusals come after
-    # fills and some before any.
+    # Pricing every cell the table and its Delsarte column read, in one sweep,
+    # refuses exactly where reading them lazily, each miss sweeping its own
+    # box, is refused, with the same message, but with the memo still empty:
+    # a memo hit is priced no higher than the sweep that made it.  Pricing
+    # [v k] alone would not do: [4 1] is priced above [4 2], its box has one
+    # more row.  Some of the lazy refusals come after sweeps and some before
+    # any.
     monkeypatch.setattr(qbinom, "MEMO_BYTE_LIMIT", limit)
     refused = []
     for v in range(2, 31):
         for k in range(1, v // 2 + 1):
             up_front = _first_refusal(v, k)
             with monkeypatch.context() as lazy:
-                lazy.setattr(spectrum, "refuse_oversized", lambda cells: None)
+                lazy.setattr(spectrum, "sweep", lambda cells: None)
                 fill_by_fill = _first_refusal(v, k)
             assert (up_front is None) == (fill_by_fill is None), (v, k)
             if up_front:
