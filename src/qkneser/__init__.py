@@ -36,6 +36,7 @@ from .spectrum import (
     SpectrumEntry,
     SpectrumTable,
     delsarte_eigenvalue,
+    delsarte_terms,
     multiplicity,
     simple_eigenvalue,
     spectrum_table,
@@ -66,6 +67,7 @@ __all__ = [
     "check",
     "check_vertex_budget",
     "delsarte_eigenvalue",
+    "delsarte_terms",
     "enumerate_subspaces",
     "factor_prime_power",
     "field_of_order",

@@ -43,8 +43,8 @@ from .oracle import (  # build_adjacency, the dense reference, is not called her
     enumerate_subspaces,
     vertex_automorphisms,
 )
-from .qbinom import gauss, gauss_eval_product
-from .spectrum import delsarte_eigenvalue, spectrum_table
+from .qbinom import gauss, gauss_eval_product, sweep
+from .spectrum import delsarte_eigenvalue, delsarte_terms, spectrum_table
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -120,6 +120,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     if args.i < 0:
         raise ValueError(f"lower index must be nonnegative, got {args.i}")
     if args.q is None:
+        sweep(((args.n, args.i),))  # the one cell printed, not the box that a plain gauss miss keeps
         value = str(gauss(args.n, args.i))
     else:
         # q0^(i(n-i)) <= [n i]_q0 for n >= i, q0^(i(i-1)/2 - ni) its denominator for n < 0
@@ -139,7 +140,15 @@ def cmd_gauss(args: argparse.Namespace) -> int:
 
 
 def _spectrum_cells(v: int, k: int, q0: int | None, form: str):
-    table = spectrum_table(v, k, q0, delsarte=form != "simple")
+    table = spectrum_table(v, k, q0)
+    column = {}  # the Delsarte column, j = k..0, its terms from one sweep that keeps none of them
+    if form != "simple":
+        for j, terms in delsarte_terms(v, k):
+            dels = delsarte_eigenvalue(v, k, j, terms)
+            if q0 is not None:
+                dels = dels.evaluate_int(q0)
+            simple = table.entries[j].eigenvalue
+            column[j] = simple if dels == simple else dels  # a value equal to the closed form's is held once
     what = f"qK({v},{k}) at q={q0}"
     rows = []
     for entry in table.entries:
@@ -148,9 +157,7 @@ def _spectrum_cells(v: int, k: int, q0: int | None, form: str):
         if form in ("simple", "both"):
             cell["eigenvalue"] = _render(simple, what)
         if form in ("delsarte", "both"):
-            dels = delsarte_eigenvalue(v, k, entry.j)
-            if q0 is not None:
-                dels = dels.evaluate_int(q0)
+            dels = column[entry.j]
             key = "eigenvalue_delsarte" if form == "both" else "eigenvalue"
             # equal values render alike, so the closed form's string serves both
             cell[key] = cell["eigenvalue"] if form == "both" and dels == simple else _render(dels, what)

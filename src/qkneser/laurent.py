@@ -166,9 +166,9 @@ class LaurentPoly:
         if width <= 8:  # re-slotted to 8 bytes, the biased slots are little-endian uint64s
             digits = (_reslot(self._image, size, width, 8) + _bias(8, size)).to_bytes(8 * size, "little")
             return tuple(slot - (1 << 63) for slot in struct.unpack(f"<{size}Q", digits))
-        half = 1 << (8 * width - 1)
+        half, from_bytes = 1 << (8 * width - 1), int.from_bytes
         digits = (self._image + _bias(width, size)).to_bytes(size * width, "little")
-        return tuple(int.from_bytes(digits[k:k + width], "little") - half for k in range(0, size * width, width))
+        return tuple([from_bytes(digits[k:k + width], "little") - half for k in range(0, size * width, width)])
 
     @classmethod
     def zero(cls) -> "LaurentPoly":

@@ -28,11 +28,12 @@ c-1, rows ascending from the diagonal:
 where [c+r-1 c-1] is the row's entry from column c-1 and [c+r-1 c] the
 new entry of the row above; column 0 is [r 0] = 1.  Asked for several
 cells, the sweep runs over the union of their boxes: column c only as
-deep as the deepest cell asked for in columns c and beyond.  The cells
-are priced first, in the order given, as refuse_oversized prices them:
-the first estimated above MEMO_BYTE_LIMIT bytes (by _memo_bytes) is
-refused with MemoRefused, a ValueError naming the cell as asked, before
-any cell is computed.
+deep as the deepest cell asked for in columns c and beyond, and it hands
+out the cells asked for in column c as soon as column c is finished.
+The cells are priced first, in the order given, as refuse_oversized
+prices them: the first estimated above MEMO_BYTE_LIMIT bytes (by
+_memo_bytes) is refused with MemoRefused, a ValueError naming the cell
+as asked, before any column is computed.
 
 The cells are Kronecker images (see laurent.py), not polynomials: a
 sweep runs at one slot width W = _slot_bytes(C(n, i)) for the largest
@@ -42,14 +43,19 @@ the sweep has nonnegative coefficients summing to C(c+r, c), at most the
 C(n, i) of an asked cell whose box holds it, < 2^(8W-1).  No cell is
 re-slotted, and each carries C(c+r, c) as its norm (laurent.py).
 
-What gauss's memo keeps.  sweep(cells) puts in it the canonical cells of
-the cells asked for and nothing else; spectrum_table hands it every cell
-it reads, so `eigenvalues` runs one sweep.  A gauss call that misses the
-memo sweeps the box of its own cell and keeps the whole box, the cells
-[c+r c] with 1 <= c <= i and c <= r <= n-i and the base cells [r 0],
-because the identity grids read those neighbours next.  Either way the
-swept values enter the lru_cache through calls of gauss on their cells,
-handed over in _swept, a thread's own, which is empty between sweeps.
+What gauss's memo keeps.  One sweep serves three callers.  sweep(cells)
+puts in the memo the canonical cells of the cells asked for and nothing
+else: spectrum_table hands it every cell the table reads, and `gauss N
+I` on the command line the one cell it prints.  stream(cells) puts
+nothing in it: it hands each column's cells to its caller, the Delsarte
+column of spectrum.py, which forms each sum as soon as its last column
+is out and drops its terms, so no Delsarte term is ever held past its
+sum.  A gauss call that misses the memo sweeps the box of its own cell
+and keeps the whole box, the cells [c+r c] with 1 <= c <= i and c <= r
+<= n-i and the base cells [r 0], because the identity grids read those
+neighbours next.  The values that enter the memo go into the lru_cache
+through calls of gauss on their cells, handed over in _swept, a
+thread's own, which is empty between sweeps.
 
 gauss_eval_product evaluates the defining product
 prod_{j=0}^{i-1} (q0^(n-j) - 1)/(q0^(i-j) - 1) exactly at a concrete
@@ -76,7 +82,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .laurent import ONE, ZERO, InvariantError, LaurentPoly, _slot_bytes, sum_of_products
 
@@ -138,9 +144,9 @@ def gauss(n: int, i: int) -> LaurentPoly:
         return _served_from(n, i, n, n - i)
     swept = _swept.cells.pop((n, i), None)
     if swept is None:  # a miss outside a sweep: sweep the box of [n i] and keep all of it
-        box = _sweep(((n, i),), box=True)
-        swept = box.pop((n, i))
-        _memoize(box)
+        for column in _sweep(((n, i),), box=True):
+            swept = column.pop((n, i), None)  # the last column holds [n i]
+            _memoize(column)
     # the coefficients of [n i] are nonnegative and sum to C(n, i), its norm
     width, image = swept
     return LaurentPoly._from_image(0, width, image, comb(n, i))
@@ -164,7 +170,24 @@ def sweep(cells: Iterable[tuple[int, int]]) -> None:
     reflected cell enters it under its own key when gauss is called on it.
     A cell that the memo already holds keeps its value.
     """
-    _memoize(_sweep(cells))
+    for column in _sweep(cells):
+        _memoize(column)
+
+
+def stream(cells: Iterable[tuple[int, int]]) -> Iterator[dict[tuple[int, int], LaurentPoly]]:
+    """The canonical cells of cells, column by column, from one q-Pascal sweep that fills no memo.
+
+    Yields, for c = 0, 1, ... up to the last column asked for, the dict
+    {(n, c): [n c]} of the canonical cells asked for in column c, as soon
+    as the sweep has finished that column; column 0 is always empty, as
+    its cells are 1 (gauss's ONE).  The cells are priced as sweep prices
+    them, before the first column, and nothing of the sweep enters gauss's
+    memo: a caller that drops a column's cells holds none of them.
+    """
+    for column in _sweep(cells):
+        # the coefficients of [n c] are nonnegative and sum to C(n, c), its norm
+        yield {(n, c): LaurentPoly._from_image(0, width, image, comb(n, c))
+               for (n, c), (width, image) in column.items()}
 
 
 def _memoize(swept: dict[tuple[int, int], tuple[int, int]]) -> None:
@@ -180,12 +203,14 @@ def _memoize(swept: dict[tuple[int, int], tuple[int, int]]) -> None:
         _swept.cells.clear()
 
 
-def _sweep(cells: Iterable[tuple[int, int]], box: bool = False) -> dict[tuple[int, int], tuple[int, int]]:
+def _sweep(cells: Iterable[tuple[int, int]], box: bool = False) -> Iterator[dict[tuple[int, int], tuple[int, int]]]:
     # The canonical cells of cells as (slot width, image), priced first,
     # from one in-place column sweep over the union of their boxes at the
-    # width of the largest C(n, i) among them (see the module docstring);
-    # with box=True every cell of the union, the base cells [r 0] = 1
-    # included.
+    # width of the largest C(n, i) among them (see the module docstring):
+    # one dict for each column c = 0, 1, ... up to the last asked for, of
+    # the cells asked for in it, handed out when the column is finished;
+    # with box=True every cell of the union, the base cells [r 0] = 1 of
+    # column 0 included.
     cells = tuple(cells)
     refuse_oversized(cells)
     asked: dict[int, set[int]] = {}  # rows asked for, by column
@@ -194,23 +219,19 @@ def _sweep(cells: Iterable[tuple[int, int]], box: bool = False) -> dict[tuple[in
         low = min(i, top - i)
         if low >= 1:  # not zero (top < i) and not 1 (low = 0)
             asked.setdefault(low, set()).add(top - low)
-    if not asked:
-        return {}
-    width = _slot_bytes(max(comb(c + max(rows), c) for c, rows in asked.items()))
-    last = max(asked)
+    width = _slot_bytes(max((comb(c + max(rows), c) for c, rows in asked.items()), default=1))
+    last = max(asked, default=0)
     depth = [0] * (last + 2)  # depth[c]: the deepest row asked for in columns c and beyond
     for c in range(last, 0, -1):
         depth[c] = max((depth[c + 1], *asked.get(c, ())))
+    yield {(r, 0): (width, 1) for r in range(1, depth[1] + 1)} if box else {}
     column = [1] * (depth[1] + 1)
-    found = {(r, 0): (width, 1) for r in range(1, depth[1] + 1)} if box else {}
     for c in range(1, last + 1):
         shift = 8 * width * c
         column[c] += column[c] << shift
         for r in range(c + 1, depth[c] + 1):
             column[r] += column[r - 1] << shift
-        for r in range(c, depth[c] + 1) if box else asked.get(c, ()):
-            found[(c + r, c)] = width, column[r]
-    return found
+        yield {(c + r, c): (width, column[r]) for r in (range(c, depth[c] + 1) if box else asked.get(c, ()))}
 
 
 def refuse_oversized(cells: Iterable[tuple[int, int]]) -> None:
@@ -269,7 +290,7 @@ def alternating_sum(m: int, a: int, t: int, top: int) -> LaurentPoly:
     return sum_of_products(((-1) ** s, s * (s - 1) // 2, gauss(m, s), gauss(a - s, t)) for s in range(top + 1))
 
 
-def full_alternating_sum(m: int, a: int, t: int) -> LaurentPoly:
+def full_alternating_sum(m: int, a: int, t: int, terms: list[LaurentPoly] | None = None) -> LaurentPoly:
     """alternating_sum(m, a, t, m), computed by the q-binomial theorem without a product.
 
     Cauchy's  prod_{i<m} (1 - q^i y) = sum_s (-1)^s q^C(s,2) [m s] y^s,
@@ -281,14 +302,17 @@ def full_alternating_sum(m: int, a: int, t: int) -> LaurentPoly:
     sum_s C(m, s) norm(B_s).  The passes run at the width of that bound,
     or at the terms' own width where it is wider (one sweep makes every
     term at one width), and then only the result is re-slotted: it has
-    alternating_sum's valuation, width, image and norm.
+    alternating_sum's valuation, width, image and norm.  terms, if given,
+    are the B_s, s = 0..m, as the caller has them (the Delsarte column
+    streams them, spectrum.py); they are read from gauss otherwise.
 
     >>> full_alternating_sum(1, 2, 1)
     LaurentPoly('q')
     >>> full_alternating_sum(2, -1, 1) == alternating_sum(2, -1, 1, 2)
     True
     """
-    terms = [gauss(a - s, t) for s in range(m + 1)]
+    if terms is None:
+        terms = [gauss(a - s, t) for s in range(m + 1)]
     bound = sum(comb(m, s) * term._norm for s, term in enumerate(terms))
     if not bound:
         return ZERO

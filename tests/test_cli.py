@@ -132,12 +132,12 @@ def test_eigenvalues_both_forms_agree(capsys):
         assert entry["eigenvalue"] == entry["eigenvalue_delsarte"]
 
 
-def _delsarte_times_q(v, k, j):
-    return spectrum.delsarte_eigenvalue(v, k, j).shift(1)
+def _delsarte_times_q(v, k, j, terms=None):
+    return spectrum.delsarte_eigenvalue(v, k, j, terms).shift(1)
 
 
-def _delsarte_plus_one(v, k, j):
-    return spectrum.delsarte_eigenvalue(v, k, j) + 1
+def _delsarte_plus_one(v, k, j, terms=None):
+    return spectrum.delsarte_eigenvalue(v, k, j, terms) + 1
 
 
 @pytest.mark.parametrize("wrong", [_delsarte_times_q, _delsarte_plus_one])
@@ -338,6 +338,35 @@ def test_oversized_spectrum_is_refused_before_any_fill(capsys):
         assert (code, out) == (2, "") and qbinom.gauss.cache_info().currsize == 0
         assert err == ("error: [4000 6]_q needs a q-Pascal memo of about 1794524960 bytes, "
                        "above the limit of 1073741824\n")
+    finally:
+        qbinom.gauss.cache_clear()
+
+
+def test_oversized_spectrum_in_both_forms_is_refused_before_any_fill(capsys):
+    # the Delsarte column adds no refusal of its own: the table's pricing
+    # refuses [4000 6] first, with the closed form's message, memo empty
+    qbinom.gauss.cache_clear()
+    try:
+        code, out, err = run(capsys, "eigenvalues", "4000", "2000", "--form", "both")
+        assert (code, out) == (2, "") and qbinom.gauss.cache_info().currsize == 0
+        assert err == ("error: [4000 6]_q needs a q-Pascal memo of about 1794524960 bytes, "
+                       "above the limit of 1073741824\n")
+    finally:
+        qbinom.gauss.cache_clear()
+
+
+def test_gauss_keeps_the_printed_cell_alone(capsys):
+    # `gauss N I` sweeps the one cell it prints; a plain gauss miss in the
+    # library keeps the whole box of [400 20], 7790 cells with the base cells
+    qbinom.gauss.cache_clear()
+    try:
+        code, out, _ = run(capsys, "gauss", "400", "20")
+        assert code == 0 and out.startswith("q^7600 + q^7599 + 2*q^7598 + ")
+        assert qbinom.gauss.cache_info().currsize == 1
+        assert str(qbinom.gauss(400, 20)) + "\n" == out and qbinom.gauss.cache_info().misses == 1
+        qbinom.gauss.cache_clear()
+        qbinom.gauss(400, 20)
+        assert qbinom.gauss.cache_info().currsize == 20 * 380 - 20 * 19 // 2 + 380
     finally:
         qbinom.gauss.cache_clear()
 

@@ -17,7 +17,7 @@ from qkneser import identities, laurent, qbinom, spectrum
 from qkneser.cli import main
 from qkneser.laurent import ONE, ZERO, LaurentPoly
 from qkneser.qbinom import alternating_sum, full_alternating_sum, gauss, gauss_eval_product
-from qkneser.spectrum import delsarte_eigenvalue, simple_eigenvalue, spectrum_table
+from qkneser.spectrum import delsarte_eigenvalue, delsarte_terms, simple_eigenvalue, spectrum_table
 
 
 def test_convention_lower_index_zero():
@@ -221,8 +221,9 @@ def _spectrum_memo_peak():
     gauss.cache_clear()
     tracemalloc.start()
     try:
-        for entry in spectrum_table(60, 15, delsarte=True).entries:
-            delsarte_eigenvalue(60, 15, entry.j)
+        spectrum_table(60, 15)
+        for j, terms in delsarte_terms(60, 15):
+            delsarte_eigenvalue(60, 15, j, terms)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,11 +236,13 @@ def test_spectrum_memo_holds_no_mirrored_cell():
     # whole boxes halved the images, 1.49 to 0.77 MB, for a peak of 1199344
     # bytes, 58%, with the results and the operands re-slotted for the sums.
     # One sweep at one width that keeps only the cells read, none re-slotted
-    # for the Delsarte passes: 458532 bytes, 22%.  The first run pays
+    # for the Delsarte passes: 458532 bytes, 22%.  The Delsarte terms
+    # streamed from a sweep of their own, each j's dropped once its sum is
+    # formed, none in the memo: 331260 bytes, 16%.  The first run pays
     # one-time allocations of about 30 kB.
     try:
         _spectrum_memo_peak()
-        assert _spectrum_memo_peak() < 0.23 * 2071877
+        assert _spectrum_memo_peak() < 0.17 * 2071877
         for n in range(61):
             for i in range(n // 2 + 1, n + 1):
                 found, value = _in_memo((n, i))
@@ -249,39 +252,50 @@ def test_spectrum_memo_holds_no_mirrored_cell():
 
 
 def _spectrum_reads(v, k):
-    # every key the table of qK(v, k) and its Delsarte column call gauss on
+    # every key the table of qK(v, k) and the terms of its Delsarte column are read under
     table = [cell for j in range(k + 1) for cell in ((v - k - j, v - 2 * k), (v, j))]
     return set(table) | {(v - 2 * j - s, v - k - j) for j in range(k + 1) for s in range(k - j + 1)}
 
 
+def _canonical(cells):
+    # the canonical cells [n i], 1 <= i <= n - i, that cells are served from
+    return {(n, min(i, n - i)) for n, i in cells if 1 <= min(i, n - i)}
+
+
 def test_spectrum_memo_holds_the_planned_cells_and_no_box():
-    # From a cold memo, the table of qK(60, 15) and its Delsarte column run
-    # one sweep, of the canonical cells of what they read; the memo then
-    # holds those cells and the keys read, mirrored ones included, and no
-    # cell of the boxes swept through, such as [59 15] or [44 15]
-    reads = _spectrum_reads(60, 15)
-    keys = reads | {(n, n - i) for n, i in reads if n < 2 * i <= 2 * n}  # with the mirrored cells read
-    planned = {(n, i) for n, i in keys if 1 <= i <= n - i}
+    # From a cold memo, the table of qK(60, 15) runs one sweep of the
+    # canonical cells it reads, and its Delsarte column one more of the
+    # canonical cells of its terms, streamed; the memo then holds the
+    # table's cells and the keys it reads, mirrored ones included, and no
+    # Delsarte term and no cell of the boxes swept through, such as [59 15]
+    table = {cell for j in range(16) for cell in ((45 - j, 30), (60, j))}
+    keys = table | {(n, n - i) for n, i in table if n < 2 * i <= 2 * n}  # with the mirrored cells read
+    terms = _canonical(_spectrum_reads(60, 15) - table)
     swept = []
     sweep = qbinom._sweep
 
     def spy(cells, box=False):
-        found = sweep(cells, box)
-        swept.append((box, set(found)))
-        return found
+        found = set()
+        swept.append((box, found))
+        for column in sweep(cells, box):
+            found.update(column)
+            yield column
 
     gauss.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qbinom, "_sweep", spy)
-            spectrum_table(60, 15, delsarte=True)
-            for j in range(16):
-                delsarte_eigenvalue(60, 15, j)
-        assert swept == [(False, planned)] and len(planned) == 149
-        assert gauss.cache_info().currsize == len(keys) == 317
+            spectrum_table(60, 15)
+            assert len(swept) == 1
+            for j, row in delsarte_terms(60, 15):
+                delsarte_eigenvalue(60, 15, j, row)
+        assert swept == [(False, _canonical(table)), (False, terms)]
+        # [60 15] is read by both: the table reads it at j = 15 and the Delsarte sum at j = 0 as [60 45]
+        assert (len(_canonical(table)), len(terms)) == (30, 120) and _canonical(table) & terms == {(60, 15)}
+        assert gauss.cache_info().currsize == len(keys) == 48
         assert all(_in_memo(cell)[0] for cell in keys)
-        # [44 15] first: its box does not hold [59 15], and a miss keeps its box
-        assert not {(59, 15), (44, 15)} & keys and not _in_memo((44, 15))[0] and not _in_memo((59, 15))[0]
+        # a miss keeps its box, so the misses go in order of n: none has a cell still to come in its box
+        assert not any(_in_memo(cell)[0] for cell in sorted(terms - {(60, 15)} | {(59, 15)}))
     finally:
         gauss.cache_clear()
 
@@ -315,22 +329,18 @@ def _sweep(cells, box=False, exponent=lambda c: c, short=0):
         top = n if n >= 0 else i - 1 - n
         if min(i, top - i) >= 1:
             asked.setdefault(min(i, top - i), set()).add(top - min(i, top - i))
-    if not asked:
-        return {}
-    width = qbinom._slot_bytes(max(math.comb(c + max(rows), c) for c, rows in asked.items()))
-    last = max(asked)
+    width = qbinom._slot_bytes(max((math.comb(c + max(rows), c) for c, rows in asked.items()), default=1))
+    last = max(asked, default=0)
     depth = [0] * (last + 2)
     for c in range(last, 0, -1):
         depth[c] = max((depth[c + 1], *asked.get(c, ())))
+    yield {(r, 0): (width, 1) for r in range(1, depth[1] + 1)} if box else {}
     column = [1] * (depth[1] + 1)
-    found = {(r, 0): (width, 1) for r in range(1, depth[1] + 1)} if box else {}
     for c in range(1, last + 1):
         shift = 8 * width * exponent(c)
         for r in range(c, depth[c] + 1 - short * (c == last)):
             column[r] += column[r - (r > c)] << shift  # the diagonal reads its own row
-        for r in range(c, depth[c] + 1) if box else asked.get(c, ()):
-            found[(c + r, c)] = width, column[r]
-    return found
+        yield {(c + r, c): (width, column[r]) for r in (range(c, depth[c] + 1) if box else asked.get(c, ()))}
 
 
 _WRONG = {"pascal", "lemma2", "lemma3", "theorem2", "corollary1"}
@@ -367,8 +377,8 @@ def test_threads_sharing_the_memo_read_the_values_of_one_thread():
     # its own _swept: threads that sweep and miss the same cells at once,
     # switching every 10 microseconds, read the values a single thread does.
     def work():
-        table = spectrum_table(30, 8, delsarte=True)
-        column = [delsarte_eigenvalue(30, 8, j) for j in range(9)]
+        table = spectrum_table(30, 8)
+        column = [delsarte_eigenvalue(30, 8, j, terms) for j, terms in delsarte_terms(30, 8)]
         cells = [gauss(n, i) for n in range(-12, 25) for i in range(13)]
         return table, column, cells
 
@@ -501,9 +511,10 @@ def test_full_alternating_sum_is_the_literal_sum_to_m_40(m, a, t):
     assert _first_difference(full_alternating_sum, [(m, a, t)]) is None
 
 
-def _passes(m, a, t, exponent=lambda i: i, passes=lambda m: m, order=lambda stop: range(stop)):
+def _passes(m, a, t, terms=None, exponent=lambda i: i, passes=lambda m: m, order=lambda stop: range(stop)):
     # full_alternating_sum's passes, with one knob for each negative control
-    terms = [gauss(a - s, t) for s in range(m + 1)]
+    if terms is None:
+        terms = [gauss(a - s, t) for s in range(m + 1)]
     bound = sum(math.comb(m, s) * term._norm for s, term in enumerate(terms))
     if not bound:
         return ZERO
@@ -516,8 +527,8 @@ def _passes(m, a, t, exponent=lambda i: i, passes=lambda m: m, order=lambda stop
     return LaurentPoly._from_image(low, width, images[0], bound)
 
 
-def _shift_by_q_i_plus_1(m, a, t):
-    return _passes(m, a, t, exponent=lambda i: i + 1)
+def _shift_by_q_i_plus_1(m, a, t, terms=None):
+    return _passes(m, a, t, terms, exponent=lambda i: i + 1)
 
 
 @pytest.mark.parametrize("route", [

@@ -11,6 +11,7 @@ from qkneser.laurent import ONE, LaurentPoly
 from qkneser.qbinom import MemoRefused, gauss
 from qkneser.spectrum import (
     delsarte_eigenvalue,
+    delsarte_terms,
     multiplicity,
     simple_eigenvalue,
     spectrum_table,
@@ -194,13 +195,13 @@ def test_json_schema(capsys):
 
 
 def _first_refusal(v, k):
-    # the refusal of the table and its Delsarte column and the memo's size
-    # then, or None; the memo is left empty
+    # the refusal of the table and its streamed Delsarte column and the
+    # memo's size then, or None; the memo is left empty
     gauss.cache_clear()
     try:
-        spectrum_table(v, k, delsarte=True)
-        for j in range(k + 1):
-            delsarte_eigenvalue(v, k, j)
+        spectrum_table(v, k)
+        for j, terms in delsarte_terms(v, k):
+            delsarte_eigenvalue(v, k, j, terms)
         return None
     except MemoRefused as exc:
         return str(exc), gauss.cache_info().currsize
@@ -210,13 +211,13 @@ def _first_refusal(v, k):
 
 @pytest.mark.parametrize("limit", [2000, 10**4, 2 * 10**4, 4 * 10**4])
 def test_up_front_pricing_refuses_what_the_fills_would(monkeypatch, limit):
-    # Pricing every cell the table and its Delsarte column read, in one sweep,
-    # refuses exactly where reading them lazily, each miss sweeping its own
-    # box, is refused, with the same message, but with the memo still empty:
-    # a memo hit is priced no higher than the sweep that made it.  Pricing
-    # [v k] alone would not do: [4 1] is priced above [4 2], its box has one
-    # more row.  Some of the lazy refusals come after sweeps and some before
-    # any.
+    # Pricing every cell the table reads before its sweep, and the Delsarte
+    # terms before theirs, refuses exactly where reading the table lazily,
+    # each miss sweeping its own box, is refused, with the same message, but
+    # with the memo still empty: a memo hit is priced no higher than the
+    # sweep that made it, and no Delsarte term above [v k].  Pricing [v k]
+    # alone would not do: [4 1] is priced above [4 2], its box has one more
+    # row.  Some of the lazy refusals come after sweeps and some before any.
     monkeypatch.setattr(qbinom, "MEMO_BYTE_LIMIT", limit)
     refused = []
     for v in range(2, 31):
@@ -230,3 +231,41 @@ def test_up_front_pricing_refuses_what_the_fills_would(monkeypatch, limit):
                 assert up_front == (fill_by_fill[0], 0), (v, k)
                 refused.append(fill_by_fill[1] > 0)
     assert any(refused) and not all(refused)
+
+
+def test_no_delsarte_term_is_priced_above_v_k():
+    # The terms [v-2j-s v-k-j] are served from [v-2j-s k-j-s], whose box has
+    # k-j-s <= k columns and v-k-j <= v-k rows, so none is priced above the
+    # [v k] that the table reads: a Delsarte column is never refused where
+    # its table was not, and `eigenvalues --form both` is refused, if at all,
+    # by the table's pricing, before any sweep
+    for v in range(2, 121):
+        for k in range(1, v // 2 + 1):
+            top = qbinom._memo_bytes(v, k)
+            for j in range(k + 1):
+                for s in range(k - j):  # s = k-j is [v-k-j v-k-j] = 1, never priced
+                    assert qbinom._memo_bytes(v - 2 * j - s, v - k - j) <= top, (v, k, j, s)
+
+
+def test_streamed_column_is_the_literal_sum():
+    # every j of the column that delsarte_terms streams is the Delsarte sum
+    # as written, alternating_sum's m + 1 products, in valuation, width,
+    # image and norm, and its eigenvalue the closed form's
+    cases = [(v, k) for v in range(15) for k in range(v // 2 + 1)] + [(60, 15)]
+    gauss.cache_clear()
+    for v, k in cases:
+        seen = []
+        for j, terms in delsarte_terms(v, k):
+            seen.append(j)
+            m, a, t = k - j, v - 2 * j, v - k - j
+            assert terms == [gauss(a - s, t) for s in range(m + 1)], (v, k, j)
+            streamed = qbinom.full_alternating_sum(m, a, t, terms)
+            literal = qbinom.alternating_sum(m, a, t, m)
+            assert _internals(streamed) == _internals(literal), (v, k, j)
+            assert delsarte_eigenvalue(v, k, j, terms) == simple_eigenvalue(v, k, j), (v, k, j)
+        assert seen == list(range(k, -1, -1)), (v, k)
+    gauss.cache_clear()
+
+
+def _internals(poly):
+    return poly._low, poly._width, poly._image, poly._norm
