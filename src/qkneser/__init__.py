@@ -18,7 +18,6 @@ from .intmatrix import IntMatrix
 from .laurent import ONE, Q, ZERO, InvariantError, LaurentPoly
 from .oracle import (
     DEFAULT_VERTEX_BUDGET,
-    Automorphism,
     BudgetExceededError,
     CertificationResult,
     Incidence,
@@ -45,7 +44,6 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Automorphism",
     "BudgetExceededError",
     "CertificationResult",
     "DEFAULT_VERTEX_BUDGET",

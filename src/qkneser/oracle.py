@@ -19,10 +19,12 @@ Both checks read one column of A, through checked automorphisms.  GL(v, q)
 permutes the k-subspaces transitively and preserves trivial intersection
 (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3), and
 vertex_automorphisms turns generators of it into permutations tau of the
-points and sigma of the vertices.  Nothing is taken on trust:
-certify_spectrum checks that each is a permutation, that the points of
-sigma x are tau of those of x for every vertex x (so sigma preserves A),
-and that the sigmas together carry vertex 0 to every vertex.  A commutes
+points alone.  certify_spectrum takes each tau, finds the permutation
+sigma of the vertices it induces (the vertex whose points are tau of
+those of x is sigma x), and takes nothing on trust: it checks that tau
+and sigma are permutations, that the points of sigma x are tau of those
+of x for every vertex x (so sigma preserves A), and that the sigmas
+together carry vertex 0 to every vertex.  A commutes
 with each sigma as a permutation matrix S, hence so does every polynomial
 in A: P(A) e_sigma(i) = S P(A) e_i and (A^m)_ii = (A^m)_sigma(i)sigma(i), so
 
@@ -436,17 +438,10 @@ def build_adjacency(bases: np.ndarray, ctx: FieldCtx) -> IntMatrix:
     return IntMatrix(np.concatenate(list(strips)).view(np.uint8))
 
 
-@dataclass(eq=False)  # compared by identity: == on arrays is elementwise
-class Automorphism:
-    """One generator's action: vertices is the vertex permutation sigma, and
-    points the permutation tau of the ids of Incidence.points."""
-
-    vertices: np.ndarray
-    points: np.ndarray
-
-
-def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
-    """One Automorphism per generator of a subgroup of GL(v, q), for 0 < k < v.
+def vertex_automorphisms(graph: Incidence) -> np.ndarray:
+    """The point permutations of generators of a subgroup of GL(v, q), for 0 < k < v: one (generators,
+    points) int64 array whose row g is the permutation tau of the ids of Incidence.points that
+    generator g induces; (0, points) when n == 1, there being nothing to carry anywhere.
 
     Vertex 0 is span(e_0..e_{k-1}).  The first generator, the cyclic shift
     of coordinates, moves it; the others fix it, acting on the blocks of
@@ -464,20 +459,13 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
     x_0, and all of them are applied together to the coordinates of a
     block of points (about 2^16 image entries) with the _FieldArrays ops;
     each image is rescaled to a leading 1 through the inverse table, and a
-    vertex goes where its sorted point ids go: to the vertex whose RREF
-    rows, read off the ids at k fixed sorted positions as one int64 key
-    (_lookup), are those of the image.  An image that is no vertex raises
-    InvariantError, and a point whose image is no point gets the id -1.
-    ValueError, before any lookup, when those keys could overflow int64
-    (only for v < 2k).  certify_spectrum checks what it relies on (that
-    each map is a permutation carrying all the points of every vertex x to
-    those of sigma x, and that the sigmas are transitive), so nothing
-    here, the key included, is taken on trust.
+    point whose image is no point gets the id -1.  The vertex permutations
+    are no part of this: certify_spectrum finds and checks them, so
+    nothing here is taken on trust.
     """
     ctx, q, v, k = graph.ctx, graph.ctx.q, graph.v, graph.k
-    if graph.n == 1:  # nothing to carry anywhere
-        return []
-    find = _lookup(graph.members, q, k, len(graph.points))
+    if graph.n == 1:
+        return np.empty((0, len(graph.points)), dtype=np.int64)
     field = _field_arrays(ctx)
     weights = q ** np.arange(v)  # a code reads the coordinates base q
     vectors = graph.points[:, None] // weights % q
@@ -507,16 +495,7 @@ def vertex_automorphisms(graph: Incidence) -> list[Automorphism]:
         images = field.dot(vectors[start : start + step], np.array(generators))  # (generator, point, coordinate)
         leads = np.take_along_axis(images, (images != 0).argmax(axis=2)[..., None], axis=2)
         codes[:, start : start + step] = field.mul(field.inverse[leads], images) @ weights
-    taus = _point_ids(graph.points, codes)
-    automorphisms = []
-    for g, tau in enumerate(taus):
-        image = tau[graph.members]
-        image.sort(axis=1)
-        sigma = find(image)
-        if (sigma < 0).any():
-            raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
-        automorphisms.append(Automorphism(sigma, tau))
-    return automorphisms
+    return _point_ids(graph.points, codes)
 
 
 # ----------------------------------------------------------------------
@@ -608,19 +587,30 @@ def _is_permutation(perm, size: int) -> bool:
     return perm.shape == (size,) and perm.dtype.kind in "iu" and np.array_equal(np.sort(perm), np.arange(size))
 
 
-def _check_automorphisms(graph: Incidence, automorphisms) -> list[np.ndarray]:
-    """The sigmas of the automorphisms; InvariantError unless each is a pair of permutations, sigma of
-    the vertices and tau of the points, that carries the points of every vertex x to those of sigma x,
-    and the sigmas together carry vertex 0 to every vertex."""
-    n, perms = graph.n, []
-    for g, automorphism in enumerate(automorphisms):
-        sigma, tau = np.asarray(automorphism.vertices), np.asarray(automorphism.points)
-        if not _is_permutation(sigma, n):
-            raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
-        if not _is_permutation(tau, len(graph.points)):
-            raise InvariantError(f"automorphism {g} is not a permutation of the {len(graph.points)} 1-subspaces")
+def _check_automorphisms(graph: Incidence, taus) -> list[np.ndarray]:
+    """The vertex permutation sigma of each permutation tau of the points; InvariantError unless each
+    tau is a permutation that carries the points of every vertex x to those of a vertex sigma x, sigma
+    is a permutation, and the sigmas together carry vertex 0 to every vertex.
+
+    sigma x is the vertex whose key (_lookup, its table built once, before
+    any tau is read) is that of the sorted image tau[members[x]], and every
+    whole row of images is then compared with members[sigma], so neither
+    sigma nor the key is taken on trust.  ValueError, before any tau is
+    read, when the keys could overflow int64 (only for v < 2k).
+    """
+    n, points, perms = graph.n, len(graph.points), []
+    find = _lookup(graph.members, graph.ctx.q, graph.k, points) if len(taus) else None  # qK(v, v) has no tau
+    for g, tau in enumerate(taus):
+        tau = np.asarray(tau)
+        if not _is_permutation(tau, points):
+            raise InvariantError(f"automorphism {g} is not a permutation of the {points} 1-subspaces")
         image = tau[graph.members]
         image.sort(axis=1)
+        sigma = find(image)
+        if (sigma < 0).any():
+            raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
+        if not _is_permutation(sigma, n):
+            raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
         moved = (image != graph.members[sigma]).any(axis=1)
         if moved.any():
             x = int(np.argmax(moved))
@@ -710,20 +700,22 @@ def _column_certificate(predicted: SpectrumTable, quotient: list[list[int]], n: 
     )
 
 
-def certify_spectrum(graph: Incidence, predicted: SpectrumTable, automorphisms) -> CertificationResult:
+def certify_spectrum(graph: Incidence, predicted: SpectrumTable, taus) -> CertificationResult:
     """Certify that predicted is exactly the spectrum of qK(v, k), given as its Incidence.
 
     Requires an evaluated prediction with distinct eigenvalues and positive
-    multiplicities (ValueError otherwise), and Automorphisms (as
-    vertex_automorphisms returns them) that carry the points of every
-    vertex to those of its image and act transitively (InvariantError
-    otherwise).  Runs the annihilating product and the moment checks on
-    column 0, through the quotient on the orbits of the automorphisms that
-    fix vertex 0, in exact integer arithmetic; a mismatch is reported as
-    data, with the offending moment or a nonzero residual entry.
+    multiplicities (ValueError otherwise), and permutations tau of the
+    points (as vertex_automorphisms returns them) that each carry the
+    points of every vertex to those of a vertex, so that the vertex
+    permutations sigma they induce act transitively (InvariantError
+    otherwise; _check_automorphisms finds and checks the sigmas).  Runs
+    the annihilating product and the moment checks on column 0, through
+    the quotient on the orbits of the sigmas that fix vertex 0, in exact
+    integer arithmetic; a mismatch is reported as data, with the offending
+    moment or a nonzero residual entry.
     """
     _prediction(predicted)  # refused before any work
-    _, smallest, quotient = _quotient(graph, _check_automorphisms(graph, automorphisms))
+    _, smallest, quotient = _quotient(graph, _check_automorphisms(graph, taus))
     return _column_certificate(predicted, quotient, graph.n, smallest)
 
 

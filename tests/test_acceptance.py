@@ -89,13 +89,13 @@ def test_criterion_3_symbolic_spectral_sums():
 def test_criterion_4_oracle_certification(graphs):
     ok = True
     for v, k, q in ORACLE_CASES:
-        _, graph, automorphisms = graphs[(v, k, q)]
-        result = certify_spectrum(graph, spectrum_table(v, k, q), automorphisms)
+        _, graph, taus = graphs[(v, k, q)]
+        result = certify_spectrum(graph, spectrum_table(v, k, q), taus)
         ok = ok and result.certified
         assert result.certified, (v, k, q, result.offending_moments, result.residual_entry)
     # spot-check the documented facts for qK(4,2) at q=2
-    _, graph, automorphisms = graphs[(4, 2, 2)]
-    result = certify_spectrum(graph, spectrum_table(4, 2, 2), automorphisms)
+    _, graph, taus = graphs[(4, 2, 2)]
+    result = certify_spectrum(graph, spectrum_table(4, 2, 2), taus)
     assert result.vertex_count == 35
     assert result.predicted_eigenvalues == [16, -4, 2]
     assert result.predicted_multiplicities == [1, 14, 20]
@@ -126,9 +126,9 @@ def _tweaked(table, index, d_eig=0, d_mult=0):
 def _detected(graph, bad_table) -> bool:
     # a perturbed prediction must either fail certification or be rejected
     # outright (e.g. a multiplicity perturbed down to zero)
-    _, incidence, automorphisms = graph
+    _, incidence, taus = graph
     try:
-        return not certify_spectrum(incidence, bad_table, automorphisms).certified
+        return not certify_spectrum(incidence, bad_table, taus).certified
     except ValueError:
         return True
 

@@ -16,7 +16,6 @@ from qkneser.cli import main
 from qkneser.gf import field_of_order, make_field
 from qkneser.laurent import InvariantError
 from qkneser.oracle import (
-    Automorphism,
     BudgetExceededError,
     Incidence,
     build_adjacency,
@@ -238,7 +237,7 @@ def adjacency_rows(graph, columns):
 
 
 def graph_of(ctx, v, k):
-    # the incidence and the generators' actions on it
+    # the incidence and the generators' permutations tau of its points
     graph = Incidence(enumerate_subspaces(ctx, v, k), ctx)
     return graph, vertex_automorphisms(graph)
 
@@ -305,13 +304,13 @@ def test_point_codes_are_the_canonical_points(v, k, q):
 def test_dropped_point_is_caught(monkeypatch, capsys):
     # negative control for the incidence: vertex 0 loses one of its points
     # (replaced by a repeat of another), so it looks adjacent to the lines
-    # through that point; the honest generators then no longer carry the
-    # points of every vertex to those of its image, and the CLI reports that
-    # as a verification failure
+    # through that point; the honest generators then carry vertex 0's point
+    # ids to a sorted row that is no vertex's, and the CLI reports that as a
+    # verification failure
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 4, 2)
     honest = oracle._point_codes
-    automorphisms = vertex_automorphisms(Incidence(subs, ctx))
+    taus = vertex_automorphisms(Incidence(subs, ctx))
 
     def lossy(ctx, bases):
         codes = honest(ctx, bases)
@@ -320,21 +319,22 @@ def test_dropped_point_is_caught(monkeypatch, capsys):
 
     monkeypatch.setattr(oracle, "_point_codes", lossy)
     assert rank_route_mismatch(ctx, subs, build_adjacency(subs, ctx)) is not None
-    with pytest.raises(InvariantError, match="does not carry the 1-subspaces of vertex"):
-        certify_spectrum(Incidence(subs, ctx), spectrum_table(4, 2, 2), automorphisms)
-    monkeypatch.setattr(cli, "vertex_automorphisms", lambda graph: automorphisms)
+    with pytest.raises(InvariantError, match="generator 0 maps vertex 0 to a point set that is no vertex"):
+        certify_spectrum(Incidence(subs, ctx), spectrum_table(4, 2, 2), taus)
+    monkeypatch.setattr(cli, "vertex_automorphisms", lambda graph: taus)
     assert_verification_failure(capsys, "4", "2", "2")
 
 
 def test_a_wrong_inverse_table_is_caught(monkeypatch, capsys):
     # negative control for the rescaling of the generators' images: with the
     # identity as the inverse table of GF(5), a point whose image leads with
-    # 2 is multiplied by 2 rather than 3, so the image is no point and the
-    # CLI reports a verification failure
+    # 2 is multiplied by 2 rather than 3, so the image is no point, its id is
+    # -1, and the CLI reports a tau that is no permutation as a verification
+    # failure
     wrong = oracle._FieldArrays(field_of_order(5))
     wrong.inverse = np.arange(5)
     monkeypatch.setattr(oracle, "_field_arrays", lambda ctx: wrong)
-    assert assert_verification_failure(capsys, "4", "2", "5").endswith(" to a point set that is no vertex\n")
+    assert assert_verification_failure(capsys, "4", "2", "5").endswith(" is not a permutation of the 156 1-subspaces\n")
 
 
 def assert_verification_failure(capsys, *argv):
@@ -348,32 +348,50 @@ def assert_verification_failure(capsys, *argv):
 
 
 def _not_a_permutation(graph):
-    return [Automorphism(np.zeros(graph.n, dtype=np.int64), vertex_automorphisms(graph)[0].points)]
+    # tau sends every point to point 0 (sigma is no input: the certificate
+    # finds it from tau)
+    return np.zeros((1, len(graph.points)), dtype=np.int64)
+
+
+def _swapping_last_points(graph, x, y):
+    # tau swaps the last point of vertex x with that of vertex y, the point at
+    # the last key position (an RREF row): the key sends x to y and y to x,
+    # but the other points of x are not those of y
+    tau = np.arange(len(graph.points))
+    tau[graph.members[[x, y], -1]] = graph.members[[y, x], -1]
+    return tau
 
 
 def _swap_vertices_0_and_1(graph):
-    # sigma swaps two vertices and fixes everything else
-    sigma = np.arange(graph.n)
-    sigma[[0, 1]] = 1, 0
-    return [Automorphism(sigma, np.arange(len(graph.points)))]
+    return _swapping_last_points(graph, 0, 1)[None]
 
 
 def _fixes_vertex_0_and_swaps_two_others(graph):
-    # the honest generators and one more that fixes vertex 0 and swaps
-    # vertices 1 and 2: it would join them in one orbit of the quotient
-    sigma = np.arange(graph.n)
-    sigma[[1, 2]] = 2, 1
-    return [*vertex_automorphisms(graph), Automorphism(sigma, np.arange(len(graph.points)))]
+    # the honest generators and one more whose key fixes vertex 0 (tau fixes
+    # its points) and swaps vertices 2 and 3: it would join them in one orbit
+    # of the quotient
+    return [*vertex_automorphisms(graph), _swapping_last_points(graph, 2, 3)]
+
+
+def _swap_first_and_last_points(graph):
+    # tau swaps the first and last points, e_0 and e_{v-1}, a permutation of
+    # the points alone: vertex 1, span(e_0, .., e_{k-2}, e_{k-1} + e_{v-1}),
+    # holds e_0 but not e_{v-1}, and its image holds e_{v-1} and
+    # e_{k-1} + e_{v-1} but not e_{k-1}, so it is no subspace
+    tau = np.arange(len(graph.points))
+    tau[[0, -1]] = tau[-1], 0
+    return tau[None]
 
 
 def _tau_of_the_wrong_length(graph):
     # the honest generators, the first one's tau short of its last point
     first, *rest = vertex_automorphisms(graph)
-    return [Automorphism(first.vertices, first.points[:-1]), *rest]
+    return [first[:-1], *rest]
 
 
 @pytest.mark.parametrize("v,k,q,bad,message", [
-    pytest.param(4, 2, 2, _not_a_permutation, "is not a permutation", id="not-a-permutation"),
+    pytest.param(4, 2, 2, _not_a_permutation, "automorphism 0 is not a permutation of the 15 1-subspaces",
+                 id="not-a-permutation"),
     pytest.param(4, 2, 2, _swap_vertices_0_and_1, "does not carry the 1-subspaces of vertex 0 to those of vertex 1",
                  id="swap-two-vertices"),
     # the cyclic shift and the shift within each block of 2 coordinates:
@@ -386,17 +404,20 @@ def _tau_of_the_wrong_length(graph):
                  id="gf4-without-the-transvection-by-x"),
     # qK(6,3) has v = 2k, so its honest generators are six, the last the shift of coordinates 0..2 alone
     pytest.param(6, 3, 2, _fixes_vertex_0_and_swaps_two_others,
-                 "automorphism 6 does not carry the 1-subspaces of vertex 1 to those of vertex 2",
+                 "automorphism 6 does not carry the 1-subspaces of vertex 2 to those of vertex 3",
                  id="fixes-vertex-0-and-swaps-two-others"),
     pytest.param(4, 2, 2, _tau_of_the_wrong_length, "automorphism 0 is not a permutation of the 15 1-subspaces",
                  id="tau-of-the-wrong-length"),
+    *[pytest.param(v, k, q, _swap_first_and_last_points, "generator 0 maps vertex 1 to a point set that is no vertex",
+                   id=f"swap-first-and-last-points-{v}-{k}-{q}")
+      for v, k, q in [(4, 2, 2), (5, 2, 3), (4, 2, 4), (6, 3, 2)]],
 ])
 def test_unchecked_automorphisms_are_refused(monkeypatch, capsys, v, k, q, bad, message):
     graph = Incidence(enumerate_subspaces(field_of_order(q), v, k), field_of_order(q))
     with pytest.raises(InvariantError, match=message):
         certify_spectrum(graph, spectrum_table(v, k, q), bad(graph))
     monkeypatch.setattr(cli, "vertex_automorphisms", bad)
-    assert_verification_failure(capsys, str(v), str(k), str(q))
+    assert message in assert_verification_failure(capsys, str(v), str(k), str(q))
 
 
 def test_the_single_vertex_of_qk_v_0_is_certified_with_eigenvalue_0():
@@ -404,8 +425,10 @@ def test_the_single_vertex_of_qk_v_0_is_certified_with_eigenvalue_0():
     # eigenvalue 0 is certified, and 1 leaves the residual A - I = [-1]
     ctx = make_field(2, 1)
     graph = Incidence(enumerate_subspaces(ctx, 3, 0), ctx)
-    results = [certify_spectrum(graph, SpectrumTable(v=3, k=0, q=2, entries=(SpectrumEntry(0, lam, 1),)),
-                                vertex_automorphisms(graph)) for lam in (0, 1)]
+    taus = vertex_automorphisms(graph)
+    assert taus.shape == (0, 7) and taus.dtype == np.int64  # nothing to carry: no generator
+    results = [certify_spectrum(graph, SpectrumTable(v=3, k=0, q=2, entries=(SpectrumEntry(0, lam, 1),)), taus)
+               for lam in (0, 1)]
     assert results[0].certified and results[0].moments == [1] and results[0].degree == 0
     assert not results[1].certified and results[1].residual_entry == (0, 0, -1)
     assert results[1].moments_ok  # tr(A^0) = 1 whatever the eigenvalue
@@ -414,15 +437,16 @@ def test_the_single_vertex_of_qk_v_0_is_certified_with_eigenvalue_0():
 def test_an_image_that_is_no_vertex_is_refused():
     # without vertex 0, some generator maps a vertex onto the missing one
     ctx = make_field(2, 1)
-    subs = enumerate_subspaces(ctx, 4, 2)
+    graph = Incidence(enumerate_subspaces(ctx, 4, 2)[1:], ctx)
     with pytest.raises(InvariantError, match="to a point set that is no vertex"):
-        vertex_automorphisms(Incidence(subs[1:], ctx))
+        certify_spectrum(graph, spectrum_table(4, 2, 2), vertex_automorphisms(graph))
 
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (3, 1, 4), (4, 2, 4), (3, 2, 9), (5, 2, 3)])
 def test_automorphisms_are_the_generators_action(v, k, q):
-    # sigma[i] spans the image of basis i under the generator, and tau[p] the
-    # image of point p, applied by field arithmetic and compared by rank
+    # tau[p] is the image of point p under the generator, and sigma[i], as
+    # the certificate finds it from tau, spans the image of basis i, applied
+    # by field arithmetic and compared by rank
     ctx = field_of_order(q)
     subs = enumerate_subspaces(ctx, v, k)
     graph = Incidence(subs, ctx)
@@ -454,11 +478,11 @@ def test_automorphisms_are_the_generators_action(v, k, q):
         generators += [lambda x, c=c: [ctx.add(x[0], ctx.mul(c, x[k])), *x[1:]]]
     generators += [lambda x: [ctx.mul(2, x[0]), *x[1:]]] if ctx.p > 2 else []
     generators += [lambda x: [x[k - 1], *x[: k - 1], *x[k:]]] if v == 2 * k >= 4 else []  # block 0's shift alone
-    automorphisms = vertex_automorphisms(graph)
-    assert len(automorphisms) == len(generators)
-    assert [int(a.vertices[0]) == 0 for a in automorphisms] == [False] + [True] * (len(generators) - 1)
-    for g, automorphism in zip(generators, automorphisms):
-        sigma, tau = automorphism.vertices, automorphism.points
+    taus = vertex_automorphisms(graph)
+    assert taus.shape == (len(generators), len(points)) and taus.dtype.kind == "i"
+    sigmas = oracle._check_automorphisms(graph, taus)
+    assert [int(sigma[0]) == 0 for sigma in sigmas] == [False] + [True] * (len(generators) - 1)
+    for g, sigma, tau in zip(generators, sigmas, taus):
         assert sorted(sigma.tolist()) == list(range(len(subs)))
         for basis, image in zip(subs.tolist(), sigma.tolist()):
             assert gf_rank(ctx, [*map(g, basis), *subs[image].tolist()]) == k
@@ -492,8 +516,8 @@ def test_regularity_matches_predicted_degree():
 
 
 def test_certify_qk_4_2_2():
-    adjacency, automorphisms = graph_of(make_field(2, 1), 4, 2)
-    result = certify_spectrum(adjacency, spectrum_table(4, 2, 2), automorphisms)
+    adjacency, taus = graph_of(make_field(2, 1), 4, 2)
+    result = certify_spectrum(adjacency, spectrum_table(4, 2, 2), taus)
     assert result.certified
     assert result.annihilation_ok and result.moments_ok
     assert result.moments == [35, 0, 560]
@@ -503,8 +527,8 @@ def test_certify_qk_4_2_2():
 
 
 def test_certify_triangle():
-    adjacency, automorphisms = graph_of(make_field(2, 1), 2, 1)
-    result = certify_spectrum(adjacency, spectrum_table(2, 1, 2), automorphisms)
+    adjacency, taus = graph_of(make_field(2, 1), 2, 1)
+    result = certify_spectrum(adjacency, spectrum_table(2, 1, 2), taus)
     assert result.certified
     assert result.predicted_eigenvalues == [2, -1]
     assert result.predicted_multiplicities == [1, 2]
@@ -513,8 +537,8 @@ def test_certify_triangle():
 @pytest.mark.parametrize("v,k,q", [(2, 1, 3), (2, 1, 4), (2, 1, 5), (5, 2, 2), (4, 2, 3)])
 def test_certify_more_cases(v, k, q):
     # qK(2,1) is complete on q+1 vertices: distinct lines of a plane meet trivially
-    adjacency, automorphisms = graph_of(field_of_order(q), v, k)
-    result = certify_spectrum(adjacency, spectrum_table(v, k, q), automorphisms)
+    adjacency, taus = graph_of(field_of_order(q), v, k)
+    result = certify_spectrum(adjacency, spectrum_table(v, k, q), taus)
     assert result.certified
     assert sum(result.certified_multiplicities) == result.vertex_count
 
@@ -530,18 +554,18 @@ def _tweaked(table, j, d_eig=0, d_mult=0):
 
 
 def test_certify_detects_wrong_multiplicity():
-    adjacency, automorphisms = graph_of(make_field(2, 1), 4, 2)
+    adjacency, taus = graph_of(make_field(2, 1), 4, 2)
     wrong = _tweaked(spectrum_table(4, 2, 2), j=1, d_mult=-1)  # 13 instead of 14
-    result = certify_spectrum(adjacency, wrong, automorphisms)
+    result = certify_spectrum(adjacency, wrong, taus)
     assert not result.moments_ok
     assert not result.certified
     assert any(m == 1 and expected == 4 for m, expected, _ in result.offending_moments)
 
 
 def test_certify_detects_wrong_eigenvalue():
-    adjacency, automorphisms = graph_of(make_field(2, 1), 4, 2)
+    adjacency, taus = graph_of(make_field(2, 1), 4, 2)
     wrong = _tweaked(spectrum_table(4, 2, 2), j=2, d_eig=1)  # 3 instead of 2
-    result = certify_spectrum(adjacency, wrong, automorphisms)
+    result = certify_spectrum(adjacency, wrong, taus)
     assert not result.annihilation_ok
     assert result.residual_entry is not None
     assert not result.certified
@@ -562,8 +586,8 @@ def _perturbations(table):
 
 def test_certify_qk_6_3_2(qk_6_3_2):
     # k = 3: four eigenvalues
-    adjacency, automorphisms = qk_6_3_2
-    result = certify_spectrum(adjacency, spectrum_table(6, 3, 2), automorphisms)
+    adjacency, taus = qk_6_3_2
+    result = certify_spectrum(adjacency, spectrum_table(6, 3, 2), taus)
     assert result.certified
     assert result.vertex_count == 1395 and result.degree == 512
     assert result.predicted_eigenvalues == [512, -64, 16, -8]
@@ -572,13 +596,13 @@ def test_certify_qk_6_3_2(qk_6_3_2):
 
 
 def test_certify_qk_6_3_2_negative_controls(qk_6_3_2):
-    adjacency, automorphisms = qk_6_3_2
+    adjacency, taus = qk_6_3_2
     for label, wrong in _perturbations(spectrum_table(6, 3, 2)):
         if 0 in wrong.multiplicities():
             with pytest.raises(ValueError, match="must be positive"):  # the eigenvalue 512 has multiplicity 1
-                certify_spectrum(adjacency, wrong, automorphisms)
+                certify_spectrum(adjacency, wrong, taus)
             continue
-        result = certify_spectrum(adjacency, wrong, automorphisms)
+        result = certify_spectrum(adjacency, wrong, taus)
         assert not result.certified, label
         if label.startswith("eigenvalue"):
             assert not result.annihilation_ok and result.residual_entry is not None, label
@@ -618,11 +642,11 @@ def test_pair_of_linear_factors_is_one_quadratic_factor(eigenvalues):
     # coefficients of (x - a)(x - b), or of x - lam; qK(2,1) over GF(2) is
     # the triangle, with eigenvalues 2 and -1
     ctx = make_field(2, 1)
-    graph, automorphisms = graph_of(ctx, 2, 1)
+    graph, taus = graph_of(ctx, 2, 1)
     table = SpectrumTable(v=2, k=len(eigenvalues) - 1, q=2,
                           entries=tuple(SpectrumEntry(j, lam, 1) for j, lam in enumerate(eigenvalues)))
     expected = sequential_first_nonzero(adjacency_of(ctx, 2, 1).to_array(), eigenvalues)
-    assert certify_spectrum(graph, table, automorphisms).residual_entry == expected
+    assert certify_spectrum(graph, table, taus).residual_entry == expected
     assert (expected is None) == (sorted(eigenvalues) == [-1, 2])
 
 
@@ -631,7 +655,7 @@ def test_residual_entry_matches_the_sequential_product(v, k, q):
     # every honest and +-1 table of the cases with n <= 400: the column
     # certificate reports the moments and the residual entry that the
     # symmetry-free references give (a multiplicity of 0 is refused instead)
-    graph, automorphisms = graph_of(field_of_order(q), v, k)
+    graph, taus = graph_of(field_of_order(q), v, k)
     adjacency = adjacency_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     traces = naive_traces(adjacency.to_array(), k)
@@ -644,7 +668,7 @@ def test_residual_entry_matches_the_sequential_product(v, k, q):
             references[eigenvalues] = sequential_first_nonzero(adjacency.to_array(), eigenvalues)
         expected = references[eigenvalues]
         assert (expected is None) == label.startswith(("honest", "multiplicity")), label
-        result = certify_spectrum(graph, wrong, automorphisms)
+        result = certify_spectrum(graph, wrong, taus)
         assert result.residual_entry == expected, label
         assert result.moments == traces, label
 
@@ -740,8 +764,8 @@ def lift(vector, orbit):
 
 def quotient_of(ctx, v, k):
     # the incidence, and the orbits and quotient of its checked generators
-    graph, automorphisms = graph_of(ctx, v, k)
-    return graph, oracle._quotient(graph, oracle._check_automorphisms(graph, automorphisms))
+    graph, taus = graph_of(ctx, v, k)
+    return graph, oracle._quotient(graph, oracle._check_automorphisms(graph, taus))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, object])
@@ -796,8 +820,8 @@ def test_the_stabiliser_of_vertex_0_has_k_plus_1_orbits(v, k, q):
     # (4 on qK(4,2) and 9 on qK(8,4) q=2) until block 0's shift alone joins them
     ctx = field_of_order(q)
     graph = Incidence(enumerate_subspaces(ctx, v, k, budget=210000), ctx)
-    automorphisms = vertex_automorphisms(graph)
-    _, smallest = oracle._orbits([a.vertices for a in automorphisms if a.vertices[0] == 0], graph.n)
+    sigmas = oracle._check_automorphisms(graph, vertex_automorphisms(graph))
+    _, smallest = oracle._orbits([sigma for sigma in sigmas if sigma[0] == 0], graph.n)
     assert len(smallest) == k + 1
 
 
@@ -809,19 +833,22 @@ def incidence_entries(v, k, q):
 @pytest.mark.parametrize("v,k,q", [(6, 3, 2), (4, 2, 5), (3, 1, 31)])
 def test_certification_memory_per_entry(v, k, q):
     # the certificate holds a gather of the incidence, the orbits and a row
-    # of A at a time: at most 32 bytes per id of the incidence (about 17
-    # measured for k >= 2, 26 for k = 1), far below the n^2 entries of A
-    # (3 bytes per entry of A when it read A, 14 for the strip certificate)
-    graph, automorphisms = graph_of(field_of_order(q), v, k)
+    # of A at a time, at most 32 bytes per id of the incidence, and 8 bytes
+    # per vertex for each sigma it finds and keeps and 32 for the key table
+    # and a lookup's temporaries: 27, 28 and 94 bytes per id measured (17,
+    # 17 and 28 when the sigmas were found before the certificate), far
+    # below the n^2 entries of A (3 bytes per entry of A when it read A, 14
+    # for the strip certificate)
+    graph, taus = graph_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        assert certify_spectrum(graph, table, automorphisms).certified
+        assert certify_spectrum(graph, table, taus).certified
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * incidence_entries(v, k, q) < graph.n**2
+    assert peak <= 32 * incidence_entries(v, k, q) + 8 * (len(taus) + 4) * graph.n < graph.n**2
 
 
 def test_certification_memory_is_linear_through_the_cli(capsys):
@@ -840,14 +867,14 @@ def test_certification_memory_is_linear_through_the_cli(capsys):
 
 
 def test_certify_rejects_degenerate_predictions():
-    adjacency, automorphisms = graph_of(make_field(2, 1), 2, 1)
+    adjacency, taus = graph_of(make_field(2, 1), 2, 1)
     table = spectrum_table(2, 1, 2)
     repeated = SpectrumTable(v=2, k=1, q=2, entries=(
         SpectrumEntry(0, 2, 1), SpectrumEntry(1, 2, 2)))
     with pytest.raises(ValueError):
-        certify_spectrum(adjacency, repeated, automorphisms)
+        certify_spectrum(adjacency, repeated, taus)
     with pytest.raises(ValueError):
-        certify_spectrum(adjacency, spectrum_table(2, 1), automorphisms)  # symbolic table
+        certify_spectrum(adjacency, spectrum_table(2, 1), taus)  # symbolic table
 
 
 def test_dump_files(tmp_path):
@@ -1022,14 +1049,18 @@ def test_lookup_finds_subspaces_by_their_rref_rows(v, k, q):
 def test_lookup_keys_reach_2_to_the_63_and_no_further():
     # ids of 511 points, the top key 511^7 - 1 < 2^63 read exactly; with 8
     # ids, as for the hyperplanes of F_2^9, the keys could overflow and the
-    # library call is refused before any lookup
+    # certificate is refused before any tau is read: a first tau of zeros,
+    # which the first check of a tau refuses, does not change the error
     rows = np.full((2, 127), 510)
     rows[0, 0] = 509
     assert oracle._lookup(rows, 2, 7, 511)(rows[::-1]).tolist() == [1, 0]
     ctx = make_field(2, 1)
     graph = Incidence(enumerate_subspaces(ctx, 9, 8), ctx)
-    with pytest.raises(ValueError, match="keys of 8 point ids below 511 do not fit int64"):
-        vertex_automorphisms(graph)
+    null = SpectrumTable(v=9, k=8, q=2, entries=(SpectrumEntry(0, 0, 511),))  # no two hyperplanes meet trivially
+    taus = vertex_automorphisms(graph)
+    for bad in (taus, [np.zeros(511, dtype=np.int64), *taus]):
+        with pytest.raises(ValueError, match="keys of 8 point ids below 511 do not fit int64"):
+            certify_spectrum(graph, null, bad)
 
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (5, 2, 3), (4, 2, 4), (6, 3, 2)])
@@ -1046,10 +1077,8 @@ def test_a_point_set_with_a_vertex_s_key_alone_is_refused(monkeypatch, capsys, v
     tau[[a, a + 1]] = a + 1, a
     image = np.sort(tau[graph.members[:1]], axis=1)
     assert a + 1 not in graph.members[0] and image.tolist() != graph.members[:1].tolist()
-    sigma = np.arange(graph.n)
-    sigma[0] = oracle._lookup(graph.members, q, k, len(graph.points))(image)[0]
-    assert sigma[0] == 0
-    bad = [Automorphism(sigma, tau)]
+    assert oracle._lookup(graph.members, q, k, len(graph.points))(image).tolist() == [0]
+    bad = tau[None]
     message = "automorphism 0 does not carry the 1-subspaces of vertex 0 to those of vertex 0"
     with pytest.raises(InvariantError, match=message):
         certify_spectrum(graph, spectrum_table(v, k, q), bad)
