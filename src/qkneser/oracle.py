@@ -609,7 +609,7 @@ def _check_automorphisms(graph: Incidence, taus) -> list[np.ndarray]:
         sigma = find(image)
         if (sigma < 0).any():
             raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
-        if not _is_permutation(sigma, n):
+        if not _is_permutation(sigma, n):  # not implied when the incidence repeats a vertex's points
             raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
         moved = (image != graph.members[sigma]).any(axis=1)
         if moved.any():

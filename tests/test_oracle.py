@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb, isqrt
@@ -442,6 +443,26 @@ def test_an_image_that_is_no_vertex_is_refused():
         certify_spectrum(graph, spectrum_table(4, 2, 2), vertex_automorphisms(graph))
 
 
+def test_an_incidence_with_a_repeated_vertex_is_refused(monkeypatch, capsys):
+    # vertex 0 again as vertex 35: every image is a vertex and every row
+    # matches, but a tau that fixes vertex 0's points sends vertices 0 and
+    # 35 to one vertex, so only the check that sigma is a permutation stops it
+    def repeated(bases, ctx):
+        return Incidence(np.concatenate([bases, bases[:1]]), ctx)
+
+    def stabiliser(graph):
+        return vertex_automorphisms(graph)[1:]  # all but the first fix vertex 0
+
+    message = "automorphism 0 is not a permutation of range(36)"
+    ctx = make_field(2, 1)
+    graph = repeated(enumerate_subspaces(ctx, 4, 2), ctx)
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        certify_spectrum(graph, spectrum_table(4, 2, 2), stabiliser(graph))
+    monkeypatch.setattr(cli, "Incidence", repeated)
+    monkeypatch.setattr(cli, "vertex_automorphisms", stabiliser)
+    assert message in assert_verification_failure(capsys, "4", "2", "2")
+
+
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (3, 1, 4), (4, 2, 4), (3, 2, 9), (5, 2, 3)])
 def test_automorphisms_are_the_generators_action(v, k, q):
     # tau[p] is the image of point p under the generator, and sigma[i], as
@@ -833,12 +854,13 @@ def incidence_entries(v, k, q):
 @pytest.mark.parametrize("v,k,q", [(6, 3, 2), (4, 2, 5), (3, 1, 31)])
 def test_certification_memory_per_entry(v, k, q):
     # the certificate holds a gather of the incidence, the orbits and a row
-    # of A at a time, at most 32 bytes per id of the incidence, and 8 bytes
-    # per vertex for each sigma it finds and keeps and 32 for the key table
-    # and a lookup's temporaries: 27, 28 and 94 bytes per id measured (17,
-    # 17 and 28 when the sigmas were found before the certificate), far
-    # below the n^2 entries of A (3 bytes per entry of A when it read A, 14
-    # for the strip certificate)
+    # of A at a time: at most 32 bytes per id of the incidence (27 and 28
+    # measured for k >= 2), far below the n^2 entries of A.  It also keeps
+    # each sigma it finds, 8 bytes per vertex, and the key table and a
+    # lookup's temporaries, 32 per vertex: a vertex of k >= 2 holds at least
+    # 3 ids, whose 96 bytes cover them, but a vertex of qK(v,1) is one id,
+    # so there they are allowed on top (94 bytes per id measured for
+    # qK(3,1) q=31, 5 generators), still linear in the incidence
     graph, taus = graph_of(field_of_order(q), v, k)
     table = spectrum_table(v, k, q)
     tracemalloc.start()
@@ -848,7 +870,9 @@ def test_certification_memory_per_entry(v, k, q):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * incidence_entries(v, k, q) + 8 * (len(taus) + 4) * graph.n < graph.n**2
+    entries = incidence_entries(v, k, q)
+    per_vertex = 8 * (len(taus) + 4) * graph.n if k == 1 else 0
+    assert peak <= 32 * entries + per_vertex < graph.n**2
 
 
 def test_certification_memory_is_linear_through_the_cli(capsys):
