@@ -21,12 +21,13 @@ permutes the k-subspaces transitively and preserves trivial intersection
 vertex_automorphisms turns generators of it into permutations tau of the
 points alone.  certify_spectrum takes each tau, finds the permutation
 sigma of the vertices it induces (the vertex whose points are tau of
-those of x is sigma x), and takes nothing on trust: it checks that tau
-and sigma are permutations, that the points of sigma x are tau of those
-of x for every vertex x (so sigma preserves A), and that the sigmas
-together carry vertex 0 to every vertex.  A commutes
-with each sigma as a permutation matrix S, hence so does every polynomial
-in A: P(A) e_sigma(i) = S P(A) e_i and (A^m)_ii = (A^m)_sigma(i)sigma(i), so
+those of x is sigma x), and takes nothing on trust: it checks that no
+two vertices have one key, that tau is a permutation, that the points of
+sigma x are tau of those of x for every vertex x (so sigma preserves A
+and is a permutation), and that the sigmas together carry vertex 0 to
+every vertex.  A commutes with each sigma as a permutation matrix S,
+hence so does every polynomial in A: P(A) e_sigma(i) = S P(A) e_i and
+(A^m)_ii = (A^m)_sigma(i)sigma(i), so
 
   * P(A) = 0 iff P(A) e_0 = 0, and tr(A^m) = n (A^m)_00;
   * P(A) is symmetric, so when it is not zero its row 0 is not zero, and
@@ -282,39 +283,50 @@ def _field_arrays(ctx: FieldCtx) -> _FieldArrays:
     return _FieldArrays(ctx)
 
 
-def _point_codes(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
-    """The projective points of each vertex, as an (n, [k 1]_q) int64 array.
+def _point_index(q: int, vectors: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """The id of each vector x of F_q^v (the last axis) whose first nonzero coordinate, at column
+    pivots (any column for x = 0), is 1: its index in enumerate_subspaces(ctx, v, 1); else -1.
 
-    The points of a subspace are the combinations of its RREF rows whose
-    first nonzero coefficient is 1.  That coefficient is also the
-    vector's first nonzero coordinate, so equal points of different
-    subspaces get equal codes: the vector's coordinates read base q,
-    coordinate 0 least significant.  The coefficient vectors are the RREF
-    bases of the 1-subspaces of F_q^k, in enumeration order, and every
-    vertex's combinations are formed at once with the _FieldArrays ops, a
-    block of vertices at a time (at most 2^18, and about 2^16 vector
-    entries), so no (n, [k 1]_q, v) array is built.  Codes are below
-    q^v, which fits int64 whenever the result fits in memory: q^v <= n^2
-    for 1 <= k < v, and q^v <= [v 1]_q^2 for k = v >= 2.
+    The enumeration lists the points by pivot p, after the q^(v-1-p') of
+    each pivot p' < p, then by coordinates read base q, coordinate 0
+    first: sum_c x_c q^(v-1-c) + (q^v - q^(v-p))/(q-1) - q^(v-1-p), the
+    last term taking back the 1 at p, below q^v <= [v 1]_q^2 (v >= 2).
+    """
+    v = vectors.shape[-1]
+    offsets = np.array([(q**v - q ** (v - p)) // (q - 1) - q ** (v - 1 - p) for p in range(v)], dtype=np.int64)
+    ids = vectors @ q ** np.arange(v - 1, -1, -1) + offsets[pivots]
+    return np.where(np.take_along_axis(vectors, pivots[..., None], axis=-1)[..., 0] == 1, ids, -1)
+
+
+def _member_ids(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
+    """The ids (_point_index) of the projective points of each vertex, as an (n, [k 1]_q) int64 array.
+
+    The points of a subspace are the combinations of its RREF rows by the
+    RREF bases of the 1-subspaces of F_q^k; the q^(k-1-i) of those that
+    lead with row i have row i's pivot, and a 1 there.  They are formed
+    with the _FieldArrays ops a block of vertices at a time (at most 2^18,
+    and about 2^16 vector entries), so no (n, [k 1]_q, v) array is built.
     """
     n, k, v = bases.shape
-    field, coefficients = _field_arrays(ctx), _rref_bases(ctx.q, k, 1)[:, 0]
-    weights = ctx.q ** np.arange(v)
-    codes = np.empty((n, len(coefficients)), dtype=np.int64)
-    step = min(2**18, max(1, 2**16 // max(1, codes.shape[1] * v)))
+    q, field, coefficients = ctx.q, _field_arrays(ctx), _rref_bases(ctx.q, k, 1)[:, 0]
+    leading_row = np.repeat(np.arange(k), q ** np.arange(k - 1, -1, -1))  # of each coefficient vector
+    ids = np.empty((n, len(coefficients)), dtype=np.int64)
+    step = min(2**18, max(1, 2**16 // max(1, ids.shape[1] * v)))
     for start in range(0, n, step):
-        codes[start : start + step] = field.dot(coefficients, bases[start : start + step]) @ weights
-    return codes
+        block = bases[start : start + step]
+        pivots = (block != 0).argmax(axis=2)[:, leading_row]
+        ids[start : start + step] = _point_index(q, field.dot(coefficients, block), pivots)
+    return ids
 
 
 class Incidence:
-    """qK(v, k) as the projective points of its vertices, the form the certificate reads.
+    """qK(v, k) from the RREF bases of its vertices, as the projective points of each: the form the certificate reads.
 
-    points holds the codes of the projective points of F_q^v (as
-    _point_codes writes them) in the order of enumerate_subspaces(ctx, v,
-    1); a point's id is its index there.  members is the (n, [k 1]_q) array
-    of the point ids of each vertex, every row sorted (for k = 1 vertex x of
-    the full enumeration is point x).
+    points holds the codes of the projective points of F_q^v (coordinates
+    read base q, coordinate 0 least significant) in the order of
+    enumerate_subspaces(ctx, v, 1), a point's id being its index there.
+    members is the (n, [k 1]_q) array of each vertex's point ids, rows
+    sorted (for k = 1 vertex x of the full enumeration is point x).
     """
 
     __slots__ = ("ctx", "v", "k", "points", "members")
@@ -325,7 +337,7 @@ class Incidence:
             raise ValueError("empty vertex list")
         self.ctx, self.v, self.k = ctx, v, k
         self.points = _rref_bases(ctx.q, v, 1)[:, 0] @ ctx.q ** np.arange(v)
-        self.members = _point_ids(self.points, _point_codes(ctx, bases))
+        self.members = _member_ids(ctx, bases)
         self.members.sort(axis=1)
 
     @property
@@ -379,19 +391,6 @@ def _packed_adjacency(free: np.ndarray, members: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _point_ids(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The index of each nonnegative code in points, an array of distinct nonnegative codes, or -1
-    where it is none of them: read off a table indexed by code when that is no larger than codes
-    (its last slot, -1, stands for every code above the points), else a sorted search."""
-    if points.max() < codes.size:
-        table = np.full(int(points.max()) + 2, -1, dtype=np.intp)
-        table[points] = np.arange(len(points))
-        return table[np.minimum(codes, len(table) - 1)]
-    order = np.argsort(points)
-    at = order[np.searchsorted(points, codes, sorter=order).clip(max=len(points) - 1)]
-    return np.where(points[at] == codes, at, -1)
-
-
 def _lookup(table: np.ndarray, q: int, k: int, base: int):
     """A function from queries to the index of each of their rows among the rows of table, or -1
     where it is none of them; both hold the sorted point ids (below base) of k-subspaces over GF(q).
@@ -402,11 +401,12 @@ def _lookup(table: np.ndarray, q: int, k: int, base: int):
     whose pivot is p_i, RREF row i plus combinations of the rows below it,
     are its q^(k-1-i) ids from position s_i on, and the least of them is
     row i itself, the one zero at every later pivot.  So the key reads the
-    RREF rows, which name the subspace.  The table's keys are sorted once;
-    each call finds its queries' keys with one np.searchsorted.
-    ValueError, before any query, when base^k > 2^63 and keys could
-    overflow int64.  For v >= 2k, [v 1]_q^k <= [v k]_q^2, so that takes
-    over 3 * 10^9 vertices; only v < 2k reaches it, as qK(9,8) q=2 does.
+    RREF rows, which name the subspace.  The table's keys are sorted once,
+    two equal ones (a subspace listed twice) raising InvariantError; each
+    call finds its queries' keys with one np.searchsorted.  ValueError,
+    before any query, when base^k > 2^63 and keys could overflow int64.
+    For v >= 2k, [v 1]_q^k <= [v k]_q^2, so that takes over 3 * 10^9
+    vertices; only v < 2k reaches it, as qK(9,8) q=2 does.
     """
     if base**k > 2**63:
         raise ValueError(f"keys of {k} point ids below {base} do not fit int64")
@@ -415,6 +415,9 @@ def _lookup(table: np.ndarray, q: int, k: int, base: int):
     keys = table[:, positions] @ weights
     order = np.argsort(keys)
     ordered = keys[order]
+    if (repeats := np.flatnonzero(ordered[1:] == ordered[:-1])).size:
+        x, y = sorted(order[repeats[0] : repeats[0] + 2].tolist())
+        raise InvariantError(f"vertices {x} and {y} have the same key: the ids of their RREF rows are equal")
 
     def find(queries: np.ndarray) -> np.ndarray:
         value = queries[:, positions] @ weights
@@ -458,17 +461,15 @@ def vertex_automorphisms(graph: Incidence) -> np.ndarray:
     column permutation of the identity, transvections or the doubling of
     x_0, and all of them are applied together to the coordinates of a
     block of points (about 2^16 image entries) with the _FieldArrays ops;
-    each image is rescaled to a leading 1 through the inverse table, and a
-    point whose image is no point gets the id -1.  The vertex permutations
-    are no part of this: certify_spectrum finds and checks them, so
-    nothing here is taken on trust.
+    each image is rescaled at its pivot through the inverse table, and
+    _point_index reads its id there, -1 where it is no point.  The vertex
+    permutations are no part of this: certify_spectrum finds and checks
+    them, so nothing here is taken on trust.
     """
     ctx, q, v, k = graph.ctx, graph.ctx.q, graph.v, graph.k
     if graph.n == 1:
         return np.empty((0, len(graph.points)), dtype=np.int64)
-    field = _field_arrays(ctx)
-    weights = q ** np.arange(v)  # a code reads the coordinates base q
-    vectors = graph.points[:, None] // weights % q
+    field, vectors = _field_arrays(ctx), _rref_bases(q, v, 1)[:, 0]  # the points, in id order
     starts = [lo for lo, size in ((0, k), (k, v - k)) if size >= 2]  # blocks with a swap and a transvection
     swap = np.arange(v)
     for lo in starts:
@@ -489,13 +490,14 @@ def vertex_automorphisms(graph: Incidence) -> np.ndarray:
         generators.append(np.diag([2, *[1] * (v - 1)]))
     if v == 2 * k >= 4:
         generators.append(eye[:, [k - 1, *range(k - 1), *range(k, v)]])
-    codes = np.empty((len(generators), len(vectors)), dtype=np.int64)
+    ids = np.empty((len(generators), len(vectors)), dtype=np.int64)
     step = max(1, 2**16 // (len(generators) * v))  # points whose images are formed together
     for start in range(0, len(vectors), step):
         images = field.dot(vectors[start : start + step], np.array(generators))  # (generator, point, coordinate)
-        leads = np.take_along_axis(images, (images != 0).argmax(axis=2)[..., None], axis=2)
-        codes[:, start : start + step] = field.mul(field.inverse[leads], images) @ weights
-    return _point_ids(graph.points, codes)
+        pivots = (images != 0).argmax(axis=2)
+        leads = np.take_along_axis(images, pivots[..., None], axis=2)
+        ids[:, start : start + step] = _point_index(q, field.mul(field.inverse[leads], images), pivots)
+    return ids
 
 
 # ----------------------------------------------------------------------
@@ -582,36 +584,33 @@ def _prediction(predicted: SpectrumTable) -> tuple[list[int], list[int]]:
     return eigenvalues, multiplicities
 
 
-def _is_permutation(perm, size: int) -> bool:
-    perm = np.asarray(perm)
-    return perm.shape == (size,) and perm.dtype.kind in "iu" and np.array_equal(np.sort(perm), np.arange(size))
-
-
 def _check_automorphisms(graph: Incidence, taus) -> list[np.ndarray]:
-    """The vertex permutation sigma of each permutation tau of the points; InvariantError unless each
-    tau is a permutation that carries the points of every vertex x to those of a vertex sigma x, sigma
-    is a permutation, and the sigmas together carry vertex 0 to every vertex.
+    """The vertex permutation sigma of each permutation tau of the points; InvariantError unless no
+    two vertices have one key, each tau is a permutation that carries the points of every vertex x to
+    those of a vertex sigma x, and the sigmas together carry vertex 0 to every vertex.
 
-    sigma x is the vertex whose key (_lookup, its table built once, before
-    any tau is read) is that of the sorted image tau[members[x]], and every
-    whole row of images is then compared with members[sigma], so neither
-    sigma nor the key is taken on trust.  ValueError, before any tau is
-    read, when the keys could overflow int64 (only for v < 2k).
+    sigma x is the vertex whose key (_lookup, its table built and checked
+    before any tau is read) is that of the sorted image tau[members[x]];
+    every whole row of images is then compared with members[sigma], so
+    sigma is nowhere taken on trust, and is a permutation: sigma x = sigma
+    y makes members[x] = members[y] (tau is injective), one key, which
+    _lookup refuses unless x = y.  ValueError, before any tau is read,
+    when keys could overflow int64 (only for v < 2k).
     """
     n, points, perms = graph.n, len(graph.points), []
     find = _lookup(graph.members, graph.ctx.q, graph.k, points) if len(taus) else None  # qK(v, v) has no tau
+    image = np.empty_like(graph.members)  # tau[members] of one generator at a time; mode="raise" would buffer it
     for g, tau in enumerate(taus):
         tau = np.asarray(tau)
-        if not _is_permutation(tau, points):
+        if not (tau.shape == (points,) and tau.dtype.kind in "iu" and np.array_equal(np.sort(tau), np.arange(points))):
             raise InvariantError(f"automorphism {g} is not a permutation of the {points} 1-subspaces")
-        image = tau[graph.members]
+        np.take(tau.astype(image.dtype, copy=False), graph.members, out=image, mode="wrap")
         image.sort(axis=1)
         sigma = find(image)
         if (sigma < 0).any():
             raise InvariantError(f"generator {g} maps vertex {int(np.argmin(sigma))} to a point set that is no vertex")
-        if not _is_permutation(sigma, n):  # not implied when the incidence repeats a vertex's points
-            raise InvariantError(f"automorphism {g} is not a permutation of range({n})")
-        moved = (image != graph.members[sigma]).any(axis=1)
+        moved = np.concatenate([(image[s : s + 2**16] != graph.members[sigma[s : s + 2**16]]).any(axis=1)
+                                for s in range(0, n, 2**16)])
         if moved.any():
             x = int(np.argmax(moved))
             raise InvariantError(f"automorphism {g} does not carry the 1-subspaces of vertex {x} "

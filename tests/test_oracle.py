@@ -289,17 +289,47 @@ def test_adjacency_agrees_with_rank_route(v, k, q):
 
 @pytest.mark.parametrize("v,k,q", [(4, 2, 3), (3, 2, 4), (3, 1, 8), (4, 0, 2)])
 def test_point_codes_are_the_canonical_points(v, k, q):
+    # each vertex's member ids are distinct and name points of the
+    # enumeration of the 1-subspaces that lie in the vertex, by rank
     ctx = field_of_order(q)
     points_per_vertex = int(gauss(k, 1).evaluate(q))
     subs = enumerate_subspaces(ctx, v, k)
-    codes = oracle._point_codes(ctx, subs)
-    assert codes.shape == (len(subs), points_per_vertex) and codes.dtype == np.int64
-    for s, row in zip(subs, codes.tolist()):
+    points = enumerate_subspaces(ctx, v, 1)[:, 0].tolist()
+    ids = oracle._member_ids(ctx, subs)
+    assert ids.shape == (len(subs), points_per_vertex) and ids.dtype == np.int64
+    for s, row in zip(subs, ids.tolist()):
         assert len(set(row)) == points_per_vertex
-        for code in row:
-            vec = [code // q**t % q for t in range(v)]
-            assert next(x for x in vec if x) == 1
-            assert gf_rank(ctx, [*s.tolist(), vec]) == k  # the point lies in s
+        for i in row:
+            assert 0 <= i < len(points)
+            assert gf_rank(ctx, [*s.tolist(), points[i]]) == k  # the point lies in s
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 31])
+def test_point_index_is_the_place_in_the_enumeration(q):
+    # against a dict built from enumerate_subspaces(ctx, v, 1), for every v
+    # whose points fit the default budget: every point of the enumeration,
+    # then sampled vectors with a leading 1 in a (4, 50) batch, get their
+    # index there; the zero vector and a leading coordinate other than 1
+    # get -1
+    ctx, rng = field_of_order(q), np.random.default_rng(q)
+    for v in range(1, 12):
+        if (q**v - 1) // (q - 1) > 2000:
+            break
+        points = enumerate_subspaces(ctx, v, 1)[:, 0]
+        assert oracle._point_index(q, points, (points != 0).argmax(axis=1)).tolist() == list(range(len(points)))
+        index = {tuple(point): i for i, point in enumerate(points.tolist())}
+        vectors = rng.integers(0, q, size=(4, 50, v))
+        pivots = rng.integers(0, v, size=(4, 50))
+        columns = np.arange(v)
+        vectors[columns < pivots[..., None]] = 0
+        vectors[columns == pivots[..., None]] = 1
+        expected = [[index[tuple(x)] for x in row] for row in vectors.tolist()]
+        assert oracle._point_index(q, vectors, pivots).tolist() == expected
+        zero = np.zeros((v, v), dtype=np.int64)
+        assert oracle._point_index(q, zero, columns).tolist() == [-1] * v
+        for lead in range(2, min(q, 5)):
+            vectors[columns == pivots[..., None]] = lead
+            assert (oracle._point_index(q, vectors, pivots) == -1).all()
 
 
 def test_dropped_point_is_caught(monkeypatch, capsys):
@@ -310,20 +340,41 @@ def test_dropped_point_is_caught(monkeypatch, capsys):
     # verification failure
     ctx = make_field(2, 1)
     subs = enumerate_subspaces(ctx, 4, 2)
-    honest = oracle._point_codes
+    honest = oracle._member_ids
     taus = vertex_automorphisms(Incidence(subs, ctx))
 
     def lossy(ctx, bases):
-        codes = honest(ctx, bases)
-        codes[0, 0] = codes[0, 1]
-        return codes
+        ids = honest(ctx, bases)
+        ids[0, 0] = ids[0, 1]
+        return ids
 
-    monkeypatch.setattr(oracle, "_point_codes", lossy)
+    monkeypatch.setattr(oracle, "_member_ids", lossy)
     assert rank_route_mismatch(ctx, subs, build_adjacency(subs, ctx)) is not None
     with pytest.raises(InvariantError, match="generator 0 maps vertex 0 to a point set that is no vertex"):
         certify_spectrum(Incidence(subs, ctx), spectrum_table(4, 2, 2), taus)
     monkeypatch.setattr(cli, "vertex_automorphisms", lambda graph: taus)
     assert_verification_failure(capsys, "4", "2", "2")
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (3, 1, 4), (2, 1, 31)])
+def test_a_shifted_pivot_offset_is_caught(monkeypatch, capsys, v, k, q):
+    # negative control for the id rule: with the points of one pivot column
+    # given ids one too high, in the members and the generators' images
+    # alike, the last of them takes the id of the next point (or one past
+    # the last), so two points share an id: two vertices have one key, or a
+    # tau is no permutation, and the CLI reports that as a verification
+    # failure, whichever pivot it is
+    honest = oracle._point_index
+    for pivot in range(v):
+        def shifted(q, vectors, pivots, pivot=pivot):
+            ids = honest(q, vectors, pivots)
+            return np.where((pivots == pivot) & (ids >= 0), ids + 1, ids)
+
+        monkeypatch.setattr(oracle, "_point_index", shifted)
+        graph = Incidence(enumerate_subspaces(field_of_order(q), v, k), field_of_order(q))
+        with pytest.raises(InvariantError, match="is not a permutation of the|have the same key"):
+            certify_spectrum(graph, spectrum_table(v, k, q), vertex_automorphisms(graph))
+        assert_verification_failure(capsys, str(v), str(k), str(q))
 
 
 def test_a_wrong_inverse_table_is_caught(monkeypatch, capsys):
@@ -445,15 +496,17 @@ def test_an_image_that_is_no_vertex_is_refused():
 
 def test_an_incidence_with_a_repeated_vertex_is_refused(monkeypatch, capsys):
     # vertex 0 again as vertex 35: every image is a vertex and every row
-    # matches, but a tau that fixes vertex 0's points sends vertices 0 and
-    # 35 to one vertex, so only the check that sigma is a permutation stops it
+    # matches, but a tau that fixes vertex 0's points would send vertices 0
+    # and 35 to one vertex.  The key table refuses the repeat when it is
+    # sorted, before any tau is read: a first tau of zeros, which the first
+    # check of a tau refuses, does not change the error
     def repeated(bases, ctx):
         return Incidence(np.concatenate([bases, bases[:1]]), ctx)
 
     def stabiliser(graph):
-        return vertex_automorphisms(graph)[1:]  # all but the first fix vertex 0
+        return [_not_a_permutation(graph)[0], *vertex_automorphisms(graph)[1:]]  # the rest fix vertex 0
 
-    message = "automorphism 0 is not a permutation of range(36)"
+    message = "vertices 0 and 35 have the same key: the ids of their RREF rows are equal"
     ctx = make_field(2, 1)
     graph = repeated(enumerate_subspaces(ctx, 4, 2), ctx)
     with pytest.raises(InvariantError, match=re.escape(message)):
@@ -877,7 +930,7 @@ def test_certification_memory_per_entry(v, k, q):
 
 def test_certification_memory_is_linear_through_the_cli(capsys):
     # verify spectrum 7 3 2, enumeration included: at most 128 bytes per id
-    # of the incidence (about 107 measured, most of it the point codes),
+    # of the incidence (about 60 measured),
     # 10.6 MB for its 11811 vertices, where A alone has n^2 = 139 million
     # entries (the dense certificate peaked at 700 MB)
     tracemalloc.start()
