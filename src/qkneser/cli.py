@@ -43,7 +43,7 @@ from .oracle import (  # build_adjacency, the dense reference, is not called her
     enumerate_subspaces,
     vertex_automorphisms,
 )
-from .qbinom import gauss, gauss_eval_product, sweep
+from .qbinom import gauss, gauss_eval_product
 from .spectrum import delsarte_eigenvalue, delsarte_terms, spectrum_table
 
 
@@ -120,7 +120,6 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     if args.i < 0:
         raise ValueError(f"lower index must be nonnegative, got {args.i}")
     if args.q is None:
-        sweep(((args.n, args.i),))  # the one cell printed, not the box that a plain gauss miss keeps
         value = str(gauss(args.n, args.i))
     else:
         # q0^(i(n-i)) <= [n i]_q0 for n >= i, q0^(i(i-1)/2 - ni) its denominator for n < 0

@@ -306,6 +306,8 @@ def _member_ids(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     lead with row i have row i's pivot, and a 1 there.  They are formed
     with the _FieldArrays ops a block of vertices at a time (at most 2^18,
     and about 2^16 vector entries), so no (n, [k 1]_q, v) array is built.
+    That holds for echelon bases, their row pivots strictly increasing and
+    each pivot entry 1; any other basis raises ValueError naming its vertex.
     """
     n, k, v = bases.shape
     q, field, coefficients = ctx.q, _field_arrays(ctx), _rref_bases(ctx.q, k, 1)[:, 0]
@@ -314,8 +316,14 @@ def _member_ids(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     step = min(2**18, max(1, 2**16 // max(1, ids.shape[1] * v)))
     for start in range(0, n, step):
         block = bases[start : start + step]
-        pivots = (block != 0).argmax(axis=2)[:, leading_row]
-        ids[start : start + step] = _point_index(q, field.dot(coefficients, block), pivots)
+        pivots = (block != 0).argmax(axis=2)  # of each row, 0 for a zero row
+        lead = np.take_along_axis(block, pivots[..., None], axis=2)[..., 0]
+        bad = (lead != 1).any(axis=1) | (np.diff(pivots, axis=1) <= 0).any(axis=1)
+        if bad.any():
+            x = int(bad.argmax())
+            raise ValueError(f"vertex {start + x} has no echelon basis: its rows lead with {lead[x].tolist()} "
+                             f"at columns {pivots[x].tolist()}, not with 1 at strictly increasing columns")
+        ids[start : start + step] = _point_index(q, field.dot(coefficients, block), pivots[:, leading_row])
     return ids
 
 

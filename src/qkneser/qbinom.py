@@ -12,10 +12,10 @@ gauss(n, i) is defined for every integer n and nonnegative integer i:
     where i-1-n >= i, so the reduced coefficient is an honest polynomial
     and the monomial factor contributes the negative exponents.
 
-Only the canonical cells [n i] with n >= 2i are computed and kept.  A
-mirrored cell is looked up as its canonical one, before any sweep, and
-the memo hands out that same object under both keys; a negative top is
-reflected first, so [-5 14] is served from [18 14], which is [18 4].
+Only the canonical cells [n i] with n >= 2i are computed.  A mirrored
+cell is looked up as its canonical one, before any sweep, and the memo
+hands out that same object under both keys; a negative top is reflected
+first, so [-5 14] is served from [18 14], which is [18 4].
 
 The recurrence runs bottom-up, not by recursion, as one in-place column
 sweep (_sweep).  The canonical cell [c+r c] stands in column c, row r; a
@@ -43,19 +43,15 @@ the sweep has nonnegative coefficients summing to C(c+r, c), at most the
 C(n, i) of an asked cell whose box holds it, < 2^(8W-1).  No cell is
 re-slotted, and each carries C(c+r, c) as its norm (laurent.py).
 
-What gauss's memo keeps.  One sweep serves three callers.  sweep(cells)
-puts in the memo the canonical cells of the cells asked for and nothing
-else: spectrum_table hands it every cell the table reads, and `gauss N
-I` on the command line the one cell it prints.  stream(cells) puts
-nothing in it: it hands each column's cells to its caller, the Delsarte
-column of spectrum.py, which forms each sum as soon as its last column
-is out and drops its terms, so no Delsarte term is ever held past its
-sum.  A gauss call that misses the memo sweeps the box of its own cell
-and keeps the whole box, the cells [c+r c] with 1 <= c <= i and c <= r
-<= n-i and the base cells [r 0], because the identity grids read those
-neighbours next.  The values that enter the memo go into the lru_cache
-through calls of gauss on their cells, handed over in _swept, a
-thread's own, which is empty between sweeps.
+What gauss's memo keeps.  Its lru_cache holds exactly the keys gauss
+was called on, and the canonical cell that a mirrored or reflected key is
+served from: gauss(-5, 14) leaves (-5, 14), (18, 14) and (18, 4).  A miss
+on a canonical cell sweeps that cell alone and keeps nothing of its box.
+stream(cells) is the one path that sweeps several cells, and it fills no
+memo: it hands each column's cells to its caller.  Its two callers are in
+spectrum.py: spectrum_table, for its 2k+2 cells, and the Delsarte column,
+which forms each sum as soon as its last column is out and drops its
+terms, so no Delsarte term is ever held past its sum.
 
 gauss_eval_product evaluates the defining product
 prod_{j=0}^{i-1} (q0^(n-j) - 1)/(q0^(i-j) - 1) exactly at a concrete
@@ -73,12 +69,11 @@ sum_of_products, behind four identities (identities.py).
 full_alternating_sum is the same sum run to s = m by Cauchy's q-binomial
 theorem, m shift-and-subtract passes and no product, behind the Delsarte
 eigenvalue form (spectrum.py); the literal sum is its reference in the
-tests.  refuse_oversized prices cells as gauss would, without a sweep.
+tests.  refuse_oversized prices cells as gauss does, without a sweep.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -87,22 +82,11 @@ from typing import Iterable, Iterator
 from .laurent import ONE, ZERO, InvariantError, LaurentPoly, _slot_bytes, sum_of_products
 
 
-# Largest memo, in estimated bytes, that one call of gauss may build.
+# Largest q-Pascal box, in estimated bytes (_memo_bytes), that one cell may be swept through.
 MEMO_BYTE_LIMIT = 1 << 30
 
-# Bytes per memo cell beside its coefficients (see _memo_bytes).
+# Bytes per cell of a box beside its coefficients (see _memo_bytes).
 _CELL_BYTES = 256
-
-
-class _Handoff(threading.local):
-    """Swept cells on their way into gauss's memo, by thread, as (slot width, image)."""
-
-    def __init__(self):
-        self.cells: dict[tuple[int, int], tuple[int, int]] = {}
-
-
-# a call of gauss on a cell held here takes it from here (see _memoize)
-_swept = _Handoff()
 
 
 class MemoRefused(ValueError):
@@ -118,13 +102,14 @@ class MemoRefused(ValueError):
 def gauss(n: int, i: int) -> LaurentPoly:
     """[n choose i]_q, exactly, for any integer n and i >= 0.
 
-    Results are memoized; the cache is safe to share because values are
-    immutable and the function is pure.  Only the canonical cells
-    [n i] with n >= 2i are computed: a mirrored cell, i <= n < 2i, is the
-    same object as [n n-i], and a negative top is first reflected to a
-    nonnegative one.  Raises MemoRefused, a ValueError naming [n i],
-    before any work, when the memo the call needs is estimated above
-    MEMO_BYTE_LIMIT.
+    Results are memoized under the keys called and the canonical cells
+    they are served from, nothing else; the cache is safe to share because
+    values are immutable and the function is pure.  Only the canonical
+    cells [n i] with n >= 2i are computed, each by a sweep of its own: a
+    mirrored cell, i <= n < 2i, is the same object as [n n-i], and a
+    negative top is first reflected to a nonnegative one.  Raises
+    MemoRefused, a ValueError naming [n i], before any work, when the box
+    of its canonical cell is estimated above MEMO_BYTE_LIMIT.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"top index must be an int, got {n!r}")
@@ -142,13 +127,9 @@ def gauss(n: int, i: int) -> LaurentPoly:
         return ZERO
     if n < 2 * i:
         return _served_from(n, i, n, n - i)
-    swept = _swept.cells.pop((n, i), None)
-    if swept is None:  # a miss outside a sweep: sweep the box of [n i] and keep all of it
-        for column in _sweep(((n, i),), box=True):
-            swept = column.pop((n, i), None)  # the last column holds [n i]
-            _memoize(column)
+    *_, last = _sweep(((n, i),))  # a sweep of [n i] alone, its last column holding [n i]
     # the coefficients of [n i] are nonnegative and sum to C(n, i), its norm
-    width, image = swept
+    width, image = last[(n, i)]
     return LaurentPoly._from_image(0, width, image, comb(n, i))
 
 
@@ -160,29 +141,16 @@ def _served_from(n: int, i: int, top: int, low: int) -> LaurentPoly:
         raise MemoRefused(n, i, exc.estimate) from None
 
 
-def sweep(cells: Iterable[tuple[int, int]]) -> None:
-    """Put [n i] into gauss's memo for every (n, i) of cells, all from one q-Pascal sweep.
-
-    The cells are priced first, in their order, and the first whose memo
-    is estimated above MEMO_BYTE_LIMIT is refused with gauss's MemoRefused
-    before any cell is computed.  Only the canonical cells of those asked
-    for enter the memo, no cell of the boxes swept through; a mirrored or
-    reflected cell enters it under its own key when gauss is called on it.
-    A cell that the memo already holds keeps its value.
-    """
-    for column in _sweep(cells):
-        _memoize(column)
-
-
 def stream(cells: Iterable[tuple[int, int]]) -> Iterator[dict[tuple[int, int], LaurentPoly]]:
     """The canonical cells of cells, column by column, from one q-Pascal sweep that fills no memo.
 
     Yields, for c = 0, 1, ... up to the last column asked for, the dict
     {(n, c): [n c]} of the canonical cells asked for in column c, as soon
     as the sweep has finished that column; column 0 is always empty, as
-    its cells are 1 (gauss's ONE).  The cells are priced as sweep prices
-    them, before the first column, and nothing of the sweep enters gauss's
-    memo: a caller that drops a column's cells holds none of them.
+    its cells are 1 (gauss's ONE).  The cells are priced in their order by
+    refuse_oversized before the first column, and the first refused raises
+    gauss's MemoRefused.  Nothing of the sweep enters gauss's memo: a
+    caller that drops a column's cells holds none of them.
     """
     for column in _sweep(cells):
         # the coefficients of [n c] are nonnegative and sum to C(n, c), its norm
@@ -190,27 +158,12 @@ def stream(cells: Iterable[tuple[int, int]]) -> Iterator[dict[tuple[int, int], L
                for (n, c), (width, image) in column.items()}
 
 
-def _memoize(swept: dict[tuple[int, int], tuple[int, int]]) -> None:
-    # each swept cell enters gauss's lru_cache through a call of gauss on
-    # it, which takes its image from _swept; a cell the memo already holds
-    # is a hit, keeps its value and builds no polynomial, and what the hits
-    # leave goes at the end
-    _swept.cells.update(swept)
-    try:
-        for n, i in swept:
-            gauss(n, i)
-    finally:
-        _swept.cells.clear()
-
-
-def _sweep(cells: Iterable[tuple[int, int]], box: bool = False) -> Iterator[dict[tuple[int, int], tuple[int, int]]]:
+def _sweep(cells: Iterable[tuple[int, int]]) -> Iterator[dict[tuple[int, int], tuple[int, int]]]:
     # The canonical cells of cells as (slot width, image), priced first,
     # from one in-place column sweep over the union of their boxes at the
     # width of the largest C(n, i) among them (see the module docstring):
     # one dict for each column c = 0, 1, ... up to the last asked for, of
-    # the cells asked for in it, handed out when the column is finished;
-    # with box=True every cell of the union, the base cells [r 0] = 1 of
-    # column 0 included.
+    # the cells asked for in it, handed out when the column is finished.
     cells = tuple(cells)
     refuse_oversized(cells)
     asked: dict[int, set[int]] = {}  # rows asked for, by column
@@ -224,24 +177,23 @@ def _sweep(cells: Iterable[tuple[int, int]], box: bool = False) -> Iterator[dict
     depth = [0] * (last + 2)  # depth[c]: the deepest row asked for in columns c and beyond
     for c in range(last, 0, -1):
         depth[c] = max((depth[c + 1], *asked.get(c, ())))
-    yield {(r, 0): (width, 1) for r in range(1, depth[1] + 1)} if box else {}
+    yield {}
     column = [1] * (depth[1] + 1)
     for c in range(1, last + 1):
         shift = 8 * width * c
         column[c] += column[c] << shift
         for r in range(c + 1, depth[c] + 1):
             column[r] += column[r - 1] << shift
-        yield {(c + r, c): (width, column[r]) for r in (range(c, depth[c] + 1) if box else asked.get(c, ()))}
+        yield {(c + r, c): (width, column[r]) for r in asked.get(c, ())}
 
 
 def refuse_oversized(cells: Iterable[tuple[int, int]]) -> None:
     """Raise gauss's MemoRefused for the first cell (n, i) whose memo is estimated above the limit.
 
     Nothing is computed: a cell is reflected and mirrored as gauss does it,
-    and the box of its canonical cell is priced by _memo_bytes.  A cell
-    that the memo holds was priced by the sweep that made it, as asked or
-    as a cell of the box of an asked cell, which is priced no lower, so a
-    cell refused here would have been refused by gauss.
+    and the box of its canonical cell is priced by _memo_bytes, as gauss
+    prices it.  Every key of gauss's memo passed this pricing when gauss
+    was called on it, so a cell refused here is a cell gauss refuses.
     """
     for n, i in cells:
         top = n if n >= 0 else i - 1 - n
@@ -252,11 +204,13 @@ def refuse_oversized(cells: Iterable[tuple[int, int]]) -> None:
 
 
 def _memo_bytes(n: int, i: int) -> int:
-    """Upper estimate of the bytes of the box of [n i] in the memo, for n >= i >= 1.
+    """Upper estimate of the bytes of the box of [n i], for n >= i >= 1: the price of its sweep.
 
-    That is what a gauss miss keeps; sweep keeps only the cells asked
-    for, and prices each the same.  The box is that of the canonical
-    cell, so i is first taken as min(i, n - i).  Its cells [c+r c] with
+    A sweep of [n i] holds at most one cell of each row of the box at a
+    time and keeps [n i] alone, so the whole box is an upper bound on it;
+    stream prices each of its cells by its own box the same way.  The box
+    is that of the canonical cell, so i is first taken as min(i, n - i).
+    Its cells [c+r c] with
     1 <= c <= i and c <= r <= n-i, i(n - i) - i(i - 1)/2 of them, have
     c*r + 1 coefficients each, and the n - i base cells [r 0] share the
     single polynomial 1.  A cell's image holds one W-byte slot per

@@ -16,11 +16,12 @@ They are theorem 2's left and right sides (identities.py) at (m, a, t) =
 (k-j, v-2j, v-k-j), times (-1)^j q^((k-j)j + C(j,2)).  The Delsarte form
 runs the left side by the q-binomial theorem (qbinom.full_alternating_sum),
 not as the literal sum that theorem2's grid checks, on terms streamed from a
-q-Pascal sweep of their own (delsarte_terms) that never enter gauss's memo;
-the closed form reads the right side's mirror cell.  Their symbolic equality
-over a parameter grid is the central acceptance test of this package.  The
-multiplicity of the j-th eigenvalue is 1 for j = 0 and [v j] - [v j-1] for
-j >= 1, an explicit branch.
+q-Pascal sweep of their own (delsarte_terms); the closed form reads the right
+side's mirror cell.  Their symbolic equality over a parameter grid is the
+central acceptance test of this package.  The multiplicity of the j-th
+eigenvalue is 1 for j = 0 and [v j] - [v j-1] for j >= 1, an explicit branch.
+spectrum_table reads its cells from one stream too (qbinom.stream), so
+neither the table nor the Delsarte column puts a cell into gauss's memo.
 
 For k <= v < 2k the graph is null (no two k-subspaces can intersect
 trivially), and all operations here reject that range.
@@ -29,11 +30,11 @@ trivially), and all operations here reject that range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .gf import factor_prime_power
 from .laurent import ONE, InvariantError, LaurentPoly
-from .qbinom import full_alternating_sum, gauss, stream, sweep
+from .qbinom import full_alternating_sum, gauss, stream
 
 
 @dataclass(frozen=True)
@@ -123,19 +124,22 @@ def _delsarte_terms(v: int, k: int, js: Iterable[int]) -> Iterator[tuple[int, li
             yield j, held.pop(j)[::-1]
 
 
-def simple_eigenvalue(v: int, k: int, j: int) -> LaurentPoly:
-    """The closed single-coefficient form of the j-th eigenvalue of qK(v, k)."""
+def simple_eigenvalue(v: int, k: int, j: int, cell: Callable[[int, int], LaurentPoly] = gauss) -> LaurentPoly:
+    """The closed single-coefficient form of the j-th eigenvalue of qK(v, k).
+
+    cell(n, i) is [n i]: gauss, or the streamed cells of spectrum_table.
+    """
     _validate_vkj(v, k, j, min_k=0)
-    result = gauss(v - k - j, v - 2 * k).shift(k * (k - 1) // 2 + (k - j + 1) * (k - j) // 2)
+    result = cell(v - k - j, v - 2 * k).shift(k * (k - 1) // 2 + (k - j + 1) * (k - j) // 2)
     return -result if j % 2 else result
 
 
-def multiplicity(v: int, k: int, j: int) -> LaurentPoly:
-    """Multiplicity of the j-th eigenvalue: 1 for j = 0, else [v j] - [v j-1]."""
+def multiplicity(v: int, k: int, j: int, cell: Callable[[int, int], LaurentPoly] = gauss) -> LaurentPoly:
+    """Multiplicity of the j-th eigenvalue: 1 for j = 0, else [v j] - [v j-1], each read by cell."""
     _validate_vkj(v, k, j, min_k=1)
     if j == 0:
         return ONE
-    return gauss(v, j) - gauss(v, j - 1)
+    return cell(v, j) - cell(v, j - 1)
 
 
 def spectrum_table(v: int, k: int, q0: int | None = None) -> SpectrumTable:
@@ -148,23 +152,30 @@ def spectrum_table(v: int, k: int, q0: int | None = None) -> SpectrumTable:
     multiplicities [v j]_q0 - [v j-1]_q0 positive; a table that comes out
     otherwise raises InvariantError.
 
-    Every Gaussian binomial the table reads goes to one qbinom.sweep
-    before the first is read, in reading order, so an oversized table is
-    refused before any cell is computed, and gauss's memo keeps those cells
-    and nothing else.  The alternating-sum column is not part of the
-    table: delsarte_terms streams its terms from a sweep of its own, which
-    leaves nothing in the memo, and no cell of it is priced above [v k],
-    which the table prices.
+    The 2k+2 Gaussian binomials the table reads come from one
+    qbinom.stream, priced in reading order before the first is computed,
+    so an oversized table is refused as reading them through gauss would
+    refuse it, but before any cell is computed; none enters gauss's memo.
+    The alternating-sum column is not part of the table: delsarte_terms
+    streams its terms from a sweep of its own, and no cell of it is priced
+    above [v k], which the table prices.
     """
     _validate_vkj(v, k, None, min_k=1)
     if q0 is not None:
         factor_prime_power(q0)  # raises for non-prime-powers and q0 < 2
     # the cells the loop reads, in its order ([v j-1] was read at j-1)
-    sweep(cell for j in range(k + 1) for cell in ((v - k - j, v - 2 * k), (v, j)))
+    reads = [key for j in range(k + 1) for key in ((v - k - j, v - 2 * k), (v, j))]
+    streamed = {key: value for column in stream(reads) for key, value in column.items()}  # by canonical cell
+
+    def cell(n: int, i: int) -> LaurentPoly:
+        # [n i] for n >= i >= 0, as every cell the table reads is (v >= 2k, j <= k)
+        low = min(i, n - i)
+        return streamed[(n, low)] if low else ONE
+
     entries = []
     for j in range(k + 1):
-        eig = simple_eigenvalue(v, k, j)
-        mult = multiplicity(v, k, j)
+        eig = simple_eigenvalue(v, k, j, cell)
+        mult = multiplicity(v, k, j, cell)
         if q0 is None:
             entries.append(SpectrumEntry(j, eig, mult))
         else:

@@ -356,17 +356,28 @@ def test_oversized_spectrum_in_both_forms_is_refused_before_any_fill(capsys):
 
 
 def test_gauss_keeps_the_printed_cell_alone(capsys):
-    # `gauss N I` sweeps the one cell it prints; a plain gauss miss in the
-    # library keeps the whole box of [400 20], 7790 cells with the base cells
+    # `gauss N I` is one gauss call, whose miss sweeps the one cell it
+    # prints and keeps it alone, as a miss in the library does
     qbinom.gauss.cache_clear()
     try:
         code, out, _ = run(capsys, "gauss", "400", "20")
         assert code == 0 and out.startswith("q^7600 + q^7599 + 2*q^7598 + ")
         assert qbinom.gauss.cache_info().currsize == 1
         assert str(qbinom.gauss(400, 20)) + "\n" == out and qbinom.gauss.cache_info().misses == 1
+        # a mirrored cell keeps its own key and the canonical cell it is served from
         qbinom.gauss.cache_clear()
-        qbinom.gauss(400, 20)
-        assert qbinom.gauss.cache_info().currsize == 20 * 380 - 20 * 19 // 2 + 380
+        assert run(capsys, "gauss", "400", "380")[:2] == (0, out) and qbinom.gauss.cache_info().currsize == 2
+    finally:
+        qbinom.gauss.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [("eigenvalues", "30", "8", "--form", "both"), ("verify", "spectrum", "4", "2", "5")])
+def test_spectra_leave_the_memo_empty(capsys, argv):
+    # the table and the Delsarte column read their cells from streams, which fill no memo
+    qbinom.gauss.cache_clear()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert qbinom.gauss.cache_info().currsize == 0
     finally:
         qbinom.gauss.cache_clear()
 

@@ -304,6 +304,21 @@ def test_point_codes_are_the_canonical_points(v, k, q):
             assert gf_rank(ctx, [*s.tolist(), points[i]]) == k  # the point lies in s
 
 
+@pytest.mark.parametrize("q, basis, lead", [
+    (2, [[0, 1, 0], [1, 0, 0]], "[1, 1] at columns [1, 0]"),
+    (2, [[1, 1, 0], [1, 0, 0]], "[1, 1] at columns [0, 0]"),
+    (3, [[2, 0, 0], [0, 1, 0]], "[2, 1] at columns [0, 1]"),
+    (3, [[1, 0, 0], [0, 0, 0]], "[1, 0] at columns [0, 0]"),
+], ids=["pivots-descending", "pivots-repeated", "pivot-entry-2", "zero-row"])
+def test_a_basis_not_in_echelon_form_is_refused(q, basis, lead):
+    # negative controls: the member ids hold only for echelon bases, so any
+    # other is refused, naming its vertex, here vertex 1 after a valid one;
+    # unrefused, the first two took ids past the last point or of -1
+    ctx = field_of_order(q)
+    with pytest.raises(ValueError, match=re.escape(f"vertex 1 has no echelon basis: its rows lead with {lead}, ")):
+        Incidence(np.array([[[1, 0, 0], [0, 1, 0]], basis]), ctx)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 31])
 def test_point_index_is_the_place_in_the_enumeration(q):
     # against a dict built from enumerate_subspaces(ctx, v, 1), for every v

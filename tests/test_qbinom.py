@@ -168,22 +168,21 @@ def _in_memo(cell):
     return gauss.cache_info().misses == misses, value
 
 
-def test_memo_holds_the_cells_of_the_recursion():
-    # [n i] with n >= 2i reaches [c+r c] for 1 <= c <= i and r <= n-i; the
-    # bottom-up fill stores the canonical ones, c <= r, and the base cells
-    # [r 0] for 1 <= r <= n-i, and nothing else: no mirrored cell r < c,
-    # no zero cell [c-1 c]
-    canonical = {(r, 0) for r in range(1, 19)} | {(c + r, c) for c in range(1, 13) for r in range(c, 19)}
+def test_a_miss_keeps_only_its_keys():
+    # gauss's memo holds the keys gauss is called on and the canonical cell
+    # a mirrored or reflected key is served from: no cell of the box that a
+    # miss sweeps through, such as [29 12] or a base cell [r 0]
     gauss.cache_clear()
     try:
         gauss(30, 12)
-        size = gauss.cache_info().currsize
-        assert size == len(canonical) == 18 + 12 * 18 - 12 * 11 // 2
-        assert all(_in_memo(cell)[0] for cell in canonical)
-        # [-5 14] adds itself and [18 14], which is [18 4] of the same memo
+        assert gauss.cache_info().currsize == 1 and _in_memo((30, 12))[0]
+        assert not any(_in_memo(cell)[0] for cell in ((29, 12), (30, 11), (18, 0)))
+        gauss.cache_clear()
+        # [-5 14] is served from [18 14], which is [18 4]
         gauss(-5, 14)
-        assert gauss.cache_info().currsize == size + 2
-        assert _in_memo((18, 14)) == (True, gauss(18, 4))
+        assert gauss.cache_info().currsize == 3
+        assert all(_in_memo(cell)[0] for cell in ((-5, 14), (18, 14), (18, 4)))
+        assert _in_memo((18, 14)) == (True, gauss(18, 4)) and gauss.cache_info().currsize == 3
     finally:
         gauss.cache_clear()
 
@@ -195,23 +194,23 @@ def test_a_mirrored_cell_is_its_canonical_cell(monkeypatch):
     sweeps = []
     sweep = qbinom._sweep
 
-    def spy(cells, box=False):
+    def spy(cells):
         cells = tuple(cells)
-        sweeps.append((cells, box))
-        return sweep(cells, box)
+        sweeps.append(cells)
+        return sweep(cells)
 
     monkeypatch.setattr(qbinom, "_sweep", spy)
     gauss.cache_clear()
     try:
         assert gauss(-5, 14) == gauss(18, 4).shift(-5 * 14 - 14 * 13 // 2)  # (-1)^14 = 1
-        assert sweeps == [(((18, 4),), True)] and gauss(18, 14) is gauss(18, 4)
+        assert sweeps == [((18, 4),)] and gauss(18, 14) is gauss(18, 4)
         for n in range(-20, 41):
             for i in range(1, 21):
                 top = n if n >= 0 else i - 1 - n
                 if i <= top < 2 * i:
                     gauss(n, i)
                     assert gauss(top, i) is gauss(top, top - i), (n, i)
-        assert sweeps and all(box and len(cells) == 1 and cells[0][0] >= 2 * cells[0][1] for cells, box in sweeps)
+        assert sweeps and all(len(cells) == 1 and cells[0][0] >= 2 * cells[0][1] for cells in sweeps)
     finally:
         gauss.cache_clear()
 
@@ -238,15 +237,14 @@ def test_spectrum_memo_holds_no_mirrored_cell():
     # One sweep at one width that keeps only the cells read, none re-slotted
     # for the Delsarte passes: 458532 bytes, 22%.  The Delsarte terms
     # streamed from a sweep of their own, each j's dropped once its sum is
-    # formed, none in the memo: 331260 bytes, 16%.  The first run pays
-    # one-time allocations of about 30 kB.
+    # formed, none in the memo: 331260 bytes, 16%.  The table's cells
+    # streamed too, dropped once the table is built, and no cell of either
+    # in the memo: 246212 bytes, 12%.  The first run pays one-time
+    # allocations of about 30 kB.
     try:
         _spectrum_memo_peak()
-        assert _spectrum_memo_peak() < 0.17 * 2071877
-        for n in range(61):
-            for i in range(n // 2 + 1, n + 1):
-                found, value = _in_memo((n, i))
-                assert not found or value is gauss(n, n - i), (n, i)
+        assert _spectrum_memo_peak() < 0.13 * 2071877
+        assert gauss.cache_info().currsize == 0  # so no mirrored cell either
     finally:
         gauss.cache_clear()
 
@@ -262,22 +260,20 @@ def _canonical(cells):
     return {(n, min(i, n - i)) for n, i in cells if 1 <= min(i, n - i)}
 
 
-def test_spectrum_memo_holds_the_planned_cells_and_no_box():
-    # From a cold memo, the table of qK(60, 15) runs one sweep of the
-    # canonical cells it reads, and its Delsarte column one more of the
-    # canonical cells of its terms, streamed; the memo then holds the
-    # table's cells and the keys it reads, mirrored ones included, and no
-    # Delsarte term and no cell of the boxes swept through, such as [59 15]
+def test_spectrum_streams_its_planned_cells_and_leaves_the_memo_empty():
+    # From a cold memo, the table of qK(60, 15) streams the canonical cells
+    # it reads from one sweep, and its Delsarte column the canonical cells
+    # of its terms from one more; neither calls gauss, so the memo is left
+    # as empty as it was found
     table = {cell for j in range(16) for cell in ((45 - j, 30), (60, j))}
-    keys = table | {(n, n - i) for n, i in table if n < 2 * i <= 2 * n}  # with the mirrored cells read
     terms = _canonical(_spectrum_reads(60, 15) - table)
     swept = []
     sweep = qbinom._sweep
 
-    def spy(cells, box=False):
+    def spy(cells):
         found = set()
-        swept.append((box, found))
-        for column in sweep(cells, box):
+        swept.append(found)
+        for column in sweep(cells):
             found.update(column)
             yield column
 
@@ -289,37 +285,35 @@ def test_spectrum_memo_holds_the_planned_cells_and_no_box():
             assert len(swept) == 1
             for j, row in delsarte_terms(60, 15):
                 delsarte_eigenvalue(60, 15, j, row)
-        assert swept == [(False, _canonical(table)), (False, terms)]
+        assert swept == [_canonical(table), terms]
         # [60 15] is read by both: the table reads it at j = 15 and the Delsarte sum at j = 0 as [60 45]
         assert (len(_canonical(table)), len(terms)) == (30, 120) and _canonical(table) & terms == {(60, 15)}
-        assert gauss.cache_info().currsize == len(keys) == 48
-        assert all(_in_memo(cell)[0] for cell in keys)
-        # a miss keeps its box, so the misses go in order of n: none has a cell still to come in its box
-        assert not any(_in_memo(cell)[0] for cell in sorted(terms - {(60, 15)} | {(59, 15)}))
+        assert gauss.cache_info() == (0, 0, None, 0)  # hits, misses, maxsize, currsize
     finally:
         gauss.cache_clear()
 
 
 def test_cache_clear_leaves_no_swept_cell_behind():
     # the swept images reach the memo only through gauss's lru_cache: once
-    # it is cleared, nothing of the sweep is left, and the next read misses
+    # it is cleared, nothing of the sweeps is left, and the next read misses
     gauss.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        qbinom.sweep(_spectrum_reads(60, 15))
+        for cell in _spectrum_reads(60, 15):
+            gauss(*cell)
         held = tracemalloc.get_traced_memory()[0] - before
         gauss.cache_clear()
         left = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert held > 200_000 and left < 2_000, (held, left)
-    assert qbinom._swept.cells == {} and gauss.cache_info().currsize == 0
+    assert gauss.cache_info().currsize == 0
     assert not _in_memo((60, 15))[0]
     gauss.cache_clear()
 
 
-def _sweep(cells, box=False, exponent=lambda c: c, short=0):
+def _sweep(cells, exponent=lambda c: c, short=0):
     # qbinom._sweep with one knob for each negative control: the power of q
     # that column c shifts by, and rows left off the last column
     cells = tuple(cells)
@@ -334,13 +328,13 @@ def _sweep(cells, box=False, exponent=lambda c: c, short=0):
     depth = [0] * (last + 2)
     for c in range(last, 0, -1):
         depth[c] = max((depth[c + 1], *asked.get(c, ())))
-    yield {(r, 0): (width, 1) for r in range(1, depth[1] + 1)} if box else {}
+    yield {}
     column = [1] * (depth[1] + 1)
     for c in range(1, last + 1):
         shift = 8 * width * exponent(c)
         for r in range(c, depth[c] + 1 - short * (c == last)):
             column[r] += column[r - (r > c)] << shift  # the diagonal reads its own row
-        yield {(c + r, c): (width, column[r]) for r in (range(c, depth[c] + 1) if box else asked.get(c, ()))}
+        yield {(c + r, c): (width, column[r]) for r in asked.get(c, ())}
 
 
 _WRONG = {"pascal", "lemma2", "lemma3", "theorem2", "corollary1"}
@@ -348,8 +342,8 @@ _WRONG = {"pascal", "lemma2", "lemma3", "theorem2", "corollary1"}
 
 @pytest.mark.parametrize("sweep, failing, certificate", [
     (_sweep, set(), "certified: yes\n"),
-    (lambda cells, box=False: _sweep(cells, box, exponent=lambda c: c + 1), _WRONG, "certified: NO\n"),
-    (lambda cells, box=False: _sweep(cells, box, short=1), _WRONG,
+    (lambda cells: _sweep(cells, exponent=lambda c: c + 1), _WRONG, "certified: NO\n"),
+    (lambda cells: _sweep(cells, short=1), _WRONG,
      "error: the spectrum of qK(4,2) at q=2 came out with eigenvalues [16, -4, 2] and multiplicities [1, 14, -8]\n"),
 ], ids=["knob-free", "column-c-shifts-by-q^(c+1)", "last-column-one-row-short"])
 def test_a_wrong_sweep_fails_the_identities_and_the_certificate(capsys, monkeypatch, sweep, failing, certificate):
@@ -373,8 +367,8 @@ def test_a_wrong_sweep_fails_the_identities_and_the_certificate(capsys, monkeypa
 
 
 def test_threads_sharing_the_memo_read_the_values_of_one_thread():
-    # The lru_cache is shared and each thread hands its swept cells over in
-    # its own _swept: threads that sweep and miss the same cells at once,
+    # The lru_cache is shared and each miss sweeps its own cell in the frame
+    # of its own call: threads that stream and miss the same cells at once,
     # switching every 10 microseconds, read the values a single thread does.
     def work():
         table = spectrum_table(30, 8)
@@ -417,7 +411,8 @@ def test_oversized_memo_is_refused_before_any_work(monkeypatch):
 def test_memo_estimate_prices_slots_and_stays_an_upper_bound():
     # one W-byte slot per coefficient plus the objects of each cell: gauss
     # 8000 1 (about 70 MB of images) fits, gauss 100000 1 (16 GB) does not;
-    # a mirrored cell is priced as the canonical fill it runs
+    # a mirrored cell is priced as the canonical sweep it runs, and the
+    # price of the box bounds the peak of that sweep
     assert qbinom._memo_bytes(8000, 1) < qbinom.MEMO_BYTE_LIMIT < qbinom._memo_bytes(100000, 1)
     assert qbinom._memo_bytes(100000, 99999) == qbinom._memo_bytes(100000, 1)
     for n, i in [(500, 5), (120, 40), (120, 80), (40, 20), (10, 5)]:
@@ -425,7 +420,7 @@ def test_memo_estimate_prices_slots_and_stays_an_upper_bound():
         tracemalloc.start()
         try:
             gauss(n, i)
-            used = tracemalloc.get_traced_memory()[0]
+            used = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             gauss.cache_clear()
@@ -464,9 +459,9 @@ def _check_memo_against_reference(order):
 
 @pytest.mark.parametrize("order", ["ascending", "widest first", "shuffled"])
 def test_every_memo_cell_up_to_40_matches_list_pascal(order):
-    # The fills run at the width of their own top cell and re-slot what an
-    # earlier fill left at another width; the order of the calls decides
-    # which cells are re-slotted, widened or narrowed.
+    # Each miss sweeps its canonical cell alone, at the width of its own
+    # C(n, i); the order of the calls decides only which mirrored keys find
+    # their canonical cell in the memo already.
     cells = sorted(_REFERENCE_40)
     if order == "widest first":
         cells.sort(key=lambda cell: -math.comb(*cell))

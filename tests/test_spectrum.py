@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qkneser import qbinom, spectrum
+from qkneser import qbinom
 from qkneser.cli import main
 from qkneser.identities import IDENTITIES, theorem2_sides
 from qkneser.laurent import ONE, LaurentPoly
@@ -194,12 +194,19 @@ def test_json_schema(capsys):
     assert symbolic["entries"][0]["eigenvalue"] == "q^4"
 
 
-def _first_refusal(v, k):
-    # the refusal of the table and its streamed Delsarte column and the
+def _read_lazily(v, k):
+    # the cells of the table of qK(v, k), each read through gauss in the table's order
+    for j in range(k + 1):
+        simple_eigenvalue(v, k, j)
+        multiplicity(v, k, j)
+
+
+def _first_refusal(table, v, k):
+    # the refusal of table(v, k) and its streamed Delsarte column and the
     # memo's size then, or None; the memo is left empty
     gauss.cache_clear()
     try:
-        spectrum_table(v, k)
+        table(v, k)
         for j, terms in delsarte_terms(v, k):
             delsarte_eigenvalue(v, k, j, terms)
         return None
@@ -211,21 +218,20 @@ def _first_refusal(v, k):
 
 @pytest.mark.parametrize("limit", [2000, 10**4, 2 * 10**4, 4 * 10**4])
 def test_up_front_pricing_refuses_what_the_fills_would(monkeypatch, limit):
-    # Pricing every cell the table reads before its sweep, and the Delsarte
+    # Pricing every cell the table reads before its stream, and the Delsarte
     # terms before theirs, refuses exactly where reading the table lazily,
-    # each miss sweeping its own box, is refused, with the same message, but
-    # with the memo still empty: a memo hit is priced no higher than the
-    # sweep that made it, and no Delsarte term above [v k].  Pricing [v k]
-    # alone would not do: [4 1] is priced above [4 2], its box has one more
-    # row.  Some of the lazy refusals come after sweeps and some before any.
+    # each gauss miss pricing its own cell, is refused, with the same
+    # message, but with the memo still empty: a memo hit is a cell that
+    # passed the same pricing, and no Delsarte term is priced above [v k].
+    # Pricing [v k] alone would not do: [4 1] is priced above [4 2], its box
+    # has one more row.  Some of the lazy refusals come after misses that
+    # filled the memo and some before any.
     monkeypatch.setattr(qbinom, "MEMO_BYTE_LIMIT", limit)
     refused = []
     for v in range(2, 31):
         for k in range(1, v // 2 + 1):
-            up_front = _first_refusal(v, k)
-            with monkeypatch.context() as lazy:
-                lazy.setattr(spectrum, "sweep", lambda cells: None)
-                fill_by_fill = _first_refusal(v, k)
+            up_front = _first_refusal(spectrum_table, v, k)
+            fill_by_fill = _first_refusal(_read_lazily, v, k)
             assert (up_front is None) == (fill_by_fill is None), (v, k)
             if up_front:
                 assert up_front == (fill_by_fill[0], 0), (v, k)
